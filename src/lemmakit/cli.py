@@ -13,7 +13,6 @@ from dataclasses import replace
 
 from . import corpus as corpus_mod
 from . import evaluation as eval_mod
-from . import proposer as proposer_mod
 from . import quickspec as qs
 from .instantiation import Budget, instantiate
 from .proposer import (

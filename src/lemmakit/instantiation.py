@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .templates import Template, base_signature
+from .templates import Template
 from .terms import (
     Abs,
     App,
@@ -28,6 +28,7 @@ from .terms import (
     UnificationError,
     _unify,
     apply_type_subst,
+    base_signature,
     map_types,
     resolve,
     subterms,
@@ -54,10 +55,9 @@ class Budget:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Hole index -> symbol name, plus the unifying type substitution."""
+    """Hole index -> symbol name."""
 
     mapping: tuple[tuple[int, str], ...]
-    type_solution: tuple[tuple[str, TypeExpr], ...]
 
     def as_dict(self) -> dict[int, str]:
         return dict(self.mapping)
@@ -144,14 +144,11 @@ def instantiate(
                 return App(walk(node.fn), walk(node.arg))
             return map_types(node, fill)
 
-        solution = tuple(sorted((v, resolve(subst, t)) for v, t in subst.items()))
         result.conjectures.append(
             Conjecture(
                 term=walk(tpl.body),
                 template_canonical=tpl.canonical,
-                assignment=Assignment(
-                    mapping=tuple(sorted(mapping.items())), type_solution=solution
-                ),
+                assignment=Assignment(mapping=tuple(sorted(mapping.items()))),
             )
         )
 

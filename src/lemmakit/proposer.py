@@ -193,7 +193,7 @@ def propose_http(req: ProposalRequest, config: HttpProposerConfig) -> ProposalSe
     for i, text in enumerate(completions):
         try:
             tpl = parse_template(text.strip())
-        except (NonCanonical, TermSyntaxError, LemmakitError):
+        except LemmakitError:
             out.parse_failures += 1
             continue
         if tpl.canonical in seen:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .terms import (
-    FUN,
     Abs,
     App,
     Bound,
@@ -21,7 +20,6 @@ from .terms import (
     Hole,
     LemmakitError,
     Signature,
-    SignatureEntry,
     TCon,
     TVar,
     Term,
@@ -31,7 +29,6 @@ from .terms import (
     _unify,
     annotations,
     apply_type_subst,
-    base_signature,
     fun,
     is_fun,
     map_types,
@@ -40,6 +37,7 @@ from .terms import (
     resolve,
     strip_spine,
     subterms,
+    type_vars,
     typecheck,
 )
 
@@ -130,10 +128,6 @@ class Template:
         return hash(self.canonical)
 
 
-def canonical_string(tpl: Template) -> str:
-    return tpl.canonical
-
-
 # ---------------------------------------------------------------------------
 # Validation shared by abstract() and parse_template()
 
@@ -181,8 +175,6 @@ def _validate_template(body: Term, w: Whitelist) -> tuple[int, dict[int, TypeExp
 
     tvars: list[str] = []
     for ann in annotations(body):
-        from .terms import type_vars
-
         type_vars(ann, tvars)
     if tvars != [f"a{i}" for i in range(len(tvars))]:
         raise NonCanonical(f"type variables {tvars} are not a0.. by first occurrence")
@@ -272,8 +264,6 @@ def abstract(t: Term, w: Whitelist | None = None, sig: Signature | None = None) 
         body = map_types(body, lambda ty: resolve(s, ty))
 
     # Canonical type-variable names by first occurrence.
-    from .terms import type_vars
-
     order: list[str] = []
     for ann in annotations(body):
         type_vars(ann, order)

@@ -229,12 +229,6 @@ def strip_spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
-def apply_spine(head: Term, args: list[Term]) -> Term:
-    for a in args:
-        head = App(head, a)
-    return head
-
-
 # ---------------------------------------------------------------------------
 # Signatures
 
@@ -272,9 +266,6 @@ class Signature:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def entries(self) -> list[SignatureEntry]:
-        return list(self._entries)
 
 
 def base_signature() -> Signature:

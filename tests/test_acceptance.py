@@ -380,8 +380,8 @@ def test_8_false_by_testing_mod_101():
 
     gold = flipped_assoc("Demo.plus")
     conjectures = [
-        Conjecture(flipped_assoc("Demo.minus"), "tpl", Assignment((), ())),
-        Conjecture(flipped_assoc("Demo.power"), "tpl", Assignment((), ())),
+        Conjecture(flipped_assoc("Demo.minus"), "tpl", Assignment(())),
+        Conjecture(flipped_assoc("Demo.power"), "tpl", Assignment(())),
     ]
     labels, counts = categorize(conjectures, gold, interp, tests=400, seed=0)
     assert labels == [CATEGORY_FALSE, CATEGORY_FALSE]

@@ -255,7 +255,7 @@ class TestCombineReports:
 
 
 def _conj(term):
-    return Conjecture(term, "tpl", Assignment((), ()))
+    return Conjecture(term, "tpl", Assignment(()))
 
 
 def _plus(a, b):

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -14,16 +15,18 @@ from lemmakit.quickspec import (
     baseline_precision,
     emit_laws,
     enumerate_terms,
+    evaluate_columns,
     evaluate_term,
     find_counterexample,
     is_instance_of,
     law_to_equation,
+    make_valuations,
     pretty_law,
     reverify_laws,
     term_size,
 )
 from lemmakit.quickspec import test_partition as partition_by_testing
-from lemmakit.terms import App, Const, Free, TCon, fun
+from lemmakit.terms import App, Const, Free, Hole, TCon, fun, subterms
 
 INT = TCon("int")
 
@@ -136,6 +139,72 @@ class TestPartition:
         a = partition_by_testing(terms, sig, 50, seed=9)
         b = partition_by_testing(terms, sig, 50, seed=9)
         assert [[str(t) for t in c] for c in a] == [[str(t) for t in c] for c in b]
+
+    def test_unshared_copies_partition_alike(self):
+        # Enumerated terms share their subterm objects; separately copied
+        # terms share none, so every subterm is evaluated from scratch.
+        sig = int_mod_sig([PLUS, ZERO])
+        terms = enumerate_terms(sig, 5)
+        copies = [copy.deepcopy(t) for t in terms]
+        node_ids = lambda ts: {id(s) for t in ts for s in subterms(t)}
+        assert not node_ids(terms) & node_ids(copies)
+        shared = partition_by_testing(terms, sig, 60, seed=4)
+        unshared = partition_by_testing(copies, sig, 60, seed=4)
+        assert [[str(t) for t in c] for c in unshared] == [
+            [str(t) for t in c] for c in shared
+        ]
+
+
+class TestEvaluator:
+    def test_hole_not_testable(self):
+        sig = int_mod_sig([PLUS, ZERO])
+        with pytest.raises(NotTestable):
+            evaluate_term(Hole(0, INT), sig, {})
+        with pytest.raises(NotTestable):
+            plus_hole = App(Const("plus", PLUS.type), Hole(0, INT))
+            evaluate_term(App(plus_hole, Free("x1", INT)), sig, {"x1": 1})
+
+    def test_applied_variable_not_testable(self):
+        sig = int_mod_sig([PLUS, ZERO])
+        f = Free("f", fun(INT, INT))
+        with pytest.raises(NotTestable):
+            evaluate_term(App(f, Free("x1", INT)), sig, {"f": 0, "x1": 1})
+
+    def test_partial_application_not_testable(self):
+        sig = int_mod_sig([PLUS, ZERO])
+        with pytest.raises(NotTestable):
+            plus_x1 = App(Const("plus", PLUS.type), Free("x1", INT))
+            evaluate_term(plus_x1, sig, {"x1": 1})
+
+    def test_missing_value_not_testable(self):
+        sig = int_mod_sig([PLUS, ZERO])
+        with pytest.raises(NotTestable):
+            evaluate_term(Free("x1", INT), sig, {"x2": 1})
+        # missing from one valuation of many is enough
+        with pytest.raises(NotTestable):
+            evaluate_columns([Free("x1", INT)], sig, [{"x1": 0}, {"x2": 1}])
+
+    def test_logical_constant_arity_not_testable(self):
+        sig = int_mod_sig([PLUS, ZERO])
+        bool_t = TCon("HOL.bool")
+        with pytest.raises(NotTestable):
+            true_x1 = App(Const("HOL.True", fun(INT, bool_t)), Free("x1", INT))
+            evaluate_term(true_x1, sig, {"x1": 1})
+        eq = Const("HOL.eq", fun(INT, fun(INT, bool_t)))
+        with pytest.raises(NotTestable):
+            evaluate_term(eq, sig, {})
+        with pytest.raises(NotTestable):
+            find_counterexample(App(eq, Free("x1", INT)), sig, 10, 0)
+
+    def test_columns_follow_valuation_order(self):
+        sig = int_mod_sig([PLUS, ZERO])
+        x1, x2 = Free("x1", INT), Free("x2", INT)
+        t = App(App(Const("plus", PLUS.type), x1), x2)
+        vals = [{"x1": a, "x2": b} for a, b in itertools.product(range(5), repeat=2)]
+        cols = evaluate_columns([t], sig, vals)
+        assert cols[id(t)] == [(v["x1"] + v["x2"]) % 5 for v in vals]
+        assert cols[id(x1)] == [v["x1"] for v in vals]
+        assert [evaluate_term(t, sig, v) for v in vals] == cols[id(t)]
 
 
 class TestEmitLaws:
@@ -251,6 +320,43 @@ class TestCounterexample:
         ghost = Const("Demo.unknown", fun(INT, INT))
         with pytest.raises(NotTestable):
             find_counterexample(App(ghost, Free("x1", INT)), sig, 10, 0)
+
+    def test_first_falsifying_valuation_of_the_stream(self):
+        nat = TCon("nat")
+        clip = InterpSymbol("clip", fun(nat, nat), lambda a: a if a < 45 else 0)
+        sig = InterpretedSignature(
+            sorts=[IntRangeSort("nat", 1, 50)], symbols=[clip], vars_per_sort=1
+        )
+        x1 = Free("x1", nat)
+        eq = Const("HOL.eq", fun(nat, fun(nat, TCon("HOL.bool"))))
+        claim = App(App(eq, App(Const("clip", clip.type), x1)), x1)
+
+        def reference(t, val):
+            head, args = t, []
+            while isinstance(head, App):
+                head, args = head.fn, [head.arg] + args
+            if isinstance(head, Free):
+                return val[head.name]
+            vals = [reference(a, val) for a in args]
+            if head.name == "HOL.eq":
+                return vals[0] == vals[1]
+            return sig.by_name[head.name].fn(*vals)
+
+        later_than_first = 0
+        for seed in range(8):
+            stream = make_valuations(sig, [x1], 60, seed)
+            falsifying = [
+                i for i, v in enumerate(stream) if reference(claim, v) is False
+            ]
+            cex = find_counterexample(claim, sig, 60, seed)
+            if not falsifying:
+                assert cex is None
+                continue
+            assert cex.as_dict() == stream[falsifying[0]]
+            later_than_first += falsifying[0] > 0
+            # a stream that stops before the first failure finds nothing
+            assert find_counterexample(claim, sig, falsifying[0], seed) is None
+        assert later_than_first > 0
 
     def test_never_returns_satisfying_valuation(self):
         sig, minus, _ = self._arith_sig()
