@@ -252,9 +252,23 @@ def save_records(path, records) -> None:
 
 
 def load_signature(path) -> list[SignatureEntry]:
-    """Signature file: JSON array of {"name", "type": s-expr, "def"|null}."""
+    """Signature file: JSON array of {"name", "type": s-expr, "def"|null}.
+
+    A file of any other shape raises LemmakitError naming the file, the entry
+    index and the field.
+    """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, list):
+        raise LemmakitError(f"{path}: expected a JSON array of symbol objects")
+    for i, d in enumerate(data):
+        if not isinstance(d, dict):
+            raise LemmakitError(f"{path}: entry {i}: expected an object")
+        for key in ("name", "type"):
+            if not isinstance(d.get(key), str):
+                raise LemmakitError(f"{path}: entry {i}: field {key!r} must be a string")
+        if not isinstance(d.get("def"), (str, type(None))):
+            raise LemmakitError(f"{path}: entry {i}: field 'def' must be a string or null")
     return [
         SignatureEntry(d["name"], parse_type(d["type"]), d.get("def")) for d in data
     ]

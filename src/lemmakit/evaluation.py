@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 from .corpus import CorpusRecord
 from .instantiation import Budget, Conjecture, InstantiationResult, instantiate
-from .proposer import ProposalRequest, ProposalSet, TransportError
+from .proposer import ProposalRequest, ProposalSet
 from .quickspec import InterpretedSignature, NotTestable, find_counterexample
 from .templates import Template, Whitelist, abstract
-from .terms import LemmakitError, Term, alpha_equal
+from .terms import LemmakitError, Term, alpha_equal, alpha_key
 
 CATEGORY_GOLD = "gold"
 CATEGORY_FALSE = "false_by_testing"
@@ -141,7 +141,9 @@ def evaluate_task(task: EvalTask, proposer, budget: Budget | None = None) -> Tas
     `proposer` is a callable ProposalRequest -> ProposalSet.  Template exact
     match compares canonical strings; lemma success holds when any conjecture
     from any proposed template is alpha-equivalent to the gold term.
-    Transport errors mark the task errored rather than raising.
+    A proposer failure (any LemmakitError, transport errors included) marks
+    the task errored rather than raising, so one bad reply cannot abort a
+    suite.
     """
     if budget is None:
         budget = Budget()
@@ -151,7 +153,7 @@ def evaluate_task(task: EvalTask, proposer, budget: Budget | None = None) -> Tas
     )
     try:
         proposals: ProposalSet = proposer(req)
-    except TransportError as e:
+    except LemmakitError as e:
         result.error = str(e)
         return result
 
@@ -280,14 +282,22 @@ def combine_reports(reports: list[EvalReport]) -> EvalReport:
 def dedupe(conjectures: list[Conjecture]) -> tuple[list[Conjecture], int]:
     """Drop alpha-equivalent duplicates, keeping the first in input order.
 
-    Returns the survivors and the number removed.
+    Returns the survivors and the number removed.  Survivors are bucketed by
+    the hash of their `alpha_key`, which alpha equivalence preserves, so each
+    conjecture is compared only with the earlier survivors in its bucket.
+    `alpha_equal` still decides, because it is not transitive and equal keys
+    do not make a duplicate; the result is the same as comparing against
+    every earlier survivor.
     """
+    buckets: dict[int, list[Term]] = {}
     kept: list[Conjecture] = []
     removed = 0
     for conj in conjectures:
-        if any(alpha_equal(conj.term, k.term) for k in kept):
+        bucket = buckets.setdefault(hash(alpha_key(conj.term)), [])
+        if any(alpha_equal(conj.term, k) for k in bucket):
             removed += 1
             continue
+        bucket.append(conj.term)
         kept.append(conj)
     return kept, removed
 

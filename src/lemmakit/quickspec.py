@@ -405,12 +405,17 @@ def emit_laws(classes: list[list[Term]]) -> list[Law]:
 def reverify_laws(
     laws: list[Law], sig: InterpretedSignature, num_tests: int, seed: int
 ) -> list[Law]:
-    """Laws whose sides agree on all sampled valuations (false-merge filter)."""
-    out = []
-    for law in laws:
-        if find_counterexample(law_to_equation(law), sig, num_tests, seed) is None:
-            out.append(law)
-    return out
+    """Laws whose sides agree on all sampled valuations (false-merge filter).
+
+    Each law is tested exactly as `find_counterexample` would test it; laws
+    over the same variables share one drawn valuation list.
+    """
+    memo: dict[tuple[Free, ...], list[dict[str, object]]] = {}
+    return [
+        law
+        for law in laws
+        if _counterexample(law_to_equation(law), sig, num_tests, seed, memo) is None
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +445,29 @@ def find_counterexample(
     An equation `lhs = rhs` is falsified when the sides evaluate unequal; any
     other boolean term is falsified when it evaluates to False.
     """
+    return _counterexample(equation, interp, num_tests, seed, {})
+
+
+def _counterexample(
+    equation: Term,
+    interp: InterpretedSignature,
+    num_tests: int,
+    seed: int,
+    memo: dict[tuple[Free, ...], list[dict[str, object]]],
+) -> Valuation | None:
+    """`find_counterexample`, drawing valuations once per sorted variable
+    tuple in `memo`.  The stream depends only on the variables, the seed and
+    num_tests, so reusing it changes no result."""
     _check_testable(equation, interp)
-    variables = sorted(
+    variables = tuple(sorted(
         {s for s in subterms(equation) if isinstance(s, Free)},
         key=lambda f: f.name,
-    )
-    valuations = make_valuations(interp, variables, num_tests, seed)
+    ))
+    valuations = memo.get(variables)
+    if valuations is None:
+        valuations = memo[variables] = make_valuations(
+            interp, list(variables), num_tests, seed
+        )
     column = evaluate_columns([equation], interp, valuations)[id(equation)]
     for val, result in zip(valuations, column):
         if result is False:

@@ -693,3 +693,51 @@ def alpha_equal(a: Term, b: Term) -> bool:
         return False
 
     return go(a, b)
+
+
+def alpha_key(t: Term) -> tuple:
+    """A hashable key that alpha equivalence preserves.
+
+    The key lists the term's nodes in the preorder `alpha_equal` walks. It
+    keeps node kinds, constant names, type constructor names and arities,
+    hole indices and bound indices. Each free-variable name and each
+    type-variable name becomes its first-occurrence number, and binder names
+    are dropped. So `alpha_equal(a, b)` implies `alpha_key(a) == alpha_key(b)`.
+    The converse does not hold (the key ignores which free names the two terms
+    share), so equal keys only make a pair worth comparing.
+    """
+    out: list = []
+    frees: dict[str, int] = {}
+    tvars: dict[str, int] = {}
+
+    def types(x: TypeExpr) -> None:
+        if isinstance(x, TVar):
+            out.extend(("tv", tvars.setdefault(x.name, len(tvars))))
+        else:
+            out.extend(("tc", x.name, len(x.args)))
+            for a in x.args:
+                types(a)
+
+    def go(x: Term) -> None:
+        if isinstance(x, Const):
+            out.extend(("const", x.name))
+            types(x.type)
+        elif isinstance(x, Free):
+            out.extend(("free", frees.setdefault(x.name, len(frees))))
+            types(x.type)
+        elif isinstance(x, Bound):
+            out.extend(("bound", x.index))
+        elif isinstance(x, Abs):
+            out.append("abs")
+            types(x.binder_type)
+            go(x.body)
+        elif isinstance(x, App):
+            out.append("app")
+            go(x.fn)
+            go(x.arg)
+        else:
+            out.extend(("hole", x.index))
+            types(x.type)
+
+    go(t)
+    return tuple(out)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lemmakit
 from lemmakit.cli import main
 from lemmakit.corpus import Datapoint, make_record, save_records
 from lemmakit.proposer import build_index
@@ -103,7 +107,44 @@ class TestAbstract:
         assert len(out.read_text().splitlines()) == 2
 
 
+def _run_cli(*argv):
+    """Run the CLI in a fresh interpreter, so an uncaught exception would
+    show as a traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(lemmakit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "lemmakit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 class TestConjecture:
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ([{"name": "f"}], "entry 0: field 'type' must be a string"),
+            ({"a": 1}, "expected a JSON array"),
+        ],
+    )
+    def test_malformed_signature_exits_1(
+        self, tmp_path, octo_templates_file, content, message
+    ):
+        sig_path = tmp_path / "bad.json"
+        sig_path.write_text(json.dumps(content))
+        proc = _run_cli(
+            "conjecture", str(sig_path), "--proposer", "fixed",
+            "--templates", octo_templates_file,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert str(sig_path) in proc.stderr and message in proc.stderr
+
     def test_fixed_proposer_distrib(
         self, octo_symbols_file, octo_templates_file, capsys, lemma_distrib_left
     ):

@@ -12,6 +12,7 @@ from lemmakit.corpus import (
     format_prompt,
     format_symbols_prompt,
     load_records,
+    load_signature,
     make_datapoint,
     make_record,
     read_jsonl,
@@ -191,3 +192,35 @@ class TestJsonl:
         d = record_to_dict(distrib_record)
         assert set(d) == {"id", "theory", "name", "term", "symbols"}
         assert set(d["symbols"][0]) == {"name", "type", "def"}
+
+
+class TestLoadSignature:
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(
+            [{"name": "f", "type": '(tc "int")', "def": None},
+             {"name": "g", "type": '(tv "a")', "def": "g x = x"}]
+        ))
+        assert load_signature(path) == [
+            SignatureEntry("f", TCon("int"), None),
+            SignatureEntry("g", TVar("a"), "g x = x"),
+        ]
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ({"a": 1}, "expected a JSON array"),
+            (["f"], "entry 0: expected an object"),
+            ([{"name": "f", "type": '(tc "int")'}, {"type": '(tc "int")'}],
+             "entry 1: field 'name' must be a string"),
+            ([{"name": "f", "type": 3}], "entry 0: field 'type' must be a string"),
+            ([{"name": "f", "type": '(tc "int")', "def": 1}],
+             "entry 0: field 'def' must be a string or null"),
+        ],
+    )
+    def test_bad_shape_names_file_entry_and_field(self, tmp_path, content, message):
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(LemmakitError) as exc:
+            load_signature(path)
+        assert str(path) in str(exc.value) and message in str(exc.value)

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from lemmakit import evaluation
 from lemmakit.corpus import make_record
 from lemmakit.evaluation import (
     CATEGORY_FALSE,
@@ -22,7 +24,21 @@ from lemmakit.instantiation import Assignment, Budget, Conjecture
 from lemmakit.proposer import Proposal, ProposalSet, TransportError
 from lemmakit.quickspec import InterpSymbol, IntModSort, InterpretedSignature
 from lemmakit.templates import abstract
-from lemmakit.terms import App, Const, Free, TCon, fun
+from lemmakit.terms import (
+    Abs,
+    App,
+    Bound,
+    Const,
+    Free,
+    Hole,
+    LemmakitError,
+    TCon,
+    alpha_equal,
+    alpha_key,
+    fun,
+)
+
+from oracles import _rename, alpha_oracle, random_lemma_term, random_type
 
 OCTO = TCon("Octonions.octo")
 INT = TCon("int")
@@ -150,6 +166,22 @@ class TestEvaluateSuite:
         assert loose.lemma_success_rate == 0.5
         assert strict.lemma_success_rate == 1.0
         assert strict.per_theory == {"Dist": 1.0}
+
+    def test_proposer_error_recorded_per_task(self, four_tasks):
+        distrib_tpl = four_tasks[0].gold_template
+
+        def bad_reply(req):
+            # the associativity record exposes a single symbol
+            if len(req.symbols) == 1:
+                raise LemmakitError("unusable proposer reply")
+            return _proposal_set(distrib_tpl)
+
+        report = evaluate_suite(four_tasks[:3], bad_reply)
+        assert len(report.per_task) == 3
+        assert report.errored_tasks == 1
+        errored = [r for r in report.per_task if r.error is not None]
+        assert [r.error for r in errored] == ["unusable proposer reply"]
+        assert report.lemma_success_rate == 2 / 3
 
     def test_empty_suite(self):
         report = evaluate_suite([], lambda req: ProposalSet())
@@ -288,6 +320,153 @@ class TestDedupe:
 
     def test_empty(self):
         assert dedupe([]) == ([], 0)
+
+    def test_non_transitive_triple_matches_reference(self):
+        # g x y ~ g p q and g p q ~ g y x, but g x y !~ g y x: all three share
+        # one key, and only alpha_equal in input order decides.
+        g = Const("g", fun(INT, fun(INT, INT)))
+        x, y, p, q = (Free(n, INT) for n in "xypq")
+        triple = [App(App(g, x), y), App(App(g, p), q), App(App(g, y), x)]
+        assert len({alpha_key(t) for t in triple}) == 1
+        for order in itertools.permutations(triple):
+            conjs = [_conj(t) for t in order]
+            assert dedupe(conjs) == _dedupe_pairwise(conjs)
+        assert dedupe([_conj(t) for t in triple]) == (
+            [_conj(triple[0]), _conj(triple[2])], 1
+        )
+
+    def test_matches_pairwise_reference_on_random_lists(self):
+        rng = random.Random(41)
+        same_key_kept = removed_total = 0
+        for _ in range(150):
+            bases = [_random_term(rng, 3) for _ in range(rng.randint(1, 12))]
+            conjs = [
+                _conj(_variant(rng.choice(bases), rng))
+                for _ in range(rng.randint(0, 40))
+            ]
+            got = dedupe(conjs)
+            want = _dedupe_pairwise(conjs)
+            assert got[1] == want[1]
+            assert [id(c) for c in got[0]] == [id(c) for c in want[0]]
+            removed_total += got[1]
+            keys = [alpha_key(c.term) for c in got[0]]
+            same_key_kept += len(keys) - len(set(keys))
+        # both outcomes of a same-bucket comparison are exercised
+        assert removed_total > 100 and same_key_kept > 20
+
+    def test_key_agrees_with_alpha_oracle(self):
+        rng = random.Random(43)
+        positives = 0
+        for i in range(600):
+            if i % 2:
+                a, _ = random_lemma_term(rng)
+            else:
+                a = _random_term(rng, 3)
+            b = _variant(a, rng) if rng.random() < 0.7 else _random_term(rng, 3)
+            if alpha_oracle(a, b):
+                positives += 1
+                assert alpha_key(a) == alpha_key(b)
+                assert alpha_equal(a, b)
+        assert positives > 200
+
+    def test_distinct_shapes_make_no_comparisons(self, monkeypatch):
+        calls = _count_alpha_equal(monkeypatch)
+        conjs = [_conj(_shape(i)) for i in range(500)]
+        kept, removed = dedupe(conjs)
+        assert kept == conjs and removed == 0
+        assert calls == []
+
+    def test_duplicates_compare_within_their_bucket_only(self, monkeypatch):
+        rng = random.Random(47)
+        conjs = [_conj(_shape(i)) for i in range(200)]
+        k = 37
+        for _ in range(k):
+            i = rng.randrange(len(conjs))
+            conjs.insert(rng.randrange(i + 1, len(conjs) + 1),
+                         _conj(_rename_frees(conjs[i].term)))
+        calls = _count_alpha_equal(monkeypatch)
+        kept, removed = dedupe(conjs)
+        assert removed == k and len(kept) == 200
+        # each duplicate meets exactly one survivor, its original
+        assert len(calls) == k
+        assert all(alpha_key(a) == alpha_key(b) for a, b in calls)
+
+
+def _dedupe_pairwise(conjectures):
+    """The quadratic reference: compare with every earlier survivor."""
+    kept = []
+    removed = 0
+    for conj in conjectures:
+        if any(alpha_equal(conj.term, k.term) for k in kept):
+            removed += 1
+            continue
+        kept.append(conj)
+    return kept, removed
+
+
+def _count_alpha_equal(monkeypatch):
+    calls = []
+    real = evaluation.alpha_equal
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(evaluation, "alpha_equal", counted)
+    return calls
+
+
+def _shape(i):
+    """500 pairwise different shapes: 25 constants times 20 nesting depths."""
+    f = Const(f"f{i // 20}", fun(INT, INT))
+    t = Free("x", INT)
+    for _ in range(i % 20 + 1):
+        t = App(f, t)
+    return t
+
+
+def _type(rng):
+    return random_type(rng, 1, var_names=("a", "b", "c"))
+
+
+def _random_term(rng, depth, binders=0):
+    """A small random term (not necessarily well typed) with constants, free
+    and bound variables, holes, binders and type variables."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.35:
+        leaf = rng.randrange(4)
+        if leaf == 0:
+            return Const(rng.choice("fgh"), _type(rng))
+        if leaf == 1:
+            return Free(rng.choice("xyz"), _type(rng))
+        if leaf == 2 and binders:
+            return Bound(rng.randrange(binders))
+        return Hole(rng.randint(1, 2), _type(rng))
+    if roll < 0.5:
+        return Abs(rng.choice("uv"), _type(rng),
+                   _random_term(rng, depth - 1, binders + 1))
+    return App(_random_term(rng, depth - 1, binders),
+               _random_term(rng, depth - 1, binders))
+
+
+def _variant(t, rng):
+    """t itself, or t with its free names, type-variable names or binder
+    names renamed.  Renaming frees into fresh names gives an alpha variant;
+    permuting them among themselves usually does not."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return t
+    if kind == 1:
+        return _rename_frees(t)
+    if kind == 2:
+        return _rename(t, {}, dict(zip("abc", rng.sample("pqr", 3))))
+    if kind == 3:
+        return _rename(t, {}, {})  # binders only: all become "_"
+    return _rename(t, dict(zip("xyz", rng.sample("xyz", 3))), {})
+
+
+def _rename_frees(t):
+    return _rename(t, {n: f"{n}_renamed" for n in "xyz"}, {})
 
 
 class TestCategorize:

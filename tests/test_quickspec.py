@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lemmakit import quickspec
 from lemmakit.quickspec import (
     InterpSymbol,
     IntListSort,
@@ -39,6 +40,7 @@ def int_mod_sig(symbols, mod=5, vars_per_sort=2):
 
 PLUS = InterpSymbol("plus", fun(INT, fun(INT, INT)), lambda a, b: (a + b) % 5, "+")
 ZERO = InterpSymbol("zero", INT, 0)
+TIMES = InterpSymbol("times", fun(INT, fun(INT, INT)), lambda a, b: a * b % 5, "*")
 
 
 class TestEnumerate:
@@ -231,6 +233,31 @@ class TestEmitLaws:
 
     def test_empty_classes(self):
         assert emit_laws([]) == []
+
+    def test_reverify_draws_valuations_once_per_variable_set(self, monkeypatch):
+        # Two tests per class merge many unequal terms, so some laws fail.
+        sig = int_mod_sig([PLUS, ZERO, TIMES], vars_per_sort=3)
+        laws = emit_laws(partition_by_testing(enumerate_terms(sig, 5), sig, 2, 1))
+        want = [
+            l for l in laws
+            if find_counterexample(law_to_equation(l), sig, 200, 7) is None
+        ]
+        variable_sets = {
+            tuple(sorted({s for s in subterms(law_to_equation(l))
+                          if isinstance(s, Free)}, key=lambda f: f.name))
+            for l in laws
+        }
+        calls = []
+        real = quickspec.make_valuations
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(quickspec, "make_valuations", counted)
+        got = reverify_laws(laws, sig, 200, 7)
+        assert got == want and 0 < len(got) < len(laws)
+        assert len(calls) == len(variable_sets) < len(laws)
 
     def test_instance_pruning_example(self):
         # x1 + x2 = x2 + x1 subsumes x1 + zero = zero + x1
