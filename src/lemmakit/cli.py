@@ -20,6 +20,7 @@ from .proposer import (
     ProposalRequest,
     TemplateIndex,
     TransportError,
+    load_templates_file,
     propose_fixed,
     propose_http,
     propose_retrieval,
@@ -71,7 +72,8 @@ def _make_proposer(kind: str, index_path, templates_path):
     if kind == "fixed":
         if not templates_path:
             raise LemmakitError("fixed proposer needs --templates")
-        return lambda req: propose_fixed(req, templates_path)
+        templates = load_templates_file(templates_path)
+        return lambda req: propose_fixed(req, templates)
     config = HttpProposerConfig.from_env()
     return lambda req: propose_http(req, config)
 

@@ -187,16 +187,58 @@ def record_to_dict(r: CorpusRecord) -> dict:
     }
 
 
-def record_from_dict(d: dict) -> CorpusRecord:
+_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a list": lambda v: isinstance(v, list),
+}
+
+_SYMBOL_FIELDS = {"name": "a string", "type": "a string", "def": "a string or null"}
+_RECORD_FIELDS = {
+    "id": "a string",
+    "theory": "a string",
+    "name": "a string",
+    "term": "a string",
+    "symbols": "a list",
+}
+_DATAPOINT_FIELDS = {
+    key: "a string"
+    for key in ("id", "theory", "mode", "target_kind", "input", "target")
+}
+
+
+def check_fields(d, fields: dict[str, str], where: str) -> None:
+    """Raise LemmakitError, prefixed by `where`, unless d is an object whose
+    fields hold values of the kinds named in `fields` (keys of _KINDS)."""
+    if not isinstance(d, dict):
+        raise LemmakitError(f"{where}: expected an object")
+    for key, kind in fields.items():
+        if not _KINDS[kind](d.get(key)):
+            raise LemmakitError(f"{where}: field {key!r} must be {kind}")
+
+
+def _parsed(parse, text: str, where: str):
+    """parse(text), with a LemmakitError it raises prefixed by `where`."""
+    try:
+        return parse(text)
+    except LemmakitError as e:
+        raise LemmakitError(f"{where}: {e}") from e
+
+
+def record_from_dict(d: dict, where: str = "record") -> CorpusRecord:
+    check_fields(d, _RECORD_FIELDS, where)
+    symbols = []
+    for j, s in enumerate(d["symbols"]):
+        check_fields(s, _SYMBOL_FIELDS, f"{where}: symbol {j}")
+        ty = _parsed(parse_type, s["type"], f"{where}: symbol {j}: field 'type'")
+        symbols.append(SignatureEntry(s["name"], ty, s.get("def")))
     return CorpusRecord(
         id=d["id"],
         theory=d["theory"],
         lemma_name=d["name"],
-        term=parse_term(d["term"]),
-        symbols=tuple(
-            SignatureEntry(s["name"], parse_type(s["type"]), s.get("def"))
-            for s in d["symbols"]
-        ),
+        term=_parsed(parse_term, d["term"], f"{where}: field 'term'"),
+        symbols=tuple(symbols),
     )
 
 
@@ -212,6 +254,7 @@ def datapoint_to_dict(d: Datapoint) -> dict:
 
 
 def datapoint_from_dict(d: dict) -> Datapoint:
+    check_fields(d, _DATAPOINT_FIELDS, "datapoint")
     return Datapoint(
         id=d["id"],
         theory=d["theory"],
@@ -222,7 +265,9 @@ def datapoint_from_dict(d: dict) -> Datapoint:
     )
 
 
-def read_jsonl(path) -> list[dict]:
+def read_jsonl(path) -> list[tuple[int, object]]:
+    """(line number, parsed value) for each non-blank line; a line that is not
+    JSON raises LemmakitError naming the file and the line."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh, 1):
@@ -230,7 +275,7 @@ def read_jsonl(path) -> list[dict]:
             if not line:
                 continue
             try:
-                out.append(json.loads(line))
+                out.append((i, json.loads(line)))
             except json.JSONDecodeError as e:
                 raise LemmakitError(f"{path}:{i}: malformed JSON line: {e}") from e
     return out
@@ -244,7 +289,9 @@ def write_jsonl(path, dicts) -> None:
 
 
 def load_records(path) -> list[CorpusRecord]:
-    return [record_from_dict(d) for d in read_jsonl(path)]
+    """Records of a JSONL corpus; a line of the wrong shape raises
+    LemmakitError naming the file, the line and the field."""
+    return [record_from_dict(d, f"{path}:{i}") for i, d in read_jsonl(path)]
 
 
 def save_records(path, records) -> None:
@@ -262,13 +309,12 @@ def load_signature(path) -> list[SignatureEntry]:
     if not isinstance(data, list):
         raise LemmakitError(f"{path}: expected a JSON array of symbol objects")
     for i, d in enumerate(data):
-        if not isinstance(d, dict):
-            raise LemmakitError(f"{path}: entry {i}: expected an object")
-        for key in ("name", "type"):
-            if not isinstance(d.get(key), str):
-                raise LemmakitError(f"{path}: entry {i}: field {key!r} must be a string")
-        if not isinstance(d.get("def"), (str, type(None))):
-            raise LemmakitError(f"{path}: entry {i}: field 'def' must be a string or null")
+        check_fields(d, _SYMBOL_FIELDS, f"{path}: entry {i}")
     return [
-        SignatureEntry(d["name"], parse_type(d["type"]), d.get("def")) for d in data
+        SignatureEntry(
+            d["name"],
+            _parsed(parse_type, d["type"], f"{path}: entry {i}: field 'type'"),
+            d.get("def"),
+        )
+        for i, d in enumerate(data)
     ]

@@ -26,9 +26,9 @@ from .terms import (
     TypeExpr,
     TypeSubstitution,
     UnificationError,
+    _BASE,
     _unify,
     apply_type_subst,
-    base_signature,
     map_types,
     resolve,
     subterms,
@@ -109,7 +109,7 @@ def instantiate(
     if not isinstance(tpl, Template):
         raise InvalidTemplate(f"expected a Template, got {type(tpl).__name__}")
     if base_sig is None:
-        base_sig = base_signature()
+        base_sig = _BASE
     names = [c.name for c in candidates]
     if len(set(names)) != len(names):
         raise ValueError("candidate names must be unique")

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import requests
 
-from .corpus import format_symbols_prompt
+from .corpus import check_fields, format_symbols_prompt, read_jsonl
 from .instantiation import feasible
 from .templates import NonCanonical, Template, parse_template
-from .terms import LemmakitError, SignatureEntry, TermSyntaxError
+from .terms import LemmakitError, SignatureEntry, TermSyntaxError, TypeExpr
 
 ENV_LLM_URL = "LEMMAKIT_LLM_URL"
 ENV_LLM_TOKEN = "LEMMAKIT_LLM_TOKEN"
@@ -68,12 +68,21 @@ class ProposalSet:
 
 
 class TemplateIndex:
-    """Frequency map over canonical template strings."""
+    """Frequency map over canonical template strings.
+
+    The index also remembers propose_retrieval's feasibility answers, keyed by
+    (canonical, timeout, set of candidate types), so the memo grows by one
+    entry per template and distinct candidate type set.
+    A search that hit its deadline is remembered as False, the answer
+    `feasible` gave.  Worker threads share the memo: a dict read or write is
+    atomic, and two threads that miss on one key store the same answer.
+    """
 
     def __init__(self):
         self.counts: dict[str, int] = {}
         self.total = 0
         self._parsed: dict[str, Template] = {}
+        self._feasible: dict[tuple[str, int, frozenset[TypeExpr]], bool] = {}
 
     def add(self, canonical: str, count: int = 1) -> None:
         tpl = parse_template(canonical)
@@ -97,14 +106,17 @@ class TemplateIndex:
 
     @classmethod
     def load(cls, path) -> "TemplateIndex":
+        """JSONL of {"template": canonical, "count": int}; a line of any other
+        shape raises LemmakitError naming the file, the line and the field."""
         idx = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                d = json.loads(line)
+        for i, d in read_jsonl(path):
+            check_fields(
+                d, {"template": "a string", "count": "an integer"}, f"{path}:{i}"
+            )
+            try:
                 idx.add(d["template"], d["count"])
+            except LemmakitError as e:
+                raise LemmakitError(f"{path}:{i}: field 'template': {e}") from e
         return idx
 
 
@@ -125,12 +137,26 @@ def propose_retrieval(
     req: ProposalRequest, idx: TemplateIndex, feas_timeout_millis: int = 1000
 ) -> ProposalSet:
     """Feasible index templates ranked by frequency (desc), then fewer holes,
-    then canonical string; scores are corpus frequencies."""
+    then canonical string; scores are corpus frequencies.
+
+    Feasibility is memoized on idx.  Only the set of candidate types can
+    change the answer: without distinct holes the candidates' names, order
+    and repeats do not decide whether an assignment exists.
+    """
     candidates = list(req.symbols)
+    # instantiate rejects repeated names; an answer from the memo must too.
+    names = [c.name for c in candidates]
+    if idx.counts and len(set(names)) != len(names):
+        raise ValueError("candidate names must be unique")
+    types = frozenset(c.type for c in candidates)
     ranked = []
     for canonical, count in idx.counts.items():
         tpl = idx.template(canonical)
-        if feasible(tpl, candidates, feas_timeout_millis):
+        key = (canonical, feas_timeout_millis, types)
+        ok = idx._feasible.get(key)
+        if ok is None:
+            ok = idx._feasible[key] = feasible(tpl, candidates, feas_timeout_millis)
+        if ok:
             ranked.append((tpl, count))
     ranked.sort(key=lambda tc: (-tc[1], tc[0].hole_count, tc[0].canonical))
     total = idx.total or 1
@@ -165,7 +191,8 @@ def propose_http(req: ProposalRequest, config: HttpProposerConfig) -> ProposalSe
     """POST {"prompt", "n", "max_tokens"}; expect {"completions": [str, ...]}.
 
     Completions failing template validation are dropped and counted;
-    completion order is preserved as the ranking.
+    completion order is preserved as the ranking.  A body of any other shape
+    raises TransportError.
     """
     headers = {}
     if config.token:
@@ -184,13 +211,22 @@ def propose_http(req: ProposalRequest, config: HttpProposerConfig) -> ProposalSe
     if resp.status_code != 200:
         raise TransportError(f"endpoint returned HTTP {resp.status_code}")
     try:
-        completions = resp.json()["completions"]
-    except (ValueError, KeyError) as e:
+        body = resp.json()
+    except ValueError as e:
         raise TransportError(f"malformed response body: {e}") from e
+    if not isinstance(body, dict):
+        raise TransportError("malformed response body: expected a JSON object")
+    completions = body.get("completions")
+    if not isinstance(completions, list):
+        raise TransportError("malformed response body: 'completions' must be a list")
 
     out = ProposalSet()
     seen: set[str] = set()
     for i, text in enumerate(completions):
+        if not isinstance(text, str):
+            raise TransportError(
+                f"malformed response body: completion {i} must be a string"
+            )
         try:
             tpl = parse_template(text.strip())
         except LemmakitError:
@@ -206,19 +242,26 @@ def propose_http(req: ProposalRequest, config: HttpProposerConfig) -> ProposalSe
 
 
 def load_templates_file(path) -> list[Template]:
-    """Text file of canonical template strings, one per line, '#' comments."""
+    """Text file of canonical template strings, one per line, '#' comments.
+
+    A line that is not a canonical template raises LemmakitError naming the
+    file and the line.
+    """
     out: list[Template] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for i, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            out.append(parse_template(line))
+            try:
+                out.append(parse_template(line))
+            except LemmakitError as e:
+                raise LemmakitError(f"{path}:{i}: {e}") from e
     return out
 
 
-def propose_fixed(req: ProposalRequest, path) -> ProposalSet:
-    templates = load_templates_file(path)
+def propose_fixed(req: ProposalRequest, templates: list[Template]) -> ProposalSet:
+    """The first req.k distinct templates of a loaded list, in list order."""
     out = ProposalSet()
     seen: set[str] = set()
     for tpl in templates:

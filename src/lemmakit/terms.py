@@ -272,7 +272,8 @@ def base_signature() -> Signature:
     """Type schemes for the built-in logical constants.
 
     These are always in scope when typechecking lemma statements and are used
-    to re-concretize retained constants during template instantiation.
+    to re-concretize retained constants during template instantiation.  Each
+    call builds a fresh Signature, so a caller may extend what it gets.
     """
     bool_t = TCon("HOL.bool")
     prop = TCon("Pure.prop")
@@ -303,6 +304,11 @@ def base_signature() -> Signature:
             ),
         ]
     )
+
+
+# Only read, never handed out: typecheck and instantiate consult it on
+# every call.
+_BASE = base_signature()
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +559,7 @@ def apply_type_subst(s: TypeSubstitution, t: TypeExpr) -> TypeExpr:
 class _Infer:
     def __init__(self, sig: Signature | None):
         self.sig = sig
-        self.base = base_signature() if sig is not None else None
+        self.base = _BASE if sig is not None else None
         self.subst: TypeSubstitution = {}
         self.counter = 0
         self.free_env: dict[str, TypeExpr] = {}

@@ -321,6 +321,47 @@ class TestEval:
         report = json.loads(rp.read_text())
         assert report["aggregates"]["lemma_success_rate"] == 1.0
 
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            ("corpus", ":2: field 'term' must be a string"),
+            ("index", ":1: field 'count' must be an integer"),
+            ("templates", ":2: "),
+        ],
+    )
+    def test_malformed_input_exits_1_before_any_task(
+        self, octo_corpus, octo_templates_file, tmp_path, broken, message
+    ):
+        """A bad corpus line, index line or fixed template list stops eval
+        with exit 1 and a message naming the file, not a traceback."""
+        path, records = octo_corpus
+        files = {}
+        if broken == "corpus":
+            lines = open(path, encoding="utf-8").read().splitlines()
+            row = json.loads(lines[1])
+            del row["term"]
+            files["corpus"] = tmp_path / "bad_corpus.jsonl"
+            files["corpus"].write_text(lines[0] + "\n" + json.dumps(row) + "\n")
+            argv = ["--proposer", "fixed", "--templates", octo_templates_file]
+        elif broken == "index":
+            files["index"] = tmp_path / "bad_index.jsonl"
+            canonical = abstract(records[0].term).canonical
+            files["index"].write_text(json.dumps({"template": canonical}) + "\n")
+            argv = ["--index", str(files["index"])]
+        else:
+            files["templates"] = tmp_path / "bad_templates.txt"
+            good = open(octo_templates_file, encoding="utf-8").readline()
+            files["templates"].write_text(good + "(((\n")
+            argv = ["--proposer", "fixed", "--templates", str(files["templates"])]
+        report = tmp_path / "report.json"
+        proc = _run_cli(
+            "eval", str(files.get("corpus", path)), *argv, "--report", str(report)
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"{files[broken]}{message}" in proc.stderr
+        assert not report.exists()
+
     def test_retrieval_from_index(self, octo_corpus, tmp_path):
         from lemmakit.corpus import load_records, make_datapoint
 

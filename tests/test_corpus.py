@@ -188,6 +188,47 @@ class TestJsonl:
             read_jsonl(path)
         assert ":2:" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("term"), "field 'term' must be a string"),
+            (lambda d: d.update(id=3), "field 'id' must be a string"),
+            (lambda d: d.update(symbols={}), "field 'symbols' must be a list"),
+            (lambda d: d["symbols"].append(1), "symbol 2: expected an object"),
+            (lambda d: d["symbols"][1].pop("type"),
+             "symbol 1: field 'type' must be a string"),
+            (lambda d: d.update(term="(App"), "field 'term': "),
+            (lambda d: d["symbols"][1].update(type="(Type"),
+             "symbol 1: field 'type': "),
+        ],
+    )
+    def test_bad_record_names_file_line_and_field(
+        self, distrib_record, tmp_path, edit, message
+    ):
+        good = record_to_dict(distrib_record)
+        bad = record_to_dict(distrib_record)
+        edit(bad)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(f"{json.dumps(good)}\n\n{json.dumps(bad)}\n")
+        with pytest.raises(LemmakitError) as exc:
+            load_records(path)
+        assert f"{path}:3: {message}" in str(exc.value)
+        with pytest.raises(LemmakitError) as exc:
+            record_from_dict(bad)
+        assert f"record: {message}" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "field", ["id", "theory", "mode", "target_kind", "input", "target"]
+    )
+    def test_bad_datapoint_names_field(self, distrib_record, field):
+        d = datapoint_to_dict(make_datapoint(distrib_record, "types", "template"))
+        del d[field]
+        with pytest.raises(LemmakitError) as exc:
+            datapoint_from_dict(d)
+        assert f"datapoint: field {field!r} must be a string" in str(exc.value)
+        with pytest.raises(LemmakitError):
+            datapoint_from_dict([d])
+
     def test_record_dict_schema(self, distrib_record):
         d = record_to_dict(distrib_record)
         assert set(d) == {"id", "theory", "name", "term", "symbols"}
@@ -216,6 +257,8 @@ class TestLoadSignature:
             ([{"name": "f", "type": 3}], "entry 0: field 'type' must be a string"),
             ([{"name": "f", "type": '(tc "int")', "def": 1}],
              "entry 0: field 'def' must be a string or null"),
+            ([{"name": "f", "type": '(tc "int")'}, {"name": "g", "type": "(tc"}],
+             "entry 1: field 'type': "),
         ],
     )
     def test_bad_shape_names_file_entry_and_field(self, tmp_path, content, message):

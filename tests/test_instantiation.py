@@ -204,3 +204,32 @@ class TestFeasible:
         eq = Const("HOL.eq", fun(TVar("'a"), fun(TVar("'a"), TCon("HOL.bool"))))
         tpl = abstract(App(App(eq, x), x))
         assert feasible(tpl, [])
+
+
+class TestBaseSignature:
+    def test_mutating_a_returned_copy_changes_nothing_later(self):
+        """instantiate and typecheck share one base signature; what
+        base_signature() hands out must not be it."""
+        from lemmakit.templates import Whitelist, default_whitelist
+        from lemmakit.terms import App, Const, Signature, UnknownConstant, render_term
+
+        s, t = TCon("S"), TCon("T")
+        c = Const("X.c", s)
+        eq = Const("HOL.eq", fun(s, fun(s, TCon("HOL.bool"))))
+        w = default_whitelist()
+        keep_c = Whitelist(prefixes=w.prefixes, exact=w.exact | {"X.c"})
+        # (hole 1 : a0 -> a0) applied to the retained constant X.c : a0.
+        tpl = abstract(App(App(eq, App(Const("X.u", fun(s, s)), c)), c), keep_c)
+        on_t = [SignatureEntry("g", fun(t, t), None)]
+        before = [render_term(x.term) for x in instantiate(tpl, on_t).conjectures]
+        assert len(before) == 1
+
+        base_signature().add(SignatureEntry("X.c", s, None))
+
+        # Had X.c : S reached instantiate's base, a0 would be S and g : T -> T
+        # would no longer fit.
+        after = [render_term(x.term) for x in instantiate(tpl, on_t).conjectures]
+        assert after == before and feasible(tpl, on_t)
+        with pytest.raises(UnknownConstant):
+            typecheck(c, Signature())
+        assert "X.c" not in base_signature()

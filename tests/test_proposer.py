@@ -1,10 +1,16 @@
 import json
+import random
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from lemmakit import instantiation
+from lemmakit import proposer as proposer_mod
+from lemmakit.cli import main
 from lemmakit.corpus import Datapoint
+from lemmakit.evaluation import evaluate_suite, make_task
 from lemmakit.proposer import (
     HttpProposerConfig,
     ProposalRequest,
@@ -12,12 +18,25 @@ from lemmakit.proposer import (
     TransportError,
     UnparseableTarget,
     build_index,
+    load_templates_file,
     propose_fixed,
     propose_http,
     propose_retrieval,
 )
 from lemmakit.templates import abstract
-from lemmakit.terms import SignatureEntry, TCon, fun
+from lemmakit.terms import (
+    App,
+    Const,
+    Free,
+    LemmakitError,
+    SignatureEntry,
+    TCon,
+    TVar,
+    fun,
+    render_type,
+)
+
+from synthetic import build_synthetic_corpus, build_train_datapoints
 
 OCTO = TCon("Octonions.octo")
 BINOP = fun(OCTO, fun(OCTO, OCTO))
@@ -89,6 +108,29 @@ class TestIndex:
         assert again.counts == idx.counts and again.total == idx.total
 
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"template": "%s"}', "field 'count' must be an integer"),
+            ('{"template": "%s", "count": true}', "field 'count' must be an integer"),
+            ('{"count": 1}', "field 'template' must be a string"),
+            ('["%s", 1]', "expected an object"),
+            ("{", "malformed JSON line"),
+            ('{"template": "(bogus", "count": 1}', "field 'template': "),
+        ],
+    )
+    def test_load_bad_line_names_file_line_and_field(
+        self, octo_templates, tmp_path, line, message
+    ):
+        canonical = json.dumps(octo_templates["assoc"].canonical)[1:-1]
+        path = tmp_path / "index.jsonl"
+        good = json.dumps({"template": octo_templates["assoc"].canonical, "count": 2})
+        path.write_text(good + "\n" + line.replace("%s", canonical) + "\n")
+        with pytest.raises(LemmakitError) as exc:
+            TemplateIndex.load(path)
+        assert f"{path}:2: " in str(exc.value) and message in str(exc.value)
+
+
 class TestRetrieval:
     def test_octonion_symbols_get_all_three(self, octo_templates):
         idx = build_index(
@@ -136,11 +178,140 @@ class TestRetrieval:
         with pytest.raises(ValueError):
             ProposalRequest(symbols=(), k=0)
 
+    def test_duplicate_names_raise_even_when_memoized(self, octo_templates):
+        idx = build_index(_datapoints([(octo_templates["assoc"].canonical, 1)]))
+        propose_retrieval(ProposalRequest(symbols=OCTO_SYMBOLS), idx)
+        twice = (OCTO_SYMBOLS[0], SignatureEntry(OCTO_SYMBOLS[0].name, BINOP, None))
+        with pytest.raises(ValueError):
+            propose_retrieval(ProposalRequest(symbols=twice), idx)
+
+
+def _count_feasible(monkeypatch) -> list:
+    """Route proposer.feasible through a recorder; returns the call log."""
+    calls = []
+    real = proposer_mod.feasible
+
+    def counted(tpl, candidates, *args):
+        calls.append(tpl.canonical)
+        return real(tpl, candidates, *args)
+
+    monkeypatch.setattr(proposer_mod, "feasible", counted)
+    return calls
+
+
+def _ranking_without_memo(req, idx):
+    """propose_retrieval's ranking with one feasibility search per template."""
+    ranked = [
+        (c, n) for c, n in idx.counts.items()
+        if instantiation.feasible(idx.template(c), list(req.symbols))
+    ]
+    ranked.sort(key=lambda cn: (-cn[1], idx.template(cn[0]).hole_count, cn[0]))
+    return [(c, n / idx.total) for c, n in ranked[: req.k]]
+
+
+def _ranking(got):
+    return [(p.template.canonical, p.score) for p in got.proposals]
+
+
+S, T = TCon("S"), TCon("T")
+LIST = lambda a: TCon("List.list", (a,))  # noqa: E731
+# Candidate type pool; "a" and "b" stand for type variables, named anew per list.
+TYPE_POOL = [
+    lambda a, b: fun(S, S),
+    lambda a, b: fun(T, T),
+    lambda a, b: fun(S, T),
+    lambda a, b: fun(a, a),
+    lambda a, b: fun(a, b),
+    lambda a, b: fun(S, fun(S, S)),
+    lambda a, b: fun(a, fun(a, a)),
+    lambda a, b: fun(T, fun(T, fun(T, T))),
+    lambda a, b: fun(a, fun(b, fun(a, a))),
+    lambda a, b: fun(LIST(a), a),
+    lambda a, b: fun(LIST(a), LIST(a)),
+    lambda a, b: S,
+    lambda a, b: a,
+]
+
+
+class TestFeasibilityMemo:
+    def test_one_search_per_template_and_type_set(self, monkeypatch):
+        idx = build_index(build_train_datapoints())
+        _, heldout = build_synthetic_corpus()
+        calls = _count_feasible(monkeypatch)
+        for r in heldout:
+            req = ProposalRequest(symbols=r.symbols)
+            got = propose_retrieval(req, idx)
+            assert _ranking(got) == _ranking_without_memo(req, idx)
+        type_sets = {frozenset(render_type(s.type) for s in r.symbols) for r in heldout}
+        # The mixed theories list their two symbols in either order.
+        assert len({r.symbols for r in heldout}) == 31 and len(type_sets) == 20
+        assert len(calls) == len(idx.counts) * len(type_sets) == 600
+        assert len(set(calls)) == len(idx.counts)
+
+    def test_matches_unmemoized_ranking_on_random_lists(self, monkeypatch):
+        idx = build_index(build_train_datapoints())
+        rng = random.Random(4)
+        calls = _count_feasible(monkeypatch)
+        type_sets = set()
+        for _ in range(25):
+            picks = rng.sample(range(len(TYPE_POOL)), rng.randint(1, 4))
+            for _ in range(4):
+                # Renamed type variables and symbols, reordered, with repeats.
+                tvs = rng.sample(["a", "b", "c", "'x", "?f1", "a0"], 2)
+                types = [TYPE_POOL[i](TVar(tvs[0]), TVar(tvs[1])) for i in picks]
+                types += rng.sample(types, rng.randint(0, len(types)))
+                rng.shuffle(types)
+                type_sets.add(frozenset(types))
+                tag = rng.randrange(10**6)
+                symbols = tuple(
+                    SignatureEntry(f"c{tag}_{i}", ty, None) for i, ty in enumerate(types)
+                )
+                req = ProposalRequest(symbols=symbols, k=rng.randint(1, 8))
+                got = propose_retrieval(req, idx)
+                assert _ranking(got) == _ranking_without_memo(req, idx)
+        assert len(calls) == len(idx.counts) * len(type_sets)
+
+    def test_type_constructors_are_part_of_the_key(self, monkeypatch):
+        x = Free("x", S)
+        eq = Const("HOL.eq", fun(S, fun(S, TCon("HOL.bool"))))
+        tpl = abstract(App(App(eq, App(Const("u", fun(S, S)), x)), x))
+        calls = _count_feasible(monkeypatch)
+        fits, misfits = fun(S, S), fun(S, TCon("X"))
+        for order in ((fits, misfits), (misfits, fits)):
+            idx = build_index(_datapoints([(tpl.canonical, 1)]))
+            got = [
+                propose_retrieval(
+                    ProposalRequest(symbols=(SignatureEntry("u", ty, None),)), idx
+                ).canonicals()
+                for ty in order
+            ]
+            assert got == [[tpl.canonical] if ty == fits else [] for ty in order]
+        assert len(calls) == 4
+
+    def test_threads_share_the_memo(self):
+        _, heldout = build_synthetic_corpus()
+        tasks = [make_task(r) for r in heldout]
+        serial_idx = build_index(build_train_datapoints())
+        serial = evaluate_suite(tasks, lambda req: propose_retrieval(req, serial_idx))
+        shared = build_index(build_train_datapoints())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = evaluate_suite(
+                tasks, lambda req: propose_retrieval(req, shared), workers=8
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.to_json() == serial.to_json()
+        assert shared._feasible == serial_idx._feasible
+        assert len(shared._feasible) == 600
+
 
 class _StubHandler(BaseHTTPRequestHandler):
     completions = []
     status = 200
     requests_seen = []
+    raw_body = None  # when set, sent verbatim in place of {"completions": ...}
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -151,7 +322,9 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_response(type(self).status)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
-        if type(self).status == 200:
+        if type(self).raw_body is not None:
+            self.wfile.write(type(self).raw_body.encode())
+        elif type(self).status == 200:
             self.wfile.write(
                 json.dumps({"completions": type(self).completions}).encode()
             )
@@ -168,6 +341,7 @@ def stub_server():
     _StubHandler.completions = []
     _StubHandler.status = 200
     _StubHandler.requests_seen = []
+    _StubHandler.raw_body = None
     yield f"http://127.0.0.1:{server.server_port}/complete"
     server.shutdown()
 
@@ -223,6 +397,35 @@ class TestHttp:
                 HttpProposerConfig(url=stub_server),
             )
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ('{"completions": [null, 3]}', "completion 0 must be a string"),
+            ('["(hole 1 (tv \\"a\\"))"]', "expected a JSON object"),
+            ('{"completions": "abc"}', "'completions' must be a list"),
+            ('{"choices": []}', "'completions' must be a list"),
+            ("not json", "malformed response body"),
+        ],
+    )
+    def test_malformed_body_raises_transport(
+        self, stub_server, tmp_path, monkeypatch, capsys, body, message
+    ):
+        _StubHandler.raw_body = body
+        with pytest.raises(TransportError) as exc:
+            propose_http(
+                ProposalRequest(symbols=OCTO_SYMBOLS),
+                HttpProposerConfig(url=stub_server),
+            )
+        assert message in str(exc.value)
+        monkeypatch.setenv("LEMMAKIT_LLM_URL", stub_server)
+        monkeypatch.delenv("LEMMAKIT_LLM_TOKEN", raising=False)
+        symbols = tmp_path / "symbols.json"
+        symbols.write_text(json.dumps(
+            [{"name": s.name, "type": render_type(s.type)} for s in OCTO_SYMBOLS]
+        ))
+        assert main(["propose", str(symbols), "--proposer", "http"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_unreachable_raises_transport(self):
         with pytest.raises(TransportError):
             propose_http(
@@ -255,18 +458,24 @@ class TestFixed:
             + "\n".join(t.canonical for t in ordered)
             + "\n"
         )
-        got = propose_fixed(ProposalRequest(symbols=OCTO_SYMBOLS, k=2), path)
+        got = propose_fixed(
+            ProposalRequest(symbols=OCTO_SYMBOLS, k=2), load_templates_file(path)
+        )
         assert got.canonicals() == [t.canonical for t in ordered[:2]]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
-        got = propose_fixed(ProposalRequest(symbols=OCTO_SYMBOLS), path)
+        got = propose_fixed(
+            ProposalRequest(symbols=OCTO_SYMBOLS), load_templates_file(path)
+        )
         assert got.proposals == []
 
     def test_duplicate_lines_deduplicated(self, octo_templates, tmp_path):
         path = tmp_path / "dup.txt"
         c = octo_templates["assoc"].canonical
         path.write_text(f"{c}\n{c}\n")
-        got = propose_fixed(ProposalRequest(symbols=OCTO_SYMBOLS), path)
+        got = propose_fixed(
+            ProposalRequest(symbols=OCTO_SYMBOLS), load_templates_file(path)
+        )
         assert len(got.proposals) == 1
