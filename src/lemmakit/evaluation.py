@@ -141,8 +141,9 @@ def evaluate_task(task: EvalTask, proposer, budget: Budget | None = None) -> Tas
     `proposer` is a callable ProposalRequest -> ProposalSet.  Template exact
     match compares canonical strings; lemma success holds when any conjecture
     from any proposed template is alpha-equivalent to the gold term.
-    A proposer failure (any LemmakitError, transport errors included) marks
-    the task errored rather than raising, so one bad reply cannot abort a
+    A failure of the proposer or of `instantiate` (any LemmakitError,
+    transport errors and repeated symbol names included) marks the task
+    errored rather than raising, so one bad reply or record cannot abort a
     suite.
     """
     if budget is None:
@@ -163,7 +164,11 @@ def evaluate_task(task: EvalTask, proposer, budget: Budget | None = None) -> Tas
         result.proposed_templates.append(tpl.canonical)
         if tpl.canonical == gold_canonical:
             result.template_exact_match = True
-        inst: InstantiationResult = instantiate(tpl, candidates, budget)
+        try:
+            inst: InstantiationResult = instantiate(tpl, candidates, budget)
+        except LemmakitError as e:
+            result.error = str(e)
+            return result
         result.conjecture_count += len(inst.conjectures)
         result.timed_out = result.timed_out or inst.timed_out
         result.capped = result.capped or inst.capped
@@ -224,12 +229,17 @@ def evaluate_suite(
 
 def instantiation_rate(tasks: list[EvalTask], budget: Budget | None = None) -> float:
     """Fraction of tasks whose gold template, instantiated with the record's
-    own symbols, recovers a term alpha-equivalent to the gold lemma."""
+    own symbols, recovers a term alpha-equivalent to the gold lemma.  A task
+    whose instantiation fails (e.g. repeated symbol names) counts as a miss;
+    evaluate_task records the failure as that task's error."""
     if not tasks:
         return 0.0
     hits = 0
     for task in tasks:
-        inst = instantiate(task.gold_template, list(task.record.symbols), budget)
+        try:
+            inst = instantiate(task.gold_template, list(task.record.symbols), budget)
+        except LemmakitError:
+            continue
         if any(alpha_equal(c.term, task.record.term) for c in inst.conjectures):
             hits += 1
     return hits / len(tasks)

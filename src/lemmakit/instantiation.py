@@ -17,6 +17,7 @@ from .terms import (
     Abs,
     App,
     Const,
+    Free,
     Hole,
     LemmakitError,
     Signature,
@@ -29,7 +30,6 @@ from .terms import (
     _BASE,
     _unify,
     apply_type_subst,
-    map_types,
     resolve,
     subterms,
     type_vars,
@@ -38,6 +38,14 @@ from .terms import (
 
 class InvalidTemplate(LemmakitError):
     pass
+
+
+class DuplicateCandidates(LemmakitError, ValueError):
+    """Two candidates share a name, so an assignment could not say which one
+    fills a hole."""
+
+    def __init__(self):
+        super().__init__("candidate names must be unique")
 
 
 @dataclass(frozen=True)
@@ -84,8 +92,11 @@ class _FreshNames:
         self.n = 0
 
     def rename(self, scheme: TypeExpr) -> TypeExpr:
+        tvars = type_vars(scheme)
+        if not tvars:
+            return scheme
         ren = {}
-        for v in type_vars(scheme):
+        for v in tvars:
             self.n += 1
             ren[v] = TVar(f"{self.prefix}{self.n}")
         return apply_type_subst(ren, scheme)
@@ -112,7 +123,7 @@ def instantiate(
         base_sig = _BASE
     names = [c.name for c in candidates]
     if len(set(names)) != len(names):
-        raise ValueError("candidate names must be unique")
+        raise DuplicateCandidates()
 
     deadline = time.monotonic() + budget.timeout_millis / 1000.0
     fresh = _FreshNames()
@@ -131,18 +142,29 @@ def instantiate(
 
     def emit(subst: TypeSubstitution, chosen: list[str]) -> None:
         mapping = dict(zip(hole_order, chosen))
+        # Template bodies share one object per distinct annotation, so each is
+        # resolved once per solution and the nodes that carry it share the
+        # result.
+        resolved: dict[int, TypeExpr] = {}
 
         def fill(ty: TypeExpr) -> TypeExpr:
-            return resolve(subst, ty)
+            got = resolved.get(id(ty))
+            if got is None:
+                got = resolved[id(ty)] = resolve(subst, ty)
+            return got
 
         def walk(node: Term) -> Term:
-            if isinstance(node, Hole):
-                return Const(mapping[node.index], fill(node.type))
-            if isinstance(node, Abs):
-                return Abs(node.binder, fill(node.binder_type), walk(node.body))
             if isinstance(node, App):
                 return App(walk(node.fn), walk(node.arg))
-            return map_types(node, fill)
+            if isinstance(node, Hole):
+                return Const(mapping[node.index], fill(node.type))
+            if isinstance(node, Const):
+                return Const(node.name, fill(node.type))
+            if isinstance(node, Free):
+                return Free(node.name, fill(node.type))
+            if isinstance(node, Abs):
+                return Abs(node.binder, fill(node.binder_type), walk(node.body))
+            return node
 
         result.conjectures.append(
             Conjecture(

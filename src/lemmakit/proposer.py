@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import requests
 
 from .corpus import check_fields, format_symbols_prompt, read_jsonl
-from .instantiation import feasible
+from .instantiation import DuplicateCandidates, feasible
 from .templates import NonCanonical, Template, parse_template
 from .terms import LemmakitError, SignatureEntry, TermSyntaxError, TypeExpr
 
@@ -85,6 +85,8 @@ class TemplateIndex:
         self._feasible: dict[tuple[str, int, frozenset[TypeExpr]], bool] = {}
 
     def add(self, canonical: str, count: int = 1) -> None:
+        if count < 1:
+            raise ValueError(f"template count must be positive, got {count}")
         tpl = parse_template(canonical)
         self.counts[tpl.canonical] = self.counts.get(tpl.canonical, 0) + count
         self.total += count
@@ -106,13 +108,18 @@ class TemplateIndex:
 
     @classmethod
     def load(cls, path) -> "TemplateIndex":
-        """JSONL of {"template": canonical, "count": int}; a line of any other
-        shape raises LemmakitError naming the file, the line and the field."""
+        """JSONL of {"template": canonical, "count": positive int}; a line of
+        any other shape raises LemmakitError naming the file, the line and the
+        field."""
         idx = cls()
         for i, d in read_jsonl(path):
             check_fields(
                 d, {"template": "a string", "count": "an integer"}, f"{path}:{i}"
             )
+            if d["count"] < 1:
+                raise LemmakitError(
+                    f"{path}:{i}: field 'count' must be a positive integer"
+                )
             try:
                 idx.add(d["template"], d["count"])
             except LemmakitError as e:
@@ -147,7 +154,7 @@ def propose_retrieval(
     # instantiate rejects repeated names; an answer from the memo must too.
     names = [c.name for c in candidates]
     if idx.counts and len(set(names)) != len(names):
-        raise ValueError("candidate names must be unique")
+        raise DuplicateCandidates()
     types = frozenset(c.type for c in candidates)
     ranked = []
     for canonical, count in idx.counts.items():

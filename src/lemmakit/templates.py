@@ -188,6 +188,10 @@ def _validate_template(body: Term, w: Whitelist) -> tuple[int, dict[int, TypeExp
 
 
 def _make_template(body: Term, w: Whitelist) -> Template:
+    # Equal annotations become one shared object, so instantiate resolves and
+    # render_term renders each distinct type once per conjecture.
+    shared: dict[TypeExpr, TypeExpr] = {}
+    body = map_types(body, lambda ty: shared.setdefault(ty, ty))
     count, types = _validate_template(body, w)
     return Template(
         body=body, hole_count=count, hole_types=types, canonical=render_term(body)

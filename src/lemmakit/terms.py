@@ -320,6 +320,14 @@ _BASE = base_signature()
 #          | "(" "app" term term ")"  | "(" "hole" NAT type ")"
 
 
+# The deepest parenthesis nesting the parser accepts.  Terms and types are
+# walked recursively (parsing, rendering, typechecking, abstraction,
+# instantiation), one Python frame or more per level, so this stays well under
+# the interpreter's default recursion limit of 1000.  Deeper input raises
+# TermSyntaxError at the offset of the first parenthesis past the limit.
+MAX_DEPTH = 400
+
+
 def _escape(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -327,11 +335,15 @@ def _escape(s: str) -> str:
 def _tokenize(text: str):
     tokens: list[tuple[str, object, int]] = []
     i, n = 0, len(text)
+    depth = 0
     while i < n:
         c = text[i]
         if c in " \t\r\n":
             i += 1
         elif c in "()":
+            depth += 1 if c == "(" else -1
+            if depth > MAX_DEPTH:
+                raise TermSyntaxError(f"nesting deeper than {MAX_DEPTH}", i)
             tokens.append((c, c, i))
             i += 1
         elif c == '"':
@@ -473,20 +485,31 @@ def render_type(t: TypeExpr) -> str:
 
 
 def render_term(t: Term) -> str:
-    if isinstance(t, Const):
-        return f"(const {_escape(t.name)} {render_type(t.type)})"
-    if isinstance(t, Free):
-        return f"(free {_escape(t.name)} {render_type(t.type)})"
-    if isinstance(t, Bound):
-        return f"(bound {t.index})"
-    if isinstance(t, Abs):
-        return (
-            f"(abs {_escape(t.binder)} {render_type(t.binder_type)} "
-            f"{render_term(t.body)})"
-        )
-    if isinstance(t, App):
-        return f"(app {render_term(t.fn)} {render_term(t.arg)})"
-    return f"(hole {t.index} {render_type(t.type)})"
+    # Nodes often share one type object (templates and conjectures are built
+    # that way), so each distinct object is rendered once per call.  Keying on
+    # id() is safe: `t` keeps every annotation alive until the call returns.
+    rendered: dict[int, str] = {}
+
+    def ty(x: TypeExpr) -> str:
+        s = rendered.get(id(x))
+        if s is None:
+            s = rendered[id(x)] = render_type(x)
+        return s
+
+    def go(t: Term) -> str:
+        if isinstance(t, App):
+            return f"(app {go(t.fn)} {go(t.arg)})"
+        if isinstance(t, Const):
+            return f"(const {_escape(t.name)} {ty(t.type)})"
+        if isinstance(t, Free):
+            return f"(free {_escape(t.name)} {ty(t.type)})"
+        if isinstance(t, Bound):
+            return f"(bound {t.index})"
+        if isinstance(t, Abs):
+            return f"(abs {_escape(t.binder)} {ty(t.binder_type)} {go(t.body)})"
+        return f"(hole {t.index} {ty(t.type)})"
+
+    return go(t)
 
 
 # ---------------------------------------------------------------------------
@@ -668,11 +691,12 @@ def alpha_equal(a: Term, b: Term) -> bool:
             trev[y.name] = x.name
             return True
         if isinstance(x, TCon) and isinstance(y, TCon):
-            return (
-                x.name == y.name
-                and len(x.args) == len(y.args)
-                and all(types(p, q) for p, q in zip(x.args, y.args))
-            )
+            if x.name != y.name or len(x.args) != len(y.args):
+                return False
+            for p, q in zip(x.args, y.args):
+                if not types(p, q):
+                    return False
+            return True
         return False
 
     def go(x: Term, y: Term) -> bool:

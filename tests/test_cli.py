@@ -11,6 +11,7 @@ from lemmakit.corpus import Datapoint, make_record, save_records
 from lemmakit.proposer import build_index
 from lemmakit.templates import abstract
 from lemmakit.terms import (
+    MAX_DEPTH,
     App,
     Const,
     Free,
@@ -269,6 +270,39 @@ class TestEval:
         assert report["per_theory"] == {"Octonions": 1.0}
         assert len(report["per_task"]) == 2
 
+    def test_repeated_symbol_names_error_one_task(
+        self, octo_corpus, octo_templates_file, tmp_path
+    ):
+        """A record listing its symbols twice is one errored task, not an
+        aborted suite."""
+        path, _ = octo_corpus
+        rows = [json.loads(l) for l in open(path, encoding="utf-8")]
+        twice = dict(rows[0], id="Octonions.d1", symbols=rows[0]["symbols"] * 2)
+        corpus = tmp_path / "dup.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in (rows[0], twice, rows[1])))
+        index = tmp_path / "index.jsonl"
+        assert main(["abstract", path, "-o", str(index)]) == 0
+        rows = [json.loads(l) for l in open(index, encoding="utf-8")]
+        index.write_text(
+            "".join(json.dumps({"template": r["template"], "count": 1}) + "\n" for r in rows)
+        )
+        report_path = tmp_path / "report.json"
+        for argv in (
+            ["--proposer", "fixed", "--templates", octo_templates_file],
+            ["--index", str(index)],
+        ):
+            code = main(
+                ["eval", str(corpus), *argv, "--instantiation-rate",
+                 "--report", str(report_path)]
+            )
+            assert code == 0
+            report = json.loads(report_path.read_text())
+            assert report["aggregates"]["errored_tasks"] == 1
+            assert report["aggregates"]["lemma_success_rate"] == 2 / 3
+            assert report["aggregates"]["instantiation_rate"] == 2 / 3
+            errors = {r["id"]: r["error"] for r in report["per_task"]}
+            assert errors["Octonions.d1"] == "candidate names must be unique"
+
     def test_workers_do_not_change_report(
         self, octo_corpus, octo_templates_file, tmp_path
     ):
@@ -467,6 +501,19 @@ class TestInstantiate:
         with pytest.raises(SystemExit):
             main(["instantiate", octo_symbols_file])
 
+    def test_too_deep_template_exits_1(self, octo_symbols_file, tmp_path):
+        """A template nested 3000 deep is a syntax error, not a crash."""
+        unary = '(hole 1 (tc "fun" (tv "a0") (tv "a0")))'
+        text = '(free "x1" (tv "a0"))'
+        for _ in range(3000):
+            text = f"(app {unary} {text})"
+        tf = tmp_path / "deep.txt"
+        tf.write_text(text + "\n")
+        proc = _run_cli("instantiate", octo_symbols_file, "--template-file", str(tf))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"nesting deeper than {MAX_DEPTH}" in proc.stderr
+
     def test_invalid_template_exits_1(self, octo_symbols_file, capsys):
         assert main(
             ["instantiate", octo_symbols_file, "--template", "((("]
@@ -489,6 +536,21 @@ class TestPropose:
         rows = _read_jsonl(capsys)
         assert rows[0]["template"] == abstract(lemma_distrib_left).canonical
         assert rows[0]["source"] == "fixed"
+
+    def test_non_positive_index_count_exits_1(
+        self, octo_symbols_file, tmp_path, lemma_assoc_plus
+    ):
+        index = tmp_path / "index.jsonl"
+        canonical = abstract(lemma_assoc_plus).canonical
+        index.write_text(json.dumps({"template": canonical, "count": -5}) + "\n")
+        proc = _run_cli(
+            "propose", octo_symbols_file, "--proposer", "retrieval",
+            "--index", str(index),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"{index}:1: field 'count' must be a positive integer" in proc.stderr
+        assert proc.stdout == ""
 
     def test_unreachable_http_exits_2(
         self, octo_symbols_file, monkeypatch, capsys

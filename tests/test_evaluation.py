@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -21,7 +22,13 @@ from lemmakit.evaluation import (
     make_task,
 )
 from lemmakit.instantiation import Assignment, Budget, Conjecture
-from lemmakit.proposer import Proposal, ProposalSet, TransportError
+from lemmakit.proposer import (
+    Proposal,
+    ProposalSet,
+    TemplateIndex,
+    TransportError,
+    propose_retrieval,
+)
 from lemmakit.quickspec import InterpSymbol, IntModSort, InterpretedSignature
 from lemmakit.templates import abstract
 from lemmakit.terms import (
@@ -182,6 +189,34 @@ class TestEvaluateSuite:
         errored = [r for r in report.per_task if r.error is not None]
         assert [r.error for r in errored] == ["unusable proposer reply"]
         assert report.lemma_success_rate == 2 / 3
+
+    @pytest.mark.parametrize("kind", ["retrieval", "fixed"])
+    def test_repeated_symbol_names_recorded_per_task(self, four_tasks, kind):
+        """A record listing its symbols twice errors its own task only: the
+        retrieval proposer rejects it, and so does instantiate after a fixed
+        proposal."""
+        tasks = list(four_tasks[:3])
+        twice = tasks[1].record.symbols * 2
+        tasks[1] = dataclasses.replace(
+            tasks[1], record=dataclasses.replace(tasks[1].record, symbols=twice)
+        )
+        distrib_tpl = tasks[0].gold_template
+        if kind == "retrieval":
+            idx = TemplateIndex()
+            idx.add(distrib_tpl.canonical)
+            proposer = lambda req: propose_retrieval(req, idx)
+        else:
+            proposer = distrib_only_proposer(tasks)
+        report = evaluate_suite(tasks, proposer)
+        assert report.errored_tasks == 1
+        assert {r.id: r.error for r in report.per_task} == {
+            "Dist.l0": None,
+            "Dist.l1": "candidate names must be unique",
+            "Assoc.l0": None,
+        }
+        assert report.lemma_success_rate == 1 / 3  # Dist.l0 only
+        # The erroring task's gold template does not instantiate either.
+        assert instantiation_rate(tasks) == 2 / 3
 
     def test_empty_suite(self):
         report = evaluate_suite([], lambda req: ProposalSet())

@@ -3,23 +3,40 @@ import time
 
 import pytest
 
+from lemmakit import instantiation
 from lemmakit.instantiation import (
     Budget,
+    DuplicateCandidates,
     InvalidTemplate,
     feasible,
     instantiate,
 )
-from lemmakit.templates import abstract
+from lemmakit.templates import abstract, parse_template
 from lemmakit.terms import (
+    Abs,
+    App,
+    Const,
+    Free,
+    Hole,
+    LemmakitError,
     SignatureEntry,
     TCon,
+    TVar,
+    UnificationError,
+    _unify,
     alpha_equal,
+    apply_type_subst,
     base_signature,
     fun,
+    render_term,
+    resolve,
+    subterms,
+    type_vars,
     typecheck,
 )
 
 from oracles import exhaustive_instantiations, random_lemma_term
+from synthetic import build_synthetic_corpus
 
 OCTO = TCon("Octonions.octo")
 BINOP = fun(OCTO, fun(OCTO, OCTO))
@@ -168,6 +185,10 @@ class TestInstantiate:
         dup = [OCTO_SYMBOLS[0], OCTO_SYMBOLS[0]]
         with pytest.raises(ValueError):
             instantiate(tpl, dup)
+        with pytest.raises(LemmakitError) as exc:
+            instantiate(tpl, dup)
+        assert isinstance(exc.value, DuplicateCandidates)
+        assert str(exc.value) == "candidate names must be unique"
 
 
 def _big_template():
@@ -233,3 +254,160 @@ class TestBaseSignature:
         with pytest.raises(UnknownConstant):
             typecheck(c, Signature())
         assert "X.c" not in base_signature()
+
+
+def _instantiate_per_node(tpl, candidates):
+    """Reference: the conjectures `instantiate` built before annotations were
+    shared.  Every candidate scheme is copied by a fresh renaming, even one
+    without type variables, and `resolve` runs once per annotated node.  No
+    budget: every assignment is enumerated."""
+    n = [0]
+
+    def rename(scheme):
+        ren = {}
+        for v in type_vars(scheme):
+            n[0] += 1
+            ren[v] = TVar(f"?f{n[0]}")
+        return apply_type_subst(ren, scheme)
+
+    root = {}
+    for s in subterms(tpl.body):
+        if isinstance(s, Const) and s.name in BASE_SCHEMES:
+            try:
+                _unify(root, rename(BASE_SCHEMES[s.name]), s.type)
+            except UnificationError:
+                return []
+    order = sorted(tpl.hole_types)
+    out = []
+
+    def walk(node, subst, mapping):
+        fill = lambda ty: resolve(subst, ty)
+        if isinstance(node, Hole):
+            return Const(mapping[node.index], fill(node.type))
+        if isinstance(node, Abs):
+            return Abs(node.binder, fill(node.binder_type), walk(node.body, subst, mapping))
+        if isinstance(node, App):
+            return App(walk(node.fn, subst, mapping), walk(node.arg, subst, mapping))
+        if isinstance(node, Const):
+            return Const(node.name, fill(node.type))
+        if isinstance(node, Free):
+            return Free(node.name, fill(node.type))
+        return node
+
+    def search(pos, subst, chosen):
+        if pos == len(order):
+            out.append(walk(tpl.body, subst, dict(zip(order, chosen))))
+            return
+        for cand in candidates:
+            attempt = dict(subst)
+            try:
+                _unify(attempt, tpl.hole_types[order[pos]], rename(cand.type))
+            except UnificationError:
+                continue
+            search(pos + 1, attempt, chosen + [cand.name])
+
+    search(0, root, [])
+    return out
+
+
+_A = TVar("'a")
+# Polymorphic schemes, mixed in with the monomorphic candidates so that the
+# fresh type-variable names of a conjecture depend on every rename before it.
+POLY_SYMBOLS = [
+    SignatureEntry("Poly.pick", fun(_A, fun(_A, _A)), None),
+    SignatureEntry("Poly.id", fun(_A, _A), None),
+    SignatureEntry(
+        "Poly.zip",
+        fun(TCon("List.list", (_A,)), fun(TCon("List.list", (_A,)), TCon("List.list", (_A,)))),
+        None,
+    ),
+]
+
+
+def _assert_same_as_per_node(tpl, candidates):
+    got = [c.term for c in instantiate(tpl, candidates, Budget(max_results=10**9)).conjectures]
+    expected = _instantiate_per_node(tpl, candidates)
+    assert got == expected
+    assert [render_term(t) for t in got] == [render_term(t) for t in expected]
+    return len(got)
+
+
+class TestSharedConstruction:
+    def test_distrib_matches_per_node_reference(
+        self, lemma_distrib_left, candidate_symbols
+    ):
+        mixed = [
+            POLY_SYMBOLS[0],
+            *OCTO_SYMBOLS,
+            POLY_SYMBOLS[2],
+            *candidate_symbols,
+            POLY_SYMBOLS[1],
+        ]
+        # Both holes share a0: Poly.pick pairs with any of the 8 binary
+        # candidates either way round (8 + 7), then octo (2 x 2), real (3 x 3)
+        # and list (Poly.zip, List.append: 2 x 2) pairs.
+        for tpl in (
+            abstract(lemma_distrib_left),
+            parse_template(abstract(lemma_distrib_left).canonical),
+        ):
+            assert _assert_same_as_per_node(tpl, mixed) == 8 + 7 + 4 + 9 + 4
+            assert _assert_same_as_per_node(tpl, mixed[::-1]) == 32
+        # Fresh names in the output: Poly.pick in both holes leaves a0 to a
+        # renamed scheme variable.
+        first = instantiate(abstract(lemma_distrib_left), mixed).conjectures[0]
+        assert first.assignment.as_dict() == {1: "Poly.pick", 2: "Poly.pick"}
+        assert "?f" in render_term(first.term)
+
+    def test_synthetic_templates_match_per_node_reference(self):
+        train, heldout = build_synthetic_corpus()
+        seen = set()
+        total = 0
+        for rec in train + heldout:
+            tpl = abstract(rec.term)
+            if (tpl.canonical, rec.symbols) in seen:
+                continue
+            seen.add((tpl.canonical, rec.symbols))
+            total += _assert_same_as_per_node(tpl, list(rec.symbols) + POLY_SYMBOLS)
+            total += _assert_same_as_per_node(tpl, POLY_SYMBOLS[:1] + list(rec.symbols))
+        assert len(seen) >= 50 and total > 300
+
+    def test_random_lemmas_match_per_node_reference(self, candidate_symbols):
+        rng = random.Random(43)
+        for _ in range(80):
+            term, entries = random_lemma_term(rng)
+            tpl = abstract(term)
+            if tpl.hole_count > 3:
+                continue
+            symbols = [SignatureEntry(n, t, None) for n, t in entries]
+            pool = (POLY_SYMBOLS[:2] + symbols + candidate_symbols[:3])[:8]
+            _assert_same_as_per_node(tpl, pool)
+
+    def test_one_resolve_per_distinct_annotation(self, lemma_distrib_left, monkeypatch):
+        """The distributivity template has 13 annotated nodes but 3 distinct
+        annotations (a0, a0 => a0 => a0 and a0 => a0 => a1)."""
+        tpl = abstract(lemma_distrib_left)
+        annotated = [
+            s for s in subterms(tpl.body) if isinstance(s, (Const, Free, Hole))
+        ]
+        assert len(annotated) == 13
+        assert len({id(s.type) for s in annotated}) == 3
+        calls = []
+        real = instantiation.resolve
+
+        def counted(subst, ty):
+            calls.append(ty)
+            return real(subst, ty)
+
+        monkeypatch.setattr(instantiation, "resolve", counted)
+        res = instantiate(tpl, OCTO_SYMBOLS[:1])
+        assert len(res.conjectures) == 1
+        assert len(calls) == 3
+        term = res.conjectures[0].term
+        assert len({id(s.type) for s in subterms(term) if isinstance(s, (Const, Free))}) == 3
+
+    def test_monomorphic_scheme_is_not_copied(self):
+        fresh = instantiation._FreshNames()
+        mono = fun(OCTO, OCTO)
+        assert fresh.rename(mono) is mono and fresh.n == 0
+        poly = fresh.rename(fun(_A, _A))
+        assert poly == fun(TVar("?f1"), TVar("?f1")) and fresh.n == 1

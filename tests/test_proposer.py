@@ -131,6 +131,22 @@ class TestIndex:
         assert f"{path}:2: " in str(exc.value) and message in str(exc.value)
 
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_counts_must_be_positive(self, octo_templates, tmp_path, count):
+        canonical = octo_templates["assoc"].canonical
+        idx = TemplateIndex()
+        with pytest.raises(ValueError):
+            idx.add(canonical, count)
+        assert idx.counts == {} and idx.total == 0
+        path = tmp_path / "index.jsonl"
+        good = json.dumps({"template": canonical, "count": 2})
+        bad = json.dumps({"template": canonical, "count": count})
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(LemmakitError) as exc:
+            TemplateIndex.load(path)
+        assert str(exc.value) == f"{path}:2: field 'count' must be a positive integer"
+
+
 class TestRetrieval:
     def test_octonion_symbols_get_all_three(self, octo_templates):
         idx = build_index(
@@ -336,7 +352,10 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval keeps shutdown() from waiting out the default 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     _StubHandler.completions = []
     _StubHandler.status = 200

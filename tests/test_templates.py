@@ -14,6 +14,7 @@ from lemmakit.templates import (
     pretty_template,
 )
 from lemmakit.terms import (
+    Abs,
     App,
     Const,
     Free,
@@ -21,9 +22,13 @@ from lemmakit.terms import (
     TCon,
     TVar,
     TermSyntaxError,
+    annotations,
     fun,
+    map_types,
     parse_term,
+    parse_type,
     render_term,
+    render_type,
     subterms,
     typecheck,
 )
@@ -195,3 +200,45 @@ class TestCanonicalString:
         t1 = abstract(lemma_assoc_plus)
         t2 = parse_template(t1.canonical)
         assert len({t1, t2}) == 1
+
+
+def _assert_annotations_shared(tpl):
+    """Equal annotations in tpl.body are one object, and the canonical string
+    and body are those of an unshared copy."""
+    anns = list(annotations(tpl.body))
+    by_value = {}
+    for ty in anns:
+        assert by_value.setdefault(ty, ty) is ty
+    unshared = map_types(tpl.body, lambda ty: parse_type(render_type(ty)))
+    assert unshared == tpl.body
+    assert render_term(unshared) == tpl.canonical
+    return len(anns), len(by_value)
+
+
+class TestSharedAnnotations:
+    def test_distrib_after_abstract_and_parse(self, lemma_distrib_left):
+        tpl = abstract(lemma_distrib_left)
+        assert _assert_annotations_shared(tpl) == (13, 3)
+        again = parse_template(tpl.canonical)
+        assert _assert_annotations_shared(again) == (13, 3)
+        assert again.canonical == tpl.canonical
+        assert all(
+            again.hole_types[i] == tpl.hole_types[i] for i in tpl.hole_types
+        )
+
+    def test_random_templates(self, lemma_noncommutative):
+        rng = random.Random(23)
+        shared = 0
+        for _ in range(200):
+            term, _ = random_lemma_term(rng)
+            tpl = abstract(term)
+            n, distinct = _assert_annotations_shared(tpl)
+            shared += n - distinct
+            again = parse_template(tpl.canonical)
+            _assert_annotations_shared(again)
+            assert again.canonical == tpl.canonical and again == tpl
+        assert shared > 0
+        tpl = abstract(lemma_noncommutative)
+        assert any(isinstance(s, Abs) for s in subterms(tpl.body))
+        _assert_annotations_shared(tpl)
+        _assert_annotations_shared(parse_template(tpl.canonical))

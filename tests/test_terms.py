@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from lemmakit.templates import abstract
 from lemmakit.terms import (
+    MAX_DEPTH,
     Abs,
     App,
     Bound,
@@ -19,12 +21,15 @@ from lemmakit.terms import (
     UnificationError,
     UnknownConstant,
     alpha_equal,
+    _escape,
     apply_type_subst,
     fun,
+    map_types,
     parse_term,
     parse_type,
     render_term,
     render_type,
+    subterms,
     typecheck,
     unify_types,
 )
@@ -115,6 +120,161 @@ class TestParseRenderTerms:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(TermSyntaxError):
             parse_term("(bound 0) (bound 1)")
+
+
+def _render_term_recursive(t):
+    """Reference: render_term as it was, rendering every annotation anew."""
+    if isinstance(t, Const):
+        return f"(const {_escape(t.name)} {render_type(t.type)})"
+    if isinstance(t, Free):
+        return f"(free {_escape(t.name)} {render_type(t.type)})"
+    if isinstance(t, Bound):
+        return f"(bound {t.index})"
+    if isinstance(t, Abs):
+        return (
+            f"(abs {_escape(t.binder)} {render_type(t.binder_type)} "
+            f"{_render_term_recursive(t.body)})"
+        )
+    if isinstance(t, App):
+        return f"(app {_render_term_recursive(t.fn)} {_render_term_recursive(t.arg)})"
+    return f"(hole {t.index} {render_type(t.type)})"
+
+
+def _shared(t):
+    """t with every group of equal annotations made one object."""
+    pool = {}
+    return map_types(t, lambda ty: pool.setdefault(ty, ty))
+
+
+def _quantify(t):
+    """∀ over t's first free variable, which becomes a bound one (a vacuous
+    ∀ over a fresh boolean when t has none)."""
+    v = next((s for s in subterms(t) if isinstance(s, Free)), Free("", BOOL))
+
+    def bind(u):
+        if isinstance(u, Free) and u.name == v.name:
+            return Bound(0)
+        if isinstance(u, App):
+            return App(bind(u.fn), bind(u.arg))
+        return u
+
+    all_ty = fun(fun(v.type, BOOL), BOOL)
+    return App(Const("HOL.All", all_ty), Abs("y0", v.type, bind(t)))
+
+
+class TestRenderSharedTypes:
+    def test_matches_reference_on_shared_and_unshared(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            t, _ = random_lemma_term(rng)
+            q = _quantify(t)
+            for u in (t, q):
+                holes = abstract(u).body
+                for w in (u, parse_term(render_term(u)), _shared(u), holes):
+                    assert render_term(w) == _render_term_recursive(w)
+            assert any(isinstance(s, Abs) for s in subterms(abstract(q).body))
+
+    def test_one_type_object_in_many_roles(self):
+        """One object as a binder type, a constant's, a free's and a hole's
+        annotation, next to an equal but distinct object."""
+        a = fun(OCTO, OCTO)
+        a_copy = fun(OCTO, OCTO)
+        t = Abs(
+            "y\\0",
+            a,
+            App(
+                App(Const("C.c", fun(a, fun(a_copy, a))), Free("x1", a)),
+                App(Hole(1, fun(a, a)), App(Hole(2, a_copy), Bound(0))),
+            ),
+        )
+        t = App(Const('we"ird', fun(a, BOOL)), t)
+        assert render_term(t) == _render_term_recursive(t)
+        assert render_term(_shared(t)) == _render_term_recursive(t)
+        assert parse_term(render_term(t)) == t
+
+
+def _nesting(text):
+    depth = deepest = 0
+    for c in text:
+        if c == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif c == ")":
+            depth -= 1
+    return deepest
+
+
+S = '(tc "S")'
+S_TO_S = f'(tc "fun" {S} {S})'
+
+
+def _deep_terms(depth):
+    """Terms whose parenthesis nesting is exactly `depth`, one per way of
+    nesting: arguments, function heads, binders and types."""
+    arg = f'(free "x1" {S})'
+    for _ in range(depth - 3):
+        arg = f'(app (const "T.f" {S_TO_S}) {arg})'
+    # n applications of a constant of arity n nest 2n + 2 deep; an odd depth
+    # gets one more level from the result type.
+    n, odd = divmod(depth - 2, 2)
+    ty = '(tc "L" (tc "S"))' if odd else S
+    for _ in range(n):
+        ty = f'(tc "fun" {S} {ty})'
+    head = f'(const "T.g" {ty})'
+    for _ in range(n):
+        head = f'(app {head} (free "x1" {S}))'
+    body = "(bound 0)"
+    for k in reversed(range(depth - 1)):
+        body = f'(abs "y{k}" {S} {body})'
+    deep_type = S
+    for _ in range(depth - 2):
+        deep_type = f'(tc "fun" {S} {deep_type})'
+    typed = f'(free "x1" {deep_type})'
+    return {"arg": arg, "head": head, "abs": body, "type": typed}
+
+
+class TestNestingLimit:
+    SIG = Signature(
+        [SignatureEntry("T.f", fun(TCon("S"), TCon("S")))]
+    )
+
+    @pytest.mark.parametrize("shape", ["arg", "head", "abs", "type"])
+    def test_term_at_the_limit_round_trips(self, shape):
+        text = _deep_terms(MAX_DEPTH)[shape]
+        assert _nesting(text) == MAX_DEPTH
+        t = parse_term(text)
+        assert render_term(t) == text
+        typecheck(t)
+        assert len(list(subterms(t))) >= 1
+        assert alpha_equal(t, parse_term(text))
+        if shape == "arg":
+            typecheck(t, self.SIG)
+            tpl = abstract(t, sig=self.SIG)
+            assert tpl.hole_count == 1
+            assert render_term(parse_term(tpl.canonical)) == tpl.canonical
+
+    @pytest.mark.parametrize("shape", ["arg", "head", "abs", "type"])
+    def test_one_deeper_raises_with_offset(self, shape):
+        text = _deep_terms(MAX_DEPTH + 1)[shape]
+        with pytest.raises(TermSyntaxError) as exc:
+            parse_term(text)
+        # The offset is that of the first parenthesis past the limit.
+        depth, offending = 0, None
+        for i, c in enumerate(text):
+            depth += {"(": 1, ")": -1}.get(c, 0)
+            if depth > MAX_DEPTH:
+                offending = i
+                break
+        assert exc.value.offset == offending and text[offending] == "("
+        assert f"deeper than {MAX_DEPTH}" in str(exc.value)
+
+    def test_deep_type_rejected(self):
+        ty = S
+        for _ in range(MAX_DEPTH - 1):
+            ty = f'(tc "fun" {S} {ty})'
+        assert render_type(parse_type(ty)) == ty
+        with pytest.raises(TermSyntaxError):
+            parse_type(f'(tc "fun" {S} {ty})')
 
 
 class TestTypecheck:
