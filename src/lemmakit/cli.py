@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -26,7 +27,7 @@ from .proposer import (
     propose_retrieval,
 )
 from .templates import abstract, default_whitelist, load_whitelist, parse_template
-from .terms import LemmakitError, render_term
+from .terms import LemmakitError, parse_term, render_term
 
 
 def _whitelist(args):
@@ -154,12 +155,12 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_dataset(args) -> int:
-    import os
-
     w = _whitelist(args)
     records = corpus_mod.load_records(args.corpus)
     ratios = tuple(float(x) for x in args.split.split("/"))
     total = sum(ratios)
+    if not total > 0:
+        raise LemmakitError(f"--split {args.split}: ratios must sum to more than 0")
     ratios = tuple(r / total for r in ratios)
     parts = corpus_mod.split_filewise(records, ratios, args.seed)
     names = ["train", "val", "test"][: len(parts)]
@@ -241,14 +242,7 @@ def cmd_quickspec(args) -> int:
                 )
                 jfh.write("\n")
     if args.gold:
-        from .terms import parse_term
-
-        golds = []
-        with open(args.gold, encoding="utf-8") as gfh:
-            for line in gfh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    golds.append(parse_term(line))
+        golds = corpus_mod.load_lines(args.gold, parse_term)
         stats = qs.baseline_precision(laws, golds)
         print(
             f"emitted={stats['emitted']} matched_gold={stats['matched_gold']} "

@@ -281,6 +281,19 @@ def read_jsonl(path) -> list[tuple[int, object]]:
     return out
 
 
+def load_lines(path, parse) -> list:
+    """parse(line) for each line of a text file, with '#' comments stripped
+    and blank lines skipped.  A LemmakitError from parse is raised again
+    naming the file and the line."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for i, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if line:
+                out.append(_parsed(parse, line, f"{path}:{i}"))
+    return out
+
+
 def write_jsonl(path, dicts) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for d in dicts:

@@ -2,9 +2,11 @@
 
 Backtracking over holes in index order, candidates in list order; a single
 global type substitution links all holes, so constraints shared through type
-variables (e.g. a distributivity template) are respected.  Retained logical
-constants are re-constrained against their base-signature schemes so the
-produced conjectures get concrete logical types back (bool, prop, ...).
+variables (e.g. a distributivity template) are respected.  Each try unifies
+the hole's type, with `terms.unify_into`, against the candidate's scheme
+renamed apart by `terms.FreshNames`.  Retained logical constants are
+re-constrained against `terms.base_scheme` so the produced conjectures get
+concrete logical types back (bool, prop, ...).
 """
 
 from __future__ import annotations
@@ -18,21 +20,19 @@ from .terms import (
     App,
     Const,
     Free,
+    FreshNames,
     Hole,
     LemmakitError,
-    Signature,
     SignatureEntry,
     Term,
-    TVar,
     TypeExpr,
     TypeSubstitution,
     UnificationError,
-    _BASE,
-    _unify,
-    apply_type_subst,
+    base_scheme,
     resolve,
     subterms,
     type_vars,
+    unify_into,
 )
 
 
@@ -86,27 +86,10 @@ class InstantiationResult:
     capped: bool = False
 
 
-class _FreshNames:
-    def __init__(self, prefix: str = "?f"):
-        self.prefix = prefix
-        self.n = 0
-
-    def rename(self, scheme: TypeExpr) -> TypeExpr:
-        tvars = type_vars(scheme)
-        if not tvars:
-            return scheme
-        ren = {}
-        for v in tvars:
-            self.n += 1
-            ren[v] = TVar(f"{self.prefix}{self.n}")
-        return apply_type_subst(ren, scheme)
-
-
 def instantiate(
     tpl: Template,
     candidates: list[SignatureEntry],
     budget: Budget | None = None,
-    base_sig: Signature | None = None,
 ) -> InstantiationResult:
     """Enumerate every well-typed full hole assignment within the budget.
 
@@ -119,24 +102,26 @@ def instantiate(
         budget = Budget()
     if not isinstance(tpl, Template):
         raise InvalidTemplate(f"expected a Template, got {type(tpl).__name__}")
-    if base_sig is None:
-        base_sig = _BASE
     names = [c.name for c in candidates]
     if len(set(names)) != len(names):
         raise DuplicateCandidates()
 
     deadline = time.monotonic() + budget.timeout_millis / 1000.0
-    fresh = _FreshNames()
+    fresh = FreshNames("?f")
     result = InstantiationResult()
 
     # Constraints from retained constants with known schemes.
     root: TypeSubstitution = {}
     for s in subterms(tpl.body):
-        if isinstance(s, Const) and s.name in base_sig:
+        scheme = base_scheme(s.name) if isinstance(s, Const) else None
+        if scheme is not None:
             try:
-                _unify(root, fresh.rename(base_sig[s.name].type), s.type)
+                unify_into(root, fresh.rename(scheme), s.type)
             except UnificationError:
                 return result
+
+    # Each scheme's type variables, found once here rather than per search node.
+    pool = [(c, type_vars(c.type)) for c in candidates]
 
     hole_order = sorted(tpl.hole_types)
 
@@ -183,7 +168,7 @@ def instantiate(
                 return False
             return True
         hole_ty = tpl.hole_types[hole_order[pos]]
-        for cand in candidates:
+        for cand, tvars in pool:
             if time.monotonic() > deadline:
                 result.timed_out = True
                 return False
@@ -191,7 +176,7 @@ def instantiate(
                 continue
             attempt = dict(subst)
             try:
-                _unify(attempt, hole_ty, fresh.rename(cand.type))
+                unify_into(attempt, hole_ty, fresh.rename(cand.type, tvars))
             except UnificationError:
                 continue
             if not search(pos + 1, attempt, chosen + [cand.name]):
@@ -206,13 +191,9 @@ def feasible(
     tpl: Template,
     candidates: list[SignatureEntry],
     timeout_millis: int = 1000,
-    base_sig: Signature | None = None,
 ) -> bool:
     """True iff at least one well-typed full assignment exists in time."""
     res = instantiate(
-        tpl,
-        candidates,
-        Budget(timeout_millis=timeout_millis, max_results=1),
-        base_sig=base_sig,
+        tpl, candidates, Budget(timeout_millis=timeout_millis, max_results=1)
     )
     return bool(res.conjectures)

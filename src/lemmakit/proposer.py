@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import requests
 
-from .corpus import check_fields, format_symbols_prompt, read_jsonl
+from .corpus import check_fields, format_symbols_prompt, load_lines, read_jsonl
 from .instantiation import DuplicateCandidates, feasible
 from .templates import NonCanonical, Template, parse_template
 from .terms import LemmakitError, SignatureEntry, TermSyntaxError, TypeExpr
@@ -254,17 +254,7 @@ def load_templates_file(path) -> list[Template]:
     A line that is not a canonical template raises LemmakitError naming the
     file and the line.
     """
-    out: list[Template] = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                out.append(parse_template(line))
-            except LemmakitError as e:
-                raise LemmakitError(f"{path}:{i}: {e}") from e
-    return out
+    return load_lines(path, parse_template)
 
 
 def propose_fixed(req: ProposalRequest, templates: list[Template]) -> ProposalSet:

@@ -26,7 +26,6 @@ from .terms import (
     TypeExpr,
     TypecheckError,
     UnificationError,
-    _unify,
     annotations,
     apply_type_subst,
     fun,
@@ -39,6 +38,7 @@ from .terms import (
     subterms,
     type_vars,
     typecheck,
+    unify_into,
 )
 
 
@@ -262,7 +262,7 @@ def abstract(t: Term, w: Whitelist | None = None, sig: Signature | None = None) 
         try:
             for ts in occ_types.values():
                 for other in ts[1:]:
-                    _unify(s, ts[0], other)
+                    unify_into(s, ts[0], other)
         except UnificationError as e:
             raise IllTyped(f"cannot reconcile hole occurrence types: {e}") from e
         body = map_types(body, lambda ty: resolve(s, ty))

@@ -211,14 +211,6 @@ def const_names(t: Term) -> list[str]:
     return out
 
 
-def hole_indices(t: Term) -> list[int]:
-    out: list[int] = []
-    for s in subterms(t):
-        if isinstance(s, Hole) and s.index not in out:
-            out.append(s.index)
-    return out
-
-
 def strip_spine(t: Term) -> tuple[Term, list[Term]]:
     """Decompose nested applications into (head, [arg1, ..., argn])."""
     args: list[Term] = []
@@ -307,8 +299,13 @@ def base_signature() -> Signature:
 
 
 # Only read, never handed out: typecheck and instantiate consult it on
-# every call.
-_BASE = base_signature()
+# every call through base_scheme.
+_BASE_SCHEMES = {e.name: e.type for e in base_signature()}
+
+
+def base_scheme(name: str) -> TypeExpr | None:
+    """The built-in type scheme of a logical constant, or None."""
+    return _BASE_SCHEMES.get(name)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +528,10 @@ def _occurs(s: TypeSubstitution, name: str, t: TypeExpr) -> bool:
     return any(_occurs(s, name, a) for a in t.args)
 
 
-def _unify(s: TypeSubstitution, a: TypeExpr, b: TypeExpr) -> None:
-    """Extend binding map `s` in place so that a and b become equal."""
+def unify_into(s: TypeSubstitution, a: TypeExpr, b: TypeExpr) -> None:
+    """Extend binding map `s` in place so that a and b become equal.  On
+    Clash or OccursCheck `s` may keep partial bindings, so callers that
+    backtrack unify into a copy."""
     a = _walk(s, a)
     b = _walk(s, b)
     if isinstance(a, TVar):
@@ -543,12 +542,12 @@ def _unify(s: TypeSubstitution, a: TypeExpr, b: TypeExpr) -> None:
         s[a.name] = b
         return
     if isinstance(b, TVar):
-        _unify(s, b, a)
+        unify_into(s, b, a)
         return
     if a.name != b.name or len(a.args) != len(b.args):
         raise Clash(a.name, b.name)
     for x, y in zip(a.args, b.args):
-        _unify(s, x, y)
+        unify_into(s, x, y)
 
 
 def resolve(s: TypeSubstitution, t: TypeExpr) -> TypeExpr:
@@ -564,7 +563,7 @@ def unify_types(a: TypeExpr, b: TypeExpr) -> TypeSubstitution:
     Raises Clash or OccursCheck when no unifier exists.
     """
     s: TypeSubstitution = {}
-    _unify(s, a, b)
+    unify_into(s, a, b)
     return {v: resolve(s, t) for v, t in s.items()}
 
 
@@ -575,6 +574,30 @@ def apply_type_subst(s: TypeSubstitution, t: TypeExpr) -> TypeExpr:
     return TCon(t.name, tuple(apply_type_subst(s, a) for a in t.args))
 
 
+class FreshNames:
+    """Type variables `{prefix}1`, `{prefix}2`, ... in the order asked for."""
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+        self.n = 0
+
+    def var(self) -> TVar:
+        self.n += 1
+        return TVar(f"{self.prefix}{self.n}")
+
+    def rename(self, scheme: TypeExpr, tvars: list[str] | None = None) -> TypeExpr:
+        """`scheme` with each type variable replaced by a fresh one, in
+        first-occurrence order.  `tvars` is `type_vars(scheme)` when the
+        caller has it already.  A scheme without type variables comes back as
+        the same object and uses up no names.
+        """
+        if tvars is None:
+            tvars = type_vars(scheme)
+        if not tvars:
+            return scheme
+        return apply_type_subst({v: self.var() for v in tvars}, scheme)
+
+
 # ---------------------------------------------------------------------------
 # Typechecking
 
@@ -582,23 +605,14 @@ def apply_type_subst(s: TypeSubstitution, t: TypeExpr) -> TypeExpr:
 class _Infer:
     def __init__(self, sig: Signature | None):
         self.sig = sig
-        self.base = _BASE if sig is not None else None
         self.subst: TypeSubstitution = {}
-        self.counter = 0
+        self.fresh = FreshNames("?t")
         self.free_env: dict[str, TypeExpr] = {}
         self.hole_env: dict[int, TypeExpr] = {}
 
-    def fresh(self) -> TVar:
-        self.counter += 1
-        return TVar(f"?t{self.counter}")
-
-    def rename_scheme(self, t: TypeExpr) -> TypeExpr:
-        ren = {v: self.fresh() for v in type_vars(t)}
-        return apply_type_subst(ren, t)
-
     def unify_at(self, path, expected: TypeExpr, found: TypeExpr) -> None:
         try:
-            _unify(self.subst, expected, found)
+            unify_into(self.subst, expected, found)
         except UnificationError:
             raise TypeMismatch(
                 tuple(path), resolve(self.subst, expected), resolve(self.subst, found)
@@ -606,14 +620,12 @@ class _Infer:
 
     def infer(self, t: Term, bound: list[TypeExpr], path: list[int]) -> TypeExpr:
         if isinstance(t, Const):
-            if self.sig is not None:
-                if t.name in self.sig:
-                    scheme = self.sig[t.name].type
-                elif t.name in self.base:
-                    scheme = self.base[t.name].type
-                else:
+            sig = self.sig
+            if sig is not None:
+                scheme = sig[t.name].type if t.name in sig else base_scheme(t.name)
+                if scheme is None:
                     raise UnknownConstant(t.name)
-                self.unify_at(path, self.rename_scheme(scheme), t.type)
+                self.unify_at(path, self.fresh.rename(scheme), t.type)
             return t.type
         if isinstance(t, Free):
             seen = self.free_env.get(t.name)
@@ -644,7 +656,7 @@ class _Infer:
         path.append(1)
         arg_ty = self.infer(t.arg, bound, path)
         path.pop()
-        res = self.fresh()
+        res = self.fresh.var()
         self.unify_at(path, fun(arg_ty, res), fn_ty)
         return res
 

@@ -242,6 +242,16 @@ class TestDataset:
         corpus = _many_theory_corpus(tmp_path, n_theories=2)
         assert main(["dataset", corpus, "--outdir", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("split", ["0/0", "1/-1"])
+    def test_ratios_summing_to_zero_exit_1(self, tmp_path, split):
+        corpus = _many_theory_corpus(tmp_path)
+        outdir = tmp_path / "x"
+        proc = _run_cli("dataset", corpus, "--outdir", str(outdir), "--split", split)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"--split {split}: ratios must sum to more than 0" in proc.stderr
+        assert not outdir.exists()
+
 
 class TestEval:
     def test_fixed_proposer_full_success(
@@ -470,6 +480,18 @@ class TestQuickspec:
         sig_path = tmp_path / "sig.json"
         sig_path.write_text(json.dumps({"sorts": [{"name": "odd"}], "symbols": []}))
         assert main(["quickspec", str(sig_path)]) == 1
+
+    def test_bad_gold_line_names_file_and_line(self, tmp_path):
+        sig_path = tmp_path / "sig.json"
+        sig_path.write_text(json.dumps(QS_SIG))
+        gold_path = tmp_path / "gold.txt"
+        gold_path.write_text('(app (const "plus" (tc "int"))\n')
+        proc = _run_cli(
+            "quickspec", str(sig_path), "--max-size", "3", "--gold", str(gold_path)
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"{gold_path}:1: unexpected end of input" in proc.stderr
 
 
 class TestInstantiate:

@@ -11,6 +11,7 @@ from lemmakit.corpus import (
     datapoint_to_dict,
     format_prompt,
     format_symbols_prompt,
+    load_lines,
     load_records,
     load_signature,
     make_datapoint,
@@ -31,6 +32,7 @@ from lemmakit.terms import (
     alpha_equal,
     fun,
     parse_term,
+    parse_type,
     render_type,
 )
 
@@ -267,3 +269,17 @@ class TestLoadSignature:
         with pytest.raises(LemmakitError) as exc:
             load_signature(path)
         assert str(path) in str(exc.value) and message in str(exc.value)
+
+
+class TestLoadLines:
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "types.txt"
+        path.write_text('# header\n\n(tc "int")  # trailing\n   \n(tv "a")\n')
+        assert load_lines(path, parse_type) == [TCon("int"), TVar("a")]
+
+    def test_error_names_file_and_line(self, tmp_path):
+        path = tmp_path / "types.txt"
+        path.write_text('(tc "int")\n# comment\n(tc\n')
+        with pytest.raises(LemmakitError) as exc:
+            load_lines(path, parse_type)
+        assert str(exc.value).startswith(f"{path}:3: ")

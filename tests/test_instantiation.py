@@ -17,13 +17,13 @@ from lemmakit.terms import (
     App,
     Const,
     Free,
+    FreshNames,
     Hole,
     LemmakitError,
     SignatureEntry,
     TCon,
     TVar,
     UnificationError,
-    _unify,
     alpha_equal,
     apply_type_subst,
     base_signature,
@@ -33,6 +33,7 @@ from lemmakit.terms import (
     subterms,
     type_vars,
     typecheck,
+    unify_into,
 )
 
 from oracles import exhaustive_instantiations, random_lemma_term
@@ -274,7 +275,7 @@ def _instantiate_per_node(tpl, candidates):
     for s in subterms(tpl.body):
         if isinstance(s, Const) and s.name in BASE_SCHEMES:
             try:
-                _unify(root, rename(BASE_SCHEMES[s.name]), s.type)
+                unify_into(root, rename(BASE_SCHEMES[s.name]), s.type)
             except UnificationError:
                 return []
     order = sorted(tpl.hole_types)
@@ -301,7 +302,7 @@ def _instantiate_per_node(tpl, candidates):
         for cand in candidates:
             attempt = dict(subst)
             try:
-                _unify(attempt, tpl.hole_types[order[pos]], rename(cand.type))
+                unify_into(attempt, tpl.hole_types[order[pos]], rename(cand.type))
             except UnificationError:
                 continue
             search(pos + 1, attempt, chosen + [cand.name])
@@ -405,8 +406,44 @@ class TestSharedConstruction:
         term = res.conjectures[0].term
         assert len({id(s.type) for s in subterms(term) if isinstance(s, (Const, Free))}) == 3
 
+    def test_type_vars_scans_do_not_grow_with_search_nodes(
+        self, lemma_distrib_left, candidate_symbols, monkeypatch
+    ):
+        """Each candidate scheme and each retained base constant is scanned
+        for type variables once per call, however often the search tries it."""
+        from lemmakit import terms
+
+        tpl = abstract(lemma_distrib_left)
+        base_consts = sum(
+            isinstance(s, Const) and terms.base_scheme(s.name) is not None
+            for s in subterms(tpl.body)
+        )
+        real_scan, real_unify = terms.type_vars, instantiation.unify_into
+        scans, tries = [], []
+
+        def scan(t, acc=None):
+            if acc is None:
+                scans.append(t)
+            return real_scan(t, acc)
+
+        def unify(*args):
+            tries.append(args)
+            return real_unify(*args)
+
+        monkeypatch.setattr(terms, "type_vars", scan)
+        monkeypatch.setattr(instantiation, "type_vars", scan)
+        monkeypatch.setattr(instantiation, "unify_into", unify)
+        pool = POLY_SYMBOLS + OCTO_SYMBOLS + candidate_symbols
+        for n in (2, len(pool)):
+            scans.clear()
+            tries.clear()
+            res = instantiate(tpl, pool[:n], Budget(max_results=10**9))
+            assert res.conjectures and not res.timed_out
+            assert len(scans) == n + base_consts
+        assert len(tries) > 5 * len(scans)
+
     def test_monomorphic_scheme_is_not_copied(self):
-        fresh = instantiation._FreshNames()
+        fresh = FreshNames("?f")
         mono = fun(OCTO, OCTO)
         assert fresh.rename(mono) is mono and fresh.n == 0
         poly = fresh.rename(fun(_A, _A))

@@ -10,6 +10,7 @@ from lemmakit.terms import (
     Bound,
     Const,
     Free,
+    FreshNames,
     Hole,
     Signature,
     SignatureEntry,
@@ -23,14 +24,18 @@ from lemmakit.terms import (
     alpha_equal,
     _escape,
     apply_type_subst,
+    base_scheme,
     fun,
     map_types,
     parse_term,
     parse_type,
     render_term,
     render_type,
+    resolve,
     subterms,
     typecheck,
+    type_vars,
+    unify_into,
     unify_types,
 )
 
@@ -352,6 +357,39 @@ class TestUnification:
             assert unifiable_oracle(a, b)
             agreements += 1
         assert agreements == 1000
+
+
+class TestFreshNames:
+    def test_var_and_rename_share_one_sequence(self):
+        fresh = FreshNames("?t")
+        assert fresh.var() == TVar("?t1")
+        scheme = fun(TVar("b"), fun(TVar("a"), TVar("b")))
+        assert fresh.rename(scheme) == fun(TVar("?t2"), fun(TVar("?t3"), TVar("?t2")))
+        assert fresh.var() == TVar("?t4") and fresh.n == 4
+
+    def test_given_type_vars_rename_like_a_scan(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            scheme = random_type(rng, 3)
+            scanned, given = FreshNames("?f"), FreshNames("?f")
+            assert given.rename(scheme, type_vars(scheme)) == scanned.rename(scheme)
+            assert given.n == scanned.n == len(type_vars(scheme))
+
+
+class TestBaseScheme:
+    def test_builtin_and_unknown_names(self):
+        a = TVar("a")
+        assert base_scheme("HOL.eq") == fun(a, fun(a, BOOL))
+        assert base_scheme("HOL.True") == BOOL
+        assert base_scheme("Octonions.octo_plus") is None
+
+
+class TestUnifyInto:
+    def test_extends_the_given_map_in_place(self):
+        s = {"c": OCTO}
+        assert unify_into(s, fun(TVar("a"), TVar("b")), fun(TVar("c"), TVar("a"))) is None
+        assert s["c"] == OCTO
+        assert resolve(s, TVar("a")) == resolve(s, TVar("b")) == OCTO
 
 
 class TestAlphaEqual:
