@@ -191,6 +191,7 @@ _KINDS = {
     "a string": lambda v: isinstance(v, str),
     "a string or null": lambda v: v is None or isinstance(v, str),
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "an integer or null": lambda v: v is None or _KINDS["an integer"](v),
     "a list": lambda v: isinstance(v, list),
 }
 
@@ -218,7 +219,7 @@ def check_fields(d, fields: dict[str, str], where: str) -> None:
             raise LemmakitError(f"{where}: field {key!r} must be {kind}")
 
 
-def _parsed(parse, text: str, where: str):
+def parse_at(parse, text: str, where: str):
     """parse(text), with a LemmakitError it raises prefixed by `where`."""
     try:
         return parse(text)
@@ -231,13 +232,13 @@ def record_from_dict(d: dict, where: str = "record") -> CorpusRecord:
     symbols = []
     for j, s in enumerate(d["symbols"]):
         check_fields(s, _SYMBOL_FIELDS, f"{where}: symbol {j}")
-        ty = _parsed(parse_type, s["type"], f"{where}: symbol {j}: field 'type'")
+        ty = parse_at(parse_type, s["type"], f"{where}: symbol {j}: field 'type'")
         symbols.append(SignatureEntry(s["name"], ty, s.get("def")))
     return CorpusRecord(
         id=d["id"],
         theory=d["theory"],
         lemma_name=d["name"],
-        term=_parsed(parse_term, d["term"], f"{where}: field 'term'"),
+        term=parse_at(parse_term, d["term"], f"{where}: field 'term'"),
         symbols=tuple(symbols),
     )
 
@@ -265,19 +266,34 @@ def datapoint_from_dict(d: dict) -> Datapoint:
     )
 
 
+def _parse_json(text: str, where: str, what: str = "JSON"):
+    """json.loads(text).  Text that is not JSON, or JSON nested too deeply
+    for the decoder, raises LemmakitError prefixed by `where`; `what` names
+    the kind of input in the message."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise LemmakitError(f"{where}: malformed {what}: {e}") from e
+    except RecursionError:
+        raise LemmakitError(f"{where}: {what} nested too deeply") from None
+
+
+def load_json(path):
+    """The JSON value of a whole file, read through `_parse_json`."""
+    with open(path, encoding="utf-8") as fh:
+        return _parse_json(fh.read(), str(path))
+
+
 def read_jsonl(path) -> list[tuple[int, object]]:
     """(line number, parsed value) for each non-blank line; a line that is not
-    JSON raises LemmakitError naming the file and the line."""
+    JSON, or is nested too deeply, raises LemmakitError naming the file and
+    the line."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh, 1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append((i, json.loads(line)))
-            except json.JSONDecodeError as e:
-                raise LemmakitError(f"{path}:{i}: malformed JSON line: {e}") from e
+            if line:
+                out.append((i, _parse_json(line, f"{path}:{i}", "JSON line")))
     return out
 
 
@@ -290,7 +306,7 @@ def load_lines(path, parse) -> list:
         for i, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if line:
-                out.append(_parsed(parse, line, f"{path}:{i}"))
+                out.append(parse_at(parse, line, f"{path}:{i}"))
     return out
 
 
@@ -317,8 +333,7 @@ def load_signature(path) -> list[SignatureEntry]:
     A file of any other shape raises LemmakitError naming the file, the entry
     index and the field.
     """
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = load_json(path)
     if not isinstance(data, list):
         raise LemmakitError(f"{path}: expected a JSON array of symbol objects")
     for i, d in enumerate(data):
@@ -326,7 +341,7 @@ def load_signature(path) -> list[SignatureEntry]:
     return [
         SignatureEntry(
             d["name"],
-            _parsed(parse_type, d["type"], f"{path}: entry {i}: field 'type'"),
+            parse_at(parse_type, d["type"], f"{path}: entry {i}: field 'type'"),
             d.get("def"),
         )
         for i, d in enumerate(data)

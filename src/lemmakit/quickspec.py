@@ -1,7 +1,18 @@
 """Desk-scale enumerative conjecturing: term enumeration over an interpreted
-signature, testing-based equivalence classes, law emission with syntactic
-instance pruning, and the counterexample tester used for categorizing
+signature, testing-based equivalence classes, law emission pruned by
+congruence closure, and the counterexample tester used for categorizing
 conjectures.
+
+Laws are pruned as in QuickSpec (Claessen, Smallbone & Hughes, 2010).  The
+candidates equate each class member to the class's smallest member, and are
+taken smallest first; within a size, those with more distinct variables
+first, then those naming their variables in ascending reading order (see
+`candidate_laws`).  A candidate is dropped when the laws kept before it make
+its sides congruent over the enumerated universe: a union-find over the
+universe's terms, joined by every instance of a kept law inside the
+universe and closed under congruence.  A kept law may still follow from
+earlier ones through terms larger than the universe, a known artifact of
+this pruning.
 
 One evaluator, `evaluate_columns`, serves partitioning, re-verification and
 counterexample search: it maps each term to its column of values over a list
@@ -14,13 +25,14 @@ reproducible from a seed.
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import terms as terms_mod
+from .corpus import check_fields, load_json, parse_at
 from .templates import BOOL
 from .terms import (
     App,
@@ -95,14 +107,6 @@ class InterpSymbol:
     infix: str | None = None
 
 
-def _arity(ty) -> tuple[list[TCon], TCon]:
-    args = []
-    while isinstance(ty, TCon) and ty.name == "fun":
-        args.append(ty.args[0])
-        ty = ty.args[1]
-    return args, ty
-
-
 class InterpretedSignature:
     def __init__(self, sorts: list[Sort], symbols: list[InterpSymbol], vars_per_sort: int = 3):
         self.sorts: dict[str, Sort] = {}
@@ -115,13 +119,21 @@ class InterpretedSignature:
         if len(self.by_name) != len(symbols):
             raise ValueError("duplicate symbol names")
         self.vars_per_sort = vars_per_sort
+        # name -> (argument sort names, result sort name)
+        self.profile: dict[str, tuple[tuple[str, ...], str]] = {}
         for sym in symbols:
-            args, res = _arity(sym.type)
-            for t in args + [res]:
+            parts, ty = [], sym.type
+            while isinstance(ty, TCon) and ty.name == "fun":
+                parts.append(ty.args[0])
+                ty = ty.args[1]
+            parts.append(ty)
+            for t in parts:
                 if not (isinstance(t, TCon) and t.name in self.sorts):
                     raise ValueError(
                         f"symbol {sym.name!r} mentions undeclared sort {t}"
                     )
+            *args, res = (t.name for t in parts)
+            self.profile[sym.name] = (tuple(args), res)
 
     def variables(self) -> list[Free]:
         """x1, x2, ... — vars_per_sort variables per sort, in sort order."""
@@ -174,8 +186,7 @@ def enumerate_terms(sig: InterpretedSignature, max_size: int) -> list[Term]:
     for sort in sig.sorts:
         atoms: list[Term] = [v for v in variables if v.type.name == sort]
         for sym in sig.symbols:
-            args, res = _arity(sym.type)
-            if not args and res.name == sort:
+            if sig.profile[sym.name] == ((), sort):
                 atoms.append(Const(sym.name, sym.type))
         by_sort_size[(sort, 1)] = atoms
 
@@ -191,13 +202,12 @@ def enumerate_terms(sig: InterpretedSignature, max_size: int) -> list[Term]:
         for sort in sig.sorts:
             terms: list[Term] = []
             for sym in sig.symbols:
-                args, res = _arity(sym.type)
-                if not args or res.name != sort:
+                args, res = sig.profile[sym.name]
+                if not args or res != sort:
                     continue
                 for sizes in compositions(size - 1, len(args)):
                     pools = [
-                        by_sort_size.get((a.name, s), [])
-                        for a, s in zip(args, sizes)
+                        by_sort_size.get((a, s), []) for a, s in zip(args, sizes)
                     ]
                     _product_apply(Const(sym.name, sym.type), pools, terms)
             by_sort_size[(sort, size)] = terms
@@ -269,7 +279,7 @@ def _column(
         arg_cols = [_column(a, sig, valuations, cols) for a in args]
         sym = sig.by_name.get(head.name)
         if sym is not None:
-            if len(_arity(sym.type)[0]) != len(args):
+            if len(sig.profile[head.name][0]) != len(args):
                 raise NotTestable(f"partial application of {head.name!r}")
             fn = sym.fn
         elif head.name in _LOGIC:
@@ -294,9 +304,8 @@ def _term_sort(t: Term, sig: InterpretedSignature) -> str:
     head, args = strip_spine(t)
     if isinstance(head, Free):
         return head.type.name
-    if isinstance(head, Const) and head.name in sig.by_name:
-        _, res = _arity(sig.by_name[head.name].type)
-        return res.name
+    if isinstance(head, Const) and head.name in sig.profile:
+        return sig.profile[head.name][1]
     return "?"
 
 
@@ -369,36 +378,193 @@ def is_instance_of(law: Law, general: Law) -> bool:
     return False
 
 
-def _law_key(lhs: Term, rhs: Term):
-    return (
-        term_size(lhs) + term_size(rhs),
-        term_size(lhs),
-        render_term(lhs),
-        render_term(rhs),
-    )
+def candidate_laws(classes: list[list[Term]]) -> list[Law]:
+    """Each member of a class with two or more members equated to the class's
+    smallest member (by size, then rendered text), in the order `emit_laws`
+    considers them.
 
-
-def emit_laws(classes: list[list[Term]]) -> list[Law]:
-    """Equate each class member to its smallest representative, smallest laws
-    first, dropping laws that are substitution instances of earlier ones."""
-    candidates: list[Law] = []
+    The order is: smaller laws first; within a size, laws with more distinct
+    variables first, so a general law comes before its instances; then laws
+    whose variables, read from the rhs first, occur in ascending order of
+    first occurrence; then those whose variables do so read from the lhs
+    first; then smaller lhs first; then by rendered lhs and rhs.  Of the
+    renamings of one law, this keeps the form that names its variables in
+    reading order, e.g. x1 + (x2 + x3) = (x1 + x2) + x3.  Variables compare
+    by name, shorter names first, so x9 comes before x10.  Each term is sized
+    and rendered once.
+    """
+    shapes: dict[int, tuple[int, tuple[str, ...]]] = {}
+    keyed = []
     for cls in classes:
         if len(cls) < 2:
             continue
-        rep = min(cls, key=lambda t: (term_size(t), render_term(t)))
-        for member in sorted(cls, key=lambda t: (term_size(t), render_term(t))):
-            if member is rep:
-                continue
-            candidates.append(
-                Law(lhs=member, rhs=rep, size=term_size(member) + term_size(rep))
+        members = sorted(
+            ((*_shape(t, shapes), render_term(t), t) for t in cls),
+            key=lambda m: (m[0], m[2]),
+        )
+        rep_size, rep_vars, rep_text, rep = members[0]
+        for size, names, text, member in members[1:]:
+            rep_first = rep_vars + tuple(n for n in names if n not in rep_vars)
+            lhs_first = names + tuple(n for n in rep_vars if n not in names)
+            key = (
+                size + rep_size,
+                -len(rep_first),
+                not _ascending(rep_first),
+                not _ascending(lhs_first),
+                size,
+                text,
+                rep_text,
             )
-    candidates.sort(key=lambda l: _law_key(l.lhs, l.rhs))
+            keyed.append((key, Law(lhs=member, rhs=rep, size=size + rep_size)))
+    keyed.sort(key=lambda k: k[0])
+    return [law for _, law in keyed]
 
+
+def _ascending(names: tuple[str, ...]) -> bool:
+    return list(names) == sorted(names, key=lambda n: (len(n), n))
+
+
+def _shape(t: Term, memo: dict) -> tuple[int, tuple[str, ...]]:
+    """(term_size(t), t's variable names in first-occurrence order), memoized
+    by object identity."""
+    got = memo.get(id(t))
+    if got is None:
+        if isinstance(t, Free):
+            got = (1, (t.name,))
+        else:
+            size, names = 1, ()
+            for a in strip_spine(t)[1]:
+                a_size, a_names = _shape(a, memo)
+                size += a_size
+                names += tuple(n for n in a_names if n not in names)
+            got = (size, names)
+        memo[id(t)] = got
+    return got
+
+
+class _Congruence:
+    """Union-find over a universe of first-order terms, closed under
+    congruence: f(a1..an) and f(b1..bn) join when every ai joins bi.
+
+    Terms are hash-consed to node ids (keyed by object identity first, then
+    by head and argument ids), so structurally equal terms share a node.
+    """
+
+    def __init__(self) -> None:
+        self.ids: dict[int, int] = {}  # id(term object) -> node
+        self.nodes: dict[object, int] = {}  # leaf, or (head name, arg nodes)
+        self.head: list[str] = []
+        self.args: list[tuple[int, ...]] = []
+        self.sort: list[str] = []
+        self.parent: list[int] = []
+        self.uses: list[list[int]] = []  # root -> nodes with an argument in it
+        self.table: dict[tuple, int] = {}  # (head, arg roots) -> node
+
+    def add(self, t: Term) -> int:
+        n = self.ids.get(id(t))
+        if n is not None:
+            return n
+        head, args = strip_spine(t)
+        arg_nodes = tuple(self.add(a) for a in args)
+        key = (head.name, arg_nodes) if args else head
+        n = self.nodes.get(key)
+        if n is None:
+            n = self.nodes[key] = len(self.parent)
+            sort = head.type
+            for _ in args:
+                sort = sort.args[1]
+            self.head.append(head.name)
+            self.args.append(arg_nodes)
+            self.sort.append(sort.name)
+            self.parent.append(n)
+            self.uses.append([])
+            if args:
+                self.table[key] = n
+                for a in set(arg_nodes):
+                    self.uses[a].append(n)
+        self.ids[id(t)] = n
+        return n
+
+    def find(self, n: int) -> int:
+        parent = self.parent
+        root = n
+        while parent[root] != root:
+            root = parent[root]
+        while parent[n] != root:
+            parent[n], n = root, parent[n]
+        return root
+
+    def instance(self, t: Term, subst: dict[str, Term]) -> int | None:
+        """A node congruent to t with its variables replaced by `subst`
+        (unbound ones left as they are): each application is looked up by
+        its head and the classes of its arguments.  None when the universe
+        holds no such term."""
+        if isinstance(t, Free):
+            return self.ids.get(id(subst.get(t.name, t)))
+        head, args = strip_spine(t)
+        if not args:
+            return self.ids.get(id(t))
+        arg_nodes = []
+        for a in args:
+            n = self.instance(a, subst)
+            if n is None:
+                return None
+            arg_nodes.append(n)
+        return self.table.get((head.name, tuple(self.find(n) for n in arg_nodes)))
+
+    def merge(self, a: int, b: int) -> None:
+        """Join the classes of a and b, then restore congruence."""
+        pending = [(a, b)]
+        while pending:
+            a, b = (self.find(n) for n in pending.pop())
+            if a == b:
+                continue
+            if len(self.uses[a]) > len(self.uses[b]):
+                a, b = b, a
+            self.parent[a] = b
+            for p in self.uses[a]:
+                key = (self.head[p], tuple(self.find(x) for x in self.args[p]))
+                q = self.table.setdefault(key, p)
+                if q != p:
+                    pending.append((p, q))
+            self.uses[b].extend(self.uses[a])
+            self.uses[a] = []
+
+
+def emit_laws(classes: list[list[Term]]) -> list[Law]:
+    """The `candidate_laws` of the classes that do not follow by congruence
+    closure from the laws kept before them.
+
+    The universe is every class member: first-order terms with constant or
+    variable heads, as `test_partition` returns them.  A candidate whose
+    sides are already congruent is dropped.  A kept law l = r joins, for
+    each orientation and each universe term u of its sort matching l with
+    substitution s, u to the universe term congruent to s(r), when there is
+    one; the closure then merges every pair of applications whose arguments
+    have become congruent.  A kept law may still follow from earlier ones,
+    through terms larger than the universe.
+    """
+    cc = _Congruence()
+    by_sort: dict[str, list[Term]] = {}
+    for cls in classes:
+        for t in cls:
+            by_sort.setdefault(cc.sort[cc.add(t)], []).append(t)
     kept: list[Law] = []
-    for law in candidates:
-        if any(is_instance_of(law, earlier) for earlier in kept):
+    for law in candidate_laws(classes):
+        lhs, rhs = cc.add(law.lhs), cc.add(law.rhs)
+        if cc.find(lhs) == cc.find(rhs):
             continue
         kept.append(law)
+        pairs = []
+        for pattern, other in ((law.lhs, law.rhs), (law.rhs, law.lhs)):
+            for u in by_sort[cc.sort[lhs]]:
+                subst: dict[str, Term] = {}
+                if _match(pattern, u, subst):
+                    n = cc.instance(other, subst)
+                    if n is not None:
+                        pairs.append((cc.ids[id(u)], n))
+        for a, b in pairs:
+            cc.merge(a, b)
     return kept
 
 
@@ -550,15 +716,22 @@ def _totient(n: int) -> int:
 def builtin_evaluators(sorts: dict[str, Sort]) -> dict[str, object]:
     mods = [s.mod for s in sorts.values() if isinstance(s, IntModSort)]
     mod = mods[0] if mods else None
-
-    def reduce(v: int) -> int:
-        return v % mod if mod else v
-
+    if mod:
+        int_ops = {
+            "int_add": lambda a, b: (a + b) % mod,
+            "int_sub": lambda a, b: (a - b) % mod,
+            "int_mul": lambda a, b: a * b % mod,
+            "int_pow": lambda a, b: pow(a, b, mod),
+        }
+    else:
+        int_ops = {
+            "int_add": operator.add,
+            "int_sub": operator.sub,
+            "int_mul": operator.mul,
+            "int_pow": operator.pow,
+        }
     return {
-        "int_add": lambda a, b: reduce(a + b),
-        "int_sub": lambda a, b: reduce(a - b),
-        "int_mul": lambda a, b: reduce(a * b),
-        "int_pow": (lambda a, b: pow(a, b, mod)) if mod else (lambda a, b: a**b),
+        **int_ops,
         "int_le": lambda a, b: a <= b,
         "bool_and": lambda a, b: a and b,
         "bool_or": lambda a, b: a or b,
@@ -571,39 +744,82 @@ def builtin_evaluators(sorts: dict[str, Sort]) -> dict[str, object]:
     }
 
 
-def _sort_from_dict(d: dict) -> Sort:
-    name = d["name"]
-    if "mod" in d:
+_SIGNATURE_FIELDS = {
+    "sorts": "a list",
+    "symbols": "a list",
+    "vars_per_sort": "an integer or null",
+}
+_SORT_FIELDS = {
+    "name": "a string",
+    "kind": "a string or null",
+    **{k: "an integer or null" for k in ("mod", "min", "max", "max_len", "elem_mod")},
+}
+_SYMBOL_FIELDS = {
+    "name": "a string",
+    "type": "a string",
+    "builtin": "a string or null",
+    "infix": "a string or null",
+}
+
+
+def _sort_from_dict(d: dict, where: str) -> Sort:
+    check_fields(d, _SORT_FIELDS, where)
+    name, get = d["name"], d.get
+    if get("mod") is not None:
         return IntModSort(name, d["mod"])
-    if "min" in d or "max" in d:
-        return IntRangeSort(name, d.get("min", 0), d["max"])
-    if "max_len" in d:
-        return IntListSort(name, d["max_len"], d.get("elem_mod", 10))
-    if d.get("kind") == "bool" or name == "bool":
+    if get("min") is not None or get("max") is not None:
+        check_fields(d, {"max": "an integer"}, where)
+        return IntRangeSort(name, get("min") or 0, d["max"])
+    if get("max_len") is not None:
+        elem_mod = get("elem_mod")
+        return IntListSort(name, d["max_len"], 10 if elem_mod is None else elem_mod)
+    if get("kind") == "bool" or name == "bool":
         return BoolSort(name)
-    raise ValueError(f"cannot infer sort kind for {d!r}")
+    raise LemmakitError(f"{where}: cannot infer the kind of sort {name!r}")
 
 
 def load_interpreted_signature(path) -> InterpretedSignature:
     """JSON: {"sorts": [...], "symbols": [{"name","type","builtin"|"value",
-    "infix"?}], "vars_per_sort": n}."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    sorts = [_sort_from_dict(d) for d in data["sorts"]]
-    sort_map = {s.name: s for s in sorts}
-    builtins = builtin_evaluators(sort_map)
+    "infix"?}], "vars_per_sort": n}.
+
+    A file of any other shape raises LemmakitError naming the file, the sort
+    or symbol index and the field.
+    """
+    data = load_json(path)
+    check_fields(data, _SIGNATURE_FIELDS, str(path))
+    sorts = [
+        _sort_from_dict(d, f"{path}: sort {i}") for i, d in enumerate(data["sorts"])
+    ]
+    builtins = builtin_evaluators({s.name: s for s in sorts})
     symbols = []
-    for d in data["symbols"]:
-        ty = parse_type(d["type"])
+    for i, d in enumerate(data["symbols"]):
+        where = f"{path}: symbol {i}"
+        check_fields(d, _SYMBOL_FIELDS, where)
+        ty = parse_at(parse_type, d["type"], f"{where}: field 'type'")
         if "value" in d:
             fn = d["value"]
             if isinstance(fn, list):
                 fn = tuple(fn)
-        else:
-            if d["builtin"] not in builtins:
-                raise NotTestable(f"unknown builtin {d['builtin']!r}")
+            try:
+                hash(fn)
+            except TypeError:
+                raise LemmakitError(
+                    f"{where}: field 'value' must be a scalar or a list of scalars"
+                ) from None
+        elif d.get("builtin") in builtins:
             fn = builtins[d["builtin"]]
+        else:
+            raise LemmakitError(
+                f"{where}: field 'builtin' must name a builtin evaluator "
+                f"({', '.join(sorted(builtins))}), or give a 'value'"
+            )
         symbols.append(InterpSymbol(d["name"], ty, fn, d.get("infix")))
-    return InterpretedSignature(
-        sorts=sorts, symbols=symbols, vars_per_sort=data.get("vars_per_sort", 3)
-    )
+    vars_per_sort = data.get("vars_per_sort")
+    try:
+        return InterpretedSignature(
+            sorts=sorts,
+            symbols=symbols,
+            vars_per_sort=3 if vars_per_sort is None else vars_per_sort,
+        )
+    except ValueError as e:
+        raise LemmakitError(f"{path}: {e}") from e

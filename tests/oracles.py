@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: brute-force bijection search for alpha
 equivalence, substitution-enumeration for unifiability, textbook Robinson
-unification for typability, and exhaustive product enumeration for
-instantiation.  None of it shares code with the package internals it checks.
+unification for typability, exhaustive product enumeration for
+instantiation, and saturation to a fixpoint for congruence over a term
+universe.  None of it shares code with the package internals it checks.
 """
 
 from __future__ import annotations
@@ -268,6 +269,120 @@ def _walk_terms(t):
     elif isinstance(t, App):
         yield from _walk_terms(t.fn)
         yield from _walk_terms(t.arg)
+
+
+# ---------------------------------------------------------------------------
+# Congruence by naive saturation
+
+
+def _first_order_match(pattern, target, sub) -> bool:
+    """Matching where a variable binds only terms of its own type."""
+    if isinstance(pattern, Free):
+        head, args = _head_args(target)
+        ty = head.type
+        for _ in args:
+            ty = ty.args[1]
+        return ty == pattern.type and sub.setdefault(pattern.name, target) == target
+    if isinstance(pattern, App):
+        return (
+            isinstance(target, App)
+            and _first_order_match(pattern.fn, target.fn, sub)
+            and _first_order_match(pattern.arg, target.arg, sub)
+        )
+    return pattern == target
+
+
+def _substitute(t, sub):
+    if isinstance(t, Free):
+        return sub.get(t.name, t)
+    if isinstance(t, App):
+        return App(_substitute(t.fn, sub), _substitute(t.arg, sub))
+    return t
+
+
+def _head_args(t):
+    args = []
+    while isinstance(t, App):
+        args.insert(0, t.arg)
+        t = t.fn
+    return t, args
+
+
+def _components(n, edges):
+    """Component number of each of n nodes under an undirected edge set,
+    by depth-first search."""
+    adjacent = [[] for _ in range(n)]
+    for i, j in edges:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    comp = [None] * n
+    for start in range(n):
+        if comp[start] is None:
+            comp[start] = start
+            stack = [start]
+            while stack:
+                for j in adjacent[stack.pop()]:
+                    if comp[j] is None:
+                        comp[j] = start
+                        stack.append(j)
+    return comp
+
+
+def congruence_oracle(universe, laws):
+    """Component of each universe term under the least equivalence relation
+    on the universe that is closed under congruence and contains every
+    instance of `laws` (pairs (lhs, rhs), either orientation) inside it.
+
+    The universe must hold the arguments of each of its terms.  An instance
+    joins a universe term u = s(l) to s(r).  When s(r) is not a universe term
+    itself, it joins u to a universe term with s(r)'s head whose arguments
+    lie, one by one, in the components of s(r)'s arguments (recursively).
+    Saturated by repeated passes over every law and term, each pass starting
+    from the components of the relation so far: no union-find, and nothing
+    but the relation kept between passes.
+    """
+    index = {t: i for i, t in enumerate(universe)}
+    by_id = {id(t): i for i, t in enumerate(universe)}
+    shapes = []
+    for t in universe:
+        head, args = _head_args(t)
+        shapes.append((head, [index[a] for a in args]))
+    edges = set()
+    while True:
+        comp = _components(len(universe), edges)
+        new = set()
+        # Congruence: two applications of one head to arguments in the same
+        # components join.
+        signatures = {}
+        for i, (head, args) in enumerate(shapes):
+            if args:
+                key = (head, tuple(comp[a] for a in args))
+                j = signatures.setdefault(key, i)
+                if comp[j] != comp[i]:
+                    new.add((i, j))
+
+        def component_of(t):
+            i = by_id.get(id(t))
+            if i is None:
+                head, args = _head_args(t)
+                if not args:
+                    i = index.get(t)
+                else:
+                    arg_comps = tuple(component_of(a) for a in args)
+                    i = None if None in arg_comps else signatures.get((head, arg_comps))
+            return None if i is None else comp[i]
+
+        for lhs, rhs in laws:
+            for pattern, other in ((lhs, rhs), (rhs, lhs)):
+                for i, u in enumerate(universe):
+                    sub = {}
+                    if _first_order_match(pattern, u, sub):
+                        c = component_of(_substitute(other, sub))
+                        if c is not None and c != comp[i]:
+                            new.add((i, c))
+        if not new:
+            return comp
+        edges |= new
 
 
 # ---------------------------------------------------------------------------

@@ -494,6 +494,67 @@ class TestQuickspec:
         assert f"{gold_path}:1: unexpected end of input" in proc.stderr
 
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ({}, "field 'sorts' must be a list"),
+            ([1], "expected an object"),
+            (
+                {"sorts": [{"max": "x"}], "symbols": []},
+                "sort 0: field 'name' must be a string",
+            ),
+            (
+                {"sorts": [{"name": "n", "max": "x"}], "symbols": []},
+                "sort 0: field 'max' must be an integer or null",
+            ),
+            (
+                {"sorts": QS_SIG["sorts"], "symbols": [{"name": "zero", "value": 0}]},
+                "symbol 0: field 'type' must be a string",
+            ),
+            (
+                {"sorts": QS_SIG["sorts"], "symbols": [
+                    {"name": "plus", "type": render_type(INT_BINOP)}
+                ]},
+                "symbol 0: field 'builtin' must name a builtin evaluator",
+            ),
+            (
+                {"sorts": QS_SIG["sorts"], "symbols": [
+                    {"name": "zero", "type": render_type(INT), "value": {"a": 1}}
+                ]},
+                "symbol 0: field 'value' must be a scalar or a list of scalars",
+            ),
+        ],
+    )
+    def test_malformed_signature_names_file_and_field(self, tmp_path, content, message):
+        sig_path = tmp_path / "sig.json"
+        sig_path.write_text(json.dumps(content))
+        proc = _run_cli("quickspec", str(sig_path), "--max-size", "3")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {sig_path}")
+        assert message in proc.stderr
+
+
+class TestDeepJson:
+    """JSON nested past the decoder's recursion limit is an input error."""
+
+    @pytest.mark.parametrize("command", ["conjecture", "eval", "quickspec"])
+    def test_deep_nesting_exits_1(self, tmp_path, command, octo_templates_file):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        argv = {
+            "conjecture": ["--proposer", "fixed", "--templates", octo_templates_file],
+            "eval": ["--proposer", "fixed", "--templates", octo_templates_file],
+            "quickspec": [],
+        }[command]
+        proc = _run_cli(command, str(path), *argv)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        where = f"{path}:1" if command == "eval" else f"{path}"
+        assert f"error: {where}: JSON" in proc.stderr
+        assert "nested too deeply" in proc.stderr
+
+
 class TestInstantiate:
     def test_template_flag(
         self, octo_symbols_file, capsys, lemma_distrib_left

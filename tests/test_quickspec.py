@@ -14,6 +14,7 @@ from lemmakit.quickspec import (
     Law,
     NotTestable,
     baseline_precision,
+    candidate_laws,
     emit_laws,
     enumerate_terms,
     evaluate_columns,
@@ -27,7 +28,8 @@ from lemmakit.quickspec import (
     term_size,
 )
 from lemmakit.quickspec import test_partition as partition_by_testing
-from lemmakit.terms import App, Const, Free, Hole, TCon, fun, subterms
+from lemmakit.terms import App, Const, Free, Hole, TCon, fun, render_term, subterms
+from oracles import congruence_oracle
 
 INT = TCon("int")
 
@@ -237,7 +239,7 @@ class TestEmitLaws:
     def test_reverify_draws_valuations_once_per_variable_set(self, monkeypatch):
         # Two tests per class merge many unequal terms, so some laws fail.
         sig = int_mod_sig([PLUS, ZERO, TIMES], vars_per_sort=3)
-        laws = emit_laws(partition_by_testing(enumerate_terms(sig, 5), sig, 2, 1))
+        laws = candidate_laws(partition_by_testing(enumerate_terms(sig, 5), sig, 2, 1))
         want = [
             l for l in laws
             if find_counterexample(law_to_equation(l), sig, 200, 7) is None
@@ -267,6 +269,153 @@ class TestEmitLaws:
         inst = Law(App(App(p, z), x1), App(App(p, x1), z), 6)
         assert is_instance_of(inst, general)
         assert not is_instance_of(general, inst)
+
+
+LIST_T = TCon("list")
+
+
+def list_sig():
+    """The list signature of the quickspec acceptance test."""
+    return InterpretedSignature(
+        sorts=[IntListSort("list", 5, 10), IntRangeSort("int", 0, 25)],
+        symbols=[
+            InterpSymbol(
+                "append", fun(LIST_T, fun(LIST_T, LIST_T)), lambda a, b: a + b, "@"
+            ),
+            InterpSymbol("rev", fun(LIST_T, LIST_T), lambda a: tuple(reversed(a))),
+            InterpSymbol("len", fun(LIST_T, INT), lambda a: len(a)),
+            InterpSymbol("plus", fun(INT, fun(INT, INT)), lambda a, b: a + b, "+"),
+            InterpSymbol("zero", INT, 0),
+        ],
+        vars_per_sort=3,
+    )
+
+
+def mixed_sig():
+    """Two sorts with tiny domains: one test merges variables with each other
+    and with constants, so laws with a bare variable side are kept."""
+    return InterpretedSignature(
+        sorts=[IntModSort("int", 2), IntListSort("list", 2, 2)],
+        symbols=[
+            PLUS, ZERO,
+            InterpSymbol("len", fun(LIST_T, INT), lambda a: len(a) % 2),
+            InterpSymbol(
+                "append", fun(LIST_T, fun(LIST_T, LIST_T)), lambda a, b: a + b, "@"
+            ),
+        ],
+        vars_per_sort=2,
+    )
+
+
+# (signature, max size, tests): few tests merge unequal terms, so false laws
+# are pruned as well as true ones.
+CONGRUENCE_CASES = {
+    "mixed-4-one-test": (mixed_sig, 4, 1),
+    "intmod-3": (lambda: int_mod_sig([PLUS, ZERO, TIMES], vars_per_sort=3), 3, 400),
+    "intmod-4": (lambda: int_mod_sig([PLUS, ZERO, TIMES], vars_per_sort=3), 4, 400),
+    "intmod-4-few-tests": (
+        lambda: int_mod_sig([PLUS, ZERO, TIMES], vars_per_sort=3), 4, 2,
+    ),
+    "list-5": (list_sig, 5, 400),
+    "list-5-few-tests": (list_sig, 5, 3),
+}
+
+
+class TestCongruencePruning:
+    """emit_laws against a naive saturation oracle: a law is emitted exactly
+    when the laws emitted before it do not make its sides congruent over the
+    enumerated universe."""
+
+    @staticmethod
+    def _run(case, seed=0):
+        make_sig, size, tests = CONGRUENCE_CASES[case]
+        sig = make_sig()
+        classes = partition_by_testing(enumerate_terms(sig, size), sig, tests, seed)
+        return sig, classes, emit_laws(classes)
+
+    @pytest.mark.parametrize("case", sorted(CONGRUENCE_CASES))
+    def test_emitted_exactly_when_not_implied(self, case):
+        _, classes, laws = self._run(case)
+        universe = [t for cls in classes for t in cls]
+        index = {t: i for i, t in enumerate(universe)}
+        candidates = candidate_laws(classes)
+        assert laws and len(laws) < len(candidates)
+        kept = 0
+        comp = congruence_oracle(universe, [])
+        for law in candidates:
+            implied = comp[index[law.lhs]] == comp[index[law.rhs]]
+            if kept < len(laws) and law == laws[kept]:
+                assert not implied, f"emitted law {kept} follows from earlier ones"
+                kept += 1
+                comp = congruence_oracle(
+                    universe, [(l.lhs, l.rhs) for l in laws[:kept]]
+                )
+            else:
+                assert implied, "a dropped candidate does not follow"
+        assert kept == len(laws)  # the laws are a subsequence of the candidates
+
+    @pytest.mark.parametrize("case", ["intmod-4", "list-5"])
+    def test_deterministic_for_a_seed(self, case):
+        sig, classes, laws = self._run(case, seed=5)
+        again = self._run(case, seed=5)[2]
+        copies = emit_laws([[copy.deepcopy(t) for t in cls] for cls in classes])
+        shown = lambda ls: [pretty_law(l, sig) for l in ls]
+        assert shown(again) == shown(laws) == shown(copies)
+
+    def test_candidates_equate_members_to_smallest(self):
+        sig = int_mod_sig([PLUS, ZERO])
+        classes = partition_by_testing(enumerate_terms(sig, 5), sig, 400, 0)
+        got = candidate_laws(classes)
+        assert len(got) == sum(len(c) - 1 for c in classes)
+        smallest = lambda cls: min(cls, key=lambda t: (term_size(t), render_term(t)))
+        rep_of = {id(t): smallest(cls) for cls in classes for t in cls}
+        for law in got:
+            assert rep_of[id(law.lhs)] is law.rhs is not law.lhs
+            assert law.size == term_size(law.lhs) + term_size(law.rhs)
+        assert [l.size for l in got] == sorted(l.size for l in got)
+
+    @pytest.mark.parametrize("case", ["intmod-4", "list-5"])
+    def test_candidate_order(self, case):
+        # Within one size: more distinct variables first, then variables in
+        # ascending first-occurrence order, read from the rhs (the class's
+        # smallest member) first, then from the lhs first.
+        _, classes, _ = self._run(case)
+
+        def names(*sides):
+            out = []
+            for side in sides:
+                for t in subterms(side):
+                    if isinstance(t, Free) and t.name not in out:
+                        out.append(t.name)
+            return out
+
+        def order(law):
+            rhs_first, lhs_first = names(law.rhs, law.lhs), names(law.lhs, law.rhs)
+            return (law.size, -len(rhs_first), rhs_first != sorted(rhs_first),
+                    lhs_first != sorted(lhs_first))
+
+        keys = [order(l) for l in candidate_laws(classes)]
+        assert keys == sorted(keys)
+
+    def test_general_law_kept_in_reading_order(self):
+        sig = int_mod_sig([PLUS, ZERO], vars_per_sort=3)
+        classes = partition_by_testing(enumerate_terms(sig, 5), sig, 400, 0)
+        laws = [pretty_law(l, sig) for l in emit_laws(classes)]
+        assert "x1 + (x2 + x3) = (x1 + x2) + x3" in laws
+        assert "x2 + x1 = x1 + x2" in laws
+
+    def test_list_laws_and_gold_forms(self):
+        sig, _, laws = self._run("list-5")
+        shown = [pretty_law(l, sig) for l in laws]
+        for law in (
+            "rev (rev x1) = x1",
+            "x1 @ (x2 @ x3) = (x1 @ x2) @ x3",
+            "x4 + (x5 + x6) = (x4 + x5) + x6",
+            "(len x1) + (len x2) = len (x1 @ x2)",
+            "(rev x2) @ (rev x1) = rev (x1 @ x2)",
+        ):
+            assert law in shown
+        assert reverify_laws(laws, sig, 400, 0) == laws
 
 
 class TestCounterexample:
