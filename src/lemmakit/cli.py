@@ -229,18 +229,13 @@ def cmd_quickspec(args) -> int:
     fh = _out(args)
     _write_lines(fh, lines)
     if args.jsonl:
-        with open(args.jsonl, "w", encoding="utf-8") as jfh:
-            for law in laws:
-                jfh.write(
-                    _jdump(
-                        {
-                            "lhs": render_term(law.lhs),
-                            "rhs": render_term(law.rhs),
-                            "size": law.size,
-                        }
-                    )
-                )
-                jfh.write("\n")
+        corpus_mod.write_jsonl(
+            args.jsonl,
+            (
+                {"lhs": render_term(l.lhs), "rhs": render_term(l.rhs), "size": l.size}
+                for l in laws
+            ),
+        )
     if args.gold:
         golds = corpus_mod.load_lines(args.gold, parse_term)
         stats = qs.baseline_precision(laws, golds)

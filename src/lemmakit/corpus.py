@@ -266,7 +266,7 @@ def datapoint_from_dict(d: dict) -> Datapoint:
     )
 
 
-def _parse_json(text: str, where: str, what: str = "JSON"):
+def parse_json(text: str, where: str, what: str = "JSON"):
     """json.loads(text).  Text that is not JSON, or JSON nested too deeply
     for the decoder, raises LemmakitError prefixed by `where`; `what` names
     the kind of input in the message."""
@@ -279,9 +279,9 @@ def _parse_json(text: str, where: str, what: str = "JSON"):
 
 
 def load_json(path):
-    """The JSON value of a whole file, read through `_parse_json`."""
+    """The JSON value of a whole file, read through `parse_json`."""
     with open(path, encoding="utf-8") as fh:
-        return _parse_json(fh.read(), str(path))
+        return parse_json(fh.read(), str(path))
 
 
 def read_jsonl(path) -> list[tuple[int, object]]:
@@ -293,7 +293,7 @@ def read_jsonl(path) -> list[tuple[int, object]]:
         for i, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append((i, _parse_json(line, f"{path}:{i}", "JSON line")))
+                out.append((i, parse_json(line, f"{path}:{i}", "JSON line")))
     return out
 
 

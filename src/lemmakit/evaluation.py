@@ -206,6 +206,15 @@ def evaluate_suite(
     workers: int = 1,
     strict_denominator: bool = False,
 ) -> EvalReport:
+    """Evaluate every task; the report does not depend on `workers`.
+
+    Workers are threads, so more than one helps only a proposer that waits
+    on I/O.  On the 100-task synthetic suite with an http proposer whose
+    endpoint answers after 50 ms, 4 workers took 1.8 s against 5.9 s for 1
+    (CLI wall time, medians of 5); with an instant endpoint, 0.66 s against
+    0.70 s.  Retrieval and fixed proposers are CPU-bound under the
+    interpreter lock and gain nothing.
+    """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if workers == 1:

@@ -15,10 +15,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from http.client import HTTPException
+from urllib.error import URLError
+from urllib.request import BaseHandler, Request, build_opener
 
-import requests
-
-from .corpus import check_fields, format_symbols_prompt, load_lines, read_jsonl
+from .corpus import check_fields, format_symbols_prompt, load_lines, parse_json, read_jsonl
 from .instantiation import DuplicateCandidates, feasible
 from .templates import NonCanonical, Template, parse_template
 from .terms import LemmakitError, SignatureEntry, TermSyntaxError, TypeExpr
@@ -194,32 +195,47 @@ class HttpProposerConfig:
         )
 
 
+class _HttpOnly(BaseHandler):
+    """Refuses every URL scheme but http and https, redirect targets
+    included; the default opener also opens ftp:, file: and data: URLs."""
+
+    def default_open(self, req):
+        if req.type not in ("http", "https"):
+            raise URLError(f"unsupported URL scheme {req.type!r}")
+
+
 def propose_http(req: ProposalRequest, config: HttpProposerConfig) -> ProposalSet:
     """POST {"prompt", "n", "max_tokens"}; expect {"completions": [str, ...]}.
 
     Completions failing template validation are dropped and counted;
     completion order is preserved as the ranking.  A body of any other shape
-    raises TransportError.
+    raises TransportError, as does any status other than 200 and any URL,
+    redirect targets included, that is not http or https.  The token is not
+    sent on after a redirect.  The body is read as UTF-8, an invalid byte
+    becoming U+FFFD, so it spoils only the completion that holds it.
     """
-    headers = {}
-    if config.token:
-        headers["Authorization"] = f"Bearer {config.token}"
     body = {
         "prompt": format_symbols_prompt(req.symbols, req.mode),
         "n": req.k,
         "max_tokens": config.max_tokens,
     }
     try:
-        resp = requests.post(
-            config.url, json=body, headers=headers, timeout=config.timeout_millis / 1000.0
+        request = Request(
+            config.url, json.dumps(body).encode(), {"Content-Type": "application/json"}
         )
-    except requests.RequestException as e:
+        if config.token:
+            # Unredirected: a redirect must not carry the token to another host.
+            request.add_unredirected_header("Authorization", f"Bearer {config.token}")
+        opener = build_opener(_HttpOnly())
+        with opener.open(request, timeout=config.timeout_millis / 1000.0) as resp:
+            status, raw = resp.status, resp.read()
+    except (OSError, ValueError, HTTPException) as e:
         raise TransportError(f"request to {config.url} failed: {e}") from e
-    if resp.status_code != 200:
-        raise TransportError(f"endpoint returned HTTP {resp.status_code}")
+    if status != 200:
+        raise TransportError(f"endpoint returned HTTP {status}")
     try:
-        body = resp.json()
-    except ValueError as e:
+        body = parse_json(raw.decode("utf-8", errors="replace"), config.url)
+    except LemmakitError as e:
         raise TransportError(f"malformed response body: {e}") from e
     if not isinstance(body, dict):
         raise TransportError("malformed response body: expected a JSON object")

@@ -346,7 +346,7 @@ def test_partition(
 
 
 # ---------------------------------------------------------------------------
-# Law emission with instance pruning
+# Law emission with congruence pruning
 
 
 def _match(pattern: Term, target: Term, subst: dict[str, Term]) -> bool:
@@ -366,16 +366,6 @@ def _match(pattern: Term, target: Term, subst: dict[str, Term]) -> bool:
             and _match(pattern.arg, target.arg, subst)
         )
     return pattern == target
-
-
-def is_instance_of(law: Law, general: Law) -> bool:
-    """True when `law` is a substitution instance of `general` (either
-    orientation of the equation)."""
-    for gl, gr in ((general.lhs, general.rhs), (general.rhs, general.lhs)):
-        subst: dict[str, Term] = {}
-        if _match(gl, law.lhs, subst) and _match(gr, law.rhs, subst):
-            return True
-    return False
 
 
 def candidate_laws(classes: list[list[Term]]) -> list[Law]:
@@ -646,8 +636,11 @@ def _counterexample(
 
 
 def law_to_equation(law: Law) -> Term:
+    return _equation(law.lhs, law.rhs)
+
+
+def _equation(lhs: Term, rhs: Term) -> Term:
     sort = TCon("?")
-    lhs, rhs = law.lhs, law.rhs
     eq = Const("HOL.eq", fun(sort, fun(sort, BOOL)))
     return App(App(eq, lhs), rhs)
 
@@ -655,8 +648,10 @@ def law_to_equation(law: Law) -> Term:
 def _laws_alpha_match(law: Law, gold: Term) -> bool:
     # Looked up on the module at call time, so a patched `terms.alpha_equal`
     # (perfbench's tracer) sees these calls.
-    flipped = Law(law.rhs, law.lhs, law.size)
-    return any(terms_mod.alpha_equal(law_to_equation(l), gold) for l in (law, flipped))
+    return any(
+        terms_mod.alpha_equal(_equation(lhs, rhs), gold)
+        for lhs, rhs in ((law.lhs, law.rhs), (law.rhs, law.lhs))
+    )
 
 
 def baseline_precision(laws: list[Law], gold_laws: list[Term]) -> dict:
@@ -666,9 +661,7 @@ def baseline_precision(laws: list[Law], gold_laws: list[Term]) -> dict:
     for g in gold_laws:
         head, args = strip_spine(g)
         if isinstance(head, Const) and head.name == "HOL.eq" and len(args) == 2:
-            lhs, rhs = args
-            size = term_size(lhs) + term_size(rhs)
-            golds.append(law_to_equation(Law(lhs, rhs, size)))
+            golds.append(_equation(*args))
         else:
             raise ValueError("gold laws must be equations")
     matched = 0
@@ -762,6 +755,30 @@ _SYMBOL_FIELDS = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# Each sort's kind, and each kind's description and membership test.
+_SORT_KINDS = {IntModSort: "int", IntRangeSort: "int", BoolSort: "bool", IntListSort: "list"}
+_KINDS = {
+    "int": ("an integer", _is_int),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "list": ("a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
+}
+# Each builtin's argument kinds, then its result kind.
+_BUILTIN_KINDS = {
+    **dict.fromkeys(("int_add", "int_sub", "int_mul", "int_pow"), ("int", "int", "int")),
+    "int_le": ("int", "int", "bool"),
+    **dict.fromkeys(("bool_and", "bool_or", "bool_implies"), ("bool", "bool", "bool")),
+    "bool_not": ("bool", "bool"),
+    "list_append": ("list", "list", "list"),
+    "list_rev": ("list", "list"),
+    "list_len": ("list", "int"),
+    "totient": ("int", "int"),
+}
+
+
 def _sort_from_dict(d: dict, where: str) -> Sort:
     check_fields(d, _SORT_FIELDS, where)
     name, get = d["name"], d.get
@@ -783,7 +800,10 @@ def load_interpreted_signature(path) -> InterpretedSignature:
     "infix"?}], "vars_per_sort": n}.
 
     A file of any other shape raises LemmakitError naming the file, the sort
-    or symbol index and the field.
+    or symbol index and the field.  So does a builtin whose type does not
+    have the builtin's argument and result kinds (int for mod and range
+    sorts, bool, list), a `value` of a function type, and a `value` that is
+    not of its sort's kind.
     """
     data = load_json(path)
     check_fields(data, _SIGNATURE_FIELDS, str(path))
@@ -816,10 +836,32 @@ def load_interpreted_signature(path) -> InterpretedSignature:
         symbols.append(InterpSymbol(d["name"], ty, fn, d.get("infix")))
     vars_per_sort = data.get("vars_per_sort")
     try:
-        return InterpretedSignature(
+        sig = InterpretedSignature(
             sorts=sorts,
             symbols=symbols,
             vars_per_sort=3 if vars_per_sort is None else vars_per_sort,
         )
     except ValueError as e:
         raise LemmakitError(f"{path}: {e}") from e
+    for i, (d, sym) in enumerate(zip(data["symbols"], symbols)):
+        where = f"{path}: symbol {i}"
+        args, res = sig.profile[sym.name]
+        kinds = tuple(_SORT_KINDS[type(sig.sorts[s])] for s in (*args, res))
+        if "value" not in d:
+            want = _BUILTIN_KINDS[d["builtin"]]
+            if kinds != want:
+                raise LemmakitError(
+                    f"{where}: field 'type' must be {' => '.join(want)} for builtin "
+                    f"{d['builtin']!r}, not {' => '.join(kinds)}"
+                )
+        elif args:
+            raise LemmakitError(
+                f"{where}: field 'type' must be a sort for a symbol with a 'value'"
+            )
+        else:
+            kind, holds = _KINDS[kinds[-1]]
+            if not holds(sym.fn):
+                raise LemmakitError(
+                    f"{where}: field 'value' must be {kind} for sort {res!r}"
+                )
+    return sig

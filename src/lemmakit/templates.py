@@ -53,7 +53,6 @@ class NonCanonical(LemmakitError):
 
 
 BOOL = TCon("HOL.bool")
-PROP = TCon("Pure.prop")
 
 
 @dataclass(frozen=True)

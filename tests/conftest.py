@@ -1,4 +1,8 @@
+import json
 import sys
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -111,3 +115,86 @@ def candidate_symbols():
             "List.append", fun(octo_list(a), fun(octo_list(a), octo_list(a))), None
         ),
     ]
+
+
+class StubEndpoint:
+    """A local completion endpoint for the http proposer's tests.
+
+    Every GET or POST is recorded in `requests_seen` and answered, after
+    sleeping `delay` seconds, with `status`, the extra `headers` and
+    {"completions": completions}.  `raw_body` (str or bytes) replaces that
+    body; `raw_reply` (bytes) replaces the whole reply, status line included.
+    Each request is served on its own thread.
+    """
+
+    def __init__(self):
+        self.completions = []
+        self.status = 200
+        self.headers = {}
+        self.raw_body = None
+        self.raw_reply = None
+        self.delay = 0.0
+        self.requests_seen = []
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+        self._server.stub = self
+        self._server.daemon_threads = True
+        # A caller that timed out has hung up; the late reply's broken pipe is
+        # expected, not a fault to print.
+        self._server.handle_error = lambda request, client_address: None
+        # A short poll interval keeps shutdown() from waiting out the default 0.5 s.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
+        self._thread.start()
+        self.url = f"http://127.0.0.1:{self._server.server_port}/complete"
+
+    def close(self):
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=5)
+
+
+class _StubHandler(BaseHTTPRequestHandler):
+    def _reply(self):
+        stub = self.server.stub
+        body = self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        stub.requests_seen.append(
+            {"body": json.loads(body) if body else None, "auth": self.headers.get("Authorization")}
+        )
+        time.sleep(stub.delay)
+        if stub.raw_reply is not None:
+            self.wfile.write(stub.raw_reply)
+            return
+        self.send_response(stub.status)
+        for name, value in {"Content-Type": "application/json", **stub.headers}.items():
+            self.send_header(name, value)
+        self.end_headers()
+        raw = stub.raw_body
+        if raw is None and stub.status == 200:
+            raw = json.dumps({"completions": stub.completions})
+        if raw is not None:
+            self.wfile.write(raw if isinstance(raw, bytes) else raw.encode())
+
+    do_GET = do_POST = _reply
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def stub_servers():
+    """Starts a new StubEndpoint on each call; all stop at teardown."""
+    started = []
+
+    def start() -> StubEndpoint:
+        started.append(StubEndpoint())
+        return started[-1]
+
+    yield start
+    for stub in started:
+        stub.close()
+
+
+@pytest.fixture
+def stub_server(stub_servers) -> StubEndpoint:
+    return stub_servers()

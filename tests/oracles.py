@@ -3,8 +3,9 @@
 Everything here is deliberately naive: brute-force bijection search for alpha
 equivalence, substitution-enumeration for unifiability, textbook Robinson
 unification for typability, exhaustive product enumeration for
-instantiation, and saturation to a fixpoint for congruence over a term
-universe.  None of it shares code with the package internals it checks.
+instantiation, saturation to a fixpoint for congruence over a term
+universe, and one-sided matching for law instances.  None of it shares code
+with the package internals it checks.
 """
 
 from __future__ import annotations
@@ -383,6 +384,35 @@ def congruence_oracle(universe, laws):
         if not new:
             return comp
         edges |= new
+
+
+# ---------------------------------------------------------------------------
+# Law instances by one-sided matching
+
+
+def _match(pattern, target, sub) -> bool:
+    """Untyped one-sided first-order matching; pattern variables bind terms."""
+    if isinstance(pattern, Free):
+        return sub.setdefault(pattern.name, target) == target
+    if isinstance(pattern, Const):
+        return isinstance(target, Const) and pattern.name == target.name
+    if isinstance(pattern, App):
+        return (
+            isinstance(target, App)
+            and _match(pattern.fn, target.fn, sub)
+            and _match(pattern.arg, target.arg, sub)
+        )
+    return pattern == target
+
+
+def is_instance_of(law, general) -> bool:
+    """True when `law` (anything with .lhs and .rhs) is a substitution
+    instance of `general`, in either orientation of `general`'s equation."""
+    for gl, gr in ((general.lhs, general.rhs), (general.rhs, general.lhs)):
+        sub = {}
+        if _match(gl, law.lhs, sub) and _match(gr, law.rhs, sub):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

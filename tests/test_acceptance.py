@@ -9,9 +9,7 @@ conjecture detection, CLI determinism, and budget behavior.
 
 import json
 import random
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -38,7 +36,6 @@ from lemmakit.quickspec import (
     InterpretedSignature,
     emit_laws,
     enumerate_terms,
-    is_instance_of,
     pretty_law,
     reverify_laws,
     term_size,
@@ -66,6 +63,7 @@ from lemmakit.terms import (
 
 from oracles import (
     alpha_oracle,
+    is_instance_of,
     random_lemma_term,
     random_type,
     unifiable_oracle,
@@ -392,31 +390,6 @@ def test_8_false_by_testing_mod_101():
 # 9. CLI determinism
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    completions = []
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(
-            json.dumps({"completions": type(self).completions}).encode()
-        )
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_llm():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/complete"
-    server.shutdown()
-
-
 def _run_twice(argv, out_paths):
     """Run a CLI invocation twice; return the two sets of output bytes."""
     outputs = []
@@ -428,7 +401,7 @@ def _run_twice(argv, out_paths):
 
 def test_9_cli_determinism(
     tmp_path,
-    stub_llm,
+    stub_server,
     monkeypatch,
     lemma_distrib_left,
     lemma_assoc_plus,
@@ -537,8 +510,8 @@ def test_9_cli_determinism(
     assert first == second
 
     # stubbed HTTP proposer twice
-    _StubHandler.completions = [abstract(lemma_assoc_plus).canonical]
-    monkeypatch.setenv("LEMMAKIT_LLM_URL", stub_llm)
+    stub_server.completions = [abstract(lemma_assoc_plus).canonical]
+    monkeypatch.setenv("LEMMAKIT_LLM_URL", stub_server.url)
     monkeypatch.delenv("LEMMAKIT_LLM_TOKEN", raising=False)
     first, second = _run_twice(
         ["propose", str(symbols), "--proposer", "http", "-o", str(out)], [out]

@@ -26,6 +26,8 @@ OCTO = TCon("Octonions.octo")
 BINOP = fun(OCTO, fun(OCTO, OCTO))
 INT = TCon("int")
 INT_BINOP = fun(INT, fun(INT, INT))
+LIST = TCon("list")
+LIST_BINOP = fun(LIST, fun(LIST, LIST))
 
 
 def _write_signature(path, entries):
@@ -523,6 +525,53 @@ class TestQuickspec:
                 ]},
                 "symbol 0: field 'value' must be a scalar or a list of scalars",
             ),
+            (
+                {"sorts": [{"name": "list", "max_len": 3}], "symbols": [
+                    {"name": "rev", "type": render_type(LIST_BINOP),
+                     "builtin": "list_rev"}
+                ]},
+                "symbol 0: field 'type' must be list => list for builtin 'list_rev', "
+                "not list => list => list",
+            ),
+            (
+                {"sorts": QS_SIG["sorts"], "symbols": [
+                    {"name": "rev", "type": render_type(fun(INT, INT)),
+                     "builtin": "list_rev"}
+                ]},
+                "symbol 0: field 'type' must be list => list for builtin 'list_rev', "
+                "not int => int",
+            ),
+            (
+                {"sorts": QS_SIG["sorts"] + [{"name": "list", "max_len": 3}],
+                 "symbols": [
+                    {"name": "phi", "type": render_type(fun(LIST, INT)),
+                     "builtin": "totient"}
+                ]},
+                "symbol 0: field 'type' must be int => int for builtin 'totient', "
+                "not list => int",
+            ),
+            (
+                {"sorts": QS_SIG["sorts"] + [{"name": "list", "max_len": 3}],
+                 "symbols": [
+                    {"name": "plus", "type": render_type(LIST_BINOP),
+                     "builtin": "int_add"}
+                ]},
+                "symbol 0: field 'type' must be int => int => int for builtin "
+                "'int_add', not list => list => list",
+            ),
+            (
+                {"sorts": QS_SIG["sorts"], "symbols": [
+                    QS_SIG["symbols"][0],
+                    {"name": "zero", "type": render_type(INT), "value": [1, 2]},
+                ]},
+                "symbol 1: field 'value' must be an integer for sort 'int'",
+            ),
+            (
+                {"sorts": QS_SIG["sorts"], "symbols": [
+                    {"name": "plus", "type": render_type(INT_BINOP), "value": 0}
+                ]},
+                "symbol 0: field 'type' must be a sort for a symbol with a 'value'",
+            ),
         ],
     )
     def test_malformed_signature_names_file_and_field(self, tmp_path, content, message):
@@ -644,3 +693,13 @@ class TestPropose:
             ["propose", octo_symbols_file, "--proposer", "http"]
         ) == 2
         assert "transport error" in capsys.readouterr().err
+
+    def test_deep_http_body_exits_2(self, octo_symbols_file, monkeypatch, stub_server):
+        monkeypatch.delenv("LEMMAKIT_LLM_TOKEN", raising=False)
+        stub_server.raw_body = '{"completions": ' + "[" * 100_000
+        monkeypatch.setenv("LEMMAKIT_LLM_URL", stub_server.url)
+        proc = _run_cli("propose", octo_symbols_file, "--proposer", "http")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("transport error: malformed response body")
+        assert "nested too deeply" in proc.stderr

@@ -23,10 +23,12 @@ from lemmakit.evaluation import (
 )
 from lemmakit.instantiation import Assignment, Budget, Conjecture
 from lemmakit.proposer import (
+    HttpProposerConfig,
     Proposal,
     ProposalSet,
     TemplateIndex,
     TransportError,
+    propose_http,
     propose_retrieval,
 )
 from lemmakit.quickspec import InterpSymbol, IntModSort, InterpretedSignature
@@ -217,6 +219,13 @@ class TestEvaluateSuite:
         assert report.lemma_success_rate == 1 / 3  # Dist.l0 only
         # The erroring task's gold template does not instantiate either.
         assert instantiation_rate(tasks) == 2 / 3
+
+    def test_deep_http_reply_errors_each_task(self, four_tasks, stub_server):
+        stub_server.raw_body = '{"completions": ' + "[" * 100_000
+        config = HttpProposerConfig(url=stub_server.url)
+        report = evaluate_suite(four_tasks[:3], lambda req: propose_http(req, config))
+        assert report.errored_tasks == 3
+        assert all("nested too deeply" in r.error for r in report.per_task)
 
     def test_empty_suite(self):
         report = evaluate_suite([], lambda req: ProposalSet())

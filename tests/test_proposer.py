@@ -1,8 +1,6 @@
 import json
 import random
 import sys
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -323,97 +321,77 @@ class TestFeasibilityMemo:
         assert len(shared._feasible) == 600
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    completions = []
-    status = 200
-    requests_seen = []
-    raw_body = None  # when set, sent verbatim in place of {"completions": ...}
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        type(self).requests_seen.append(
-            {"body": body, "auth": self.headers.get("Authorization")}
-        )
-        self.send_response(type(self).status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        if type(self).raw_body is not None:
-            self.wfile.write(type(self).raw_body.encode())
-        elif type(self).status == 200:
-            self.wfile.write(
-                json.dumps({"completions": type(self).completions}).encode()
-            )
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    # A short poll interval keeps shutdown() from waiting out the default 0.5 s.
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-    )
-    thread.start()
-    _StubHandler.completions = []
-    _StubHandler.status = 200
-    _StubHandler.requests_seen = []
-    _StubHandler.raw_body = None
-    yield f"http://127.0.0.1:{server.server_port}/complete"
-    server.shutdown()
-
-
 class TestHttp:
     def test_pass_through(self, stub_server, octo_templates):
-        _StubHandler.completions = [octo_templates["assoc"].canonical]
+        stub_server.completions = [octo_templates["assoc"].canonical]
         got = propose_http(
             ProposalRequest(symbols=OCTO_SYMBOLS),
-            HttpProposerConfig(url=stub_server),
+            HttpProposerConfig(url=stub_server.url),
         )
         assert got.canonicals() == [octo_templates["assoc"].canonical]
         assert got.parse_failures == 0
 
     def test_invalid_completion_counted(self, stub_server, octo_templates):
-        _StubHandler.completions = [
+        stub_server.completions = [
             octo_templates["assoc"].canonical,
             "not a template at all",
         ]
         got = propose_http(
             ProposalRequest(symbols=OCTO_SYMBOLS),
-            HttpProposerConfig(url=stub_server),
+            HttpProposerConfig(url=stub_server.url),
         )
         assert len(got.proposals) == 1
         assert got.parse_failures == 1
 
     def test_duplicates_removed(self, stub_server, octo_templates):
         c = octo_templates["assoc"].canonical
-        _StubHandler.completions = [c, c]
+        stub_server.completions = [c, c]
         got = propose_http(
             ProposalRequest(symbols=OCTO_SYMBOLS),
-            HttpProposerConfig(url=stub_server),
+            HttpProposerConfig(url=stub_server.url),
         )
         assert len(got.proposals) == 1
 
     def test_wire_contract(self, stub_server, octo_templates):
-        _StubHandler.completions = []
+        stub_server.completions = []
         propose_http(
             ProposalRequest(symbols=OCTO_SYMBOLS, mode="types", k=3),
-            HttpProposerConfig(url=stub_server, token="sekrit", max_tokens=99),
+            HttpProposerConfig(url=stub_server.url, token="sekrit", max_tokens=99),
         )
-        seen = _StubHandler.requests_seen[-1]
+        seen = stub_server.requests_seen[-1]
         assert seen["body"]["n"] == 3
         assert seen["body"]["max_tokens"] == 99
         assert seen["body"]["prompt"].startswith("[Symbols: Octonions.octo_plus")
         assert seen["auth"] == "Bearer sekrit"
 
+    def test_redirect_drops_the_token(self, stub_servers, octo_templates):
+        target, source = stub_servers(), stub_servers()
+        target.completions = [octo_templates["assoc"].canonical]
+        source.status = 302
+        source.headers = {"Location": target.url}
+        got = propose_http(
+            ProposalRequest(symbols=OCTO_SYMBOLS),
+            HttpProposerConfig(url=source.url, token="sekrit"),
+        )
+        assert got.canonicals() == [octo_templates["assoc"].canonical]
+        assert source.requests_seen[0]["auth"] == "Bearer sekrit"
+        assert [r["auth"] for r in target.requests_seen] == [None]
+
+    def test_redirect_to_ftp_raises_transport(self, stub_server):
+        stub_server.status = 302
+        stub_server.headers = {"Location": "ftp://127.0.0.1:9/x"}
+        with pytest.raises(TransportError, match="unsupported URL scheme 'ftp'"):
+            propose_http(
+                ProposalRequest(symbols=OCTO_SYMBOLS),
+                HttpProposerConfig(url=stub_server.url),
+            )
+
     def test_http_error_raises_transport(self, stub_server):
-        _StubHandler.status = 500
+        stub_server.status = 500
         with pytest.raises(TransportError):
             propose_http(
                 ProposalRequest(symbols=OCTO_SYMBOLS),
-                HttpProposerConfig(url=stub_server),
+                HttpProposerConfig(url=stub_server.url),
             )
 
     @pytest.mark.parametrize(
@@ -424,19 +402,26 @@ class TestHttp:
             ('{"completions": "abc"}', "'completions' must be a list"),
             ('{"choices": []}', "'completions' must be a list"),
             ("not json", "malformed response body"),
+            ("", "malformed response body"),
+            (b"\xff\xfe", "malformed response body"),
+            pytest.param(
+                '{"completions": ' + "[" * 100_000,
+                "malformed response body",
+                id="nested-100000-deep",
+            ),
         ],
     )
     def test_malformed_body_raises_transport(
         self, stub_server, tmp_path, monkeypatch, capsys, body, message
     ):
-        _StubHandler.raw_body = body
+        stub_server.raw_body = body
         with pytest.raises(TransportError) as exc:
             propose_http(
                 ProposalRequest(symbols=OCTO_SYMBOLS),
-                HttpProposerConfig(url=stub_server),
+                HttpProposerConfig(url=stub_server.url),
             )
         assert message in str(exc.value)
-        monkeypatch.setenv("LEMMAKIT_LLM_URL", stub_server)
+        monkeypatch.setenv("LEMMAKIT_LLM_URL", stub_server.url)
         monkeypatch.delenv("LEMMAKIT_LLM_TOKEN", raising=False)
         symbols = tmp_path / "symbols.json"
         symbols.write_text(json.dumps(
@@ -444,6 +429,65 @@ class TestHttp:
         ))
         assert main(["propose", str(symbols), "--proposer", "http"]) == 2
         assert message in capsys.readouterr().err
+
+    def test_invalid_utf8_spoils_one_completion(self, stub_server, octo_templates):
+        stub_server.raw_body = json.dumps(
+            {"completions": [octo_templates["assoc"].canonical, "BAD"]}
+        ).encode().replace(b"BAD", b"\xff")
+        got = propose_http(
+            ProposalRequest(symbols=OCTO_SYMBOLS),
+            HttpProposerConfig(url=stub_server.url),
+        )
+        assert got.canonicals() == [octo_templates["assoc"].canonical]
+        assert got.parse_failures == 1
+
+    def test_non_200_success_raises_transport(self, stub_server):
+        stub_server.status = 201
+        with pytest.raises(TransportError, match="endpoint returned HTTP 201"):
+            propose_http(
+                ProposalRequest(symbols=OCTO_SYMBOLS),
+                HttpProposerConfig(url=stub_server.url),
+            )
+
+    @pytest.mark.parametrize(
+        "url, message",
+        [
+            ("localhost:8080", "unsupported URL scheme 'localhost'"),
+            ("nonsense", "unknown url type"),
+            ("http://", "no host given"),
+            ("ftp://x/y", "unsupported URL scheme 'ftp'"),
+        ],
+    )
+    def test_unusable_url_raises_transport(
+        self, url, message, tmp_path, monkeypatch, capsys
+    ):
+        with pytest.raises(TransportError, match=f"request to {url} failed"):
+            propose_http(
+                ProposalRequest(symbols=OCTO_SYMBOLS), HttpProposerConfig(url=url)
+            )
+        monkeypatch.setenv("LEMMAKIT_LLM_URL", url)
+        symbols = tmp_path / "symbols.json"
+        symbols.write_text(json.dumps(
+            [{"name": s.name, "type": render_type(s.type)} for s in OCTO_SYMBOLS]
+        ))
+        assert main(["propose", str(symbols), "--proposer", "http"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_timeout_raises_transport(self, stub_server):
+        stub_server.delay = 0.3
+        with pytest.raises(TransportError, match="timed out"):
+            propose_http(
+                ProposalRequest(symbols=OCTO_SYMBOLS),
+                HttpProposerConfig(url=stub_server.url, timeout_millis=50),
+            )
+
+    def test_garbled_status_line_raises_transport(self, stub_server):
+        stub_server.raw_reply = b"NOT HTTP\r\n\r\n"
+        with pytest.raises(TransportError, match="NOT HTTP"):
+            propose_http(
+                ProposalRequest(symbols=OCTO_SYMBOLS),
+                HttpProposerConfig(url=stub_server.url),
+            )
 
     def test_unreachable_raises_transport(self):
         with pytest.raises(TransportError):

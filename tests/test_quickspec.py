@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import random
 
 import pytest
@@ -15,21 +16,33 @@ from lemmakit.quickspec import (
     NotTestable,
     baseline_precision,
     candidate_laws,
+    builtin_evaluators,
     emit_laws,
     enumerate_terms,
     evaluate_columns,
     evaluate_term,
     find_counterexample,
-    is_instance_of,
     law_to_equation,
+    load_interpreted_signature,
     make_valuations,
     pretty_law,
     reverify_laws,
     term_size,
 )
 from lemmakit.quickspec import test_partition as partition_by_testing
-from lemmakit.terms import App, Const, Free, Hole, TCon, fun, render_term, subterms
-from oracles import congruence_oracle
+from lemmakit.terms import (
+    App,
+    Const,
+    Free,
+    Hole,
+    LemmakitError,
+    TCon,
+    fun,
+    render_term,
+    render_type,
+    subterms,
+)
+from oracles import congruence_oracle, is_instance_of
 
 INT = TCon("int")
 
@@ -584,3 +597,88 @@ class TestListSort:
                 sorts=[IntModSort("int", 5)],
                 symbols=[InterpSymbol("f", fun(TCon("mystery"), INT), lambda a: 0)],
             )
+
+
+BOOL_T = TCon("bool")
+# Each builtin's argument sorts, then its result sort.
+BUILTIN_PROFILES = {
+    "int_add": (INT, INT, INT),
+    "int_sub": (INT, INT, INT),
+    "int_mul": (INT, INT, INT),
+    "int_pow": (INT, INT, INT),
+    "int_le": (INT, INT, BOOL_T),
+    "bool_and": (BOOL_T, BOOL_T, BOOL_T),
+    "bool_or": (BOOL_T, BOOL_T, BOOL_T),
+    "bool_not": (BOOL_T, BOOL_T),
+    "bool_implies": (BOOL_T, BOOL_T, BOOL_T),
+    "list_append": (LIST_T, LIST_T, LIST_T),
+    "list_rev": (LIST_T, LIST_T),
+    "list_len": (LIST_T, INT),
+    "totient": (INT, INT),
+}
+
+
+def _arrow(profile):
+    *args, ty = profile
+    for arg in reversed(args):
+        ty = fun(arg, ty)
+    return ty
+
+
+SORT_DECLS = {
+    "mod": [{"name": "int", "mod": 7}, {"name": "bool"}, {"name": "list", "max_len": 3}],
+    "range": [{"name": "int", "max": 9}, {"name": "bool"}, {"name": "list", "max_len": 3}],
+}
+
+
+class TestLoadSignatureChecks:
+    def _load(self, tmp_path, sorts, symbols):
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"sorts": sorts, "symbols": symbols}))
+        return load_interpreted_signature(path)
+
+    @pytest.mark.parametrize("sorts", ["mod", "range"])
+    def test_every_builtin_loads_at_its_profile(self, tmp_path, sorts):
+        assert set(BUILTIN_PROFILES) == set(builtin_evaluators({}))
+        symbols = [
+            {"name": name, "type": render_type(_arrow(profile)), "builtin": name}
+            for name, profile in BUILTIN_PROFILES.items()
+        ]
+        sig = self._load(tmp_path, SORT_DECLS[sorts], symbols)
+        assert [s.name for s in sig.symbols] == list(BUILTIN_PROFILES)
+
+    @pytest.mark.parametrize("sorts", ["mod", "range"])
+    def test_builtin_with_an_extra_argument_rejected(self, tmp_path, sorts):
+        for name, profile in BUILTIN_PROFILES.items():
+            symbols = [
+                {"name": "zero", "type": render_type(INT), "value": 0},
+                {"name": name, "type": render_type(_arrow((INT, *profile))), "builtin": name},
+            ]
+            with pytest.raises(LemmakitError, match="symbol 1: field 'type' must be"):
+                self._load(tmp_path, SORT_DECLS[sorts], symbols)
+
+    @pytest.mark.parametrize("sorts", ["mod", "range"])
+    def test_builtin_with_a_wrong_kind_rejected(self, tmp_path, sorts):
+        other = {INT: LIST_T, BOOL_T: INT, LIST_T: BOOL_T}
+        for name, profile in BUILTIN_PROFILES.items():
+            for i, sort in enumerate(profile):
+                wrong = profile[:i] + (other[sort],) + profile[i + 1:]
+                symbols = [{"name": name, "type": render_type(_arrow(wrong)), "builtin": name}]
+                with pytest.raises(LemmakitError, match="symbol 0: field 'type' must be"):
+                    self._load(tmp_path, SORT_DECLS[sorts], symbols)
+
+    @pytest.mark.parametrize(
+        "sort, good, bad",
+        [
+            ("int", [0, 6], [True, 1.5, "1", [1, 2]]),
+            ("bool", [True, False], [0, 1, "true"]),
+            ("list", [[], [1, 2]], [3, [True], [1.0], "ab"]),
+        ],
+    )
+    def test_value_must_have_its_sorts_kind(self, tmp_path, sort, good, bad):
+        symbol = lambda v: [{"name": "c", "type": render_type(TCon(sort)), "value": v}]
+        for value in good:
+            self._load(tmp_path, SORT_DECLS["mod"], symbol(value))
+        for value in bad:
+            with pytest.raises(LemmakitError, match="symbol 0: field 'value'"):
+                self._load(tmp_path, SORT_DECLS["mod"], symbol(value))

@@ -1,7 +1,10 @@
-"""Source rules for src/lemmakit: modules share only public names, and every
-import sits at module level, where a reader of the module sees it."""
+"""Source rules for src/lemmakit: modules share only public names, every
+import sits at module level, where a reader of the module sees it, and
+nothing outside the standard library is imported, so lemmakit has no
+runtime dependency."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 import lemmakit
 
 SRC = Path(lemmakit.__file__).parent
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 MODULES = sorted(SRC.glob("*.py"))
 PACKAGE = {p.stem for p in MODULES}
 
@@ -19,11 +23,23 @@ def _private(name: str) -> bool:
 
 def rule_violations(source: str) -> list[str]:
     """Line-tagged violations in one lemmakit module's source: a private name
-    taken from another lemmakit module, or an import inside a function."""
+    taken from another lemmakit module, an import inside a function, or an
+    import of a module outside the standard library."""
     tree = ast.parse(source)
     out = []
     aliases = set()  # local names bound to lemmakit modules
     for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops = [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops = [node.module.split(".")[0]]
+        else:
+            tops = []
+        out += [
+            f"{node.lineno}: imports third-party {top}"
+            for top in tops
+            if top != "lemmakit" and top not in sys.stdlib_module_names
+        ]
         if isinstance(node, ast.ImportFrom) and (
             node.level > 0 or (node.module or "").split(".")[0] == "lemmakit"
         ):
@@ -65,10 +81,21 @@ from lemmakit.terms import _BASE
 def f():
     import os
     return inst._FreshNames, inst.__name__
+
+
+import json, requests.adapters
+from urllib.request import urlopen
 '''
     assert rule_violations(source) == [
         "2: imports _unify",
         "4: imports _BASE",
         "8: import inside f",
+        "12: imports third-party requests",
         "9: uses inst._FreshNames",
     ]
+
+
+def test_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
