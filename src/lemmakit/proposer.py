@@ -84,6 +84,9 @@ class TemplateIndex:
         self.total = 0
         self._parsed: dict[str, Template] = {}
         self._feasible: dict[tuple[str, int, frozenset[TypeExpr]], bool] = {}
+        # One object per distinct candidate type set, so that memo keys
+        # holding it compare by identity instead of type by type.
+        self._type_sets: dict[frozenset[TypeExpr], frozenset[TypeExpr]] = {}
 
     def add(self, canonical: str, count: int = 1) -> None:
         if count < 1:
@@ -157,6 +160,7 @@ def propose_retrieval(
     if idx.counts and len(set(names)) != len(names):
         raise DuplicateCandidates()
     types = frozenset(c.type for c in candidates)
+    types = idx._type_sets.setdefault(types, types)
     ranked = []
     for canonical, count in idx.counts.items():
         tpl = idx.template(canonical)

@@ -16,7 +16,10 @@ this pruning.
 
 One evaluator, `evaluate_columns`, serves partitioning, re-verification and
 counterexample search: it maps each term to its column of values over a list
-of valuations, evaluating every shared subterm once.
+of valuations.  Equal columns of one sort are one interned object, and a
+symbol is applied once per tuple of argument columns, so a term whose
+arguments fall in classes already seen costs no symbol calls, and the
+partition groups terms by column object.
 
 Value domains are deliberately small and closed (integers mod M, bounded
 ranges, booleans, short integer lists) so everything is executable and
@@ -101,6 +104,12 @@ Sort = IntModSort | IntRangeSort | BoolSort | IntListSort
 
 @dataclass(frozen=True)
 class InterpSymbol:
+    """A symbol with its interpretation: `fn` is called on argument values
+    (a constant's `fn` is its value).  `fn` must be pure and return hashable
+    values: the evaluator applies it once per tuple of distinct argument
+    columns and interns its results, and raises NotTestable naming the
+    symbol on an unhashable value."""
+
     name: str
     type: "TCon"
     fn: object  # callable on values; arity = number of arrows in `type`
@@ -250,19 +259,36 @@ def evaluate_columns(
     """Value columns of testable terms over a list of valuations.
 
     Maps `id(t)` of every term and of every spine argument below it to the
-    list of its values, one per valuation in order.  Columns are memoized by
-    object identity, so subterms shared between terms are evaluated once.
-    Recognizes the interpreted symbols plus the generic logical constants
-    (equality, connectives) which work at any sort.
+    list of its values, one per valuation in order.  Columns are shared
+    objects and must not be mutated: equal columns of one sort are interned
+    to one list, so two terms get the same column object exactly when they
+    have the same sort and equal values.  The sort is a variable's type name
+    or a symbol's result sort; the generic logical constants (equality,
+    connectives), which work at any sort, share one sort of their own.
+    Interning is per sort because an int column [1, 0] equals a bool column
+    [True, False].
+
+    Each term is evaluated once per object, and each symbol once per tuple of
+    argument column objects: symbols are assumed pure, so a term whose
+    arguments have columns already seen reuses the symbol's column and makes
+    no symbol calls.  Values must be hashable; an unhashable one raises
+    NotTestable naming its variable or symbol.
     """
     cols: dict[int, list] = {}
+    interned: dict[tuple, list] = {}  # (sort, values) -> column
+    applied: dict[tuple, list] = {}  # (head name, *argument column ids) -> column
     for t in terms:
-        _column(t, sig, valuations, cols)
+        _column(t, sig, valuations, cols, interned, applied)
     return cols
 
 
 def _column(
-    t: Term, sig: InterpretedSignature, valuations: list[dict], cols: dict[int, list]
+    t: Term,
+    sig: InterpretedSignature,
+    valuations: list[dict],
+    cols: dict[int, list],
+    interned: dict[tuple, list],
+    applied: dict[tuple, list],
 ) -> list:
     col = cols.get(id(t))
     if col is not None:
@@ -275,38 +301,43 @@ def _column(
             col = [val[head.name] for val in valuations]
         except KeyError:
             raise NotTestable(f"no value for variable {head.name!r}") from None
+        col = _intern(col, head.type.name, interned, f"variable {head.name!r}")
     elif isinstance(head, Const):
-        arg_cols = [_column(a, sig, valuations, cols) for a in args]
-        sym = sig.by_name.get(head.name)
-        if sym is not None:
-            if len(sig.profile[head.name][0]) != len(args):
-                raise NotTestable(f"partial application of {head.name!r}")
-            fn = sym.fn
-        elif head.name in _LOGIC:
-            fn = _LOGIC[head.name]
-            if (fn.__code__.co_argcount if callable(fn) else 0) != len(args):
-                raise NotTestable(f"{head.name} applied to {len(args)} arguments")
-        else:
-            raise NotTestable(f"symbol {head.name!r} has no interpretation")
-        col = list(map(fn, *arg_cols)) if args else [fn] * len(valuations)
+        arg_cols = [_column(a, sig, valuations, cols, interned, applied) for a in args]
+        key = (head.name, *map(id, arg_cols))
+        col = applied.get(key)
+        if col is None:
+            sym = sig.by_name.get(head.name)
+            if sym is not None:
+                arg_sorts, sort = sig.profile[head.name]
+                if len(arg_sorts) != len(args):
+                    raise NotTestable(f"partial application of {head.name!r}")
+                fn = sym.fn
+            elif head.name in _LOGIC:
+                fn, sort = _LOGIC[head.name], None
+                if (fn.__code__.co_argcount if callable(fn) else 0) != len(args):
+                    raise NotTestable(f"{head.name} applied to {len(args)} arguments")
+            else:
+                raise NotTestable(f"symbol {head.name!r} has no interpretation")
+            col = list(map(fn, *arg_cols)) if args else [fn] * len(valuations)
+            col = applied[key] = _intern(col, sort, interned, f"symbol {head.name!r}")
     else:
         raise NotTestable(f"untestable head node {type(head).__name__}")
     cols[id(t)] = col
     return col
 
 
+def _intern(col: list, sort: str | None, interned: dict[tuple, list], what: str) -> list:
+    """The one column of `sort` equal to col, col itself if it is the first."""
+    try:
+        return interned.setdefault((sort, tuple(col)), col)
+    except TypeError:
+        raise NotTestable(f"{what} has an unhashable value") from None
+
+
 def evaluate_term(t: Term, sig: InterpretedSignature, valuation: dict[str, object]):
     """Value of a testable term under one valuation."""
     return evaluate_columns([t], sig, [valuation])[id(t)][0]
-
-
-def _term_sort(t: Term, sig: InterpretedSignature) -> str:
-    head, args = strip_spine(t)
-    if isinstance(head, Free):
-        return head.type.name
-    if isinstance(head, Const) and head.name in sig.profile:
-        return sig.profile[head.name][1]
-    return "?"
 
 
 def make_valuations(
@@ -330,7 +361,8 @@ def make_valuations(
 def test_partition(
     terms: list[Term], sig: InterpretedSignature, num_tests: int, seed: int
 ) -> list[list[Term]]:
-    """Group terms by their value vectors over seeded random valuations.
+    """Group terms by their sort and value vectors over seeded random
+    valuations, i.e. by their interned `evaluate_columns` column.
 
     Classes are returned in order of first member appearance; members keep
     their input order.
@@ -339,9 +371,9 @@ def test_partition(
         raise ValueError("num_tests must be >= 1")
     valuations = make_valuations(sig, sig.variables(), num_tests, seed)
     cols = evaluate_columns(terms, sig, valuations)
-    classes: dict[tuple, list[Term]] = {}
+    classes: dict[int, list[Term]] = {}
     for t in terms:
-        classes.setdefault((_term_sort(t, sig), tuple(cols[id(t)])), []).append(t)
+        classes.setdefault(id(cols[id(t)]), []).append(t)
     return list(classes.values())
 
 

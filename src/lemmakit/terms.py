@@ -76,15 +76,66 @@ class OccursCheck(UnificationError):
 # Types
 
 
+def _structural_eq(self, other):
+    """`==` of the term and type classes below: equal classes and fields, all
+    the way down.  It walks both sides with an explicit stack, because a
+    recursive comparison takes about three frames per level and would hit
+    the interpreter's recursion limit below MAX_DEPTH.  `hash` stays the
+    generated structural one."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        cls = a.__class__
+        if cls is not b.__class__:
+            return False
+        if cls is App:
+            stack.append((a.arg, b.arg))
+            stack.append((a.fn, b.fn))
+        elif cls is TCon:
+            if a.name != b.name or len(a.args) != len(b.args):
+                return False
+            stack.extend(zip(a.args, b.args))
+        elif cls is Const or cls is Free:
+            if a.name != b.name:
+                return False
+            stack.append((a.type, b.type))
+        elif cls is TVar:
+            if a.name != b.name:
+                return False
+        elif cls is Abs:
+            if a.binder != b.binder:
+                return False
+            stack.append((a.body, b.body))
+            stack.append((a.binder_type, b.binder_type))
+        elif cls is Hole:
+            if a.index != b.index:
+                return False
+            stack.append((a.type, b.type))
+        elif cls is Bound:
+            if a.index != b.index:
+                return False
+        elif a != b:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class TVar:
     name: str
+
+    __eq__ = _structural_eq
 
 
 @dataclass(frozen=True)
 class TCon:
     name: str
     args: tuple["TypeExpr", ...] = ()
+
+    __eq__ = _structural_eq
 
 
 TypeExpr = TVar | TCon
@@ -126,16 +177,22 @@ class Const:
     name: str
     type: TypeExpr
 
+    __eq__ = _structural_eq
+
 
 @dataclass(frozen=True)
 class Free:
     name: str
     type: TypeExpr
 
+    __eq__ = _structural_eq
+
 
 @dataclass(frozen=True)
 class Bound:
     index: int
+
+    __eq__ = _structural_eq
 
 
 @dataclass(frozen=True)
@@ -144,17 +201,23 @@ class Abs:
     binder_type: TypeExpr
     body: "Term"
 
+    __eq__ = _structural_eq
+
 
 @dataclass(frozen=True)
 class App:
     fn: "Term"
     arg: "Term"
 
+    __eq__ = _structural_eq
+
 
 @dataclass(frozen=True)
 class Hole:
     index: int
     type: TypeExpr
+
+    __eq__ = _structural_eq
 
 
 Term = Const | Free | Bound | Abs | App | Hole

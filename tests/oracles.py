@@ -4,7 +4,8 @@ Everything here is deliberately naive: brute-force bijection search for alpha
 equivalence, substitution-enumeration for unifiability, textbook Robinson
 unification for typability, exhaustive product enumeration for
 instantiation, saturation to a fixpoint for congruence over a term
-universe, and one-sided matching for law instances.  None of it shares code
+universe, one-sided matching for law instances, and plain recursive
+evaluation for testing-based partitions.  None of it shares code
 with the package internals it checks.
 """
 
@@ -413,6 +414,56 @@ def is_instance_of(law, general) -> bool:
         if _match(gl, law.lhs, sub) and _match(gr, law.rhs, sub):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Testing-based partition by naive evaluation
+
+
+_NAIVE_LOGIC = {
+    "HOL.eq": lambda a, b: a == b,
+    "HOL.Not": lambda a: not a,
+    "HOL.conj": lambda a, b: a and b,
+    "HOL.disj": lambda a, b: a or b,
+    "HOL.implies": lambda a, b: (not a) or b,
+    "HOL.True": True,
+    "HOL.False": False,
+}
+
+
+def naive_functions(sig):
+    """Name -> function, or value for a constant, of the signature's symbols
+    and of the equality and connectives (a symbol wins over a connective of
+    the same name)."""
+    return {**_NAIVE_LOGIC, **{s.name: s.fn for s in sig.symbols}}
+
+
+def naive_value(t, fns, valuation):
+    """Value of a first-order term under one valuation, by plain recursion:
+    a variable's value from the valuation, a head's entry in `fns` applied
+    to its arguments' values."""
+    head, args = _head_args(t)
+    if isinstance(head, Free):
+        assert not args
+        return valuation[head.name]
+    fn = fns[head.name]
+    return fn(*(naive_value(a, fns, valuation) for a in args)) if args else fn
+
+
+def partition_oracle(terms, sig, valuations):
+    """Terms grouped by (sort, tuple of values over the valuations), the sort
+    read off each term's own type annotation: classes in order of first
+    member, members in input order."""
+    fns = naive_functions(sig)
+    classes = {}
+    for t in terms:
+        head, args = _head_args(t)
+        sort = head.type
+        for _ in args:
+            sort = sort.args[1]
+        values = tuple(naive_value(t, fns, v) for v in valuations)
+        classes.setdefault((sort, values), []).append(t)
+    return list(classes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import copy
 import itertools
 import json
@@ -7,6 +8,7 @@ import pytest
 
 from lemmakit import quickspec
 from lemmakit.quickspec import (
+    BoolSort,
     InterpSymbol,
     IntListSort,
     IntModSort,
@@ -40,9 +42,16 @@ from lemmakit.terms import (
     fun,
     render_term,
     render_type,
+    strip_spine,
     subterms,
 )
-from oracles import congruence_oracle, is_instance_of
+from oracles import (
+    congruence_oracle,
+    is_instance_of,
+    naive_functions,
+    naive_value,
+    partition_oracle,
+)
 
 INT = TCon("int")
 
@@ -429,6 +438,154 @@ class TestCongruencePruning:
         ):
             assert law in shown
         assert reverify_laws(laws, sig, 400, 0) == laws
+
+
+BOOL_T = TCon("bool")
+
+
+def values_sig():
+    """Two sorts whose constants have equal values across them: the int 1
+    equals the bool True, and 1 + (1 + 1) (mod 3) equals the bool False."""
+    return InterpretedSignature(
+        sorts=[IntModSort("int", 3), BoolSort("bool")],
+        symbols=[
+            InterpSymbol(
+                "plus", fun(INT, fun(INT, INT)), lambda a, b: (a + b) % 3, "+"
+            ),
+            InterpSymbol("one", INT, 1),
+            InterpSymbol("tt", BOOL_T, True),
+            InterpSymbol("ff", BOOL_T, False),
+            InterpSymbol("is_zero", fun(INT, BOOL_T), lambda a: a == 0),
+            InterpSymbol(
+                "and", fun(BOOL_T, fun(BOOL_T, BOOL_T)), lambda a, b: a and b, "&"
+            ),
+        ],
+        vars_per_sort=2,
+    )
+
+
+PARTITION_CASES = {
+    "intmod-3": (lambda: int_mod_sig([PLUS, ZERO, TIMES], vars_per_sort=3), 3, 400),
+    "intmod-4": (lambda: int_mod_sig([PLUS, ZERO, TIMES], vars_per_sort=3), 4, 400),
+    "list-5": (list_sig, 5, 400),
+    "list-5-few-tests": (list_sig, 5, 3),
+    "two-sorts-values": (values_sig, 4, 400),
+}
+
+
+class TestPartitionOracle:
+    """test_partition and evaluate_columns against plain recursive
+    evaluation of every term under every valuation."""
+
+    @pytest.mark.parametrize("case", sorted(PARTITION_CASES))
+    def test_classes_and_order_match_oracle(self, case):
+        make_sig, size, tests = PARTITION_CASES[case]
+        sig = make_sig()
+        terms = enumerate_terms(sig, size)
+        got = partition_by_testing(terms, sig, tests, 7)
+        want = partition_oracle(
+            terms, sig, make_valuations(sig, sig.variables(), tests, 7)
+        )
+        assert [[id(t) for t in c] for c in got] == [[id(t) for t in c] for c in want]
+
+    @pytest.mark.parametrize("case", sorted(PARTITION_CASES))
+    def test_columns_equal_naive_values(self, case):
+        # Equations pair each term with its class's first member (true by
+        # testing) and with the next term (mostly false, sometimes across
+        # sorts); values must match in type as well as in equality.
+        make_sig, size, tests = PARTITION_CASES[case]
+        sig = make_sig()
+        terms = enumerate_terms(sig, size)
+        vals = make_valuations(sig, sig.variables(), min(tests, 20), 7)
+        firsts = [
+            (t, cls[0]) for cls in partition_by_testing(terms, sig, len(vals), 7)
+            for t in cls
+        ]
+        equations = [
+            law_to_equation(Law(a, b, 0)) for a, b in firsts + list(zip(terms, terms[1:]))
+        ]
+        fns = naive_functions(sig)
+        cols = evaluate_columns(terms + equations, sig, vals)
+        typed = lambda values: [(type(v), v) for v in values]
+        for t in terms + equations:
+            assert typed(cols[id(t)]) == typed(naive_value(t, fns, v) for v in vals)
+            assert typed(cols[id(t)]) == typed(evaluate_term(t, sig, v) for v in vals)
+
+
+def _counted(sig, calls):
+    """sig with each symbol function wrapped to count its calls in `calls`."""
+
+    def wrap(sym):
+        if not callable(sym.fn):
+            return sym
+
+        def fn(*args):
+            calls[sym.name] += 1
+            return sym.fn(*args)
+
+        return InterpSymbol(sym.name, sym.type, fn, sym.infix)
+
+    return InterpretedSignature(
+        list(sig.sorts.values()), [wrap(s) for s in sig.symbols], sig.vars_per_sort
+    )
+
+
+class TestColumnSharing:
+    def test_symbol_applied_once_per_tuple_of_argument_classes(self):
+        calls = collections.Counter()
+        sig = _counted(list_sig(), calls)
+        terms = enumerate_terms(sig, 6)
+        classes = partition_by_testing(terms, sig, 400, 3)
+        class_of = {id(t): i for i, cls in enumerate(classes) for t in cls}
+        applications, distinct = 0, set()
+        for t in terms:
+            head, args = strip_spine(t)
+            if args:
+                applications += 1
+                distinct.add((head.name, tuple(class_of[id(a)] for a in args)))
+        assert (len(terms), len(classes)) == (1288, 315)
+        assert len(distinct) == 697 and applications == 1281
+        assert sum(calls.values()) == 697 * 400
+
+    def test_class_members_share_one_column(self):
+        sig = list_sig()
+        terms = enumerate_terms(sig, 4)
+        cols = evaluate_columns(terms, sig, make_valuations(sig, sig.variables(), 5, 1))
+        classes = partition_by_testing(terms, sig, 5, 1)
+        assert len(classes) < len(terms)
+        for cls in classes:
+            assert len({id(cols[id(t)]) for t in cls}) == 1
+        assert len({id(cols[id(cls[0])]) for cls in classes}) == len(classes)
+
+    def test_equal_columns_of_two_sorts_stay_apart(self):
+        sig = values_sig()
+        one, tt, ff = Const("one", INT), Const("tt", BOOL_T), Const("ff", BOOL_T)
+        plus = Const("plus", fun(INT, fun(INT, INT)))
+        three = App(App(plus, one), App(App(plus, one), one))
+        terms = [one, tt, three, ff]
+        cols = evaluate_columns(terms, sig, make_valuations(sig, [], 4, 0))
+        for i, b in ((one, tt), (three, ff)):
+            assert cols[id(i)] == cols[id(b)] and cols[id(i)] is not cols[id(b)]
+            assert {type(v) for v in cols[id(i)]} == {int}
+            assert {type(v) for v in cols[id(b)]} == {bool}
+        classes = partition_by_testing(terms, sig, 4, 0)
+        assert [[id(t) for t in c] for c in classes] == [[id(t)] for t in terms]
+
+    def test_unhashable_values_are_not_testable(self):
+        sig = InterpretedSignature(
+            sorts=[IntListSort("list", 3, 3)],
+            symbols=[InterpSymbol("wrap", fun(LIST_T, LIST_T), lambda a: list(a))],
+            vars_per_sort=1,
+        )
+        wrap_x = App(Const("wrap", fun(LIST_T, LIST_T)), Free("x1", LIST_T))
+        equation = law_to_equation(Law(wrap_x, wrap_x, 4))
+        for run in (
+            lambda: partition_by_testing(enumerate_terms(sig, 2), sig, 5, 0),
+            lambda: evaluate_term(wrap_x, sig, {"x1": (1, 2)}),
+            lambda: find_counterexample(equation, sig, 5, 0),
+        ):
+            with pytest.raises(NotTestable, match="symbol 'wrap'"):
+                run()
 
 
 class TestCounterexample:

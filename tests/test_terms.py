@@ -1,6 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import lemmakit
 
 from lemmakit.templates import abstract
 from lemmakit.terms import (
@@ -272,6 +278,35 @@ class TestNestingLimit:
                 break
         assert exc.value.offset == offending and text[offending] == "("
         assert f"deeper than {MAX_DEPTH}" in str(exc.value)
+
+    def test_equality_at_the_limit_in_a_fresh_interpreter(self):
+        # A fresh interpreter starts with an empty stack at the default
+        # recursion limit, as a library caller's does.  Each term is also
+        # compared with copies that differ at its first and its last type
+        # name, so a difference is found at either end of the nesting.
+        code = (
+            "import json, sys\n"
+            "from lemmakit.terms import parse_term\n"
+            "for text in json.load(sys.stdin):\n"
+            "    a, b = parse_term(text), parse_term(text)\n"
+            "    assert a == b and not a != b and hash(a) == hash(b)\n"
+            "    first = parse_term(text.replace('\"S\"', '\"R\"', 1))\n"
+            "    last = parse_term('\"R\"'.join(text.rsplit('\"S\"', 1)))\n"
+            "    assert a != first and a != last and not a == last\n"
+            "print('ok')\n"
+        )
+        src = os.path.dirname(os.path.dirname(lemmakit.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            input=json.dumps(list(_deep_terms(MAX_DEPTH).values())),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr[-2000:]
 
     def test_deep_type_rejected(self):
         ty = S
