@@ -23,6 +23,7 @@ from .terms import (
     Signature,
     SignatureEntry,
     Term,
+    TypeExpr,
     const_names,
     parse_term,
     parse_type,
@@ -228,12 +229,15 @@ def parse_at(parse, text: str, where: str):
 
 
 def record_from_dict(d: dict, where: str = "record") -> CorpusRecord:
+    """A corpus record from its JSON object; equal symbol types come back as
+    one shared object, as in `load_signature`."""
     check_fields(d, _RECORD_FIELDS, where)
     symbols = []
+    shared: dict[TypeExpr, TypeExpr] = {}
     for j, s in enumerate(d["symbols"]):
         check_fields(s, _SYMBOL_FIELDS, f"{where}: symbol {j}")
         ty = parse_at(parse_type, s["type"], f"{where}: symbol {j}: field 'type'")
-        symbols.append(SignatureEntry(s["name"], ty, s.get("def")))
+        symbols.append(SignatureEntry(s["name"], shared.setdefault(ty, ty), s.get("def")))
     return CorpusRecord(
         id=d["id"],
         theory=d["theory"],
@@ -331,18 +335,17 @@ def load_signature(path) -> list[SignatureEntry]:
     """Signature file: JSON array of {"name", "type": s-expr, "def"|null}.
 
     A file of any other shape raises LemmakitError naming the file, the entry
-    index and the field.
+    index and the field.  Equal types come back as one shared object, so
+    `instantiate` unifies each of them once per search node.
     """
     data = load_json(path)
     if not isinstance(data, list):
         raise LemmakitError(f"{path}: expected a JSON array of symbol objects")
     for i, d in enumerate(data):
         check_fields(d, _SYMBOL_FIELDS, f"{path}: entry {i}")
-    return [
-        SignatureEntry(
-            d["name"],
-            parse_at(parse_type, d["type"], f"{path}: entry {i}: field 'type'"),
-            d.get("def"),
-        )
-        for i, d in enumerate(data)
-    ]
+    entries = []
+    shared: dict[TypeExpr, TypeExpr] = {}
+    for i, d in enumerate(data):
+        ty = parse_at(parse_type, d["type"], f"{path}: entry {i}: field 'type'")
+        entries.append(SignatureEntry(d["name"], shared.setdefault(ty, ty), d.get("def")))
+    return entries

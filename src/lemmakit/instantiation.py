@@ -4,9 +4,12 @@ Backtracking over holes in index order, candidates in list order; a single
 global type substitution links all holes, so constraints shared through type
 variables (e.g. a distributivity template) are respected.  Each try unifies
 the hole's type, with `terms.unify_into`, against the candidate's scheme
-renamed apart by `terms.FreshNames`.  Retained logical constants are
-re-constrained against `terms.base_scheme` so the produced conjectures get
-concrete logical types back (bool, prop, ...).
+renamed apart by `terms.FreshNames`.  A scheme without type variables needs no
+renaming, so candidates that share one such type object are unified once per
+search node; the signature loaders in `corpus` hand equal types back as one
+object.  Retained logical constants are re-constrained against
+`terms.base_scheme` so the produced conjectures get concrete logical types
+back (bool, prop, ...).
 """
 
 from __future__ import annotations
@@ -108,7 +111,6 @@ def instantiate(
 
     deadline = time.monotonic() + budget.timeout_millis / 1000.0
     fresh = FreshNames("?f")
-    result = InstantiationResult()
 
     # Constraints from retained constants with known schemes.
     root: TypeSubstitution = {}
@@ -118,15 +120,32 @@ def instantiate(
             try:
                 unify_into(root, fresh.rename(scheme), s.type)
             except UnificationError:
-                return result
+                return InstantiationResult()
 
-    # Each scheme's type variables, found once here rather than per search node.
-    pool = [(c, type_vars(c.type)) for c in candidates]
+    search = _Search(tpl, candidates, budget, deadline, fresh)
+    search.run(0, root, [])
+    return search.result
 
-    hole_order = sorted(tpl.hole_types)
 
-    def emit(subst: TypeSubstitution, chosen: list[str]) -> None:
-        mapping = dict(zip(hole_order, chosen))
+class _Search:
+    """The backtracking search of one `instantiate` call.  It is an object, not
+    a recursive nested function, because such a function holds itself through
+    its closure cell: every call would leave a reference cycle for the garbage
+    collector."""
+
+    def __init__(self, tpl, candidates, budget, deadline, fresh):
+        self.tpl = tpl
+        self.hole_order = sorted(tpl.hole_types)
+        # Each scheme's type variables, found once here rather than per search
+        # node.
+        self.pool = [(c, type_vars(c.type)) for c in candidates]
+        self.budget = budget
+        self.deadline = deadline
+        self.fresh = fresh
+        self.result = InstantiationResult()
+
+    def emit(self, subst: TypeSubstitution, chosen: list[str]) -> None:
+        mapping = dict(zip(self.hole_order, chosen))
         # Template bodies share one object per distinct annotation, so each is
         # resolved once per solution and the nodes that carry it share the
         # result.
@@ -138,53 +157,69 @@ def instantiate(
                 got = resolved[id(ty)] = resolve(subst, ty)
             return got
 
-        def walk(node: Term) -> Term:
-            if isinstance(node, App):
-                return App(walk(node.fn), walk(node.arg))
-            if isinstance(node, Hole):
-                return Const(mapping[node.index], fill(node.type))
-            if isinstance(node, Const):
-                return Const(node.name, fill(node.type))
-            if isinstance(node, Free):
-                return Free(node.name, fill(node.type))
-            if isinstance(node, Abs):
-                return Abs(node.binder, fill(node.binder_type), walk(node.body))
-            return node
-
-        result.conjectures.append(
+        self.result.conjectures.append(
             Conjecture(
-                term=walk(tpl.body),
-                template_canonical=tpl.canonical,
+                term=_build(self.tpl.body, mapping, fill),
+                template_canonical=self.tpl.canonical,
                 assignment=Assignment(mapping=tuple(sorted(mapping.items()))),
             )
         )
 
-    def search(pos: int, subst: TypeSubstitution, chosen: list[str]) -> bool:
+    def run(self, pos: int, subst: TypeSubstitution, chosen: list[str]) -> bool:
         """Returns False when enumeration must stop (timeout or cap)."""
-        if pos == len(hole_order):
-            emit(subst, chosen)
-            if len(result.conjectures) >= budget.max_results:
+        result = self.result
+        if pos == len(self.hole_order):
+            self.emit(subst, chosen)
+            if len(result.conjectures) >= self.budget.max_results:
                 result.capped = True
                 return False
             return True
-        hole_ty = tpl.hole_types[hole_order[pos]]
-        for cand, tvars in pool:
+        hole_ty = self.tpl.hole_types[self.hole_order[pos]]
+        distinct, deadline, fresh = self.budget.distinct_holes, self.deadline, self.fresh
+        # A scheme without type variables is its own renaming, so candidates
+        # that share its type object extend `subst` alike: each such object is
+        # unified once per node, and those candidates share the one extended
+        # substitution (None on a clash).  Nothing mutates a substitution once
+        # it is built; the next node copies before it unifies.
+        by_type: dict[int, TypeSubstitution | None] = {}
+        for cand, tvars in self.pool:
             if time.monotonic() > deadline:
                 result.timed_out = True
                 return False
-            if budget.distinct_holes and cand.name in chosen:
+            if distinct and cand.name in chosen:
                 continue
-            attempt = dict(subst)
-            try:
-                unify_into(attempt, hole_ty, fresh.rename(cand.type, tvars))
-            except UnificationError:
+            key = None if tvars else id(cand.type)
+            if key in by_type:
+                attempt = by_type[key]
+            else:
+                attempt = dict(subst)
+                try:
+                    unify_into(attempt, hole_ty, fresh.rename(cand.type, tvars))
+                except UnificationError:
+                    attempt = None
+                if key is not None:
+                    by_type[key] = attempt
+            if attempt is None:
                 continue
-            if not search(pos + 1, attempt, chosen + [cand.name]):
+            if not self.run(pos + 1, attempt, chosen + [cand.name]):
                 return False
         return True
 
-    search(0, root, [])
-    return result
+
+def _build(node: Term, mapping: dict[int, str], fill) -> Term:
+    """The conjecture term: `node` with each hole replaced by the constant
+    `mapping` names for it, and every annotation replaced by `fill` of it."""
+    if isinstance(node, App):
+        return App(_build(node.fn, mapping, fill), _build(node.arg, mapping, fill))
+    if isinstance(node, Hole):
+        return Const(mapping[node.index], fill(node.type))
+    if isinstance(node, Const):
+        return Const(node.name, fill(node.type))
+    if isinstance(node, Free):
+        return Free(node.name, fill(node.type))
+    if isinstance(node, Abs):
+        return Abs(node.binder, fill(node.binder_type), _build(node.body, mapping, fill))
+    return node
 
 
 def feasible(

@@ -10,6 +10,7 @@ occurrence, so polymorphic constants may appear at several types in one term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 
 
 FUN = "fun"
@@ -548,28 +549,25 @@ def render_term(t: Term) -> str:
     # Nodes often share one type object (templates and conjectures are built
     # that way), so each distinct object is rendered once per call.  Keying on
     # id() is safe: `t` keeps every annotation alive until the call returns.
-    rendered: dict[int, str] = {}
+    return _render(t, {})
 
-    def ty(x: TypeExpr) -> str:
-        s = rendered.get(id(x))
-        if s is None:
-            s = rendered[id(x)] = render_type(x)
-        return s
 
-    def go(t: Term) -> str:
-        if isinstance(t, App):
-            return f"(app {go(t.fn)} {go(t.arg)})"
-        if isinstance(t, Const):
-            return f"(const {_escape(t.name)} {ty(t.type)})"
-        if isinstance(t, Free):
-            return f"(free {_escape(t.name)} {ty(t.type)})"
-        if isinstance(t, Bound):
-            return f"(bound {t.index})"
-        if isinstance(t, Abs):
-            return f"(abs {_escape(t.binder)} {ty(t.binder_type)} {go(t.body)})"
-        return f"(hole {t.index} {ty(t.type)})"
-
-    return go(t)
+def _render(t: Term, rendered: dict[int, str]) -> str:
+    if isinstance(t, App):
+        return f"(app {_render(t.fn, rendered)} {_render(t.arg, rendered)})"
+    if isinstance(t, Bound):
+        return f"(bound {t.index})"
+    ty = t.binder_type if isinstance(t, Abs) else t.type
+    s = rendered.get(id(ty))
+    if s is None:
+        s = rendered[id(ty)] = render_type(ty)
+    if isinstance(t, Const):
+        return f"(const {_escape(t.name)} {s})"
+    if isinstance(t, Free):
+        return f"(free {_escape(t.name)} {s})"
+    if isinstance(t, Abs):
+        return f"(abs {_escape(t.binder)} {s} {_render(t.body, rendered)})"
+    return f"(hole {t.index} {s})"
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +612,16 @@ def unify_into(s: TypeSubstitution, a: TypeExpr, b: TypeExpr) -> None:
 
 
 def resolve(s: TypeSubstitution, t: TypeExpr) -> TypeExpr:
+    """`t` with every variable bound in `s` replaced, all the way down.  A
+    subtree that no binding changes comes back as the same object, so resolved
+    types share structure with the types they were resolved from."""
     t = _walk(s, t)
-    if isinstance(t, TVar):
+    if isinstance(t, TVar) or not t.args:
         return t
-    return TCon(t.name, tuple(resolve(s, a) for a in t.args))
+    args = tuple([resolve(s, a) for a in t.args])
+    if all(map(is_, args, t.args)):
+        return t
+    return TCon(t.name, args)
 
 
 def unify_types(a: TypeExpr, b: TypeExpr) -> TypeSubstitution:
@@ -755,29 +759,34 @@ def alpha_equal(a: Term, b: Term) -> bool:
     trev: dict[str, str] = {}
     frees_a = set(free_names(a))
     frees_b = set(free_names(b))
-
-    def types(x: TypeExpr, y: TypeExpr) -> bool:
-        if isinstance(x, TVar) and isinstance(y, TVar):
+    # Pairs of terms or of types still to compare, walked in preorder with an
+    # explicit stack: a recursive nested function would hold itself through
+    # its closure cell and leave a reference cycle behind every call.
+    stack: list = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        cls = x.__class__
+        if cls is not y.__class__:
+            return False
+        if cls is App:
+            stack.append((x.arg, y.arg))
+            stack.append((x.fn, y.fn))
+        elif cls is TCon:
+            if x.name != y.name or len(x.args) != len(y.args):
+                return False
+            stack.extend(zip(reversed(x.args), reversed(y.args)))
+        elif cls is TVar:
             if tmap.get(x.name, y.name) != y.name:
                 return False
             if trev.get(y.name, x.name) != x.name:
                 return False
             tmap[x.name] = y.name
             trev[y.name] = x.name
-            return True
-        if isinstance(x, TCon) and isinstance(y, TCon):
-            if x.name != y.name or len(x.args) != len(y.args):
+        elif cls is Const:
+            if x.name != y.name:
                 return False
-            for p, q in zip(x.args, y.args):
-                if not types(p, q):
-                    return False
-            return True
-        return False
-
-    def go(x: Term, y: Term) -> bool:
-        if isinstance(x, Const) and isinstance(y, Const):
-            return x.name == y.name and types(x.type, y.type)
-        if isinstance(x, Free) and isinstance(y, Free):
+            stack.append((x.type, y.type))
+        elif cls is Free:
             if x.name != y.name and (x.name in frees_b or y.name in frees_a):
                 return False
             if fmap.get(x.name, y.name) != y.name:
@@ -786,18 +795,18 @@ def alpha_equal(a: Term, b: Term) -> bool:
                 return False
             fmap[x.name] = y.name
             frev[y.name] = x.name
-            return types(x.type, y.type)
-        if isinstance(x, Bound) and isinstance(y, Bound):
-            return x.index == y.index
-        if isinstance(x, Abs) and isinstance(y, Abs):
-            return types(x.binder_type, y.binder_type) and go(x.body, y.body)
-        if isinstance(x, App) and isinstance(y, App):
-            return go(x.fn, y.fn) and go(x.arg, y.arg)
-        if isinstance(x, Hole) and isinstance(y, Hole):
-            return x.index == y.index and types(x.type, y.type)
-        return False
-
-    return go(a, b)
+            stack.append((x.type, y.type))
+        elif cls is Bound:
+            if x.index != y.index:
+                return False
+        elif cls is Abs:
+            stack.append((x.body, y.body))
+            stack.append((x.binder_type, y.binder_type))
+        else:
+            if x.index != y.index:
+                return False
+            stack.append((x.type, y.type))
+    return True
 
 
 def alpha_key(t: Term) -> tuple:
@@ -814,35 +823,34 @@ def alpha_key(t: Term) -> tuple:
     out: list = []
     frees: dict[str, int] = {}
     tvars: dict[str, int] = {}
-
-    def types(x: TypeExpr) -> None:
-        if isinstance(x, TVar):
-            out.extend(("tv", tvars.setdefault(x.name, len(tvars))))
-        else:
-            out.extend(("tc", x.name, len(x.args)))
-            for a in x.args:
-                types(a)
-
-    def go(x: Term) -> None:
-        if isinstance(x, Const):
-            out.extend(("const", x.name))
-            types(x.type)
-        elif isinstance(x, Free):
-            out.extend(("free", frees.setdefault(x.name, len(frees))))
-            types(x.type)
-        elif isinstance(x, Bound):
-            out.extend(("bound", x.index))
-        elif isinstance(x, Abs):
-            out.append("abs")
-            types(x.binder_type)
-            go(x.body)
-        elif isinstance(x, App):
+    # Terms and types still to visit, in preorder, on an explicit stack for
+    # the same reason as in `alpha_equal`.
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
+        cls = x.__class__
+        if cls is App:
             out.append("app")
-            go(x.fn)
-            go(x.arg)
+            stack.append(x.arg)
+            stack.append(x.fn)
+        elif cls is TCon:
+            out.extend(("tc", x.name, len(x.args)))
+            stack.extend(reversed(x.args))
+        elif cls is TVar:
+            out.extend(("tv", tvars.setdefault(x.name, len(tvars))))
+        elif cls is Const:
+            out.extend(("const", x.name))
+            stack.append(x.type)
+        elif cls is Free:
+            out.extend(("free", frees.setdefault(x.name, len(frees))))
+            stack.append(x.type)
+        elif cls is Bound:
+            out.extend(("bound", x.index))
+        elif cls is Abs:
+            out.append("abs")
+            stack.append(x.body)
+            stack.append(x.binder_type)
         else:
             out.extend(("hole", x.index))
-            types(x.type)
-
-    go(t)
+            stack.append(x.type)
     return tuple(out)

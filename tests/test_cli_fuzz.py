@@ -1,0 +1,150 @@
+"""Fuzz every file argument of every subcommand through `cli.main`.
+
+Each example fills one file argument with arbitrary text, arbitrary JSON (one
+value or JSON lines) or deeply nested brackets, while the other arguments of
+the call are valid, so the fuzzed file is the one the command trips on.  The
+command must return exit code 0, 1 or 2; any exception escaping `main` would
+reach the user as a traceback.  The seed and the number of examples are
+fixed, and no example database is written.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
+
+from lemmakit.cli import main
+from lemmakit.corpus import make_record, save_records
+from lemmakit.templates import abstract
+from lemmakit.terms import TCon, fun, render_type
+
+INT = TCon("int")
+
+QS_SIG = {
+    "sorts": [{"name": "int", "mod": 3}],
+    "symbols": [
+        {"name": "plus", "type": render_type(fun(INT, fun(INT, INT))), "builtin": "int_add"},
+        {"name": "zero", "type": render_type(INT), "value": 0},
+    ],
+    "vars_per_sort": 2,
+}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory, octo_signature, lemma_distrib_left, lemma_assoc_plus):
+    d = tmp_path_factory.mktemp("valid")
+    records = [
+        make_record("Octonions.d0", "Octonions", "distrib", lemma_distrib_left,
+                    octo_signature),
+        make_record("Octonions.a0", "Octonions", "assoc", lemma_assoc_plus,
+                    octo_signature),
+        make_record("Other.d0", "Other", "distrib", lemma_distrib_left, octo_signature),
+    ]
+    save_records(d / "corpus.jsonl", records)
+    (d / "symbols.json").write_text(json.dumps(
+        [{"name": e.name, "type": render_type(e.type), "def": e.definition}
+         for e in octo_signature]
+    ))
+    canonical = [abstract(r.term).canonical for r in records[:2]]
+    (d / "templates.txt").write_text("".join(c + "\n" for c in canonical))
+    (d / "template.txt").write_text(canonical[0] + "\n")
+    (d / "index.jsonl").write_text("".join(
+        json.dumps({"template": c, "count": 1}) + "\n" for c in canonical
+    ))
+    (d / "whitelist.txt").write_text("HOL.eq\n")
+    (d / "signature.json").write_text(json.dumps(QS_SIG))
+    (d / "gold.txt").write_text("")
+    files = {p.name: str(p) for p in d.iterdir()}
+    return files | {"out": str(d / "out"), "outdir": str(d / "outdir")}
+
+
+# Each call marks its fuzzed argument with "*" before the valid file that
+# `test_calls_succeed_on_valid_files` puts there; the other files are valid.
+CALLS = [
+    ["abstract", "*corpus.jsonl", "-o", "out"],
+    ["abstract", "corpus.jsonl", "--whitelist", "*whitelist.txt", "-o", "out"],
+    ["conjecture", "*symbols.json", "--proposer", "fixed", "--templates", "templates.txt",
+     "-o", "out"],
+    ["conjecture", "symbols.json", "--index", "*index.jsonl", "-o", "out"],
+    ["conjecture", "symbols.json", "--proposer", "fixed", "--templates", "*templates.txt",
+     "-o", "out"],
+    ["dataset", "*corpus.jsonl", "--outdir", "outdir", "--split", "0.5/0.5"],
+    ["dataset", "corpus.jsonl", "--outdir", "outdir", "--split", "0.5/0.5",
+     "--whitelist", "*whitelist.txt"],
+    ["eval", "*corpus.jsonl", "--index", "index.jsonl", "--instantiation-rate",
+     "--report", "out"],
+    ["eval", "corpus.jsonl", "--index", "*index.jsonl", "--report", "out"],
+    ["eval", "corpus.jsonl", "--proposer", "fixed", "--templates", "*templates.txt",
+     "--report", "out"],
+    ["eval", "corpus.jsonl", "--index", "index.jsonl", "--whitelist", "*whitelist.txt",
+     "--report", "out"],
+    ["eval", "corpus.jsonl", "--index", "index.jsonl", "--also-proposer", "retrieval",
+     "--also-index", "*index.jsonl", "--report", "out"],
+    ["eval", "corpus.jsonl", "--index", "index.jsonl", "--also-proposer", "fixed",
+     "--also-templates", "*templates.txt", "--report", "out"],
+    ["quickspec", "*signature.json", "--max-size", "3", "--tests", "5", "-o", "out"],
+    ["quickspec", "signature.json", "--max-size", "3", "--tests", "5", "--gold", "*gold.txt",
+     "-o", "out"],
+    ["instantiate", "*symbols.json", "--template-file", "template.txt", "-o", "out"],
+    ["instantiate", "symbols.json", "--template-file", "*template.txt", "-o", "out"],
+    ["propose", "*symbols.json", "--proposer", "fixed", "--templates", "templates.txt",
+     "-o", "out"],
+    ["propose", "symbols.json", "--index", "*index.jsonl", "-o", "out"],
+    ["propose", "symbols.json", "--proposer", "fixed", "--templates", "*templates.txt",
+     "-o", "out"],
+]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("call", CALLS, ids=lambda c: f"{c[0]}-{next(a for a in c if a[0] == '*')}")
+def test_calls_succeed_on_valid_files(valid_files, call):
+    code, err = _run([valid_files.get(a.lstrip("*"), a) for a in call])
+    assert code == 0, err
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["name", "type", "def", "id", "theory", "term", "symbols",
+                         "template", "count", "sorts", "mod", "builtin", "value"])
+        | st.text(max_size=5),
+        inner,
+        max_size=5,
+    ),
+    max_leaves=12,
+)
+
+
+def _deep(opening: str, depth: int, closed: bool) -> str:
+    closing = {"[": "]", "{\"a\": ": "}", "(": ")", "(app ": ")"}[opening]
+    return opening * depth + ("0" + closing * depth if closed else "")
+
+
+_contents = st.one_of(
+    st.text(max_size=200),
+    _json.map(json.dumps),
+    st.lists(_json.map(json.dumps), max_size=4).map("\n".join),
+    st.builds(_deep, st.sampled_from(["[", "{\"a\": ", "(", "(app "]),
+              st.sampled_from([50, 999, 5000, 100_000]), st.booleans()),
+)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(call=st.sampled_from(CALLS), content=_contents)
+def test_fuzzed_file_arguments_exit_cleanly(valid_files, tmp_path_factory, call, content):
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_text(content, encoding="utf-8")
+    code, err = _run([str(path) if a[0] == "*" else valid_files.get(a, a) for a in call])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -271,6 +271,65 @@ class TestLoadSignature:
         assert str(path) in str(exc.value) and message in str(exc.value)
 
 
+_SHARED_TYPES = [
+    {"name": "f", "type": '(tc "fun" (tc "int") (tc "int"))', "def": None},
+    {"name": "c", "type": '(tc "int")', "def": None},
+    {"name": "g", "type": '(tc "fun" (tc "int") (tc "int"))', "def": None},
+    {"name": "p", "type": '(tc "fun" (tc "int") (tc "bool"))', "def": None},
+    {"name": "d", "type": '(tc "int")', "def": "d = 0"},
+]
+
+
+def _assert_shared(entries):
+    """Equal types are one object; unequal ones are distinct objects."""
+    assert [e.name for e in entries] == ["f", "c", "g", "p", "d"]
+    f, c, g, p, d = (e.type for e in entries)
+    assert f is g and c is d
+    assert len({id(f), id(c), id(p)}) == 3
+    assert f.args[0] is not c  # only whole symbol types are shared
+    assert entries == [
+        SignatureEntry(x["name"], parse_type(x["type"]), x["def"]) for x in _SHARED_TYPES
+    ]
+
+
+class TestSharedTypes:
+    def test_load_signature_shares_equal_types(self, tmp_path):
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(_SHARED_TYPES))
+        _assert_shared(load_signature(path))
+
+    def test_records_share_equal_symbol_types(self, tmp_path):
+        d = {"id": "r", "theory": "T", "name": "n", "term": '(free "x" (tc "int"))',
+             "symbols": _SHARED_TYPES}
+        _assert_shared(list(record_from_dict(d).symbols))
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(d) + "\n")
+        _assert_shared(list(load_records(path)[0].symbols))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"name": "h", "type": "(tc"},
+             "2: field 'type': unexpected end of input (at offset 3)"),
+            ({"name": "h", "type": '(tc "fun" (tc "int") (tc "int")'},
+             "2: field 'type': unexpected end of input (at offset 31)"),
+            ({"name": "h"}, "2: field 'type' must be a string"),
+        ],
+    )
+    def test_errors_after_shared_types_are_unchanged(self, tmp_path, bad, message):
+        symbols = _SHARED_TYPES[:2] + [bad] + _SHARED_TYPES[2:]
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(symbols))
+        with pytest.raises(LemmakitError) as exc:
+            load_signature(path)
+        assert str(exc.value) == f"{path}: entry {message}"
+        d = {"id": "r", "theory": "T", "name": "n", "term": '(free "x" (tc "int"))',
+             "symbols": symbols}
+        with pytest.raises(LemmakitError) as exc:
+            record_from_dict(d)
+        assert str(exc.value) == f"record: symbol {message}"
+
+
 class TestLoadLines:
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "types.txt"

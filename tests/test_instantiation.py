@@ -257,11 +257,12 @@ class TestBaseSignature:
         assert "X.c" not in base_signature()
 
 
-def _instantiate_per_node(tpl, candidates):
+def _instantiate_per_node(tpl, candidates, distinct=False):
     """Reference: the conjectures `instantiate` built before annotations were
     shared.  Every candidate scheme is copied by a fresh renaming, even one
-    without type variables, and `resolve` runs once per annotated node.  No
-    budget: every assignment is enumerated."""
+    without type variables, and unified at every node; `resolve` runs once per
+    annotated node.  No budget: every assignment is enumerated (with
+    `distinct`, those that give distinct holes distinct symbols)."""
     n = [0]
 
     def rename(scheme):
@@ -300,6 +301,8 @@ def _instantiate_per_node(tpl, candidates):
             out.append(walk(tpl.body, subst, dict(zip(order, chosen))))
             return
         for cand in candidates:
+            if distinct and cand.name in chosen:
+                continue
             attempt = dict(subst)
             try:
                 unify_into(attempt, tpl.hole_types[order[pos]], rename(cand.type))
@@ -448,3 +451,115 @@ class TestSharedConstruction:
         assert fresh.rename(mono) is mono and fresh.n == 0
         poly = fresh.rename(fun(_A, _A))
         assert poly == fun(TVar("?f1"), TVar("?f1")) and fresh.n == 1
+
+
+_SORTS = [TCon(f"S.s{i}") for i in range(3)]
+
+
+def _sorted_candidates(binary, unary, shared=True):
+    """`binary` binary and `unary` unary operators on each of 3 sorts, the
+    sorts and arities interleaved.  With `shared`, candidates of one sort and
+    arity carry one type object, as the signature loaders give them; without,
+    each carries its own equal copy."""
+    types = {}
+
+    def ty(sort, arity):
+        t = fun(sort, fun(sort, sort)) if arity == 2 else fun(sort, sort)
+        return types.setdefault((sort, arity), t) if shared else t
+
+    out = []
+    for i in range(max(binary, unary)):
+        for k, sort in enumerate(_SORTS):
+            if i < binary:
+                out.append(SignatureEntry(f"S.bin{k}_{i}", ty(sort, 2), None))
+            if i < unary:
+                out.append(SignatureEntry(f"S.un{k}_{i}", ty(sort, 1), None))
+    return out
+
+
+class TestUnifyOncePerType:
+    """`instantiate` unifies a hole once per node with each distinct type
+    object of the monomorphic candidates, and with each polymorphic candidate
+    on its own.  On the distributivity template that is 1 unification for
+    HOL.eq at the root, D at the first hole, and D at the second hole below
+    each of the 3·B binary candidates that fit the first."""
+
+    B, U, D = 4, 3, 6
+
+    def _count(self, monkeypatch):
+        calls = []
+        real = instantiation.unify_into
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(instantiation, "unify_into", counted)
+        return calls
+
+    def test_shared_types_unify_once_per_node(self, lemma_distrib_left, monkeypatch):
+        tpl = abstract(lemma_distrib_left)
+        pool = _sorted_candidates(self.B, self.U)
+        assert len({id(c.type) for c in pool}) == self.D
+        calls = self._count(monkeypatch)
+        got = instantiate(tpl, pool, Budget(max_results=10**9)).conjectures
+        assert len(calls) == 1 + self.D + 3 * self.B * self.D
+        assert len(got) == 3 * self.B * self.B
+        monkeypatch.undo()
+        assert _assert_same_as_per_node(tpl, pool) == len(got)
+
+    def test_unshared_equal_types_unify_per_candidate(
+        self, lemma_distrib_left, monkeypatch
+    ):
+        tpl = abstract(lemma_distrib_left)
+        pool = _sorted_candidates(self.B, self.U, shared=False)
+        calls = self._count(monkeypatch)
+        shared = instantiate(tpl, _sorted_candidates(self.B, self.U)).conjectures
+        shared_calls = len(calls)
+        calls.clear()
+        got = instantiate(tpl, pool).conjectures
+        n = len(pool)
+        assert len(calls) == 1 + n + 3 * self.B * n > shared_calls
+        assert got == shared
+        monkeypatch.undo()
+        assert _assert_same_as_per_node(tpl, pool) == len(got)
+
+    def test_mixed_with_polymorphic_candidates(self, lemma_distrib_left, monkeypatch):
+        tpl = abstract(lemma_distrib_left)
+        mono = _sorted_candidates(self.B, self.U)
+        # A second name for Poly.pick's very type object: a polymorphic scheme
+        # is renamed apart for each candidate, shared or not.
+        twin = SignatureEntry("Poly.pick2", POLY_SYMBOLS[0].type, None)
+        pool = POLY_SYMBOLS[:1] + mono[:9] + POLY_SYMBOLS[1:] + [twin] + mono[9:]
+        calls = self._count(monkeypatch)
+        got = instantiate(tpl, pool, Budget(max_results=10**9)).conjectures
+        # Both picks and Poly.zip fit the first hole besides the 3·B binaries;
+        # Poly.id does not (a0 => a0 => a0 against ?f => ?f).
+        tries = self.D + len(POLY_SYMBOLS) + 1
+        assert len(calls) == 1 + tries + (3 * self.B + 3) * tries
+        monkeypatch.undo()
+        assert _assert_same_as_per_node(tpl, pool) == len(got)
+        assert "?f" in render_term(got[0].term)
+
+    def test_distinct_holes(self, lemma_distrib_left):
+        tpl = abstract(lemma_distrib_left)
+        mono = _sorted_candidates(self.B, self.U)
+        sizes = []
+        for pool in (mono, POLY_SYMBOLS + mono, mono[:5] + POLY_SYMBOLS[::-1] + mono[5:]):
+            res = instantiate(tpl, pool, Budget(max_results=10**9, distinct_holes=True))
+            expected = _instantiate_per_node(tpl, pool, distinct=True)
+            assert [c.term for c in res.conjectures] == expected
+            for c in res.conjectures:
+                assert len(set(c.assignment.as_dict().values())) == 2
+            sizes.append(len(expected))
+        assert sizes[0] == 3 * self.B * (self.B - 1) < sizes[1] == sizes[2]
+
+    def test_result_cap(self, lemma_distrib_left):
+        tpl = abstract(lemma_distrib_left)
+        pool = POLY_SYMBOLS[1:] + _sorted_candidates(self.B, self.U) + POLY_SYMBOLS[:1]
+        expected = _instantiate_per_node(tpl, pool)
+        for cap in (1, 5, 17, len(expected) - 1):
+            res = instantiate(tpl, pool, Budget(max_results=cap))
+            assert res.capped and [c.term for c in res.conjectures] == expected[:cap]
+        res = instantiate(tpl, pool, Budget(max_results=len(expected) + 1))
+        assert not res.capped and [c.term for c in res.conjectures] == expected

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -8,6 +9,7 @@ import pytest
 
 import lemmakit
 
+from lemmakit.instantiation import instantiate
 from lemmakit.templates import abstract
 from lemmakit.terms import (
     MAX_DEPTH,
@@ -28,6 +30,7 @@ from lemmakit.terms import (
     UnificationError,
     UnknownConstant,
     alpha_equal,
+    alpha_key,
     _escape,
     apply_type_subst,
     base_scheme,
@@ -394,6 +397,55 @@ class TestUnification:
         assert agreements == 1000
 
 
+def _resolve_copying(s, t):
+    """Reference: resolve as it was, rebuilding every TCon it visits."""
+    while isinstance(t, TVar) and t.name in s:
+        t = s[t.name]
+    if isinstance(t, TVar):
+        return t
+    return TCon(t.name, tuple(_resolve_copying(s, a) for a in t.args))
+
+
+class TestResolve:
+    def test_unchanged_types_come_back_as_the_same_object(self):
+        s = {"c": OCTO, "d": TVar("c")}
+        ground = fun(OCTO, TCon("List.list", (BOOL,)))
+        unbound = fun(TVar("a"), TCon("List.list", (TVar("b"),)))
+        for t in (ground, unbound, OCTO, TVar("a")):
+            assert resolve(s, t) is t
+            assert resolve({}, t) is t
+
+    def test_only_changed_subtrees_are_rebuilt(self):
+        left = fun(OCTO, BOOL)
+        t = fun(left, TCon("List.list", (TVar("d"),)))
+        bound = TCon("Nat.nat")
+        r = resolve({"d": TVar("c"), "c": bound}, t)
+        assert r == fun(left, TCon("List.list", (bound,)))
+        assert r.args[0] is left and r.args[1].args[0] is bound
+        assert resolve({"a": left}, TVar("a")) is left
+
+    def test_matches_copying_reference_on_random_types(self):
+        rng = random.Random(31)
+        names = ("v1", "v2", "v3")
+        shared = 0
+        for _ in range(400):
+            s = {}
+            for _ in range(rng.randint(0, 3)):
+                try:
+                    unify_into(s, random_type(rng, 2, names), random_type(rng, 2, names))
+                except UnificationError:
+                    pass  # keeps the bindings made before the clash
+            for _ in range(5):
+                t = random_type(rng, 3, names)
+                got = resolve(s, t)
+                assert got == _resolve_copying(s, t)
+                assert render_type(got) == render_type(_resolve_copying(s, t))
+                if not any(v in s for v in type_vars(t)):
+                    assert got is t
+                    shared += 1
+        assert shared > 200
+
+
 class TestFreshNames:
     def test_var_and_rename_share_one_sequence(self):
         fresh = FreshNames("?t")
@@ -470,3 +522,89 @@ class TestAlphaEqual:
                 for c in terms[:10]:
                     if alpha_equal(a, b) and alpha_equal(b, c):
                         assert alpha_equal(a, c)
+
+
+def _alpha_key_recursive(t):
+    """Reference: alpha_key as it was, a recursive preorder walk."""
+    out, frees, tvars = [], {}, {}
+
+    def types(x):
+        if isinstance(x, TVar):
+            out.extend(("tv", tvars.setdefault(x.name, len(tvars))))
+        else:
+            out.extend(("tc", x.name, len(x.args)))
+            for a in x.args:
+                types(a)
+
+    def go(x):
+        if isinstance(x, Const):
+            out.extend(("const", x.name))
+            types(x.type)
+        elif isinstance(x, Free):
+            out.extend(("free", frees.setdefault(x.name, len(frees))))
+            types(x.type)
+        elif isinstance(x, Bound):
+            out.extend(("bound", x.index))
+        elif isinstance(x, Abs):
+            out.append("abs")
+            types(x.binder_type)
+            go(x.body)
+        elif isinstance(x, App):
+            out.append("app")
+            go(x.fn)
+            go(x.arg)
+        else:
+            out.extend(("hole", x.index))
+            types(x.type)
+
+    go(t)
+    return tuple(out)
+
+
+class TestAlphaKey:
+    def test_matches_recursive_reference(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            t, _ = random_lemma_term(rng)
+            for u in (t, _quantify(t), abstract(_quantify(t)).body):
+                assert alpha_key(u) == _alpha_key_recursive(u)
+
+
+def _garbage_after(call):
+    """The objects the collector frees after `call`, run with automatic
+    collection off: nonzero when the call left a reference cycle behind."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize(
+        "name", ["render_term", "alpha_key", "alpha_equal", "alpha_unequal", "instantiate"]
+    )
+    def test_call_leaves_no_cycle(self, name, lemma_distrib_left, lemma_assoc_plus):
+        t = _quantify(lemma_distrib_left)
+        other = _quantify(lemma_assoc_plus)
+        tpl = abstract(lemma_distrib_left)
+        binop = fun(OCTO, fun(OCTO, OCTO))
+        a = TVar("a")
+        ops = [
+            SignatureEntry("Octonions.octo_plus", binop, None),
+            SignatureEntry("Poly.pick", fun(a, fun(a, a)), None),
+            SignatureEntry("Octonions.octo_times", binop, None),
+        ]
+        assert len(instantiate(tpl, ops).conjectures) == 9
+        call = {
+            "render_term": lambda: render_term(t),
+            "alpha_key": lambda: alpha_key(t),
+            "alpha_equal": lambda: alpha_equal(t, t),
+            "alpha_unequal": lambda: alpha_equal(t, other),
+            "instantiate": lambda: instantiate(tpl, ops),
+        }[name]
+        assert _garbage_after(call) == 0
