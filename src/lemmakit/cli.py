@@ -53,14 +53,12 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
                    help="forbid two holes sharing a symbol")
 
 
-def _add_proposer_flags(p: argparse.ArgumentParser, prefix: str = "") -> None:
-    dash = f"--{prefix}" if prefix else "--"
-    p.add_argument(f"{dash}proposer", choices=("retrieval", "http", "fixed"),
-                   default=None if prefix else "retrieval",
-                   help="template proposal backend")
-    p.add_argument(f"{dash}index", default=None,
+def _add_proposer_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--proposer", choices=("retrieval", "http", "fixed"),
+                   default="retrieval", help="template proposal backend")
+    p.add_argument("--index", default=None,
                    help="template frequency index (JSONL) for retrieval")
-    p.add_argument(f"{dash}templates", default=None,
+    p.add_argument("--templates", default=None,
                    help="template list file for the fixed proposer")
 
 
@@ -385,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
     except TransportError as e:
         print(f"transport error: {e}", file=sys.stderr)
         return 2
-    except (LemmakitError, OSError, ValueError, json.JSONDecodeError) as e:
+    except (LemmakitError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

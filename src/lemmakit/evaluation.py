@@ -180,9 +180,8 @@ def evaluate_task(task: EvalTask, proposer, budget: Budget | None = None) -> Tas
     return result
 
 
-def _aggregate(
-    results: list[TaskResult], strict_denominator: bool
-) -> tuple[float, float, dict[str, float], int]:
+def _report(results: list[TaskResult], strict_denominator: bool) -> EvalReport:
+    """The report over `results`, with its aggregates computed."""
     errored = sum(1 for r in results if r.error is not None)
     if strict_denominator:
         counted = [r for r in results if r.error is None]
@@ -196,7 +195,14 @@ def _aggregate(
     for th in theories:
         group = [r for r in counted if r.theory == th]
         per_theory[th] = sum(r.lemma_success for r in group) / len(group)
-    return success_rate, match_rate, per_theory, errored
+    return EvalReport(
+        per_task=results,
+        lemma_success_rate=success_rate,
+        template_match_rate=match_rate,
+        per_theory=per_theory,
+        errored_tasks=errored,
+        strict_denominator=strict_denominator,
+    )
 
 
 def evaluate_suite(
@@ -225,15 +231,7 @@ def evaluate_suite(
                 pool.map(lambda t: evaluate_task(t, proposer, budget), tasks)
             )
     results.sort(key=lambda r: r.id)
-    success, match, per_theory, errored = _aggregate(results, strict_denominator)
-    return EvalReport(
-        per_task=results,
-        lemma_success_rate=success,
-        template_match_rate=match,
-        per_theory=per_theory,
-        errored_tasks=errored,
-        strict_denominator=strict_denominator,
-    )
+    return _report(results, strict_denominator)
 
 
 def instantiation_rate(tasks: list[EvalTask], budget: Budget | None = None) -> float:
@@ -286,16 +284,7 @@ def combine_reports(reports: list[EvalReport]) -> EvalReport:
                 else None,
             )
         )
-    strict = reports[0].strict_denominator
-    success, match, per_theory, errored = _aggregate(combined, strict)
-    return EvalReport(
-        per_task=combined,
-        lemma_success_rate=success,
-        template_match_rate=match,
-        per_theory=per_theory,
-        errored_tasks=errored,
-        strict_denominator=strict,
-    )
+    return _report(combined, reports[0].strict_denominator)
 
 
 def dedupe(conjectures: list[Conjecture]) -> tuple[list[Conjecture], int]:

@@ -9,10 +9,11 @@ taken smallest first; within a size, those with more distinct variables
 first, then those naming their variables in ascending reading order (see
 `candidate_laws`).  A candidate is dropped when the laws kept before it make
 its sides congruent over the enumerated universe: a union-find over the
-universe's terms, joined by every instance of a kept law inside the
-universe and closed under congruence.  A kept law may still follow from
-earlier ones through terms larger than the universe, a known artifact of
-this pruning.
+universe's hash-consed term nodes, joined by every instance of a kept law
+inside the universe and closed under congruence.  Laws are matched and
+instantiated on those nodes alone, through an index keyed by sort and head.
+A kept law may still follow from earlier ones through terms larger than the
+universe, a known artifact of this pruning.
 
 One evaluator, `evaluate_columns`, serves partitioning, re-verification and
 counterexample search: it maps each term to its column of values over a list
@@ -131,11 +132,7 @@ class InterpretedSignature:
         # name -> (argument sort names, result sort name)
         self.profile: dict[str, tuple[tuple[str, ...], str]] = {}
         for sym in symbols:
-            parts, ty = [], sym.type
-            while isinstance(ty, TCon) and ty.name == "fun":
-                parts.append(ty.args[0])
-                ty = ty.args[1]
-            parts.append(ty)
+            parts = _arrow_parts(sym.type)
             for t in parts:
                 if not (isinstance(t, TCon) and t.name in self.sorts):
                     raise ValueError(
@@ -153,6 +150,15 @@ class InterpretedSignature:
                 n += 1
                 out.append(Free(f"x{n}", TCon(name)))
         return out
+
+
+def _arrow_parts(ty) -> list:
+    """A curried function type's argument types, then its result type."""
+    parts = []
+    while isinstance(ty, TCon) and ty.name == "fun":
+        parts.append(ty.args[0])
+        ty = ty.args[1]
+    return parts + [ty]
 
 
 @dataclass(frozen=True)
@@ -199,14 +205,6 @@ def enumerate_terms(sig: InterpretedSignature, max_size: int) -> list[Term]:
                 atoms.append(Const(sym.name, sym.type))
         by_sort_size[(sort, 1)] = atoms
 
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
     for size in range(2, max_size + 1):
         for sort in sig.sorts:
             terms: list[Term] = []
@@ -214,7 +212,7 @@ def enumerate_terms(sig: InterpretedSignature, max_size: int) -> list[Term]:
                 args, res = sig.profile[sym.name]
                 if not args or res != sort:
                     continue
-                for sizes in compositions(size - 1, len(args)):
+                for sizes in _compositions(size - 1, len(args)):
                     pools = [
                         by_sort_size.get((a, s), []) for a, s in zip(args, sizes)
                     ]
@@ -228,15 +226,23 @@ def enumerate_terms(sig: InterpretedSignature, max_size: int) -> list[Term]:
     return out
 
 
-def _product_apply(head: Term, pools: list[list[Term]], out: list[Term]) -> None:
-    def rec(cur: Term, i: int) -> None:
-        if i == len(pools):
-            out.append(cur)
-            return
-        for arg in pools[i]:
-            rec(App(cur, arg), i + 1)
+def _compositions(total: int, parts: int):
+    """Tuples of `parts` positive sizes summing to `total`, lexicographically."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
-    rec(head, 0)
+
+def _product_apply(head: Term, pools: list[list[Term]], out: list[Term]) -> None:
+    """Append head applied to each tuple of the pools' product, in order.  A
+    partial application is built once and shared by all its extensions."""
+    partials = [head]
+    for pool in pools:
+        partials = [App(p, arg) for p in partials for arg in pool]
+    out.extend(partials)
 
 
 # ---------------------------------------------------------------------------
@@ -381,25 +387,6 @@ def test_partition(
 # Law emission with congruence pruning
 
 
-def _match(pattern: Term, target: Term, subst: dict[str, Term]) -> bool:
-    """One-sided first-order matching; pattern variables map to terms."""
-    if isinstance(pattern, Free):
-        bound = subst.get(pattern.name)
-        if bound is None:
-            subst[pattern.name] = target
-            return True
-        return bound == target
-    if isinstance(pattern, Const):
-        return isinstance(target, Const) and pattern.name == target.name
-    if isinstance(pattern, App):
-        return (
-            isinstance(target, App)
-            and _match(pattern.fn, target.fn, subst)
-            and _match(pattern.arg, target.arg, subst)
-        )
-    return pattern == target
-
-
 def candidate_laws(classes: list[list[Term]]) -> list[Law]:
     """Each member of a class with two or more members equated to the class's
     smallest member (by size, then rendered text), in the order `emit_laws`
@@ -469,13 +456,14 @@ class _Congruence:
     congruence: f(a1..an) and f(b1..bn) join when every ai joins bi.
 
     Terms are hash-consed to node ids (keyed by object identity first, then
-    by head and argument ids), so structurally equal terms share a node.
+    by head and argument ids), so structurally equal terms share a node.  A
+    variable's head is None, so no symbol, whatever its name, matches it.
     """
 
     def __init__(self) -> None:
         self.ids: dict[int, int] = {}  # id(term object) -> node
         self.nodes: dict[object, int] = {}  # leaf, or (head name, arg nodes)
-        self.head: list[str] = []
+        self.head: list[str | None] = []  # None for a variable
         self.args: list[tuple[int, ...]] = []
         self.sort: list[str] = []
         self.parent: list[int] = []
@@ -492,10 +480,8 @@ class _Congruence:
         n = self.nodes.get(key)
         if n is None:
             n = self.nodes[key] = len(self.parent)
-            sort = head.type
-            for _ in args:
-                sort = sort.args[1]
-            self.head.append(head.name)
+            sort = _arrow_parts(head.type)[-1]
+            self.head.append(None if isinstance(head, Free) else head.name)
             self.args.append(arg_nodes)
             self.sort.append(sort.name)
             self.parent.append(n)
@@ -516,23 +502,34 @@ class _Congruence:
             parent[n], n = root, parent[n]
         return root
 
-    def instance(self, t: Term, subst: dict[str, Term]) -> int | None:
-        """A node congruent to t with its variables replaced by `subst`
+    def match(self, p: int, n: int, subst: dict[int, int]) -> bool:
+        """One-sided matching of pattern node p against node n: `subst` maps
+        the pattern's variable nodes to nodes, and a bound variable matches
+        only its node, i.e. a structurally equal term."""
+        if self.head[p] is None:
+            return subst.setdefault(p, n) == n
+        if self.head[p] != self.head[n]:
+            return False
+        for a, b in zip(self.args[p], self.args[n]):
+            if not self.match(a, b, subst):
+                return False
+        return True
+
+    def instance(self, n: int, subst: dict[int, int]) -> int | None:
+        """A node congruent to n with its variables replaced by `subst`
         (unbound ones left as they are): each application is looked up by
-        its head and the classes of its arguments.  None when the universe
-        holds no such term."""
-        if isinstance(t, Free):
-            return self.ids.get(id(subst.get(t.name, t)))
-        head, args = strip_spine(t)
+        its head and the roots of its arguments.  None when the graph holds
+        no such node."""
+        args = self.args[n]
         if not args:
-            return self.ids.get(id(t))
-        arg_nodes = []
+            return subst.get(n, n)
+        roots = []
         for a in args:
-            n = self.instance(a, subst)
-            if n is None:
+            m = self.instance(a, subst)
+            if m is None:
                 return None
-            arg_nodes.append(n)
-        return self.table.get((head.name, tuple(self.find(n) for n in arg_nodes)))
+            roots.append(self.find(m))
+        return self.table.get((self.head[n], tuple(roots)))
 
     def merge(self, a: int, b: int) -> None:
         """Join the classes of a and b, then restore congruence."""
@@ -558,19 +555,22 @@ def emit_laws(classes: list[list[Term]]) -> list[Law]:
     closure from the laws kept before them.
 
     The universe is every class member: first-order terms with constant or
-    variable heads, as `test_partition` returns them.  A candidate whose
-    sides are already congruent is dropped.  A kept law l = r joins, for
-    each orientation and each universe term u of its sort matching l with
-    substitution s, u to the universe term congruent to s(r), when there is
-    one; the closure then merges every pair of applications whose arguments
-    have become congruent.  A kept law may still follow from earlier ones,
-    through terms larger than the universe.
+    variable heads, as `test_partition` returns them, hash-consed to graph
+    nodes; pruning reads only the nodes.  A candidate whose sides are
+    already congruent is dropped.  A kept law l = r joins, for each
+    orientation and each universe node u of its sort and head (any head if l
+    is a variable) matching l with substitution s, u to the node congruent
+    to s(r), when there is one; the closure then merges every pair of
+    applications whose arguments have become congruent.  A kept law may
+    still follow from earlier ones, through terms larger than the universe.
     """
     cc = _Congruence()
-    by_sort: dict[str, list[Term]] = {}
+    index: dict[tuple[str, str | None], list[int]] = {}  # (sort, head) -> nodes
     for cls in classes:
         for t in cls:
-            by_sort.setdefault(cc.sort[cc.add(t)], []).append(t)
+            n = cc.add(t)
+            for head in {None, cc.head[n]}:  # None: every node of the sort
+                index.setdefault((cc.sort[n], head), []).append(n)
     kept: list[Law] = []
     for law in candidate_laws(classes):
         lhs, rhs = cc.add(law.lhs), cc.add(law.rhs)
@@ -578,13 +578,13 @@ def emit_laws(classes: list[list[Term]]) -> list[Law]:
             continue
         kept.append(law)
         pairs = []
-        for pattern, other in ((law.lhs, law.rhs), (law.rhs, law.lhs)):
-            for u in by_sort[cc.sort[lhs]]:
-                subst: dict[str, Term] = {}
-                if _match(pattern, u, subst):
+        for pattern, other in ((lhs, rhs), (rhs, lhs)):
+            for u in index.get((cc.sort[pattern], cc.head[pattern]), ()):
+                subst: dict[int, int] = {}
+                if cc.match(pattern, u, subst):
                     n = cc.instance(other, subst)
                     if n is not None:
-                        pairs.append((cc.ids[id(u)], n))
+                        pairs.append((u, n))
         for a, b in pairs:
             cc.merge(a, b)
     return kept
@@ -739,8 +739,10 @@ def _totient(n: int) -> int:
 
 
 def builtin_evaluators(sorts: dict[str, Sort]) -> dict[str, object]:
-    mods = [s.mod for s in sorts.values() if isinstance(s, IntModSort)]
-    mod = mods[0] if mods else None
+    """Evaluators by builtin name, for symbols whose result sort is in
+    `sorts`: the int builtins reduce by the modulus of a mod sort there, and
+    not at all without one.  The loader passes each symbol its own sort."""
+    mod = next((s.mod for s in sorts.values() if isinstance(s, IntModSort)), None)
     if mod:
         int_ops = {
             "int_add": lambda a, b: (a + b) % mod,
@@ -842,7 +844,8 @@ def load_interpreted_signature(path) -> InterpretedSignature:
     sorts = [
         _sort_from_dict(d, f"{path}: sort {i}") for i, d in enumerate(data["sorts"])
     ]
-    builtins = builtin_evaluators({s.name: s for s in sorts})
+    builtins = builtin_evaluators({})
+    own = {TCon(s.name): builtin_evaluators({s.name: s}) for s in sorts}
     symbols = []
     for i, d in enumerate(data["symbols"]):
         where = f"{path}: symbol {i}"
@@ -859,7 +862,7 @@ def load_interpreted_signature(path) -> InterpretedSignature:
                     f"{where}: field 'value' must be a scalar or a list of scalars"
                 ) from None
         elif d.get("builtin") in builtins:
-            fn = builtins[d["builtin"]]
+            fn = own.get(_arrow_parts(ty)[-1], builtins)[d["builtin"]]
         else:
             raise LemmakitError(
                 f"{where}: field 'builtin' must name a builtin evaluator "

@@ -201,6 +201,44 @@ def _make_template(body: Term, w: Whitelist) -> Template:
 # Abstraction
 
 
+class _Abstraction:
+    """`abstract`'s walk over one term: the maps it fills as it goes."""
+
+    def __init__(self, w: Whitelist) -> None:
+        self.w = w
+        self.gmap: dict[TypeExpr, TVar] = {}
+        self.holes: dict[str, int] = {}
+        self.occ_types: dict[int, list[TypeExpr]] = {}
+        self.fmap: dict[str, str] = {}
+
+    def gen(self, ty: TypeExpr) -> TypeExpr:
+        if is_fun(ty):
+            return fun(self.gen(ty.args[0]), self.gen(ty.args[1]))
+        got = self.gmap.get(ty)
+        if got is None:
+            got = self.gmap[ty] = TVar(f"?g{len(self.gmap)}")
+        return got
+
+    def go(self, node: Term, depth: int) -> Term:
+        if isinstance(node, Const):
+            if self.w.contains(node.name):
+                return Const(node.name, self.gen(node.type))
+            idx = self.holes.setdefault(node.name, len(self.holes) + 1)
+            ty = self.gen(node.type)
+            self.occ_types.setdefault(idx, []).append(ty)
+            return Hole(idx, ty)
+        if isinstance(node, Free):
+            name = self.fmap.setdefault(node.name, f"x{len(self.fmap) + 1}")
+            return Free(name, self.gen(node.type))
+        if isinstance(node, Bound):
+            return node
+        if isinstance(node, Abs):
+            return Abs(
+                f"y{depth}", self.gen(node.binder_type), self.go(node.body, depth + 1)
+            )
+        return App(self.go(node.fn, depth), self.go(node.arg, depth))
+
+
 def abstract(t: Term, w: Whitelist | None = None, sig: Signature | None = None) -> Template:
     """Abstract a hole-free lemma term into a canonical template.
 
@@ -219,47 +257,16 @@ def abstract(t: Term, w: Whitelist | None = None, sig: Signature | None = None) 
     except TypecheckError as e:
         raise IllTyped(str(e)) from e
 
-    gmap: dict[TypeExpr, TVar] = {}
-
-    def gen(ty: TypeExpr) -> TypeExpr:
-        if is_fun(ty):
-            return fun(gen(ty.args[0]), gen(ty.args[1]))
-        got = gmap.get(ty)
-        if got is None:
-            got = TVar(f"?g{len(gmap)}")
-            gmap[ty] = got
-        return got
-
-    holes: dict[str, int] = {}
-    occ_types: dict[int, list[TypeExpr]] = {}
-    fmap: dict[str, str] = {}
-
-    def go(node: Term, depth: int) -> Term:
-        if isinstance(node, Const):
-            if w.contains(node.name):
-                return Const(node.name, gen(node.type))
-            idx = holes.setdefault(node.name, len(holes) + 1)
-            ty = gen(node.type)
-            occ_types.setdefault(idx, []).append(ty)
-            return Hole(idx, ty)
-        if isinstance(node, Free):
-            name = fmap.setdefault(node.name, f"x{len(fmap) + 1}")
-            return Free(name, gen(node.type))
-        if isinstance(node, Bound):
-            return node
-        if isinstance(node, Abs):
-            return Abs(f"y{depth}", gen(node.binder_type), go(node.body, depth + 1))
-        return App(go(node.fn, depth), go(node.arg, depth))
-
-    body = go(t, 0)
+    walk = _Abstraction(w)
+    body = walk.go(t, 0)
 
     # A polymorphic constant may occur at several generalized types; the
     # template invariant requires one annotation per hole, so unify them.
-    need_merge = any(len(set(ts)) > 1 for ts in occ_types.values())
+    need_merge = any(len(set(ts)) > 1 for ts in walk.occ_types.values())
     if need_merge:
         s: dict[str, TypeExpr] = {}
         try:
-            for ts in occ_types.values():
+            for ts in walk.occ_types.values():
                 for other in ts[1:]:
                     unify_into(s, ts[0], other)
         except UnificationError as e:
@@ -307,53 +314,53 @@ _QUANT = {"HOL.All": "∀", "HOL.Ex": "∃", "Pure.all": "⋀"}
 
 
 def pretty_term(t: Term, binders: list[str] | None = None) -> str:
-    if binders is None:
-        binders = []
+    return _pretty(t, [] if binders is None else binders)[0]
 
-    def wrap(s: str, atomic: bool) -> str:
-        return s if atomic else f"({s})"
 
-    def pp(node: Term, bs: list[str]) -> tuple[str, bool]:
-        if isinstance(node, Free):
-            return node.name, True
-        if isinstance(node, Bound):
-            if node.index < len(bs):
-                return bs[-1 - node.index], True
-            return f"_{node.index}", True
-        if isinstance(node, Hole):
-            return f"?H{node.index}", True
-        if isinstance(node, Const):
-            name = node.name.rsplit(".", 1)[-1]
-            return name, True
-        if isinstance(node, Abs):
-            body, _ = pp(node.body, bs + [node.binder])
-            return f"λ{node.binder}. {body}", False
-        head, args = strip_spine(node)
-        if isinstance(head, Const) and head.name in _INFIX and len(args) == 2:
-            l, la = pp(args[0], bs)
-            r, ra = pp(args[1], bs)
-            return f"{wrap(l, la)} {_INFIX[head.name]} {wrap(r, ra)}", False
-        if (
-            isinstance(head, Const)
-            and head.name in _QUANT
-            and len(args) == 1
-            and isinstance(args[0], Abs)
-        ):
-            lam = args[0]
-            body, _ = pp(lam.body, bs + [lam.binder])
-            return f"{_QUANT[head.name]}{lam.binder}. {body}", False
-        if isinstance(head, Const) and head.name == "HOL.Not" and len(args) == 1:
-            s, atomic = pp(args[0], bs)
-            return f"¬{wrap(s, atomic)}", True
-        hs, ha = pp(head, bs)
-        parts = [wrap(hs, ha)]
-        for a in args:
-            s, atomic = pp(a, bs)
-            parts.append(wrap(s, atomic))
-        return " ".join(parts), False
+def _wrap(s: str, atomic: bool) -> str:
+    return s if atomic else f"({s})"
 
-    s, _ = pp(t, binders)
-    return s
+
+def _pretty(node: Term, bs: list[str]) -> tuple[str, bool]:
+    """node's text under the binder names `bs` (innermost last), and whether
+    the text is atomic."""
+    if isinstance(node, Free):
+        return node.name, True
+    if isinstance(node, Bound):
+        if node.index < len(bs):
+            return bs[-1 - node.index], True
+        return f"_{node.index}", True
+    if isinstance(node, Hole):
+        return f"?H{node.index}", True
+    if isinstance(node, Const):
+        name = node.name.rsplit(".", 1)[-1]
+        return name, True
+    if isinstance(node, Abs):
+        body, _ = _pretty(node.body, bs + [node.binder])
+        return f"λ{node.binder}. {body}", False
+    head, args = strip_spine(node)
+    if isinstance(head, Const) and head.name in _INFIX and len(args) == 2:
+        l, la = _pretty(args[0], bs)
+        r, ra = _pretty(args[1], bs)
+        return f"{_wrap(l, la)} {_INFIX[head.name]} {_wrap(r, ra)}", False
+    if (
+        isinstance(head, Const)
+        and head.name in _QUANT
+        and len(args) == 1
+        and isinstance(args[0], Abs)
+    ):
+        lam = args[0]
+        body, _ = _pretty(lam.body, bs + [lam.binder])
+        return f"{_QUANT[head.name]}{lam.binder}. {body}", False
+    if isinstance(head, Const) and head.name == "HOL.Not" and len(args) == 1:
+        s, atomic = _pretty(args[0], bs)
+        return f"¬{_wrap(s, atomic)}", True
+    hs, ha = _pretty(head, bs)
+    parts = [_wrap(hs, ha)]
+    for a in args:
+        s, atomic = _pretty(a, bs)
+        parts.append(_wrap(s, atomic))
+    return " ".join(parts), False
 
 
 def pretty_template(tpl: Template) -> str:

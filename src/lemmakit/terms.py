@@ -427,9 +427,9 @@ def _tokenize(text: str):
                     buf.append(c)
                     i += 1
             tokens.append(("str", "".join(buf), start))
-        elif c.isdigit():
+        elif c.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(("nat", int(text[start:i]), start))
         elif c.isalpha():

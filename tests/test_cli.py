@@ -408,6 +408,23 @@ class TestEval:
         assert f"{files[broken]}{message}" in proc.stderr
         assert not report.exists()
 
+    def test_non_decimal_digit_in_corpus_names_file_and_line(
+        self, octo_corpus, octo_templates_file, tmp_path
+    ):
+        path, _ = octo_corpus
+        lines = open(path, encoding="utf-8").read().splitlines()
+        row = json.loads(lines[1])
+        row["term"] = "(bound \u00b2)"
+        bad = tmp_path / "bad_corpus.jsonl"
+        bad.write_text(lines[0] + "\n" + json.dumps(row) + "\n")
+        proc = _run_cli(
+            "eval", str(bad), "--proposer", "fixed", "--templates", octo_templates_file
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert f"error: {bad}:2: field 'term': unexpected character" in proc.stderr
+        assert "(at offset 7)" in proc.stderr
+
     def test_retrieval_from_index(self, octo_corpus, tmp_path):
         from lemmakit.corpus import load_records, make_datapoint
 

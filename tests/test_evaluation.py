@@ -227,6 +227,17 @@ class TestEvaluateSuite:
         assert report.errored_tasks == 3
         assert all("nested too deeply" in r.error for r in report.per_task)
 
+    def test_non_decimal_digit_in_http_reply_spoils_one_completion(
+        self, four_tasks, stub_server
+    ):
+        distrib = four_tasks[0].gold_template.canonical
+        stub_server.completions = ["(bound \u00b2)", distrib]
+        config = HttpProposerConfig(url=stub_server.url)
+        report = evaluate_suite(four_tasks[:3], lambda req: propose_http(req, config))
+        assert len(report.per_task) == 3
+        assert report.errored_tasks == 0
+        assert report.lemma_success_rate == 2 / 3
+
     def test_empty_suite(self):
         report = evaluate_suite([], lambda req: ProposalSet())
         assert report.lemma_success_rate == 0.0

@@ -343,6 +343,15 @@ class TestHttp:
         assert len(got.proposals) == 1
         assert got.parse_failures == 1
 
+    def test_non_decimal_digit_counted(self, stub_server, octo_templates):
+        stub_server.completions = ["(bound \u00b2)", octo_templates["assoc"].canonical]
+        got = propose_http(
+            ProposalRequest(symbols=OCTO_SYMBOLS),
+            HttpProposerConfig(url=stub_server.url),
+        )
+        assert got.canonicals() == [octo_templates["assoc"].canonical]
+        assert got.parse_failures == 1
+
     def test_duplicates_removed(self, stub_server, octo_templates):
         c = octo_templates["assoc"].canonical
         stub_server.completions = [c, c]

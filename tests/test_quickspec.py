@@ -340,6 +340,15 @@ CONGRUENCE_CASES = {
     ),
     "list-5": (list_sig, 5, 400),
     "list-5-few-tests": (list_sig, 5, 3),
+    "list-6": (list_sig, 6, 400),
+    # A nullary symbol named like the variable x1: neither matches the other.
+    "intmod-4-symbol-named-x1": (
+        lambda: int_mod_sig(
+            [PLUS, ZERO, TIMES, InterpSymbol("x1", INT, 1)], vars_per_sort=3
+        ),
+        4,
+        400,
+    ),
 }
 
 
@@ -839,3 +848,52 @@ class TestLoadSignatureChecks:
         for value in bad:
             with pytest.raises(LemmakitError, match="symbol 0: field 'value'"):
                 self._load(tmp_path, SORT_DECLS["mod"], symbol(value))
+
+
+INT_BUILTINS = ("int_add", "int_sub", "int_mul", "int_pow")
+
+
+class TestIntBuiltinModulus:
+    """An int builtin reduces by the modulus of its own result sort, and not
+    at all on a range sort."""
+
+    def _load(self, tmp_path, sorts, sort_names):
+        symbols = [
+            {"name": f"{op}_{sort}", "type": render_type(_arrow((TCon(sort),) * 3)),
+             "builtin": op}
+            for sort in sort_names
+            for op in INT_BUILTINS
+        ]
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"sorts": sorts, "symbols": symbols}))
+        return load_interpreted_signature(path).by_name
+
+    def test_two_mod_sorts(self, tmp_path):
+        sorts = [{"name": "z5", "mod": 5}, {"name": "z7", "mod": 7}]
+        fns = self._load(tmp_path, sorts, ["z5", "z7"])
+        for sort, mod in (("z5", 5), ("z7", 7)):
+            got = [fns[f"{op}_{sort}"].fn(6, 3) for op in INT_BUILTINS]
+            assert got == [9 % mod, 3 % mod, 18 % mod, 216 % mod]
+
+    def test_mod_sort_beside_range_sort(self, tmp_path):
+        sorts = [{"name": "z5", "mod": 5}, {"name": "nat", "max": 30}]
+        fns = self._load(tmp_path, sorts, ["z5", "nat"])
+        assert [fns[f"{op}_nat"].fn(6, 3) for op in INT_BUILTINS] == [9, 3, 18, 216]
+        assert [fns[f"{op}_z5"].fn(6, 3) for op in INT_BUILTINS] == [4, 3, 3, 1]
+
+    def test_false_law_of_the_first_modulus_not_emitted(self, tmp_path):
+        z7 = TCon("z7")
+        sorts = [{"name": "z5", "mod": 5}, {"name": "z7", "mod": 7}]
+        symbols = [
+            {"name": "plus7", "type": render_type(_arrow((z7, z7, z7))),
+             "builtin": "int_add", "infix": "+"},
+            {"name": "six", "type": render_type(z7), "value": 6},
+            {"name": "one", "type": render_type(z7), "value": 1},
+        ]
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"sorts": sorts, "symbols": symbols}))
+        sig = load_interpreted_signature(path)
+        classes = partition_by_testing(enumerate_terms(sig, 3), sig, 400, 0)
+        # Reduced mod 5, six + x4 and one + x4 agree on every test.
+        shown = [pretty_law(law, sig) for law in emit_laws(classes)]
+        assert shown == ["x5 + x4 = x4 + x5"]

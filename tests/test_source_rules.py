@@ -1,7 +1,8 @@
 """Source rules for src/lemmakit: modules share only public names, every
-import sits at module level, where a reader of the module sees it, and
-nothing outside the standard library is imported, so lemmakit has no
-runtime dependency."""
+import sits at module level, where a reader of the module sees it, nothing
+outside the standard library is imported, so lemmakit has no runtime
+dependency, and no nested function is recursive, so no call leaves a
+reference cycle for the collector."""
 
 import ast
 import sys
@@ -23,8 +24,9 @@ def _private(name: str) -> bool:
 
 def rule_violations(source: str) -> list[str]:
     """Line-tagged violations in one lemmakit module's source: a private name
-    taken from another lemmakit module, an import inside a function, or an
-    import of a module outside the standard library."""
+    taken from another lemmakit module, an import inside a function, an
+    import of a module outside the standard library, or a recursive
+    function nested in a function."""
     tree = ast.parse(source)
     out = []
     aliases = set()  # local names bound to lemmakit modules
@@ -63,6 +65,36 @@ def rule_violations(source: str) -> list[str]:
             for inner in ast.walk(node):
                 if isinstance(inner, (ast.Import, ast.ImportFrom)):
                     out.append(f"{inner.lineno}: import inside {node.name}")
+            out += [
+                f"{f.lineno}: recursive closure {f.name} in {node.name}"
+                for f in _recursive_closures(node)
+            ]
+    return out
+
+
+def _recursive_closures(fn: ast.AST) -> list[ast.AST]:
+    """The functions nested in `fn` that refer to themselves, directly or
+    through other functions nested in `fn`.  Each such closure holds itself
+    through its cell, so every call of `fn` leaves a reference cycle."""
+    nested = {
+        f.name: f
+        for f in ast.walk(fn)
+        if f is not fn and isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    refers = {
+        name: {n.id for n in ast.walk(f) if isinstance(n, ast.Name)} & nested.keys()
+        for name, f in nested.items()
+    }
+    out = []
+    for name, f in nested.items():
+        seen, todo = set(), list(refers[name])
+        while todo:
+            g = todo.pop()
+            if g not in seen:
+                seen.add(g)
+                todo += refers[g]
+        if name in seen:
+            out.append(f)
     return out
 
 
@@ -85,12 +117,27 @@ def f():
 
 import json, requests.adapters
 from urllib.request import urlopen
+
+
+def parity(n):
+    def even(k):
+        return k == 0 or odd(k - 1)
+
+    def odd(k):
+        return k != 0 and even(k - 1)
+
+    def show(k):
+        return str(even(k))
+
+    return show(n)
 '''
     assert rule_violations(source) == [
         "2: imports _unify",
         "4: imports _BASE",
         "8: import inside f",
         "12: imports third-party requests",
+        "17: recursive closure even in parity",
+        "20: recursive closure odd in parity",
         "9: uses inst._FreshNames",
     ]
 

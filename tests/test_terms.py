@@ -10,7 +10,14 @@ import pytest
 import lemmakit
 
 from lemmakit.instantiation import instantiate
-from lemmakit.templates import abstract
+from lemmakit.quickspec import (
+    InterpretedSignature,
+    InterpSymbol,
+    IntListSort,
+    IntRangeSort,
+    enumerate_terms,
+)
+from lemmakit.templates import abstract, pretty_term
 from lemmakit.terms import (
     MAX_DEPTH,
     Abs,
@@ -134,6 +141,15 @@ class TestParseRenderTerms:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(TermSyntaxError):
             parse_term("(bound 0) (bound 1)")
+
+    @pytest.mark.parametrize("text, offset", [("(bound ²)", 7), ("(bound 1²)", 8)])
+    def test_non_decimal_digit_rejected_at_its_offset(self, text, offset):
+        with pytest.raises(TermSyntaxError, match="unexpected character '²'") as exc:
+            parse_term(text)
+        assert exc.value.offset == offset
+
+    def test_decimal_digits_of_any_script_still_parse(self):
+        assert parse_term("(bound ٣)") == Bound(3)
 
 
 def _render_term_recursive(t):
@@ -584,9 +600,27 @@ def _garbage_after(call):
             gc.enable()
 
 
+def _list_signature():
+    lst, num = TCon("list"), TCon("int")
+    return InterpretedSignature(
+        sorts=[IntListSort("list", 5, 10), IntRangeSort("int", 0, 25)],
+        symbols=[
+            InterpSymbol("append", fun(lst, fun(lst, lst)), lambda a, b: a + b),
+            InterpSymbol("rev", fun(lst, lst), lambda a: tuple(reversed(a))),
+            InterpSymbol("len", fun(lst, num), len),
+            InterpSymbol("plus", fun(num, fun(num, num)), lambda a, b: a + b),
+            InterpSymbol("zero", num, 0),
+        ],
+    )
+
+
 class TestNoReferenceCycles:
     @pytest.mark.parametrize(
-        "name", ["render_term", "alpha_key", "alpha_equal", "alpha_unequal", "instantiate"]
+        "name",
+        [
+            "render_term", "alpha_key", "alpha_equal", "alpha_unequal", "instantiate",
+            "enumerate_terms", "abstract", "pretty_term",
+        ],
     )
     def test_call_leaves_no_cycle(self, name, lemma_distrib_left, lemma_assoc_plus):
         t = _quantify(lemma_distrib_left)
@@ -600,11 +634,15 @@ class TestNoReferenceCycles:
             SignatureEntry("Octonions.octo_times", binop, None),
         ]
         assert len(instantiate(tpl, ops).conjectures) == 9
+        sig = _list_signature()
         call = {
             "render_term": lambda: render_term(t),
             "alpha_key": lambda: alpha_key(t),
             "alpha_equal": lambda: alpha_equal(t, t),
             "alpha_unequal": lambda: alpha_equal(t, other),
             "instantiate": lambda: instantiate(tpl, ops),
+            "enumerate_terms": lambda: enumerate_terms(sig, 6),
+            "abstract": lambda: abstract(lemma_distrib_left),
+            "pretty_term": lambda: pretty_term(t),
         }[name]
         assert _garbage_after(call) == 0
