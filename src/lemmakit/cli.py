@@ -95,6 +95,16 @@ def _jdump(d: dict) -> str:
     return json.dumps(d, sort_keys=True, ensure_ascii=False)
 
 
+def _conjecture_fields(c) -> dict:
+    """A conjecture's output line as a dict: its term, template and hole
+    assignment."""
+    return {
+        "term": render_term(c.term),
+        "template": c.template_canonical,
+        "assignment": {str(i): n for i, n in c.assignment.mapping},
+    }
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -133,15 +143,7 @@ def cmd_conjecture(args) -> int:
             all_conjectures.append(replace(c, source_proposer=p.source))
     deduped, removed = eval_mod.dedupe(all_conjectures)
     lines = [
-        _jdump(
-            {
-                "term": render_term(c.term),
-                "template": c.template_canonical,
-                "assignment": {str(i): n for i, n in c.assignment.mapping},
-                "proposer": c.source_proposer,
-            }
-        )
-        for c in deduped
+        _jdump({**_conjecture_fields(c), "proposer": c.source_proposer}) for c in deduped
     ]
     _write_lines(_out(args), lines)
     summary = (
@@ -255,16 +257,7 @@ def cmd_instantiate(args) -> int:
             tpl = parse_template(fh.read().strip())
     symbols = corpus_mod.load_signature(args.symbols)
     res = instantiate(tpl, symbols, _budget(args))
-    lines = [
-        _jdump(
-            {
-                "term": render_term(c.term),
-                "template": c.template_canonical,
-                "assignment": {str(i): n for i, n in c.assignment.mapping},
-            }
-        )
-        for c in res.conjectures
-    ]
+    lines = [_jdump(_conjecture_fields(c)) for c in res.conjectures]
     _write_lines(_out(args), lines)
     print(
         f"conjectures={len(res.conjectures)} capped={res.capped} "

@@ -222,13 +222,13 @@ def _build(node: Term, mapping: dict[int, str], fill) -> Term:
     return node
 
 
-def feasible(
-    tpl: Template,
-    candidates: list[SignatureEntry],
-    timeout_millis: int = 1000,
-) -> bool:
-    """True iff at least one well-typed full assignment exists in time."""
+FEASIBLE_TIMEOUT_MILLIS = 1000
+
+
+def feasible(tpl: Template, candidates: list[SignatureEntry]) -> bool:
+    """True iff at least one well-typed full assignment exists within
+    FEASIBLE_TIMEOUT_MILLIS."""
     res = instantiate(
-        tpl, candidates, Budget(timeout_millis=timeout_millis, max_results=1)
+        tpl, candidates, Budget(timeout_millis=FEASIBLE_TIMEOUT_MILLIS, max_results=1)
     )
     return bool(res.conjectures)

@@ -72,8 +72,8 @@ class TemplateIndex:
     """Frequency map over canonical template strings.
 
     The index also remembers propose_retrieval's feasibility answers, keyed by
-    (canonical, timeout, set of candidate types), so the memo grows by one
-    entry per template and distinct candidate type set.
+    (canonical, set of candidate types), so the memo grows by one entry per
+    template and distinct candidate type set.
     A search that hit its deadline is remembered as False, the answer
     `feasible` gave.  Worker threads share the memo: a dict read or write is
     atomic, and two threads that miss on one key store the same answer.
@@ -83,7 +83,7 @@ class TemplateIndex:
         self.counts: dict[str, int] = {}
         self.total = 0
         self._parsed: dict[str, Template] = {}
-        self._feasible: dict[tuple[str, int, frozenset[TypeExpr]], bool] = {}
+        self._feasible: dict[tuple[str, frozenset[TypeExpr]], bool] = {}
         # One object per distinct candidate type set, so that memo keys
         # holding it compare by identity instead of type by type.
         self._type_sets: dict[frozenset[TypeExpr], frozenset[TypeExpr]] = {}
@@ -144,9 +144,7 @@ def build_index(datapoints) -> TemplateIndex:
     return idx
 
 
-def propose_retrieval(
-    req: ProposalRequest, idx: TemplateIndex, feas_timeout_millis: int = 1000
-) -> ProposalSet:
+def propose_retrieval(req: ProposalRequest, idx: TemplateIndex) -> ProposalSet:
     """Feasible index templates ranked by frequency (desc), then fewer holes,
     then canonical string; scores are corpus frequencies.
 
@@ -164,10 +162,10 @@ def propose_retrieval(
     ranked = []
     for canonical, count in idx.counts.items():
         tpl = idx.template(canonical)
-        key = (canonical, feas_timeout_millis, types)
+        key = (canonical, types)
         ok = idx._feasible.get(key)
         if ok is None:
-            ok = idx._feasible[key] = feasible(tpl, candidates, feas_timeout_millis)
+            ok = idx._feasible[key] = feasible(tpl, candidates)
         if ok:
             ranked.append((tpl, count))
     ranked.sort(key=lambda tc: (-tc[1], tc[0].hole_count, tc[0].canonical))
@@ -247,25 +245,18 @@ def propose_http(req: ProposalRequest, config: HttpProposerConfig) -> ProposalSe
     if not isinstance(completions, list):
         raise TransportError("malformed response body: 'completions' must be a list")
 
-    out = ProposalSet()
-    seen: set[str] = set()
+    templates = []
+    failures = 0
     for i, text in enumerate(completions):
         if not isinstance(text, str):
             raise TransportError(
                 f"malformed response body: completion {i} must be a string"
             )
         try:
-            tpl = parse_template(text.strip())
+            templates.append(parse_template(text.strip()))
         except LemmakitError:
-            out.parse_failures += 1
-            continue
-        if tpl.canonical in seen:
-            continue
-        seen.add(tpl.canonical)
-        out.proposals.append(
-            Proposal(template=tpl, score=1.0 / (len(out.proposals) + 1), source="http")
-        )
-    return out
+            failures += 1
+    return ProposalSet(_ranked(templates, "http"), failures)
 
 
 def load_templates_file(path) -> list[Template]:
@@ -279,15 +270,18 @@ def load_templates_file(path) -> list[Template]:
 
 def propose_fixed(req: ProposalRequest, templates: list[Template]) -> ProposalSet:
     """The first req.k distinct templates of a loaded list, in list order."""
-    out = ProposalSet()
-    seen: set[str] = set()
+    return ProposalSet(_ranked(templates, "fixed", req.k))
+
+
+def _ranked(templates: list[Template], source: str, k: int | None = None) -> list[Proposal]:
+    """The first k distinct templates (by canonical string) in list order,
+    all of them without k, each scored 1/rank."""
+    distinct: dict[str, Template] = {}
     for tpl in templates:
-        if tpl.canonical in seen:
-            continue
-        seen.add(tpl.canonical)
-        out.proposals.append(
-            Proposal(template=tpl, score=1.0 / (len(out.proposals) + 1), source="fixed")
-        )
-        if len(out.proposals) >= req.k:
+        if len(distinct) == k:
             break
-    return out
+        distinct.setdefault(tpl.canonical, tpl)
+    return [
+        Proposal(template=tpl, score=1.0 / rank, source=source)
+        for rank, tpl in enumerate(distinct.values(), 1)
+    ]

@@ -738,37 +738,42 @@ def _totient(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(n, k) == 1)
 
 
+# Each builtin's argument kinds, then its result kind, and its function.
+_BUILTINS = {
+    "int_add": (("int", "int", "int"), operator.add),
+    "int_sub": (("int", "int", "int"), operator.sub),
+    "int_mul": (("int", "int", "int"), operator.mul),
+    "int_pow": (("int", "int", "int"), operator.pow),
+    "int_le": (("int", "int", "bool"), operator.le),
+    "bool_and": (("bool", "bool", "bool"), lambda a, b: a and b),
+    "bool_or": (("bool", "bool", "bool"), lambda a, b: a or b),
+    "bool_not": (("bool", "bool"), operator.not_),
+    "bool_implies": (("bool", "bool", "bool"), lambda a, b: (not a) or b),
+    "list_append": (("list", "list", "list"), operator.add),
+    "list_rev": (("list", "list"), lambda a: tuple(reversed(a))),
+    "list_len": (("list", "int"), len),
+    "totient": (("int", "int"), _totient),
+}
+
+
 def builtin_evaluators(sorts: dict[str, Sort]) -> dict[str, object]:
     """Evaluators by builtin name, for symbols whose result sort is in
-    `sorts`: the int builtins reduce by the modulus of a mod sort there, and
-    not at all without one.  The loader passes each symbol its own sort."""
+    `sorts`: every builtin with an int result reduces by the modulus of a
+    mod sort there, and not at all without one.  The loader passes each
+    symbol its own result sort."""
     mod = next((s.mod for s in sorts.values() if isinstance(s, IntModSort)), None)
+    out = {name: fn for name, (_, fn) in _BUILTINS.items()}
     if mod:
-        int_ops = {
-            "int_add": lambda a, b: (a + b) % mod,
-            "int_sub": lambda a, b: (a - b) % mod,
-            "int_mul": lambda a, b: a * b % mod,
-            "int_pow": lambda a, b: pow(a, b, mod),
-        }
-    else:
-        int_ops = {
-            "int_add": operator.add,
-            "int_sub": operator.sub,
-            "int_mul": operator.mul,
-            "int_pow": operator.pow,
-        }
-    return {
-        **int_ops,
-        "int_le": lambda a, b: a <= b,
-        "bool_and": lambda a, b: a and b,
-        "bool_or": lambda a, b: a or b,
-        "bool_not": lambda a: not a,
-        "bool_implies": lambda a, b: (not a) or b,
-        "list_append": lambda a, b: a + b,
-        "list_rev": lambda a: tuple(reversed(a)),
-        "list_len": lambda a: len(a),
-        "totient": _totient,
-    }
+        for name, (kinds, fn) in _BUILTINS.items():
+            if kinds[-1] == "int":
+                out[name] = _reduced(fn, mod)
+        # Three-argument pow never builds a ** b.
+        out["int_pow"] = lambda a, b: pow(a, b, mod)
+    return out
+
+
+def _reduced(fn, mod: int):
+    return lambda *args: fn(*args) % mod
 
 
 _SIGNATURE_FIELDS = {
@@ -799,17 +804,6 @@ _KINDS = {
     "int": ("an integer", _is_int),
     "bool": ("a boolean", lambda v: isinstance(v, bool)),
     "list": ("a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
-}
-# Each builtin's argument kinds, then its result kind.
-_BUILTIN_KINDS = {
-    **dict.fromkeys(("int_add", "int_sub", "int_mul", "int_pow"), ("int", "int", "int")),
-    "int_le": ("int", "int", "bool"),
-    **dict.fromkeys(("bool_and", "bool_or", "bool_implies"), ("bool", "bool", "bool")),
-    "bool_not": ("bool", "bool"),
-    "list_append": ("list", "list", "list"),
-    "list_rev": ("list", "list"),
-    "list_len": ("list", "int"),
-    "totient": ("int", "int"),
 }
 
 
@@ -883,7 +877,7 @@ def load_interpreted_signature(path) -> InterpretedSignature:
         args, res = sig.profile[sym.name]
         kinds = tuple(_SORT_KINDS[type(sig.sorts[s])] for s in (*args, res))
         if "value" not in d:
-            want = _BUILTIN_KINDS[d["builtin"]]
+            want = _BUILTINS[d["builtin"]][0]
             if kinds != want:
                 raise LemmakitError(
                     f"{where}: field 'type' must be {' => '.join(want)} for builtin "

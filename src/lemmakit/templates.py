@@ -5,6 +5,10 @@ whitelist of generic logical symbols become indexed holes (one index per
 constant name), type annotations are generalized by replacing maximal
 non-function subtrees with shared type variables, and free variables /
 binders / type variables get canonical names (x1.., y0.., a0..).
+
+`abstract` builds a template in one walk, and `parse_template` checks one in
+one walk.  Only a hole met at several types (a polymorphic constant) costs
+`abstract` a second pass and the check.  Equal annotations are one object.
 """
 
 from __future__ import annotations
@@ -26,16 +30,13 @@ from .terms import (
     TypeExpr,
     TypecheckError,
     UnificationError,
-    annotations,
     apply_type_subst,
-    fun,
     is_fun,
     map_types,
     parse_term,
     render_term,
     resolve,
     strip_spine,
-    subterms,
     type_vars,
     typecheck,
     unify_into,
@@ -106,8 +107,6 @@ def load_whitelist(path) -> Whitelist:
     return Whitelist(prefixes=frozenset(prefixes), exact=frozenset(exact))
 
 
-
-
 @dataclass(frozen=True, eq=False)
 class Template:
     """A canonical hole-bearing term plus hole metadata.
@@ -128,73 +127,68 @@ class Template:
 
 
 # ---------------------------------------------------------------------------
-# Validation shared by abstract() and parse_template()
+# Validation
 
 
-def _abs_depths(t: Term, depth: int = 0):
-    if isinstance(t, Abs):
-        yield t, depth
-        yield from _abs_depths(t.body, depth + 1)
-    elif isinstance(t, App):
-        yield from _abs_depths(t.fn, depth)
-        yield from _abs_depths(t.arg, depth)
+def _validate_template(body: Term, w: Whitelist) -> dict[int, TypeExpr]:
+    """The hole types of a template body, by index.
 
-
-def _validate_template(body: Term, w: Whitelist) -> tuple[int, dict[int, TypeExpr]]:
-    for s in subterms(body):
-        if isinstance(s, Const) and not w.contains(s.name):
-            raise NonCanonical(f"non-whitelist constant {s.name!r} in template")
-
-    hole_order: list[int] = []
+    One preorder walk notes the first offence of each kind.  NonCanonical
+    names the first kind broken, in this order: a non-whitelist constant, a
+    hole at two types, hole indices not 1..n by first occurrence, free names
+    not x1..xn, a binder not y<depth>, type variables not a0..  `_template`
+    then checks typing.
+    """
+    foreign = clash = binder = None
     hole_types: dict[int, TypeExpr] = {}
-    for s in subterms(body):
-        if isinstance(s, Hole):
-            if s.index not in hole_order:
-                hole_order.append(s.index)
-                hole_types[s.index] = s.type
-            elif hole_types[s.index] != s.type:
-                raise NonCanonical(
-                    f"hole {s.index} occurs with differing type annotations"
-                )
-    if hole_order != list(range(1, len(hole_order) + 1)):
-        raise NonCanonical(f"hole indices {hole_order} are not 1..n by first occurrence")
-
-    frees: list[str] = []
-    for s in subterms(body):
-        if isinstance(s, Free) and s.name not in frees:
-            frees.append(s.name)
-    if frees != [f"x{i}" for i in range(1, len(frees) + 1)]:
-        raise NonCanonical(f"free variables {frees} are not x1..xn by first occurrence")
-
-    for node, depth in _abs_depths(body):
-        if node.binder != f"y{depth}":
-            raise NonCanonical(
-                f"binder {node.binder!r} at nesting depth {depth} should be y{depth}"
-            )
-
+    frees: dict[str, None] = {}
     tvars: list[str] = []
-    for ann in annotations(body):
-        type_vars(ann, tvars)
+    stack = [(body, 0)]
+    while stack:
+        node, depth = stack.pop()
+        cls = node.__class__
+        if cls is App:
+            stack.append((node.arg, depth))
+            stack.append((node.fn, depth))
+        elif cls is Abs:
+            if binder is None and node.binder != f"y{depth}":
+                binder = f"binder {node.binder!r} at nesting depth {depth} should be y{depth}"
+            type_vars(node.binder_type, tvars)
+            stack.append((node.body, depth + 1))
+        elif cls is not Bound:
+            if cls is Const:
+                if foreign is None and not w.contains(node.name):
+                    foreign = f"non-whitelist constant {node.name!r} in template"
+            elif cls is Free:
+                frees[node.name] = None
+            else:
+                seen = hole_types.setdefault(node.index, node.type)
+                if clash is None and seen is not node.type and seen != node.type:
+                    clash = f"hole {node.index} occurs with differing type annotations"
+            type_vars(node.type, tvars)
+
+    if foreign or clash:
+        raise NonCanonical(foreign or clash)
+    holes = list(hole_types)
+    if holes != list(range(1, len(holes) + 1)):
+        raise NonCanonical(f"hole indices {holes} are not 1..n by first occurrence")
+    names = list(frees)
+    if names != [f"x{i}" for i in range(1, len(names) + 1)]:
+        raise NonCanonical(f"free variables {names} are not x1..xn by first occurrence")
+    if binder:
+        raise NonCanonical(binder)
     if tvars != [f"a{i}" for i in range(len(tvars))]:
         raise NonCanonical(f"type variables {tvars} are not a0.. by first occurrence")
+    return hole_types
 
+
+def _template(body: Term, hole_types: dict[int, TypeExpr]) -> Template:
+    """The template of a canonical body; NonCanonical if it does not typecheck."""
     try:
         typecheck(body, None)
     except TypecheckError as e:
         raise NonCanonical(f"template does not typecheck: {e}") from e
-
-    return len(hole_order), hole_types
-
-
-def _make_template(body: Term, w: Whitelist) -> Template:
-    # Equal annotations become one shared object, so instantiate resolves and
-    # render_term renders each distinct type once per conjecture.
-    shared: dict[TypeExpr, TypeExpr] = {}
-    body = map_types(body, lambda ty: shared.setdefault(ty, ty))
-    count, types = _validate_template(body, w)
-    return Template(
-        body=body, hole_count=count, hole_types=types, canonical=render_term(body)
-    )
+    return Template(body, len(hole_types), hole_types, render_term(body))
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +200,24 @@ class _Abstraction:
 
     def __init__(self, w: Whitelist) -> None:
         self.w = w
-        self.gmap: dict[TypeExpr, TVar] = {}
+        self.types: dict[TypeExpr, TypeExpr] = {}
+        self.tvars = 0
         self.holes: dict[str, int] = {}
         self.occ_types: dict[int, list[TypeExpr]] = {}
         self.fmap: dict[str, str] = {}
 
     def gen(self, ty: TypeExpr) -> TypeExpr:
-        if is_fun(ty):
-            return fun(self.gen(ty.args[0]), self.gen(ty.args[1]))
-        got = self.gmap.get(ty)
+        """`ty` with each maximal non-function subtree replaced by a type
+        variable, named a0, a1, ... as first met.  Equal types give one
+        object."""
+        got = self.types.get(ty)
         if got is None:
-            got = self.gmap[ty] = TVar(f"?g{len(self.gmap)}")
+            if is_fun(ty):
+                got = TCon(ty.name, tuple(map(self.gen, ty.args)))
+            else:
+                got = TVar(f"a{self.tvars}")
+                self.tvars += 1
+            self.types[ty] = got
         return got
 
     def go(self, node: Term, depth: int) -> Term:
@@ -236,7 +237,27 @@ class _Abstraction:
             return Abs(
                 f"y{depth}", self.gen(node.binder_type), self.go(node.body, depth + 1)
             )
-        return App(self.go(node.fn, depth), self.go(node.arg, depth))
+        if isinstance(node, App):
+            return App(self.go(node.fn, depth), self.go(node.arg, depth))
+        raise IllTyped("input term already contains holes")
+
+    def merge_hole_types(self, body: Term) -> Term:
+        """`body` with each hole's occurrence types unified, and its type
+        variables named a0, a1, ... by first occurrence again."""
+        # The unifier sees gen's variables as ?g0, ?g1, ..., the names that
+        # its errors show.
+        pre = {f"a{i}": TVar(f"?g{i}") for i in range(self.tvars)}
+        s: dict[str, TypeExpr] = {}
+        try:
+            for ts in self.occ_types.values():
+                for other in ts[1:]:
+                    unify_into(s, apply_type_subst(pre, ts[0]), apply_type_subst(pre, other))
+        except UnificationError as e:
+            raise IllTyped(f"cannot reconcile hole occurrence types: {e}") from e
+        # Resolved types are built of function types and variables alone, so
+        # a fresh gen renames them; map_types meets annotations in preorder.
+        rename = _Abstraction(self.w).gen
+        return map_types(body, lambda ty: rename(resolve(s, apply_type_subst(pre, ty))))
 
 
 def abstract(t: Term, w: Whitelist | None = None, sig: Signature | None = None) -> Template:
@@ -246,41 +267,23 @@ def abstract(t: Term, w: Whitelist | None = None, sig: Signature | None = None) 
     first-occurrence order); all type annotations are generalized by mapping
     each maximal non-function type subtree to a type variable, identical
     subtrees sharing one variable; frees, binders and type variables are
-    canonically renamed.
+    canonically renamed.  Equal annotations in the template are one object.
     """
     if w is None:
         w = default_whitelist()
-    if any(isinstance(s, Hole) for s in subterms(t)):
-        raise IllTyped("input term already contains holes")
+    walk = _Abstraction(w)
+    body = walk.go(t, 0)
     try:
         typecheck(t, sig)
     except TypecheckError as e:
         raise IllTyped(str(e)) from e
-
-    walk = _Abstraction(w)
-    body = walk.go(t, 0)
-
+    hole_types = {i: ts[0] for i, ts in walk.occ_types.items()}
     # A polymorphic constant may occur at several generalized types; the
-    # template invariant requires one annotation per hole, so unify them.
-    need_merge = any(len(set(ts)) > 1 for ts in walk.occ_types.values())
-    if need_merge:
-        s: dict[str, TypeExpr] = {}
-        try:
-            for ts in walk.occ_types.values():
-                for other in ts[1:]:
-                    unify_into(s, ts[0], other)
-        except UnificationError as e:
-            raise IllTyped(f"cannot reconcile hole occurrence types: {e}") from e
-        body = map_types(body, lambda ty: resolve(s, ty))
-
-    # Canonical type-variable names by first occurrence.
-    order: list[str] = []
-    for ann in annotations(body):
-        type_vars(ann, order)
-    ren = {name: TVar(f"a{i}") for i, name in enumerate(order)}
-    body = map_types(body, lambda ty: apply_type_subst(ren, ty))
-
-    return _make_template(body, w)
+    # template invariant requires one annotation per hole.
+    if any(ty is not ts[0] for ts in walk.occ_types.values() for ty in ts):
+        body = walk.merge_hole_types(body)
+        hole_types = _validate_template(body, w)
+    return _template(body, hole_types)
 
 
 def parse_template(text: str, w: Whitelist | None = None) -> Template:
@@ -288,12 +291,13 @@ def parse_template(text: str, w: Whitelist | None = None) -> Template:
 
     This is the gate applied to proposer completions: the text must parse as
     a term and satisfy every template invariant, otherwise NonCanonical (or a
-    syntax error) is raised.
+    syntax error) is raised.  Equal annotations in the template are one
+    object, as the parser returns them.
     """
     if w is None:
         w = default_whitelist()
     body = parse_term(text)
-    return _make_template(body, w)
+    return _template(body, _validate_template(body, w))
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +317,8 @@ _INFIX = {
 _QUANT = {"HOL.All": "∀", "HOL.Ex": "∃", "Pure.all": "⋀"}
 
 
-def pretty_term(t: Term, binders: list[str] | None = None) -> str:
-    return _pretty(t, [] if binders is None else binders)[0]
+def pretty_term(t: Term) -> str:
+    return _pretty(t, [])[0]
 
 
 def _wrap(s: str, atomic: bool) -> str:

@@ -234,15 +234,6 @@ def subterms(t: Term):
         yield from subterms(t.arg)
 
 
-def annotations(t: Term):
-    """All type annotations in term preorder (Abs binder types included)."""
-    for s in subterms(t):
-        if isinstance(s, (Const, Free, Hole)):
-            yield s.type
-        elif isinstance(s, Abs):
-            yield s.binder_type
-
-
 def map_types(t: Term, f) -> Term:
     if isinstance(t, Const):
         return Const(t.name, f(t.type))
@@ -447,6 +438,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.end = len(text)
+        self.types: dict[tuple, TypeExpr] = {}
 
     def peek(self):
         if self.pos >= len(self.tokens):
@@ -471,18 +463,19 @@ class _Parser:
     def type_expr(self) -> TypeExpr:
         self.next("(")
         kind, head, off = self.next("atom")
-        if head == "tv":
-            name = self.next("str")[1]
-            self.next(")")
-            return TVar(name)
-        if head == "tc":
-            name = self.next("str")[1]
-            args: list[TypeExpr] = []
-            while not self.at_close():
-                args.append(self.type_expr())
-            self.next(")")
-            return TCon(name, tuple(args))
-        raise TermSyntaxError(f"expected type constructor, got {head!r}", off)
+        if head != "tv" and head != "tc":
+            raise TermSyntaxError(f"expected type constructor, got {head!r}", off)
+        name = self.next("str")[1]
+        args: list[TypeExpr] = []
+        while head == "tc" and not self.at_close():
+            args.append(self.type_expr())
+        self.next(")")
+        # Equal types in one parse are one object, so arguments compare by id.
+        key = (head, name, *map(id, args))
+        ty = self.types.get(key)
+        if ty is None:
+            ty = self.types[key] = TVar(name) if head == "tv" else TCon(name, tuple(args))
+        return ty
 
     def term(self) -> Term:
         self.next("(")
@@ -523,6 +516,7 @@ class _Parser:
 
 
 def parse_type(text: str) -> TypeExpr:
+    """The type an s-expression denotes; equal subtypes are one object."""
     p = _Parser(text)
     t = p.type_expr()
     p.finish()
@@ -530,6 +524,7 @@ def parse_type(text: str) -> TypeExpr:
 
 
 def parse_term(text: str) -> Term:
+    """The term an s-expression denotes; equal types in it are one object."""
     p = _Parser(text)
     t = p.term()
     p.finish()

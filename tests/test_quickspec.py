@@ -27,6 +27,7 @@ from lemmakit.quickspec import (
     law_to_equation,
     load_interpreted_signature,
     make_valuations,
+    pretty_interp_term,
     pretty_law,
     reverify_laws,
     term_size,
@@ -897,3 +898,27 @@ class TestIntBuiltinModulus:
         # Reduced mod 5, six + x4 and one + x4 agree on every test.
         shown = [pretty_law(law, sig) for law in emit_laws(classes)]
         assert shown == ["x5 + x4 = x4 + x5"]
+
+    def test_len_and_totient_reduce_on_a_mod_sort(self, tmp_path):
+        z3, lst = TCon("z3"), TCon("list")
+        sorts = [{"name": "z3", "mod": 3}, {"name": "list", "max_len": 5}]
+        symbols = [
+            {"name": "zero", "type": render_type(z3), "value": 0},
+            {"name": "plus", "type": render_type(_arrow((z3, z3, z3))),
+             "builtin": "int_add", "infix": "+"},
+            {"name": "len", "type": render_type(_arrow((lst, z3))), "builtin": "list_len"},
+            {"name": "phi", "type": render_type(_arrow((z3, z3))), "builtin": "totient"},
+        ]
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps({"sorts": sorts, "symbols": symbols}))
+        sig = load_interpreted_signature(path)
+        assert sig.by_name["len"].fn((1, 2, 3, 4)) == 1
+        assert sig.by_name["phi"].fn(5) == 1
+        terms = enumerate_terms(sig, 4)
+        valuations = make_valuations(sig, sig.variables(), 400, 0)
+        cols = evaluate_columns(terms, sig, valuations)
+        shown = {pretty_interp_term(t, sig): cols[id(t)] for t in terms}
+        for text in ("len x4", "len x5", "len x6", "phi x1", "zero + (len x4)"):
+            assert set(shown[text]) <= {0, 1, 2}, text
+        # Both sides of the emitted law `zero + x1 = x1`, at x1 = len x4.
+        assert shown["zero + (len x4)"] is shown["len x4"]

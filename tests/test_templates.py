@@ -16,13 +16,14 @@ from lemmakit.templates import (
 from lemmakit.terms import (
     Abs,
     App,
+    Bound,
     Const,
     Free,
     Hole,
     TCon,
     TVar,
     TermSyntaxError,
-    annotations,
+    TypecheckError,
     fun,
     map_types,
     parse_term,
@@ -30,12 +31,23 @@ from lemmakit.terms import (
     render_term,
     render_type,
     subterms,
+    type_vars,
     typecheck,
 )
 
 from oracles import random_lemma_term
 
 OCTO = TCon("Octonions.octo")
+BOOL = TCon("HOL.bool")
+
+
+def annotations(t):
+    """All type annotations in term preorder (Abs binder types included)."""
+    for s in subterms(t):
+        if isinstance(s, (Const, Free, Hole)):
+            yield s.type
+        elif isinstance(s, Abs):
+            yield s.binder_type
 
 
 class TestWhitelist:
@@ -135,6 +147,22 @@ class TestAbstract:
     def test_rejects_hole_in_input(self):
         with pytest.raises(IllTyped):
             abstract(Hole(1, TVar("'a")))
+
+    def test_function_type_of_any_arity_generalizes_each_argument(self):
+        # A "fun" with one argument raised IndexError; with three, the third
+        # was dropped.
+        nat = TCon("Nat.nat")
+        for args, want in (
+            ((nat,), '(tv "a0")'),
+            ((nat, BOOL, nat), '(tv "a0") (tv "a1") (tv "a0")'),
+        ):
+            odd = TCon("fun", args)
+            x = Free("x", odd)
+            tpl = abstract(App(App(Const("HOL.eq", fun(odd, fun(odd, BOOL))), x), x))
+            assert f'(free "x1" (tc "fun" {want}))' in tpl.canonical
+            assert parse_template(tpl.canonical) == tpl
+            with pytest.raises(IllTyped):
+                abstract(App(x, Free("y", nat)))
 
     def test_custom_whitelist_keeps_symbol(self, lemma_assoc_plus):
         w = Whitelist(
@@ -242,3 +270,225 @@ class TestSharedAnnotations:
         assert any(isinstance(s, Abs) for s in subterms(tpl.body))
         _assert_annotations_shared(tpl)
         _assert_annotations_shared(parse_template(tpl.canonical))
+
+
+# ---------------------------------------------------------------------------
+# The validator as it was before it became one walk: five walks over the body
+# and a typecheck.  The reference for TestValidatorReference.
+
+
+def _abs_depths(t, depth=0):
+    if isinstance(t, Abs):
+        yield t, depth
+        yield from _abs_depths(t.body, depth + 1)
+    elif isinstance(t, App):
+        yield from _abs_depths(t.fn, depth)
+        yield from _abs_depths(t.arg, depth)
+
+
+def _reference_validate(body, w):
+    for s in subterms(body):
+        if isinstance(s, Const) and not w.contains(s.name):
+            raise NonCanonical(f"non-whitelist constant {s.name!r} in template")
+
+    hole_order = []
+    hole_types = {}
+    for s in subterms(body):
+        if isinstance(s, Hole):
+            if s.index not in hole_order:
+                hole_order.append(s.index)
+                hole_types[s.index] = s.type
+            elif hole_types[s.index] != s.type:
+                raise NonCanonical(
+                    f"hole {s.index} occurs with differing type annotations"
+                )
+    if hole_order != list(range(1, len(hole_order) + 1)):
+        raise NonCanonical(f"hole indices {hole_order} are not 1..n by first occurrence")
+
+    frees = []
+    for s in subterms(body):
+        if isinstance(s, Free) and s.name not in frees:
+            frees.append(s.name)
+    if frees != [f"x{i}" for i in range(1, len(frees) + 1)]:
+        raise NonCanonical(f"free variables {frees} are not x1..xn by first occurrence")
+
+    for node, depth in _abs_depths(body):
+        if node.binder != f"y{depth}":
+            raise NonCanonical(
+                f"binder {node.binder!r} at nesting depth {depth} should be y{depth}"
+            )
+
+    tvars = []
+    for ann in annotations(body):
+        type_vars(ann, tvars)
+    if tvars != [f"a{i}" for i in range(len(tvars))]:
+        raise NonCanonical(f"type variables {tvars} are not a0.. by first occurrence")
+
+    try:
+        typecheck(body, None)
+    except TypecheckError as e:
+        raise NonCanonical(f"template does not typecheck: {e}") from e
+
+    return len(hole_order), hole_types
+
+
+def _closed(t, n):
+    """t under a ∀ for each of its first n free variables, the first
+    outermost."""
+    frees = {s.name: s.type for s in subterms(t) if isinstance(s, Free)}
+    names = list(frees)[:n]
+
+    def bind(u):
+        if isinstance(u, Free) and u.name in names:
+            return Bound(len(names) - 1 - names.index(u.name))
+        if isinstance(u, App):
+            return App(bind(u.fn), bind(u.arg))
+        return u
+
+    body = bind(t)
+    for name in reversed(names):
+        ty = frees[name]
+        body = App(Const("HOL.All", fun(fun(ty, BOOL), BOOL)), Abs(name, ty, body))
+    return body
+
+
+# Single-occurrence edits: renamed frees, type variables and binders, shifted
+# holes, foreign constants, concrete types, and an unbound index.
+_EDITS = [
+    ('"x1"', '"x2"'), ('"x2"', '"x1"'), ('"x2"', '"x3"'), ('"x1"', '"v"'),
+    ('(tv "a0")', '(tv "a1")'), ('(tv "a1")', '(tv "a0")'), ('(tv "a1")', '(tv "a3")'),
+    ('(tv "a0")', '(tv "b")'),
+    ('"y0"', '"y1"'), ('"y1"', '"y0"'), ('"y0"', '"z"'),
+    ("(hole 1 ", "(hole 2 "), ("(hole 2 ", "(hole 1 "), ("(hole 1 ", "(hole 3 "),
+    ("(hole 2 ", "(hole 4 "),
+    ('(const "HOL.eq"', '(const "Foo.eq"'), ('(const "HOL.All"', '(const "Bar.All"'),
+    ('(tv "a0")', '(tc "Nat.nat")'), ('(tv "a1")', '(tc "fun" (tv "a0") (tv "a0"))'),
+    ("(bound 0)", "(bound 4)"),
+]
+
+
+def _mutants(text, rng, n):
+    """n copies of text, each with one to three single-occurrence edits."""
+    out = []
+    while len(out) < n:
+        mutant = text
+        for _ in range(rng.randint(1, 3)):
+            old, new = rng.choice(_EDITS)
+            at = [i for i in range(len(mutant)) if mutant.startswith(old, i)]
+            if at:
+                i = rng.choice(at)
+                mutant = mutant[:i] + new + mutant[i + len(old):]
+        if mutant != text:
+            out.append(mutant)
+    return out
+
+
+def _outcome(make):
+    try:
+        tpl = make()
+    except NonCanonical as e:
+        return type(e), str(e)
+    return tpl.hole_count, tpl.hole_types, tpl.canonical
+
+
+def _reference_parse(text, w):
+    body = parse_term(text)
+    count, types = _reference_validate(body, w)
+    return Template(body=body, hole_count=count, hole_types=types, canonical=render_term(body))
+
+
+# Each kind of NonCanonical message, by its start, in the order checked.
+_KINDS = (
+    "non-whitelist constant", "hole indices", "hole ", "free variables", "binder",
+    "type variables", "template does not typecheck",
+)
+
+
+def _kind(message):
+    return next(k for k in _KINDS if message.startswith(k))
+
+
+class TestValidatorReference:
+    def test_mutated_canonicals_match_the_reference(
+        self, lemma_noncommutative, lemma_distrib_left, lemma_assoc_plus
+    ):
+        rng = random.Random(41)
+        w = default_whitelist()
+        terms = [lemma_noncommutative, lemma_distrib_left, lemma_assoc_plus]
+        for _ in range(60):
+            term, _ = random_lemma_term(rng)
+            terms += [term, _closed(term, 1), _closed(term, 9)]
+        kinds = set()
+        for term in terms:
+            canonical = abstract(term).canonical
+            for text in [canonical] + _mutants(canonical, rng, 8):
+                got = _outcome(lambda: parse_template(text, w))
+                assert got == _outcome(lambda: _reference_parse(text, w)), text
+                if got[0] is NonCanonical:
+                    kinds.add(_kind(got[1]))
+        assert kinds == set(_KINDS)
+
+    def test_first_kind_broken_is_reported(self, lemma_noncommutative):
+        canonical = abstract(lemma_noncommutative).canonical
+        w = default_whitelist()
+        # Offences of ever earlier kinds: typing, type variables, binder, constant.
+        edits = [
+            ("(bound 0)", "(bound 7)"),
+            ('(tv "a1")', '(tv "b")'),
+            ('"y1"', '"q"'),
+            ('(const "HOL.eq"', '(const "Foo.eq"'),
+        ]
+        kinds = []
+        for k in range(1, len(edits) + 1):
+            text = canonical
+            for old, new in edits[:k]:
+                text = text.replace(old, new)
+            got = _outcome(lambda: parse_template(text, w))
+            assert got == _outcome(lambda: _reference_parse(text, w))
+            kinds.append(_kind(got[1]))
+        assert kinds == [
+            "template does not typecheck", "type variables", "binder",
+            "non-whitelist constant",
+        ]
+
+
+class TestPinnedCanonicals:
+    """Canonical strings as the five-walk `abstract` produced them."""
+
+    def test_binders(self, lemma_noncommutative):
+        assert abstract(lemma_noncommutative).canonical == (
+            '(app (const "HOL.Not" (tc "fun" (tv "a0") (tv "a0"))) (app (const "HOL.All" '
+            '(tc "fun" (tc "fun" (tv "a1") (tv "a0")) (tv "a0"))) (abs "y0" (tv "a1") '
+            '(app (const "HOL.All" (tc "fun" (tc "fun" (tv "a1") (tv "a0")) (tv "a0"))) '
+            '(abs "y1" (tv "a1") (app (app (const "HOL.eq" (tc "fun" (tv "a1") (tc "fun" '
+            '(tv "a1") (tv "a0")))) (app (app (hole 1 (tc "fun" (tv "a1") (tc "fun" '
+            '(tv "a1") (tv "a1")))) (bound 1)) (bound 0))) (app (app (hole 1 (tc "fun" '
+            '(tv "a1") (tc "fun" (tv "a1") (tv "a1")))) (bound 0)) (bound 1))))))))'
+        )
+
+    def test_polymorphic_constant_merges_hole_types(self):
+        nat = TCon("Nat.nat")
+        nats, bools = TCon("List.list", (nat,)), TCon("List.list", (BOOL,))
+        eq = Const("HOL.eq", fun(nat, fun(nat, BOOL)))
+        length = lambda ty, x: App(Const("List.length", fun(ty, nat)), Free(x, ty))
+        tpl = abstract(App(App(eq, length(nats, "xs")), length(bools, "bs")))
+        assert tpl.canonical == (
+            '(app (app (const "HOL.eq" (tc "fun" (tv "a0") (tc "fun" (tv "a0") (tv "a1")))) '
+            '(app (hole 1 (tc "fun" (tv "a2") (tv "a0"))) (free "x1" (tv "a2")))) '
+            '(app (hole 1 (tc "fun" (tv "a2") (tv "a0"))) (free "x2" (tv "a2"))))'
+        )
+        assert tpl.hole_count == 1 and tpl.hole_types == {1: fun(TVar("a2"), TVar("a0"))}
+        _assert_annotations_shared(tpl)
+
+    def test_unreconcilable_hole_types_message(self):
+        nat = TCon("Nat.nat")
+        f = fun(nat, nat)
+        eq = Const("HOL.eq", fun(nat, fun(nat, BOOL)))
+        x = Free("x", nat)
+        twice = App(App(Const("T.c", fun(f, f)), Const("T.c", f)), x)
+        with pytest.raises(IllTyped) as e:
+            abstract(App(App(eq, twice), x))
+        assert str(e.value) == (
+            "cannot reconcile hole occurrence types: occurs check: '?g0' in "
+            '(tc "fun" (tv "?g0") (tv "?g0"))'
+        )

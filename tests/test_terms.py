@@ -17,7 +17,7 @@ from lemmakit.quickspec import (
     IntRangeSort,
     enumerate_terms,
 )
-from lemmakit.templates import abstract, pretty_term
+from lemmakit.templates import abstract, parse_template, pretty_term
 from lemmakit.terms import (
     MAX_DEPTH,
     Abs,
@@ -619,7 +619,7 @@ class TestNoReferenceCycles:
         "name",
         [
             "render_term", "alpha_key", "alpha_equal", "alpha_unequal", "instantiate",
-            "enumerate_terms", "abstract", "pretty_term",
+            "enumerate_terms", "abstract", "parse_template", "pretty_term",
         ],
     )
     def test_call_leaves_no_cycle(self, name, lemma_distrib_left, lemma_assoc_plus):
@@ -643,6 +643,7 @@ class TestNoReferenceCycles:
             "instantiate": lambda: instantiate(tpl, ops),
             "enumerate_terms": lambda: enumerate_terms(sig, 6),
             "abstract": lambda: abstract(lemma_distrib_left),
+            "parse_template": lambda: parse_template(tpl.canonical),
             "pretty_term": lambda: pretty_term(t),
         }[name]
         assert _garbage_after(call) == 0
