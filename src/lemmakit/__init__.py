@@ -27,6 +27,7 @@ from .terms import (
     parse_term,
     parse_type,
     render_term,
+    render_terms,
     render_type,
     typecheck,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "parse_term",
     "parse_type",
     "render_term",
+    "render_terms",
     "render_type",
     "typecheck",
 ]

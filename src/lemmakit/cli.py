@@ -27,7 +27,7 @@ from .proposer import (
     propose_retrieval,
 )
 from .templates import abstract, default_whitelist, load_whitelist, parse_template
-from .terms import LemmakitError, parse_term, render_term
+from .terms import LemmakitError, parse_term, render_term, render_terms
 
 
 def _whitelist(args):
@@ -95,14 +95,18 @@ def _jdump(d: dict) -> str:
     return json.dumps(d, sort_keys=True, ensure_ascii=False)
 
 
-def _conjecture_fields(c) -> dict:
-    """A conjecture's output line as a dict: its term, template and hole
-    assignment."""
-    return {
-        "term": render_term(c.term),
-        "template": c.template_canonical,
-        "assignment": {str(i): n for i, n in c.assignment.mapping},
-    }
+def _conjecture_fields(conjectures) -> list[dict]:
+    """Each conjecture's output line as a dict: its term, template and hole
+    assignment.  The terms are rendered together, through one memo."""
+    texts = render_terms([c.term for c in conjectures])
+    return [
+        {
+            "term": text,
+            "template": c.template_canonical,
+            "assignment": {str(i): n for i, n in c.assignment.mapping},
+        }
+        for c, text in zip(conjectures, texts)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +147,8 @@ def cmd_conjecture(args) -> int:
             all_conjectures.append(replace(c, source_proposer=p.source))
     deduped, removed = eval_mod.dedupe(all_conjectures)
     lines = [
-        _jdump({**_conjecture_fields(c), "proposer": c.source_proposer}) for c in deduped
+        _jdump({**fields, "proposer": c.source_proposer})
+        for c, fields in zip(deduped, _conjecture_fields(deduped))
     ]
     _write_lines(_out(args), lines)
     summary = (
@@ -257,7 +262,7 @@ def cmd_instantiate(args) -> int:
             tpl = parse_template(fh.read().strip())
     symbols = corpus_mod.load_signature(args.symbols)
     res = instantiate(tpl, symbols, _budget(args))
-    lines = [_jdump(_conjecture_fields(c)) for c in res.conjectures]
+    lines = [_jdump(fields) for fields in _conjecture_fields(res.conjectures)]
     _write_lines(_out(args), lines)
     print(
         f"conjectures={len(res.conjectures)} capped={res.capped} "

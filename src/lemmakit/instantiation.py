@@ -10,6 +10,14 @@ search node; the signature loaders in `corpus` hand equal types back as one
 object.  Retained logical constants are re-constrained against
 `terms.base_scheme` so the produced conjectures get concrete logical types
 back (bool, prop, ...).
+
+Those candidates also share the search leaf: one substitution object for all
+of them at the last hole.  Each distinct annotation of the template is
+resolved once per leaf, and solutions that follow one another on one leaf
+differ only in the last hole's symbol, so from the second on they share
+every subtree without that hole and one constant per symbol.  A search that
+emits one conjecture per leaf pays one identity check for this and builds
+nothing to share.
 """
 
 from __future__ import annotations
@@ -143,36 +151,85 @@ class _Search:
         self.deadline = deadline
         self.fresh = fresh
         self.result = InstantiationResult()
+        # The substitution of the last emit (held, so that `is` on it stays
+        # sound), its resolved annotations, and, from its second emit on,
+        # what its emits share.  `varying` holds the ids of the template
+        # nodes that contain the last hole; it is found when a leaf first
+        # emits twice.
+        self.leaf: TypeSubstitution | None = None
+        self.resolved: dict[int, TypeExpr] = {}
+        self.shared: dict | None = None
+        self.varying: set[int] | None = None
 
     def emit(self, subst: TypeSubstitution, chosen: list[str]) -> None:
-        mapping = dict(zip(self.hole_order, chosen))
-        # Template bodies share one object per distinct annotation, so each is
-        # resolved once per solution and the nodes that carry it share the
-        # result.
-        resolved: dict[int, TypeExpr] = {}
-
-        def fill(ty: TypeExpr) -> TypeExpr:
-            got = resolved.get(id(ty))
-            if got is None:
-                got = resolved[id(ty)] = resolve(subst, ty)
-            return got
-
+        """Append the conjecture of the solution `chosen` with leaf
+        substitution `subst`."""
+        pairs = tuple(zip(self.hole_order, chosen))
+        mapping = dict(pairs)
+        if subst is not self.leaf:
+            self.leaf, self.resolved, self.shared = subst, {}, None
+            term = _build(self.tpl.body, mapping, self.fill)
+        else:
+            # Only the candidates of one search node share an extended
+            # substitution, so this emit differs from the last one only in
+            # the last hole's symbol.  From a leaf's second emit on, every
+            # subtree without that hole is built once and shared.
+            if self.shared is None:
+                if self.varying is None:
+                    self.varying = set()
+                    _containing(self.tpl.body, self.hole_order[-1], self.varying)
+                self.shared = {}
+            term = self.build_shared(self.tpl.body, mapping)
         self.result.conjectures.append(
             Conjecture(
-                term=_build(self.tpl.body, mapping, fill),
+                term=term,
                 template_canonical=self.tpl.canonical,
-                assignment=Assignment(mapping=tuple(sorted(mapping.items()))),
+                assignment=Assignment(mapping=pairs),
             )
         )
+
+    def fill(self, ty: TypeExpr) -> TypeExpr:
+        """`ty` resolved under the current leaf's substitution.  Template
+        bodies share one object per distinct annotation, so each is resolved
+        once per leaf and the nodes that carry it share the result."""
+        got = self.resolved.get(id(ty))
+        if got is None:
+            got = self.resolved[id(ty)] = resolve(self.leaf, ty)
+        return got
+
+    def build_shared(self, node: Term, mapping: dict[int, str]) -> Term:
+        """`_build` of `node`, reusing what earlier emits of the current leaf
+        built: `shared` maps the id of each template node without the last
+        hole to its built subtree, and each symbol of the last hole to its
+        constant."""
+        shared = self.shared
+        if id(node) not in self.varying:
+            got = shared.get(id(node))
+            if got is None:
+                got = shared[id(node)] = _build(node, mapping, self.fill)
+            return got
+        if isinstance(node, App):
+            return App(self.build_shared(node.fn, mapping), self.build_shared(node.arg, mapping))
+        if isinstance(node, Abs):
+            return Abs(
+                node.binder, self.fill(node.binder_type), self.build_shared(node.body, mapping)
+            )
+        name = mapping[node.index]
+        got = shared.get(name)
+        if got is None:
+            got = shared[name] = Const(name, self.fill(node.type))
+        return got
 
     def run(self, pos: int, subst: TypeSubstitution, chosen: list[str]) -> bool:
         """Returns False when enumeration must stop (timeout or cap)."""
         result = self.result
         if pos == len(self.hole_order):
-            self.emit(subst, chosen)
-            if len(result.conjectures) >= self.budget.max_results:
+            # A solution beyond the cap is dropped unbuilt: only it makes the
+            # result capped.
+            if len(result.conjectures) == self.budget.max_results:
                 result.capped = True
                 return False
+            self.emit(subst, chosen)
             return True
         hole_ty = self.tpl.hole_types[self.hole_order[pos]]
         distinct, deadline, fresh = self.budget.distinct_holes, self.deadline, self.fresh
@@ -220,6 +277,20 @@ def _build(node: Term, mapping: dict[int, str], fill) -> Term:
     if isinstance(node, Abs):
         return Abs(node.binder, fill(node.binder_type), _build(node.body, mapping, fill))
     return node
+
+
+def _containing(node: Term, index: int, out: set[int]) -> bool:
+    """Whether `node` contains hole `index`; adds to `out` the id of every
+    node of `node` that does."""
+    if isinstance(node, App):
+        found = _containing(node.fn, index, out) | _containing(node.arg, index, out)
+    elif isinstance(node, Abs):
+        found = _containing(node.body, index, out)
+    else:
+        found = isinstance(node, Hole) and node.index == index
+    if found:
+        out.add(id(node))
+    return found
 
 
 FEASIBLE_TIMEOUT_MILLIS = 1000

@@ -207,14 +207,12 @@ class _HttpOnly(BaseHandler):
 
 
 def propose_http(req: ProposalRequest, config: HttpProposerConfig) -> ProposalSet:
-    """POST {"prompt", "n", "max_tokens"}; expect {"completions": [str, ...]}.
+    """POST {"prompt", "n", "max_tokens"}; expect {"completions": [str, ...]},
+    which `decode_completions` turns into proposals.
 
-    Completions failing template validation are dropped and counted;
-    completion order is preserved as the ranking.  A body of any other shape
-    raises TransportError, as does any status other than 200 and any URL,
+    Any status other than 200 raises TransportError, as does any URL,
     redirect targets included, that is not http or https.  The token is not
-    sent on after a redirect.  The body is read as UTF-8, an invalid byte
-    becoming U+FFFD, so it spoils only the completion that holds it.
+    sent on after a redirect.
     """
     body = {
         "prompt": format_symbols_prompt(req.symbols, req.mode),
@@ -235,8 +233,21 @@ def propose_http(req: ProposalRequest, config: HttpProposerConfig) -> ProposalSe
         raise TransportError(f"request to {config.url} failed: {e}") from e
     if status != 200:
         raise TransportError(f"endpoint returned HTTP {status}")
+    return decode_completions(raw, config.url)
+
+
+def decode_completions(raw: bytes, source: str) -> ProposalSet:
+    """The proposals in an HTTP proposer's reply body `raw`, which `source`
+    (the endpoint URL) names in JSON syntax errors.
+
+    The body is read as UTF-8, an invalid byte becoming U+FFFD, so it spoils
+    only the completion that holds it.  Completions failing template
+    validation are dropped and counted; completion order is the ranking.  A
+    body of any shape other than {"completions": [str, ...]} raises
+    TransportError.
+    """
     try:
-        body = parse_json(raw.decode("utf-8", errors="replace"), config.url)
+        body = parse_json(raw.decode("utf-8", errors="replace"), source)
     except LemmakitError as e:
         raise TransportError(f"malformed response body: {e}") from e
     if not isinstance(body, dict):

@@ -153,9 +153,10 @@ class InterpretedSignature:
 
 
 def _arrow_parts(ty) -> list:
-    """A curried function type's argument types, then its result type."""
+    """A curried function type's argument types, then its result type.  A
+    "fun" type without exactly two arguments is not an arrow."""
     parts = []
-    while isinstance(ty, TCon) and ty.name == "fun":
+    while isinstance(ty, TCon) and ty.name == "fun" and len(ty.args) == 2:
         parts.append(ty.args[0])
         ty = ty.args[1]
     return parts + [ty]
@@ -845,6 +846,11 @@ def load_interpreted_signature(path) -> InterpretedSignature:
         where = f"{path}: symbol {i}"
         check_fields(d, _SYMBOL_FIELDS, where)
         ty = parse_at(parse_type, d["type"], f"{where}: field 'type'")
+        result = _arrow_parts(ty)[-1]
+        if isinstance(result, TCon) and result.name == "fun":
+            raise LemmakitError(
+                f"{where}: field 'type' must give 'fun' two types, not {len(result.args)}"
+            )
         if "value" in d:
             fn = d["value"]
             if isinstance(fn, list):
@@ -856,7 +862,7 @@ def load_interpreted_signature(path) -> InterpretedSignature:
                     f"{where}: field 'value' must be a scalar or a list of scalars"
                 ) from None
         elif d.get("builtin") in builtins:
-            fn = own.get(_arrow_parts(ty)[-1], builtins)[d["builtin"]]
+            fn = own.get(result, builtins)[d["builtin"]]
         else:
             raise LemmakitError(
                 f"{where}: field 'builtin' must name a builtin evaluator "

@@ -541,28 +541,50 @@ def render_type(t: TypeExpr) -> str:
 
 
 def render_term(t: Term) -> str:
-    # Nodes often share one type object (templates and conjectures are built
-    # that way), so each distinct object is rendered once per call.  Keying on
-    # id() is safe: `t` keeps every annotation alive until the call returns.
+    """`t`'s s-expression.  Nodes often share one type object, so each
+    distinct one is rendered once; `t` keeps every memo key alive."""
     return _render(t, {})
 
 
-def _render(t: Term, rendered: dict[int, str]) -> str:
+def render_terms(terms: list[Term]) -> list[str]:
+    """Each term's s-expression, all rendered through one memo.
+
+    Conjectures of one template share type objects and leaf nodes, so each
+    distinct one is rendered once per call.  The memo is keyed by id(), and
+    an id stays valid only while the caller holds the terms: `terms` keeps
+    every key alive until the call returns.
+    """
+    memo: dict[int, str] = {}
+    return [_render(t, memo) for t in terms]
+
+
+def _render(t: Term, memo: dict[int, str]) -> str:
+    """`t` rendered; `memo` maps the id of each type and leaf node rendered
+    so far to its text."""
     if isinstance(t, App):
-        return f"(app {_render(t.fn, rendered)} {_render(t.arg, rendered)})"
-    if isinstance(t, Bound):
-        return f"(bound {t.index})"
-    ty = t.binder_type if isinstance(t, Abs) else t.type
-    s = rendered.get(id(ty))
-    if s is None:
-        s = rendered[id(ty)] = render_type(ty)
-    if isinstance(t, Const):
-        return f"(const {_escape(t.name)} {s})"
-    if isinstance(t, Free):
-        return f"(free {_escape(t.name)} {s})"
+        return f"(app {_render(t.fn, memo)} {_render(t.arg, memo)})"
     if isinstance(t, Abs):
-        return f"(abs {_escape(t.binder)} {s} {_render(t.body, rendered)})"
-    return f"(hole {t.index} {s})"
+        ty = _type_text(t.binder_type, memo)
+        return f"(abs {_escape(t.binder)} {ty} {_render(t.body, memo)})"
+    s = memo.get(id(t))
+    if s is None:
+        if isinstance(t, Bound):
+            s = f"(bound {t.index})"
+        elif isinstance(t, Const):
+            s = f"(const {_escape(t.name)} {_type_text(t.type, memo)})"
+        elif isinstance(t, Free):
+            s = f"(free {_escape(t.name)} {_type_text(t.type, memo)})"
+        else:
+            s = f"(hole {t.index} {_type_text(t.type, memo)})"
+        memo[id(t)] = s
+    return s
+
+
+def _type_text(ty: TypeExpr, memo: dict[int, str]) -> str:
+    s = memo.get(id(ty))
+    if s is None:
+        s = memo[id(ty)] = render_type(ty)
+    return s
 
 
 # ---------------------------------------------------------------------------

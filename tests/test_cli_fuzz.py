@@ -1,11 +1,14 @@
-"""Fuzz every file argument of every subcommand through `cli.main`.
+"""Fuzz every file argument of every subcommand through `cli.main`, and the
+HTTP proposer's reply bodies through `decode_completions`.
 
 Each example fills one file argument with arbitrary text, arbitrary JSON (one
 value or JSON lines) or deeply nested brackets, while the other arguments of
 the call are valid, so the fuzzed file is the one the command trips on.  The
 command must return exit code 0, 1 or 2; any exception escaping `main` would
-reach the user as a traceback.  The seed and the number of examples are
-fixed, and no example database is written.
+reach the user as a traceback.  Reply bodies are decoded from bytes, with no
+connection opened; they must give proposals or raise TransportError.  The
+seeds and the numbers of examples are fixed, and no example database is
+written.
 """
 
 import contextlib
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from lemmakit.cli import main
 from lemmakit.corpus import make_record, save_records
+from lemmakit.proposer import ProposalSet, TransportError, decode_completions
 from lemmakit.templates import abstract
 from lemmakit.terms import TCon, fun, render_type
 
@@ -148,3 +152,46 @@ def test_fuzzed_file_arguments_exit_cleanly(valid_files, tmp_path_factory, call,
     code, err = _run([str(path) if a[0] == "*" else valid_files.get(a, a) for a in call])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+def _body(completions, junk: bytes) -> bytes:
+    """A reply body of the expected shape, with `junk` (bytes that may not
+    be UTF-8) put just inside the first string after the list opens."""
+    text = json.dumps({"completions": completions}, ensure_ascii=False).encode()
+    cut = text.find(b'"', text.find(b"[")) + 1 if completions else len(text)
+    return text[:cut] + junk + text[cut:] if junk else text
+
+
+# "T0" and "T1" stand for the two canonical templates of templates.txt.
+_completion = st.one_of(
+    st.sampled_from(["T0", "T1", " T0\n", "(hole 1 (tv \"a\"))", "(app", ""]),
+    st.text(max_size=30),
+)
+
+_bodies = st.one_of(
+    st.binary(max_size=200),
+    _contents.map(lambda text: text.encode("utf-8", errors="surrogatepass")),
+    st.builds(_body, st.lists(_completion, max_size=6) | st.lists(_completion | _json, max_size=6),
+              st.sampled_from([b"", b"", b"\xff", b"\xc3", b"\xed\xa0\x80"])),
+)
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(raw=_bodies)
+def test_fuzzed_http_bodies_decode_or_raise_transport(valid_files, raw):
+    with open(valid_files["templates.txt"], encoding="utf-8") as fh:
+        canonical = fh.read().splitlines()
+    for i, c in enumerate(canonical):
+        raw = raw.replace(f"T{i}".encode(), json.dumps(c)[1:-1].encode())
+    try:
+        got = decode_completions(raw, "http://stub")
+    except TransportError as e:
+        assert str(e).startswith("malformed response body: ")
+        return
+    assert isinstance(got, ProposalSet)
+    completions = json.loads(raw.decode("utf-8", errors="replace"))["completions"]
+    assert len(got.proposals) + got.parse_failures <= len(completions)
+    assert {p.template.canonical for p in got.proposals} <= set(canonical)
+    assert [p.score for p in got.proposals] == [1 / r for r in range(1, len(got.proposals) + 1)]

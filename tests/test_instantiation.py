@@ -15,6 +15,7 @@ from lemmakit.templates import abstract, parse_template
 from lemmakit.terms import (
     Abs,
     App,
+    Bound,
     Const,
     Free,
     FreshNames,
@@ -29,6 +30,7 @@ from lemmakit.terms import (
     base_signature,
     fun,
     render_term,
+    render_terms,
     resolve,
     subterms,
     type_vars,
@@ -563,3 +565,120 @@ class TestUnifyOncePerType:
             assert res.capped and [c.term for c in res.conjectures] == expected[:cap]
         res = instantiate(tpl, pool, Budget(max_results=len(expected) + 1))
         assert not res.capped and [c.term for c in res.conjectures] == expected
+
+
+def _forall_first_free(term):
+    """∀ over `term`'s first free variable, which becomes a bound one, so the
+    template abstracted from it has an `abs` binder; `term` itself when it
+    has no free variable."""
+    v = next((s for s in subterms(term) if isinstance(s, Free)), None)
+    if v is None:
+        return term
+
+    def bind(u):
+        if isinstance(u, Free) and u.name == v.name:
+            return Bound(0)
+        if isinstance(u, App):
+            return App(bind(u.fn), bind(u.arg))
+        return u
+
+    bool_t = TCon("HOL.bool")
+    return App(Const("HOL.All", fun(fun(v.type, bool_t), bool_t)), Abs("y", v.type, bind(term)))
+
+
+def _reused_nodes(terms):
+    """How many node occurrences in `terms`, bound variables aside, are an
+    object met before in them: nonzero once conjectures share parts."""
+    nodes = [s for t in terms for s in subterms(t) if not isinstance(s, Bound)]
+    return len(nodes) - len({id(s) for s in nodes})
+
+
+class TestSharedLeaves:
+    """Conjectures whose search leaf is one substitution object, as for
+    candidates that share a monomorphic type object at the last hole, are
+    built from shared parts.  They must equal, and render like, the terms of
+    the unshared per-node reference."""
+
+    B = TestUnifyOncePerType.B
+
+    def _check(self, tpl, pool, distinct):
+        expected = _instantiate_per_node(tpl, pool, distinct=distinct)
+        n = len(expected)
+        reused = 0
+        for cap in sorted({1, 5, n - 1, n, n + 1} - {0}):
+            res = instantiate(tpl, pool, Budget(max_results=cap, distinct_holes=distinct))
+            got = [c.term for c in res.conjectures]
+            assert got == expected[:cap]
+            assert render_terms(got) == [render_term(t) for t in expected[:cap]]
+            assert res.capped == (cap < n) and not res.timed_out
+            reused += _reused_nodes(got)
+        return n, reused
+
+    def test_random_templates_match_unshared_reference(self):
+        rng = random.Random(61)
+        conjectures = reused = binders = 0
+        for _ in range(40):
+            term, entries = random_lemma_term(rng)
+            for body in (term, _forall_first_free(term)):
+                tpl = abstract(body)
+                if not 1 <= tpl.hole_count <= 3:
+                    continue
+                binders += any(isinstance(s, Abs) for s in subterms(tpl.body))
+                symbols = [SignatureEntry(n, t, None) for n, t in entries]
+                # A twin of each symbol on its very type object, so siblings
+                # at the last hole share a leaf.
+                twins = [SignatureEntry(f"{e.name}'", e.type, None) for e in symbols]
+                pool = POLY_SYMBOLS[:1] + symbols + POLY_SYMBOLS[1:2] + twins
+                for distinct in (False, True):
+                    n, r = self._check(tpl, pool, distinct)
+                    conjectures += n
+                    reused += r
+        assert binders > 5 and conjectures > 500 and reused > 0
+
+    def test_distrib_with_polymorphic_candidates(self, lemma_distrib_left):
+        tpl = abstract(lemma_distrib_left)
+        mono = _sorted_candidates(4, 2)
+        pool = POLY_SYMBOLS[1:] + mono[:4] + POLY_SYMBOLS[:1] + mono[4:]
+        for distinct in (False, True):
+            n, reused = self._check(tpl, pool, distinct)
+            assert n > 20 and reused > 0
+        # Poly.pick in both holes leaves fresh ?fN variables in the output.
+        texts = render_terms([c.term for c in instantiate(tpl, pool).conjectures])
+        assert any("?f" in s for s in texts)
+
+    def _resolves(self, tpl, pool, monkeypatch):
+        calls = []
+        real = instantiation.resolve
+
+        def counted(subst, ty):
+            calls.append(subst)
+            return real(subst, ty)
+
+        monkeypatch.setattr(instantiation, "resolve", counted)
+        res = instantiate(tpl, pool, Budget(max_results=10**9))
+        monkeypatch.undo()
+        assert [c.term for c in res.conjectures] == _instantiate_per_node(tpl, pool)
+        return len(calls), len({id(s) for s in calls}), len(res.conjectures)
+
+    def test_one_resolve_per_annotation_per_leaf(self, lemma_distrib_left, monkeypatch):
+        """One `resolve` per distinct annotation (the distributivity template
+        has 3) per run of emits that share a leaf substitution.  Below each of
+        the 3·B binaries in the first hole, the B binaries of its sort share
+        one leaf and are one run: no other candidate fits between them.
+        Poly.pick fits either hole and is a leaf of its own wherever it goes.
+        With pick in the first hole, the second takes pick and then the
+        binaries of all three sorts, interleaved: a run of one each."""
+        tpl = abstract(lemma_distrib_left)
+        B = self.B
+        shared = _sorted_candidates(B, 2)
+        calls, leaves, conjectures = self._resolves(tpl, shared, monkeypatch)
+        assert (calls, leaves, conjectures) == (3 * 3 * B, 3 * B, 3 * B * B)
+
+        calls, leaves, _ = self._resolves(tpl, POLY_SYMBOLS[:1] + shared, monkeypatch)
+        assert leaves == 3 * B * 2 + 3 + 1
+        assert calls == 3 * (3 * B * 2 + 1 + 3 * B)
+
+        # Equal but unshared types: every solution is a leaf of its own.
+        unshared = _sorted_candidates(B, 2, shared=False)
+        calls, leaves, conjectures = self._resolves(tpl, unshared, monkeypatch)
+        assert leaves == conjectures == 3 * B * B and calls == 3 * leaves

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from lemmakit import quickspec
+from lemmakit.cli import main
 from lemmakit.quickspec import (
     BoolSort,
     InterpSymbol,
@@ -849,6 +850,33 @@ class TestLoadSignatureChecks:
         for value in bad:
             with pytest.raises(LemmakitError, match="symbol 0: field 'value'"):
                 self._load(tmp_path, SORT_DECLS["mod"], symbol(value))
+
+
+    @pytest.mark.parametrize(
+        "ty",
+        [
+            TCon("fun", (LIST_T,)),
+            TCon("fun"),
+            TCon("fun", (LIST_T, INT, INT)),
+            fun(LIST_T, TCon("fun", (INT,))),
+        ],
+        ids=["one", "none", "three", "nested"],
+    )
+    def test_fun_without_two_types_rejected(self, tmp_path, capsys, ty):
+        n = len(ty.args) if len(ty.args) != 2 else 1
+        for rest in ({"value": 1}, {"builtin": "list_len"}):
+            symbols = [{"name": "f", "type": render_type(ty), **rest}]
+            with pytest.raises(
+                LemmakitError, match=f"symbol 0: field 'type' must give 'fun' two types, not {n}$"
+            ):
+                self._load(tmp_path, SORT_DECLS["mod"], symbols)
+            path = tmp_path / "sig.json"
+            assert main(["quickspec", str(path), "--max-size", "2", "--tests", "3"]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {path}: symbol 0: field 'type' must give 'fun' two types, not {n}\n"
+            )
+        with pytest.raises(ValueError, match="undeclared sort"):
+            InterpretedSignature([IntListSort("list", 3, 10)], [InterpSymbol("f", ty, 1)])
 
 
 INT_BUILTINS = ("int_add", "int_sub", "int_mul", "int_pow")

@@ -46,6 +46,7 @@ from lemmakit.terms import (
     parse_term,
     parse_type,
     render_term,
+    render_terms,
     render_type,
     resolve,
     subterms,
@@ -203,6 +204,19 @@ class TestRenderSharedTypes:
                 for w in (u, parse_term(render_term(u)), _shared(u), holes):
                     assert render_term(w) == _render_term_recursive(w)
             assert any(isinstance(s, Abs) for s in subterms(abstract(q).body))
+
+    def test_one_memo_for_many_terms(self):
+        """`render_terms` renders a list through one memo: terms that share
+        leaves and annotations, equal copies of them, and one term twice."""
+        rng = random.Random(29)
+        for _ in range(60):
+            t, _ = random_lemma_term(rng)
+            q = _quantify(t)
+            shared = _shared(q)
+            batch = [t, q, shared, abstract(q).body, shared, parse_term(render_term(t)), t]
+            batch += [App(Const("C.f", fun(BOOL, BOOL)), u) for u in (shared, q)]
+            assert render_terms(batch) == [_render_term_recursive(u) for u in batch]
+        assert render_terms([]) == []
 
     def test_one_type_object_in_many_roles(self):
         """One object as a binder type, a constant's, a free's and a hole's
@@ -618,8 +632,8 @@ class TestNoReferenceCycles:
     @pytest.mark.parametrize(
         "name",
         [
-            "render_term", "alpha_key", "alpha_equal", "alpha_unequal", "instantiate",
-            "enumerate_terms", "abstract", "parse_template", "pretty_term",
+            "render_term", "render_terms", "alpha_key", "alpha_equal", "alpha_unequal",
+            "instantiate", "enumerate_terms", "abstract", "parse_template", "pretty_term",
         ],
     )
     def test_call_leaves_no_cycle(self, name, lemma_distrib_left, lemma_assoc_plus):
@@ -637,6 +651,9 @@ class TestNoReferenceCycles:
         sig = _list_signature()
         call = {
             "render_term": lambda: render_term(t),
+            "render_terms": lambda: render_terms(
+                [c.term for c in instantiate(tpl, ops).conjectures] + [t, other, t]
+            ),
             "alpha_key": lambda: alpha_key(t),
             "alpha_equal": lambda: alpha_equal(t, t),
             "alpha_unequal": lambda: alpha_equal(t, other),
