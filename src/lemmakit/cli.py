@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring
 
 from . import corpus as corpus_mod
 from . import evaluation as eval_mod
@@ -95,18 +96,34 @@ def _jdump(d: dict) -> str:
     return json.dumps(d, sort_keys=True, ensure_ascii=False)
 
 
-def _conjecture_fields(conjectures) -> list[dict]:
-    """Each conjecture's output line as a dict: its term, template and hole
-    assignment.  The terms are rendered together, through one memo."""
+def _conjecture_lines(conjectures, proposer: bool = False):
+    """Each conjecture's output line, as `_jdump` would give its object:
+    `assignment` (hole index -> symbol, keys in string order), `proposer`
+    when asked for, `template` and `term`.
+
+    Lines are built from parts and yielded one by one, so that a caller can
+    write each before the next is built.  The terms are rendered together,
+    through one memo, and each is escaped once; every other string (symbol
+    and proposer names, template canonicals) is escaped once per call.
+    """
+    quoted: dict[str, str] = {}
+
+    def quote(text: str) -> str:
+        got = quoted.get(text)
+        if got is None:
+            got = quoted[text] = encode_basestring(text)
+        return got
+
     texts = render_terms([c.term for c in conjectures])
-    return [
-        {
-            "term": text,
-            "template": c.template_canonical,
-            "assignment": {str(i): n for i, n in c.assignment.mapping},
-        }
-        for c, text in zip(conjectures, texts)
-    ]
+    for c, text in zip(conjectures, texts):
+        holes = sorted((str(i), n) for i, n in c.assignment.mapping)
+        parts = ", ".join(f'"{i}": {quote(n)}' for i, n in holes)
+        src = f'"proposer": {quote(c.source_proposer)}, ' if proposer else ""
+        yield (
+            f'{{"assignment": {{{parts}}}, {src}'
+            f'"template": {quote(c.template_canonical)}, '
+            f'"term": {encode_basestring(text)}}}'
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +163,7 @@ def cmd_conjecture(args) -> int:
         for c in res.conjectures:
             all_conjectures.append(replace(c, source_proposer=p.source))
     deduped, removed = eval_mod.dedupe(all_conjectures)
-    lines = [
-        _jdump({**fields, "proposer": c.source_proposer})
-        for c, fields in zip(deduped, _conjecture_fields(deduped))
-    ]
-    _write_lines(_out(args), lines)
+    _write_lines(_out(args), _conjecture_lines(deduped, proposer=True))
     summary = (
         f"templates={len(proposals.proposals)} conjectures={len(deduped)} "
         f"duplicates_removed={removed} capped={capped} timed_out={timed_out}"
@@ -262,8 +275,7 @@ def cmd_instantiate(args) -> int:
             tpl = parse_template(fh.read().strip())
     symbols = corpus_mod.load_signature(args.symbols)
     res = instantiate(tpl, symbols, _budget(args))
-    lines = [_jdump(fields) for fields in _conjecture_fields(res.conjectures)]
-    _write_lines(_out(args), lines)
+    _write_lines(_out(args), _conjecture_lines(res.conjectures))
     print(
         f"conjectures={len(res.conjectures)} capped={res.capped} "
         f"timed_out={res.timed_out}",

@@ -9,7 +9,8 @@ renaming, so candidates that share one such type object are unified once per
 search node; the signature loaders in `corpus` hand equal types back as one
 object.  Retained logical constants are re-constrained against
 `terms.base_scheme` so the produced conjectures get concrete logical types
-back (bool, prop, ...).
+back (bool, prop, ...); those root constraints are worked out once per
+template object and every search starts from them.
 
 Those candidates also share the search leaf: one substitution object for all
 of them at the last hole.  Each distinct annotation of the template is
@@ -118,21 +119,41 @@ def instantiate(
         raise DuplicateCandidates()
 
     deadline = time.monotonic() + budget.timeout_millis / 1000.0
+    root, used = _root(tpl)
+    if root is None:
+        return InstantiationResult()
     fresh = FreshNames("?f")
-
-    # Constraints from retained constants with known schemes.
-    root: TypeSubstitution = {}
-    for s in subterms(tpl.body):
-        scheme = base_scheme(s.name) if isinstance(s, Const) else None
-        if scheme is not None:
-            try:
-                unify_into(root, fresh.rename(scheme), s.type)
-            except UnificationError:
-                return InstantiationResult()
-
+    fresh.n = used
     search = _Search(tpl, candidates, budget, deadline, fresh)
     search.run(0, root, [])
     return search.result
+
+
+def _root(tpl: Template) -> tuple[TypeSubstitution | None, int]:
+    """The constraints of `tpl`'s retained constants with known schemes
+    (None when they clash), and how many `?f` names they used up.
+
+    They depend on the template alone, so they are computed once per template
+    object and kept on it, in its `__dict__` as `functools.cached_property`
+    keeps a value.  Every search resumes naming from the count, so its names
+    are those of a search that computed the root itself.  Sharing the root is
+    safe because nothing mutates a substitution once it is built; two threads
+    that miss at once compute and store equal roots.
+    """
+    got = vars(tpl).get("_root")
+    if got is None:
+        fresh = FreshNames("?f")
+        root: TypeSubstitution | None = {}
+        for s in subterms(tpl.body):
+            scheme = base_scheme(s.name) if isinstance(s, Const) else None
+            if scheme is not None:
+                try:
+                    unify_into(root, fresh.rename(scheme), s.type)
+                except UnificationError:
+                    root = None
+                    break
+        got = vars(tpl)["_root"] = (root, fresh.n)
+    return got
 
 
 class _Search:

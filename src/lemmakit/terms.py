@@ -225,13 +225,18 @@ Term = Const | Free | Bound | Abs | App | Hole
 
 
 def subterms(t: Term):
-    """All subterms in preorder (leftmost-outermost)."""
-    yield t
-    if isinstance(t, Abs):
-        yield from subterms(t.body)
-    elif isinstance(t, App):
-        yield from subterms(t.fn)
-        yield from subterms(t.arg)
+    """All subterms in preorder (leftmost-outermost).  The walk keeps its own
+    stack, so it costs no generator per level and holds at any depth."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        cls = t.__class__
+        if cls is App:
+            stack.append(t.arg)
+            stack.append(t.fn)
+        elif cls is Abs:
+            stack.append(t.body)
 
 
 def map_types(t: Term, f) -> Term:

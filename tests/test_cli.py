@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,15 +7,17 @@ import sys
 import pytest
 
 import lemmakit
-from lemmakit.cli import main
+from lemmakit.cli import _conjecture_lines, main
 from lemmakit.corpus import Datapoint, make_record, save_records
+from lemmakit.instantiation import Budget, instantiate
 from lemmakit.proposer import build_index
-from lemmakit.templates import abstract
+from lemmakit.templates import abstract, parse_template
 from lemmakit.terms import (
     MAX_DEPTH,
     App,
     Const,
     Free,
+    Hole,
     SignatureEntry,
     TCon,
     fun,
@@ -667,6 +670,84 @@ class TestInstantiate:
         assert main(
             ["instantiate", octo_symbols_file, "--template", "((("]
         ) == 1
+
+
+def _chain_template(holes):
+    """`x1 = h1 (h2 (... (h<holes> x1)))` over one sort, as a canonical."""
+    s = TCon("S.s")
+    body = Free("x1", s)
+    for i in reversed(range(1, holes + 1)):
+        body = App(Hole(i, fun(s, s)), body)
+    return render_term(
+        App(App(Const("HOL.eq", fun(s, fun(s, TCon("HOL.bool")))), Free("x1", s)), body)
+    )
+
+
+# Symbol names that JSON must escape, or that stay as they are only because
+# the output is not ASCII-escaped.
+_ODD_NAMES = ['Ünï.f', 'q"uote', "back\\slash", "日本.g", "tab\tand\nline", "\u2028sep"]
+
+
+def _json_dumps_lines(conjectures, proposer):
+    """Reference: each output line as `json.dumps` gives it."""
+    out = []
+    for c in conjectures:
+        d = {
+            "term": render_term(c.term),
+            "template": c.template_canonical,
+            "assignment": {str(i): n for i, n in c.assignment.mapping},
+        }
+        if proposer:
+            d["proposer"] = c.source_proposer
+        out.append(json.dumps(d, sort_keys=True, ensure_ascii=False))
+    return out
+
+
+class TestConjectureLines:
+    """`instantiate` and `conjecture` build each output line from parts; the
+    lines are byte-equal to `json.dumps(sort_keys=True, ensure_ascii=False)`
+    of the conjecture's object."""
+
+    def _conjectures(self, holes=12, n=60):
+        s = TCon("S.s")
+        pool = [SignatureEntry(name, fun(s, s), None) for name in _ODD_NAMES]
+        tpl = parse_template(_chain_template(holes))
+        res = instantiate(tpl, pool, Budget(max_results=n))
+        assert len(res.conjectures) == min(n, len(pool) ** holes)
+        assert tpl.hole_count == holes
+        return pool, res.conjectures
+
+    @pytest.mark.parametrize("holes", [1, 9, 12])
+    def test_lines_equal_json_dumps(self, holes):
+        _, conjectures = self._conjectures(holes)
+        sources = ["retrieval", 'fi"xed\\', "ünï", ""]
+        conjectures = [
+            dataclasses.replace(c, source_proposer=sources[i % len(sources)])
+            for i, c in enumerate(conjectures)
+        ]
+        for proposer in (False, True):
+            got = list(_conjecture_lines(conjectures, proposer=proposer))
+            assert got == _json_dumps_lines(conjectures, proposer)
+        assert list(_conjecture_lines([])) == []
+
+    def test_hole_keys_in_string_order(self):
+        _, conjectures = self._conjectures()
+        line = next(_conjecture_lines(conjectures))
+        keys = list(json.loads(line)["assignment"])
+        assert keys == sorted(str(i) for i in range(1, 13)) != [
+            str(i) for i in range(1, 13)
+        ]
+
+    def test_instantiate_command_writes_the_same_bytes(self, tmp_path):
+        pool, conjectures = self._conjectures(n=40)
+        symbols = _write_signature(tmp_path / "odd.json", pool)
+        out = tmp_path / "out.jsonl"
+        assert main(
+            ["instantiate", symbols, "--template", _chain_template(12),
+             "--max-results", "40", "-o", str(out)]
+        ) == 0
+        expected = "".join(line + "\n" for line in _json_dumps_lines(conjectures, False))
+        assert out.read_bytes() == expected.encode("utf-8")
 
 
 class TestPropose:

@@ -21,13 +21,15 @@ from lemmakit.evaluation import (
     instantiation_rate,
     make_task,
 )
-from lemmakit.instantiation import Assignment, Budget, Conjecture
+from lemmakit.instantiation import Assignment, Budget, Conjecture, InstantiationResult
 from lemmakit.proposer import (
     HttpProposerConfig,
     Proposal,
+    ProposalRequest,
     ProposalSet,
     TemplateIndex,
     TransportError,
+    build_index,
     propose_http,
     propose_retrieval,
 )
@@ -48,6 +50,7 @@ from lemmakit.terms import (
 )
 
 from oracles import _rename, alpha_oracle, random_lemma_term, random_type
+from synthetic import build_synthetic_corpus, build_train_datapoints
 
 OCTO = TCon("Octonions.octo")
 INT = TCon("int")
@@ -249,6 +252,131 @@ class TestEvaluateSuite:
 
         again = EvalReport.from_dict(json.loads(report.to_json()))
         assert again.to_json() == report.to_json()
+
+
+def _interleaved_heldout_tasks():
+    """The held-out synthetic tasks, one of each theory in turn, so that no
+    two tasks of one theory (one symbol list) are adjacent."""
+    _, heldout = build_synthetic_corpus()
+    by_theory: dict[str, list] = {}
+    for r in heldout:
+        by_theory.setdefault(r.theory, []).append(make_task(r))
+    tasks = [t for row in itertools.zip_longest(*by_theory.values()) for t in row if t]
+    assert all(
+        a.record.theory != b.record.theory for a, b in zip(tasks, tasks[1:])
+    )
+    return tasks
+
+
+def _count_instantiate(monkeypatch, first=None):
+    """Record (canonical, symbol names) of each `instantiate` call the suite
+    makes; `first`, if given, answers the first call in its place."""
+    calls = []
+    real = evaluation.instantiate
+
+    def counted(tpl, candidates, budget=None):
+        calls.append((tpl.canonical, tuple(c.name for c in candidates)))
+        if first is not None and len(calls) == 1:
+            return first
+        return real(tpl, candidates, budget)
+
+    monkeypatch.setattr(evaluation, "instantiate", counted)
+    return calls
+
+
+class TestOneInstantiationPerSymbolList:
+    """`evaluate_suite` instantiates each proposed template once per distinct
+    symbol list, and the report is that of `evaluate_task` run task by task."""
+
+    @pytest.fixture(scope="class")
+    def retrieval(self):
+        idx = build_index(build_train_datapoints())
+        return lambda req: propose_retrieval(req, idx)
+
+    def test_once_per_template_and_symbol_list(self, retrieval, monkeypatch):
+        tasks = _interleaved_heldout_tasks()
+        one_by_one = sorted(
+            (evaluate_task(t, retrieval) for t in tasks), key=lambda r: r.id
+        )
+        wanted = {
+            (tpl.canonical, tuple(e.name for e in t.record.symbols))
+            for t in tasks
+            for tpl in retrieval(
+                ProposalRequest(symbols=t.record.symbols, mode=t.mode, k=t.k)
+            ).templates()
+        }
+        calls = _count_instantiate(monkeypatch)
+        report = evaluate_suite(tasks, retrieval)
+        assert len(calls) == len(set(calls)) == len(wanted) < len(tasks) * 5
+        assert set(calls) == wanted
+        assert [r.to_dict() for r in report.per_task] == [
+            r.to_dict() for r in one_by_one
+        ]
+
+    def test_worker_count_does_not_change_multi_group_report(self, retrieval):
+        tasks = _interleaved_heldout_tasks()
+        assert len({t.record.symbols for t in tasks}) == 31
+        serial = evaluate_suite(tasks, retrieval, workers=1).to_json()
+        assert evaluate_suite(tasks, retrieval, workers=4).to_json() == serial
+
+    def test_symbol_order_makes_another_group(self, four_tasks, monkeypatch):
+        """With a cap, candidate order decides which conjectures are kept, so
+        the same symbols in another order are instantiated again."""
+        first = four_tasks[0]
+        reordered = dataclasses.replace(
+            four_tasks[1],
+            record=dataclasses.replace(
+                four_tasks[1].record, symbols=first.record.symbols[::-1]
+            ),
+        )
+        tasks = [first, reordered]
+        proposer = distrib_only_proposer(tasks)
+        budget = Budget(max_results=2)
+        one_by_one = [evaluate_task(t, proposer, budget) for t in tasks]
+        assert one_by_one[0].lemma_success != one_by_one[1].lemma_success
+        calls = _count_instantiate(monkeypatch)
+        report = evaluate_suite(tasks, proposer, budget)
+        assert len(calls) == 2
+        assert [r.to_dict() for r in report.per_task] == [
+            r.to_dict() for r in one_by_one
+        ]
+
+    def test_timed_out_result_is_recomputed(self, four_tasks, monkeypatch):
+        """A timed-out search is not reused: the next task with the same
+        symbol list searches again, and the task after that reuses its
+        answer."""
+        tasks = [four_tasks[0], four_tasks[1], four_tasks[0]]
+        tasks[2] = dataclasses.replace(
+            tasks[2], record=dataclasses.replace(tasks[2].record, id="Dist.l2")
+        )
+        calls = _count_instantiate(
+            monkeypatch, first=InstantiationResult(timed_out=True)
+        )
+        report = evaluate_suite(tasks, distrib_only_proposer(tasks))
+        assert len(calls) == 2
+        rows = {r.id: r for r in report.per_task}
+        assert rows["Dist.l0"].timed_out and not rows["Dist.l0"].lemma_success
+        for tid in ("Dist.l1", "Dist.l2"):
+            assert not rows[tid].timed_out and rows[tid].lemma_success
+            assert rows[tid].conjecture_count == 4
+
+    def test_repeated_symbol_name_errors_every_task_of_the_list(
+        self, four_tasks, monkeypatch
+    ):
+        twice = four_tasks[0].record.symbols * 2
+        tasks = [
+            dataclasses.replace(t, record=dataclasses.replace(t.record, symbols=twice))
+            for t in four_tasks[:2]
+        ] + [four_tasks[2]]
+        calls = _count_instantiate(monkeypatch)
+        report = evaluate_suite(tasks, distrib_only_proposer(tasks))
+        assert len(calls) == 3
+        assert {r.id: r.error for r in report.per_task} == {
+            "Dist.l0": "candidate names must be unique",
+            "Dist.l1": "candidate names must be unique",
+            "Assoc.l0": None,
+        }
+        assert report.errored_tasks == 2
 
 
 class TestInstantiationRate:

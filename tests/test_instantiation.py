@@ -1,5 +1,7 @@
 import random
+import re
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -414,8 +416,9 @@ class TestSharedConstruction:
     def test_type_vars_scans_do_not_grow_with_search_nodes(
         self, lemma_distrib_left, candidate_symbols, monkeypatch
     ):
-        """Each candidate scheme and each retained base constant is scanned
-        for type variables once per call, however often the search tries it."""
+        """Each candidate scheme is scanned for type variables once per call,
+        however often the search tries it, and each retained base constant
+        once per template object: later calls reuse the template's root."""
         from lemmakit import terms
 
         tpl = abstract(lemma_distrib_left)
@@ -439,12 +442,12 @@ class TestSharedConstruction:
         monkeypatch.setattr(instantiation, "type_vars", scan)
         monkeypatch.setattr(instantiation, "unify_into", unify)
         pool = POLY_SYMBOLS + OCTO_SYMBOLS + candidate_symbols
-        for n in (2, len(pool)):
+        for n, root_scans in ((2, base_consts), (len(pool), 0)):
             scans.clear()
             tries.clear()
             res = instantiate(tpl, pool[:n], Budget(max_results=10**9))
             assert res.conjectures and not res.timed_out
-            assert len(scans) == n + base_consts
+            assert len(scans) == n + root_scans
         assert len(tries) > 5 * len(scans)
 
     def test_monomorphic_scheme_is_not_copied(self):
@@ -453,6 +456,70 @@ class TestSharedConstruction:
         assert fresh.rename(mono) is mono and fresh.n == 0
         poly = fresh.rename(fun(_A, _A))
         assert poly == fun(TVar("?f1"), TVar("?f1")) and fresh.n == 1
+
+
+class TestRootOncePerTemplate:
+    """The constraints of a template's retained logical constants are worked
+    out once per template object and shared by every later call, which
+    continues the fresh names from where they stopped."""
+
+    def _count(self, monkeypatch):
+        calls = []
+        real = instantiation.unify_into
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(instantiation, "unify_into", counted)
+        return calls
+
+    def test_later_calls_reuse_the_root_and_its_names(
+        self, lemma_distrib_left, candidate_symbols, monkeypatch
+    ):
+        pool = POLY_SYMBOLS + OCTO_SYMBOLS + candidate_symbols
+        tpl = abstract(lemma_distrib_left)
+        runs = []
+        for _ in range(3):
+            calls = self._count(monkeypatch)
+            res = instantiate(tpl, pool, Budget(max_results=10**9))
+            runs.append((len(calls), render_terms([c.term for c in res.conjectures])))
+            monkeypatch.undo()
+        # HOL.eq's scheme is unified at the root on the first call only, and
+        # the names it used up (?f1) are not handed out again.
+        assert runs[0][0] == runs[1][0] + 1 == runs[2][0] + 1
+        assert runs[0][1] == runs[1][1] == runs[2][1]
+        names = {m for text in runs[0][1] for m in re.findall(r"\?f\d+", text)}
+        assert names and "?f1" not in names
+        assert _assert_same_as_per_node(tpl, pool) == len(runs[0][1])
+        fresh_tpl = parse_template(tpl.canonical)
+        assert [
+            render_term(c.term)
+            for c in instantiate(fresh_tpl, pool, Budget(max_results=10**9)).conjectures
+        ] == runs[0][1]
+
+    def test_clashing_root_gives_empty_result_on_repeated_calls(self):
+        # HOL.conj is bool => bool => bool; this template retains it at octo.
+        octo_conj = fun(OCTO, fun(OCTO, TCon("HOL.bool")))
+        body = App(App(Const("HOL.conj", octo_conj), Hole(1, OCTO)), Hole(2, OCTO))
+        tpl = parse_template(render_term(body))
+        pool = [SignatureEntry("Octonions.one", OCTO, None)] + OCTO_SYMBOLS
+        for candidates in (pool, pool, pool[:1], POLY_SYMBOLS):
+            res = instantiate(tpl, candidates)
+            assert res.conjectures == []
+            assert not res.timed_out and not res.capped
+        assert not feasible(tpl, pool)
+
+    def test_threads_share_one_template(self, lemma_distrib_left, candidate_symbols):
+        pool = POLY_SYMBOLS + candidate_symbols
+        expected = [
+            c.term for c in instantiate(abstract(lemma_distrib_left), pool).conjectures
+        ]
+        tpl = abstract(lemma_distrib_left)
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            got = list(ex.map(lambda _: instantiate(tpl, pool).conjectures, range(8)))
+        for conjectures in got:
+            assert [c.term for c in conjectures] == expected
 
 
 _SORTS = [TCon(f"S.s{i}") for i in range(3)]
@@ -521,7 +588,9 @@ class TestUnifyOncePerType:
         calls.clear()
         got = instantiate(tpl, pool).conjectures
         n = len(pool)
-        assert len(calls) == 1 + n + 3 * self.B * n > shared_calls
+        # The first call unified HOL.eq at the root of this template object;
+        # the second reuses that root.
+        assert len(calls) == n + 3 * self.B * n > shared_calls
         assert got == shared
         monkeypatch.undo()
         assert _assert_same_as_per_node(tpl, pool) == len(got)

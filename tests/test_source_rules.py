@@ -1,8 +1,10 @@
 """Source rules for src/lemmakit: modules share only public names, every
 import sits at module level, where a reader of the module sees it, nothing
 outside the standard library is imported, so lemmakit has no runtime
-dependency, and no nested function is recursive, so no call leaves a
-reference cycle for the collector."""
+dependency, no nested function is recursive, so no call leaves a
+reference cycle for the collector, and no module-level name starts out as an
+empty container, so every cache lives in a call, a suite group or an
+object instead of growing for the life of the process."""
 
 import ast
 import sys
@@ -146,3 +148,71 @@ def test_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:
         assert tomllib.load(fh)["project"]["dependencies"] == []
+
+
+def _empty_container(node: ast.AST) -> bool:
+    """Whether `node` is `{}`, `[]`, `dict()` or `set()`."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("dict", "set")
+        and not node.args
+        and not node.keywords
+    )
+
+
+def module_memos(source: str) -> list[str]:
+    """Line-tagged module-level names bound to an empty container: such a
+    name is a memo or registry that outlives every call."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if _empty_container(value):
+            out += [
+                f"{node.lineno}: module-level memo {ast.unparse(t)}" for t in targets
+            ]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_keeps_no_module_level_memo(path):
+    assert module_memos(path.read_text(encoding="utf-8")) == []
+
+
+def test_memo_rule_catches_each_form():
+    source = '''
+_CACHE = {}
+SEEN: list[str] = []
+a = b = dict()
+_NAMES = set()
+TABLE = {"x": 1}
+ORDER = ["x"]
+PAIRS = dict(x=1)
+LETTERS = set("ab")
+EMPTY = frozenset()
+
+
+def f():
+    local = {}
+    return local
+
+
+class Holder:
+    slots = {}
+'''
+    assert module_memos(source) == [
+        "2: module-level memo _CACHE",
+        "3: module-level memo SEEN",
+        "4: module-level memo a",
+        "4: module-level memo b",
+        "5: module-level memo _NAMES",
+    ]

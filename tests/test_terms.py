@@ -591,6 +591,45 @@ def _alpha_key_recursive(t):
     return tuple(out)
 
 
+def _subterms_recursive(t):
+    """Reference: subterms as it was, a recursive generator."""
+    yield t
+    if isinstance(t, Abs):
+        yield from _subterms_recursive(t.body)
+    elif isinstance(t, App):
+        yield from _subterms_recursive(t.fn)
+        yield from _subterms_recursive(t.arg)
+
+
+class TestSubterms:
+    @staticmethod
+    def _same(t):
+        got, expected = list(subterms(t)), list(_subterms_recursive(t))
+        assert len(got) == len(expected)
+        assert all(a is b for a, b in zip(got, expected))
+
+    def test_matches_recursive_reference(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            t, _ = random_lemma_term(rng)
+            for u in (t, _quantify(t), abstract(_quantify(t)).body):
+                self._same(u)
+
+    @pytest.mark.parametrize("shape", ["arg", "head", "abs", "type"])
+    def test_matches_recursive_reference_at_the_depth_limit(self, shape):
+        self._same(parse_term(_deep_terms(MAX_DEPTH)[shape]))
+
+    def test_leaves_and_sharing(self):
+        x = Free("x1", OCTO)
+        shared = App(Const("T.f", fun(OCTO, OCTO)), x)
+        t = App(shared, shared)
+        assert [type(s).__name__ for s in subterms(t)] == [
+            "App", "App", "Const", "Free", "App", "Const", "Free"
+        ]
+        assert list(subterms(x)) == [x]
+        assert list(subterms(Bound(0))) == [Bound(0)]
+
+
 class TestAlphaKey:
     def test_matches_recursive_reference(self):
         rng = random.Random(37)
