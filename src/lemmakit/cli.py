@@ -303,8 +303,17 @@ def cmd_propose(args) -> int:
 # Argument parsing
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, an input error, since
+    exit 2 means a transport error.  Subparsers are of the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lemmakit",
         description="Template-based lemma conjecturing toolkit.",
     )

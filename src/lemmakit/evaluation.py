@@ -95,7 +95,6 @@ class EvalReport:
     template_match_rate: float
     per_theory: dict[str, float]
     instantiation_rate: float | None = None
-    categories: dict[str, int] | None = None
     errored_tasks: int = 0
     strict_denominator: bool = False
 
@@ -108,14 +107,11 @@ class EvalReport:
         }
         if self.instantiation_rate is not None:
             aggregates["instantiation_rate"] = self.instantiation_rate
-        out = {
+        return {
             "aggregates": aggregates,
             "per_theory": dict(sorted(self.per_theory.items())),
             "per_task": [r.to_dict() for r in self.per_task],
         }
-        if self.categories is not None:
-            out["categories"] = dict(sorted(self.categories.items()))
-        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
@@ -126,7 +122,6 @@ class EvalReport:
             template_match_rate=agg["template_match_rate"],
             per_theory=dict(d.get("per_theory", {})),
             instantiation_rate=agg.get("instantiation_rate"),
-            categories=d.get("categories"),
             errored_tasks=agg.get("errored_tasks", 0),
             strict_denominator=agg.get("strict_denominator", False),
         )
@@ -146,30 +141,20 @@ def evaluate_task(task: EvalTask, proposer, budget: Budget | None = None) -> Tas
     errored rather than raising, so one bad reply or record cannot abort a
     suite.
     """
-    return _evaluate_group([task], proposer, budget)[0]
-
-
-def _evaluate_group(
-    tasks: list[EvalTask], proposer, budget: Budget | None
-) -> list[TaskResult]:
-    """`evaluate_task` of each of `tasks`, which share one symbol list.
-
-    Such tasks instantiate a template alike, so each template is instantiated
-    once for all of them: `memo` maps its canonical string to the result, for
-    this call only.  A search that timed out is not kept, nor is an error, so
-    only the deterministic answer is reused and every task that an error
-    hits is marked.  The proposer is still asked once per task.
-    """
-    if budget is None:
-        budget = Budget()
-    memo: dict[str, InstantiationResult] = {}
-    return [_evaluate(task, proposer, budget, memo) for task in tasks]
+    return _evaluate(task, proposer, budget or Budget(), {})
 
 
 def _evaluate(
     task: EvalTask, proposer, budget: Budget, memo: dict[str, InstantiationResult]
 ) -> TaskResult:
-    """One task of `_evaluate_group`, instantiating through its `memo`."""
+    """`evaluate_task`, instantiating through `memo`.
+
+    Tasks that share one symbol list instantiate a template alike, so they
+    can share a `memo` from template canonical string to result, and each
+    template is instantiated once for all of them.  A search that timed out
+    is not stored, nor is an error, so only the deterministic answer is
+    reused and every task that an error hits is marked.
+    """
     result = TaskResult(id=task.record.id, theory=task.record.theory)
     req = ProposalRequest(
         symbols=task.record.symbols, mode=task.mode, k=task.k
@@ -242,8 +227,9 @@ def evaluate_suite(
 
     Tasks are grouped by their record's symbol list, in order, since the
     candidate order decides which conjectures a cap keeps.  Each group
-    instantiates a template once for all its tasks (`_evaluate_group`), and
-    workers run whole groups.
+    instantiates a template once for all its tasks (one memo for the
+    group, see `_evaluate`), though the proposer is still asked once per
+    task.  Workers run whole groups.
 
     Workers are threads, so more than one helps only a proposer that waits
     on I/O.  On the 100-task synthetic suite (31 symbol lists) with an http
@@ -257,7 +243,12 @@ def evaluate_suite(
     groups: dict[tuple[SignatureEntry, ...], list[int]] = {}
     for i, task in enumerate(tasks):
         groups.setdefault(task.record.symbols, []).append(i)
-    run = lambda g: _evaluate_group([tasks[i] for i in g], proposer, budget)
+    budget = budget or Budget()
+
+    def run(group: list[int]) -> list[TaskResult]:
+        memo: dict[str, InstantiationResult] = {}
+        return [_evaluate(tasks[i], proposer, budget, memo) for i in group]
+
     if workers == 1:
         runs = [run(g) for g in groups.values()]
     else:

@@ -186,15 +186,11 @@ class HttpProposerConfig:
     max_tokens: int = 512
 
     @classmethod
-    def from_env(cls, timeout_millis: int = 120_000) -> "HttpProposerConfig":
+    def from_env(cls) -> "HttpProposerConfig":
         url = os.environ.get(ENV_LLM_URL)
         if not url:
             raise TransportError(f"{ENV_LLM_URL} is not set")
-        return cls(
-            url=url,
-            token=os.environ.get(ENV_LLM_TOKEN),
-            timeout_millis=timeout_millis,
-        )
+        return cls(url=url, token=os.environ.get(ENV_LLM_TOKEN))
 
 
 class _HttpOnly(BaseHandler):

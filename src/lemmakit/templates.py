@@ -48,9 +48,7 @@ class IllTyped(LemmakitError):
 
 
 class NonCanonical(LemmakitError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    pass
 
 
 BOOL = TCon("HOL.bool")

@@ -10,6 +10,7 @@ occurrence, so polymorphic constants may appear at several types in one term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import is_
 
 
@@ -45,8 +46,6 @@ class TypeMismatch(TypecheckError):
             f"found {render_type(found)}"
         )
         self.path = path
-        self.expected = expected
-        self.found = found
 
 
 class UnboundIndex(TypecheckError):
@@ -62,15 +61,11 @@ class UnificationError(LemmakitError):
 class Clash(UnificationError):
     def __init__(self, a: str, b: str):
         super().__init__(f"cannot unify constructor {a!r} with {b!r}")
-        self.con1 = a
-        self.con2 = b
 
 
 class OccursCheck(UnificationError):
     def __init__(self, var: str, ty: "TypeExpr"):
         super().__init__(f"occurs check: {var!r} in {render_type(ty)}")
-        self.var = var
-        self.type = ty
 
 
 # ---------------------------------------------------------------------------
@@ -767,6 +762,56 @@ def typecheck(t: Term, sig: Signature | None = None) -> TypeExpr:
 # Alpha equivalence
 
 
+def _alpha_tokens(t: Term, frees: dict[str, int]):
+    """The tokens that define alpha equivalence, one at a time.
+
+    The walk visits the term's nodes and types in preorder.  It yields node
+    kinds, constant names, type constructor names and arities, hole indices
+    and bound indices.  Each free-variable name and each type-variable name
+    becomes its first-occurrence number, and binder names are dropped.
+    `frees` receives each free name with its number.
+    """
+    tvars: dict[str, int] = {}
+    # Terms and types still to visit, on an explicit stack: a recursive walk
+    # would hit the interpreter's recursion limit below MAX_DEPTH.
+    stack: list = [t]
+    while stack:
+        x = stack.pop()
+        cls = x.__class__
+        if cls is TCon:
+            yield "tc"
+            yield x.name
+            yield len(x.args)
+            if x.args:
+                stack.extend(reversed(x.args))
+        elif cls is App:
+            yield "app"
+            stack.append(x.arg)
+            stack.append(x.fn)
+        elif cls is TVar:
+            yield "tv"
+            yield tvars.setdefault(x.name, len(tvars))
+        elif cls is Const:
+            yield "const"
+            yield x.name
+            stack.append(x.type)
+        elif cls is Free:
+            yield "free"
+            yield frees.setdefault(x.name, len(frees))
+            stack.append(x.type)
+        elif cls is Bound:
+            yield "bound"
+            yield x.index
+        elif cls is Abs:
+            yield "abs"
+            stack.append(x.body)
+            stack.append(x.binder_type)
+        else:
+            yield "hole"
+            yield x.index
+            stack.append(x.type)
+
+
 def alpha_equal(a: Term, b: Term) -> bool:
     """Equality up to binder names, bijective Free renaming and bijective
     TypeVar renaming.  Const and TCon names (and Hole indices) must match.
@@ -774,105 +819,29 @@ def alpha_equal(a: Term, b: Term) -> bool:
     The free-variable bijection must be the identity on names the two terms
     share: `a + b` and `b + a` are NOT alpha-equal (a cannot map to b while b
     occurs in both terms), whereas `x1 + x2` matches `a + b`.
+
+    The two terms' token streams, the ones `alpha_key` lists, are compared
+    as they are produced, up to the first mismatch.  Equal streams pair the
+    n-th free name of `a` with the n-th of `b`; the rule on shared names is
+    then the one check a key cannot make.
     """
-    fmap: dict[str, str] = {}
-    frev: dict[str, str] = {}
-    tmap: dict[str, str] = {}
-    trev: dict[str, str] = {}
-    frees_a = set(free_names(a))
-    frees_b = set(free_names(b))
-    # Pairs of terms or of types still to compare, walked in preorder with an
-    # explicit stack: a recursive nested function would hold itself through
-    # its closure cell and leave a reference cycle behind every call.
-    stack: list = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        cls = x.__class__
-        if cls is not y.__class__:
+    frees_a: dict[str, int] = {}
+    frees_b: dict[str, int] = {}
+    for x, y in zip_longest(_alpha_tokens(a, frees_a), _alpha_tokens(b, frees_b)):
+        if x != y:
             return False
-        if cls is App:
-            stack.append((x.arg, y.arg))
-            stack.append((x.fn, y.fn))
-        elif cls is TCon:
-            if x.name != y.name or len(x.args) != len(y.args):
-                return False
-            stack.extend(zip(reversed(x.args), reversed(y.args)))
-        elif cls is TVar:
-            if tmap.get(x.name, y.name) != y.name:
-                return False
-            if trev.get(y.name, x.name) != x.name:
-                return False
-            tmap[x.name] = y.name
-            trev[y.name] = x.name
-        elif cls is Const:
-            if x.name != y.name:
-                return False
-            stack.append((x.type, y.type))
-        elif cls is Free:
-            if x.name != y.name and (x.name in frees_b or y.name in frees_a):
-                return False
-            if fmap.get(x.name, y.name) != y.name:
-                return False
-            if frev.get(y.name, x.name) != x.name:
-                return False
-            fmap[x.name] = y.name
-            frev[y.name] = x.name
-            stack.append((x.type, y.type))
-        elif cls is Bound:
-            if x.index != y.index:
-                return False
-        elif cls is Abs:
-            stack.append((x.body, y.body))
-            stack.append((x.binder_type, y.binder_type))
-        else:
-            if x.index != y.index:
-                return False
-            stack.append((x.type, y.type))
-    return True
+    return all(
+        x == y or (x not in frees_b and y not in frees_a)
+        for x, y in zip(frees_a, frees_b)
+    )
 
 
 def alpha_key(t: Term) -> tuple:
-    """A hashable key that alpha equivalence preserves.
+    """A hashable key that alpha equivalence preserves: the token stream
+    that `alpha_equal` compares, as a tuple.
 
-    The key lists the term's nodes in the preorder `alpha_equal` walks. It
-    keeps node kinds, constant names, type constructor names and arities,
-    hole indices and bound indices. Each free-variable name and each
-    type-variable name becomes its first-occurrence number, and binder names
-    are dropped. So `alpha_equal(a, b)` implies `alpha_key(a) == alpha_key(b)`.
-    The converse does not hold (the key ignores which free names the two terms
+    So `alpha_equal(a, b)` implies `alpha_key(a) == alpha_key(b)`.  The
+    converse does not hold (the key ignores which free names the two terms
     share), so equal keys only make a pair worth comparing.
     """
-    out: list = []
-    frees: dict[str, int] = {}
-    tvars: dict[str, int] = {}
-    # Terms and types still to visit, in preorder, on an explicit stack for
-    # the same reason as in `alpha_equal`.
-    stack: list = [t]
-    while stack:
-        x = stack.pop()
-        cls = x.__class__
-        if cls is App:
-            out.append("app")
-            stack.append(x.arg)
-            stack.append(x.fn)
-        elif cls is TCon:
-            out.extend(("tc", x.name, len(x.args)))
-            stack.extend(reversed(x.args))
-        elif cls is TVar:
-            out.extend(("tv", tvars.setdefault(x.name, len(tvars))))
-        elif cls is Const:
-            out.extend(("const", x.name))
-            stack.append(x.type)
-        elif cls is Free:
-            out.extend(("free", frees.setdefault(x.name, len(frees))))
-            stack.append(x.type)
-        elif cls is Bound:
-            out.extend(("bound", x.index))
-        elif cls is Abs:
-            out.append("abs")
-            stack.append(x.body)
-            stack.append(x.binder_type)
-        else:
-            out.extend(("hole", x.index))
-            stack.append(x.type)
-    return tuple(out)
+    return tuple(_alpha_tokens(t, {}))

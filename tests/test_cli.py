@@ -650,8 +650,27 @@ class TestInstantiate:
         assert len(_read_jsonl(capsys)) == 2
 
     def test_requires_some_template(self, octo_symbols_file):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["instantiate", octo_symbols_file])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["instantiate"], ["eval"], ["instantiate", "s.json", "--no-such-flag"],
+         ["eval", "c.jsonl", "--workers", "two"], ["no-such-command"], []],
+    )
+    def test_usage_errors_exit_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage: lemmakit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["instantiate", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: lemmakit" in capsys.readouterr().out
 
     def test_too_deep_template_exits_1(self, octo_symbols_file, tmp_path):
         """A template nested 3000 deep is a syntax error, not a crash."""

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -41,6 +42,7 @@ from lemmakit.terms import (
     _escape,
     apply_type_subst,
     base_scheme,
+    free_names,
     fun,
     map_types,
     parse_term,
@@ -56,7 +58,7 @@ from lemmakit.terms import (
     unify_types,
 )
 
-from oracles import random_lemma_term, random_type, unifiable_oracle
+from oracles import TYPE_CONS, _rename, random_lemma_term, random_type, unifiable_oracle
 
 OCTO = TCon("Octonions.octo")
 BOOL = TCon("HOL.bool")
@@ -637,6 +639,170 @@ class TestAlphaKey:
             t, _ = random_lemma_term(rng)
             for u in (t, _quantify(t), abstract(_quantify(t)).body):
                 assert alpha_key(u) == _alpha_key_recursive(u)
+
+
+def _alpha_equal_pairwise(a, b):
+    """Reference: alpha_equal as it was, one walk over both terms in step
+    with a bijection of free names and one of type-variable names."""
+    fmap, frev, tmap, trev = {}, {}, {}, {}
+    frees_a = set(free_names(a))
+    frees_b = set(free_names(b))
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        cls = x.__class__
+        if cls is not y.__class__:
+            return False
+        if cls is App:
+            stack.append((x.arg, y.arg))
+            stack.append((x.fn, y.fn))
+        elif cls is TCon:
+            if x.name != y.name or len(x.args) != len(y.args):
+                return False
+            stack.extend(zip(reversed(x.args), reversed(y.args)))
+        elif cls is TVar:
+            if tmap.get(x.name, y.name) != y.name:
+                return False
+            if trev.get(y.name, x.name) != x.name:
+                return False
+            tmap[x.name] = y.name
+            trev[y.name] = x.name
+        elif cls is Const:
+            if x.name != y.name:
+                return False
+            stack.append((x.type, y.type))
+        elif cls is Free:
+            if x.name != y.name and (x.name in frees_b or y.name in frees_a):
+                return False
+            if fmap.get(x.name, y.name) != y.name:
+                return False
+            if frev.get(y.name, x.name) != x.name:
+                return False
+            fmap[x.name] = y.name
+            frev[y.name] = x.name
+            stack.append((x.type, y.type))
+        elif cls is Bound:
+            if x.index != y.index:
+                return False
+        elif cls is Abs:
+            stack.append((x.body, y.body))
+            stack.append((x.binder_type, y.binder_type))
+        else:
+            if x.index != y.index:
+                return False
+            stack.append((x.type, y.type))
+    return True
+
+
+def _generalize(t, rng):
+    """t with two of the ground type constructors made type variables a, b."""
+    tvars = dict(zip(rng.sample(TYPE_CONS, 2), "ab"))
+
+    def ty(x):
+        if isinstance(x, TVar):
+            return x
+        if not x.args and x.name in tvars:
+            return TVar(tvars[x.name])
+        return TCon(x.name, tuple(ty(a) for a in x.args))
+
+    return map_types(t, ty)
+
+
+def _mutate_last_leaf(t, rng):
+    """t with its last leaf in preorder changed, so that the two terms'
+    token streams agree up to their last few tokens."""
+    if isinstance(t, App):
+        return App(t.fn, _mutate_last_leaf(t.arg, rng))
+    if isinstance(t, Abs):
+        return Abs(t.binder, t.binder_type, _mutate_last_leaf(t.body, rng))
+    if isinstance(t, Bound):
+        return Bound(t.index + 1)
+    if rng.random() < 0.4:
+        return dataclasses.replace(t, type=TVar("m"))
+    if isinstance(t, Hole):
+        return Hole(t.index + 1, t.type)
+    if isinstance(t, Const):
+        return Const(t.name + "_m", t.type)
+    return Free(rng.choice([t.name + "_m", "fv0"]), t.type)
+
+
+def _alpha_pair(rng):
+    """A random term and a second term of one of seven kinds, most of them
+    alpha-equal to it or nearly so."""
+    a, _ = random_lemma_term(rng)
+    shape = rng.randrange(3)
+    if shape == 1:
+        a = _quantify(a)
+    elif shape == 2:
+        a = abstract(_quantify(a)).body
+    if rng.random() < 0.5:
+        a = _generalize(a, rng)
+    names = sorted(set(free_names(a)))
+    kind = rng.randrange(7)
+    if kind == 0:  # a copy, with binder names dropped
+        b = _rename(a, {}, {})
+    elif kind == 1:  # free names to fresh ones, or onto each other
+        pool = [f"w{i}" for i in range(len(names))] + names
+        b = _rename(a, {n: rng.choice(pool) for n in names}, {})
+    elif kind == 2:  # shared free names permuted: `a + b` against `b + a`
+        b = _rename(a, dict(zip(names, rng.sample(names, len(names)))), {})
+    elif kind == 3:  # type variables swapped, renamed or merged
+        b = _rename(a, {}, rng.choice([{"a": "b", "b": "a"}, {"a": "c"}, {"a": "b"}]))
+    elif kind == 4:  # a difference deep in the term
+        b = _mutate_last_leaf(a, rng)
+    elif kind == 5:  # renamed, then changed deep in the term
+        b = _mutate_last_leaf(_rename(a, {n: n + "_r" for n in names}, {}), rng)
+    else:
+        b, _ = random_lemma_term(rng)
+    return a, b, kind
+
+
+class TestAlphaEqualStream:
+    def test_matches_pairwise_reference_on_random_pairs(self):
+        rng = random.Random(53)
+        outcomes = set()
+        late_mismatches = 0
+        for _ in range(2400):
+            a, b, kind = _alpha_pair(rng)
+            got = alpha_equal(a, b)
+            assert got == _alpha_equal_pairwise(a, b)
+            assert alpha_equal(b, a) == got
+            ka, kb = alpha_key(a), alpha_key(b)
+            if got:
+                assert ka == kb
+            elif kind in (4, 5):
+                common = next(
+                    (i for i, (x, y) in enumerate(zip(ka, kb)) if x != y),
+                    min(len(ka), len(kb)),
+                )
+                late_mismatches += common >= 0.8 * len(ka)
+            outcomes.add((kind, got))
+        # every kind but the copy and the unrelated term meets both answers
+        assert outcomes >= {(k, v) for k in range(1, 6) for v in (True, False)}
+        assert late_mismatches > 200
+
+    @pytest.mark.parametrize("shape", ["arg", "head", "abs", "type"])
+    def test_matches_pairwise_reference_at_the_depth_limit(self, shape):
+        text = _deep_terms(MAX_DEPTH)[shape]
+        a = parse_term(text)
+        others = {
+            text: True,
+            text.replace('"S"', '"R"', 1): False,
+            '"R"'.join(text.rsplit('"S"', 1)): False,
+            text.replace('"x1"', '"x2"'): True,
+        }
+        for other, want in others.items():
+            b = parse_term(other)
+            assert alpha_equal(a, b) == _alpha_equal_pairwise(a, b) == want
+            assert (alpha_key(a) == alpha_key(b)) == want
+
+    def test_shared_free_names_are_checked_after_equal_streams(self):
+        plus = Const("G.plus", fun(OCTO, fun(OCTO, OCTO)))
+        a, b, c = (Free(n, OCTO) for n in "abc")
+        ab, ba, bc = (App(App(plus, x), y) for x, y in ((a, b), (b, a), (b, c)))
+        assert alpha_key(ab) == alpha_key(ba) == alpha_key(bc)
+        assert not alpha_equal(ab, ba) and not alpha_equal(ab, bc)
+        assert alpha_equal(ab, App(App(plus, c), Free("d", OCTO)))
 
 
 def _garbage_after(call):
