@@ -150,9 +150,10 @@ def cmd_abstract(args) -> int:
 def cmd_conjecture(args) -> int:
     symbols = corpus_mod.load_signature(args.symbols)
     prop = _make_proposer(args.proposer, args.index, args.templates)
-    req = ProposalRequest(symbols=tuple(symbols), mode=args.mode, k=args.k)
-    proposals = prop(req)
     budget = _budget(args)
+    req = ProposalRequest(symbols=tuple(symbols), mode=args.mode, k=args.k,
+                          distinct_holes=budget.distinct_holes)
+    proposals = prop(req)
     all_conjectures = []
     capped = False
     timed_out = False
@@ -268,7 +269,7 @@ def cmd_quickspec(args) -> int:
 
 
 def cmd_instantiate(args) -> int:
-    if args.template:
+    if args.template is not None:
         tpl = parse_template(args.template)
     else:
         with open(args.template_file, encoding="utf-8") as fh:
@@ -374,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("instantiate", help="instantiate one template")
     p.add_argument("symbols", help="signature JSON file")
-    p.add_argument("--template", help="template as a canonical s-expression")
-    p.add_argument("--template-file", help="file holding one template")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--template", help="template as a canonical s-expression")
+    source.add_argument("--template-file", help="file holding one template")
     p.add_argument("-o", "--output", default="-")
     _add_budget_flags(p)
     p.set_defaults(fn=cmd_instantiate)
@@ -394,9 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "instantiate":
-        if not args.template and not args.template_file:
-            parser.error("instantiate needs --template or --template-file")
     try:
         return args.fn(args)
     except TransportError as e:

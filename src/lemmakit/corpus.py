@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .templates import Whitelist, abstract, default_whitelist
 from .terms import (
@@ -51,12 +51,14 @@ class CorpusRecord:
 
 @dataclass(frozen=True)
 class Datapoint:
+    """One prompt/target pair; its fields are its JSON line's keys."""
+
     id: str
-    input: str
-    target_kind: str
-    target: str
-    mode: str
     theory: str
+    mode: str
+    target_kind: str
+    input: str
+    target: str
 
 
 def make_record(
@@ -204,10 +206,7 @@ _RECORD_FIELDS = {
     "term": "a string",
     "symbols": "a list",
 }
-_DATAPOINT_FIELDS = {
-    key: "a string"
-    for key in ("id", "theory", "mode", "target_kind", "input", "target")
-}
+_DATAPOINT_FIELDS = {f.name: "a string" for f in fields(Datapoint)}
 
 
 def check_fields(d, fields: dict[str, str], where: str) -> None:
@@ -248,26 +247,12 @@ def record_from_dict(d: dict, where: str = "record") -> CorpusRecord:
 
 
 def datapoint_to_dict(d: Datapoint) -> dict:
-    return {
-        "id": d.id,
-        "theory": d.theory,
-        "mode": d.mode,
-        "target_kind": d.target_kind,
-        "input": d.input,
-        "target": d.target,
-    }
+    return dict(vars(d))
 
 
 def datapoint_from_dict(d: dict) -> Datapoint:
     check_fields(d, _DATAPOINT_FIELDS, "datapoint")
-    return Datapoint(
-        id=d["id"],
-        theory=d["theory"],
-        mode=d["mode"],
-        target_kind=d["target_kind"],
-        input=d["input"],
-        target=d["target"],
-    )
+    return Datapoint(**{key: d[key] for key in _DATAPOINT_FIELDS})
 
 
 def parse_json(text: str, where: str, what: str = "JSON"):

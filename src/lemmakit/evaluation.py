@@ -61,42 +61,39 @@ class TaskResult:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "theory": self.theory,
-            "proposed_templates": list(self.proposed_templates),
-            "template_exact_match": self.template_exact_match,
-            "lemma_success": self.lemma_success,
-            "conjecture_count": self.conjecture_count,
-            "timed_out": self.timed_out,
-            "capped": self.capped,
-            "error": self.error,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaskResult":
-        return cls(
-            id=d["id"],
-            theory=d["theory"],
-            proposed_templates=list(d.get("proposed_templates", [])),
-            template_exact_match=d["template_exact_match"],
-            lemma_success=d["lemma_success"],
-            conjecture_count=d.get("conjecture_count", 0),
-            timed_out=d.get("timed_out", False),
-            capped=d.get("capped", False),
-            error=d.get("error"),
-        )
+        return cls(**d)
 
 
 @dataclass
 class EvalReport:
+    """A suite's per-task rows, from which construction derives every rate but
+    `instantiation_rate` (measured over gold templates, reported when set).
+    With `strict_denominator`, errored tasks count in no rate's denominator."""
+
     per_task: list[TaskResult]
-    lemma_success_rate: float
-    template_match_rate: float
-    per_theory: dict[str, float]
-    instantiation_rate: float | None = None
-    errored_tasks: int = 0
     strict_denominator: bool = False
+    instantiation_rate: float | None = None
+    lemma_success_rate: float = field(init=False)
+    template_match_rate: float = field(init=False)
+    per_theory: dict[str, float] = field(init=False)
+    errored_tasks: int = field(init=False)
+
+    def __post_init__(self):
+        rows = self.per_task
+        self.errored_tasks = sum(1 for r in rows if r.error is not None)
+        if self.strict_denominator:
+            rows = [r for r in rows if r.error is None]
+        n = len(rows)
+        self.lemma_success_rate = sum(r.lemma_success for r in rows) / n if n else 0.0
+        self.template_match_rate = sum(r.template_exact_match for r in rows) / n if n else 0.0
+        self.per_theory = {}
+        for th in sorted({r.theory for r in rows}):
+            group = [r for r in rows if r.theory == th]
+            self.per_theory[th] = sum(r.lemma_success for r in group) / len(group)
 
     def to_dict(self) -> dict:
         aggregates = {
@@ -109,21 +106,19 @@ class EvalReport:
             aggregates["instantiation_rate"] = self.instantiation_rate
         return {
             "aggregates": aggregates,
-            "per_theory": dict(sorted(self.per_theory.items())),
+            "per_theory": self.per_theory,
             "per_task": [r.to_dict() for r in self.per_task],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
+        """The report of `to_dict`'s rows; the rates are computed again from
+        them, not read from the aggregates."""
         agg = d["aggregates"]
         return cls(
             per_task=[TaskResult.from_dict(r) for r in d["per_task"]],
-            lemma_success_rate=agg["lemma_success_rate"],
-            template_match_rate=agg["template_match_rate"],
-            per_theory=dict(d.get("per_theory", {})),
-            instantiation_rate=agg.get("instantiation_rate"),
-            errored_tasks=agg.get("errored_tasks", 0),
             strict_denominator=agg.get("strict_denominator", False),
+            instantiation_rate=agg.get("instantiation_rate"),
         )
 
     def to_json(self) -> str:
@@ -157,7 +152,8 @@ def _evaluate(
     """
     result = TaskResult(id=task.record.id, theory=task.record.theory)
     req = ProposalRequest(
-        symbols=task.record.symbols, mode=task.mode, k=task.k
+        symbols=task.record.symbols, mode=task.mode, k=task.k,
+        distinct_holes=budget.distinct_holes,
     )
     try:
         proposals: ProposalSet = proposer(req)
@@ -189,31 +185,6 @@ def _evaluate(
                     result.lemma_success = True
                     break
     return result
-
-
-def _report(results: list[TaskResult], strict_denominator: bool) -> EvalReport:
-    """The report over `results`, with its aggregates computed."""
-    errored = sum(1 for r in results if r.error is not None)
-    if strict_denominator:
-        counted = [r for r in results if r.error is None]
-    else:
-        counted = results
-    n = len(counted)
-    success_rate = sum(r.lemma_success for r in counted) / n if n else 0.0
-    match_rate = sum(r.template_exact_match for r in counted) / n if n else 0.0
-    per_theory: dict[str, float] = {}
-    theories = sorted({r.theory for r in counted})
-    for th in theories:
-        group = [r for r in counted if r.theory == th]
-        per_theory[th] = sum(r.lemma_success for r in group) / len(group)
-    return EvalReport(
-        per_task=results,
-        lemma_success_rate=success_rate,
-        template_match_rate=match_rate,
-        per_theory=per_theory,
-        errored_tasks=errored,
-        strict_denominator=strict_denominator,
-    )
 
 
 def evaluate_suite(
@@ -260,7 +231,7 @@ def evaluate_suite(
         for i, r in zip(g, got):
             results[i] = r
     results.sort(key=lambda r: r.id)
-    return _report(results, strict_denominator)
+    return EvalReport(results, strict_denominator)
 
 
 def instantiation_rate(tasks: list[EvalTask], budget: Budget | None = None) -> float:
@@ -313,7 +284,7 @@ def combine_reports(reports: list[EvalReport]) -> EvalReport:
                 else None,
             )
         )
-    return _report(combined, reports[0].strict_denominator)
+    return EvalReport(combined, reports[0].strict_denominator)
 
 
 def dedupe(conjectures: list[Conjecture]) -> tuple[list[Conjecture], int]:

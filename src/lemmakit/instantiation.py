@@ -317,10 +317,11 @@ def _containing(node: Term, index: int, out: set[int]) -> bool:
 FEASIBLE_TIMEOUT_MILLIS = 1000
 
 
-def feasible(tpl: Template, candidates: list[SignatureEntry]) -> bool:
+def feasible(
+    tpl: Template, candidates: list[SignatureEntry], distinct_holes: bool = False
+) -> bool:
     """True iff at least one well-typed full assignment exists within
-    FEASIBLE_TIMEOUT_MILLIS."""
-    res = instantiate(
-        tpl, candidates, Budget(timeout_millis=FEASIBLE_TIMEOUT_MILLIS, max_results=1)
-    )
-    return bool(res.conjectures)
+    FEASIBLE_TIMEOUT_MILLIS; with `distinct_holes`, one in which no two holes
+    share a symbol."""
+    budget = Budget(FEASIBLE_TIMEOUT_MILLIS, max_results=1, distinct_holes=distinct_holes)
+    return bool(instantiate(tpl, candidates, budget).conjectures)

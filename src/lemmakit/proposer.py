@@ -43,6 +43,7 @@ class ProposalRequest:
     symbols: tuple[SignatureEntry, ...]
     mode: str = "types+defs"
     k: int = 5
+    distinct_holes: bool = False  # the instantiation budget's, for feasibility
 
     def __post_init__(self):
         if self.k < 1:
@@ -150,7 +151,8 @@ def propose_retrieval(req: ProposalRequest, idx: TemplateIndex) -> ProposalSet:
 
     Feasibility is memoized on idx.  Only the set of candidate types can
     change the answer: without distinct holes the candidates' names, order
-    and repeats do not decide whether an assignment exists.
+    and repeats do not decide whether an assignment exists.  With distinct
+    holes, how many candidates share a type does, so nothing is memoized.
     """
     candidates = list(req.symbols)
     # instantiate rejects repeated names; an answer from the memo must too.
@@ -162,10 +164,13 @@ def propose_retrieval(req: ProposalRequest, idx: TemplateIndex) -> ProposalSet:
     ranked = []
     for canonical, count in idx.counts.items():
         tpl = idx.template(canonical)
-        key = (canonical, types)
-        ok = idx._feasible.get(key)
-        if ok is None:
-            ok = idx._feasible[key] = feasible(tpl, candidates)
+        if req.distinct_holes:
+            ok = feasible(tpl, candidates, distinct_holes=True)
+        else:
+            key = (canonical, types)
+            ok = idx._feasible.get(key)
+            if ok is None:
+                ok = idx._feasible[key] = feasible(tpl, candidates)
         if ok:
             ranked.append((tpl, count))
     ranked.sort(key=lambda tc: (-tc[1], tc[0].hole_count, tc[0].canonical))

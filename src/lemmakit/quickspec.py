@@ -29,11 +29,9 @@ reproducible from a seed.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import terms as terms_mod
 from .corpus import check_fields, load_json, parse_at
@@ -734,9 +732,16 @@ def pretty_law(law: Law, sig: InterpretedSignature) -> str:
 # Built-in evaluators and JSON loading
 
 
-@lru_cache(maxsize=None)
 def _totient(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if math.gcd(n, k) == 1)
+    """Euler's phi(n) by trial division, O(sqrt n); 0 for n <= 0."""
+    phi, p = max(n, 0), 2
+    while p * p <= n:
+        if n % p == 0:
+            phi -= phi // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return phi - phi // n if n > 1 else phi
 
 
 # Each builtin's argument kinds, then its result kind, and its function.

@@ -36,7 +36,6 @@ class TypecheckError(LemmakitError):
 class UnknownConstant(TypecheckError):
     def __init__(self, name: str):
         super().__init__(f"constant {name!r} not in signature")
-        self.name = name
 
 
 class TypeMismatch(TypecheckError):
@@ -45,13 +44,11 @@ class TypeMismatch(TypecheckError):
             f"type mismatch at path {path}: expected {render_type(expected)}, "
             f"found {render_type(found)}"
         )
-        self.path = path
 
 
 class UnboundIndex(TypecheckError):
     def __init__(self, index: int):
         super().__init__(f"bound variable index {index} exceeds binder depth")
-        self.index = index
 
 
 class UnificationError(LemmakitError):
@@ -246,15 +243,6 @@ def map_types(t: Term, f) -> Term:
     if isinstance(t, App):
         return App(map_types(t.fn, f), map_types(t.arg, f))
     return Hole(t.index, f(t.type))
-
-
-def free_names(t: Term) -> list[str]:
-    """Free variable names in first-occurrence (preorder) order."""
-    out: list[str] = []
-    for s in subterms(t):
-        if isinstance(s, Free) and s.name not in out:
-            out.append(s.name)
-    return out
 
 
 def const_names(t: Term) -> list[str]:

@@ -40,6 +40,13 @@ def _free_names(t, acc):
         _free_names(t.arg, acc)
 
 
+def free_name_set(t) -> set[str]:
+    """The names of t's free variables."""
+    acc: set[str] = set()
+    _free_names(t, acc)
+    return acc
+
+
 def _tvar_names(t, acc):
     def ty(x):
         if isinstance(x, TVar):

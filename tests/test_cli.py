@@ -106,6 +106,23 @@ class TestAbstract:
         assert main(["abstract", str(path)]) == 1
         assert ":1:" in capsys.readouterr().err
 
+    def test_bad_record_exits_1_and_keeps_the_rest(self, octo_corpus, tmp_path, capsys):
+        """A record that does not typecheck is reported by id; the templates
+        of the other records are still written."""
+        path, records = octo_corpus
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        bad = json.loads(lines[0])
+        bad["id"] = "bad"
+        bad["term"] = render_term(App(Const("f", OCTO), Free("x", OCTO)))
+        corpus = tmp_path / "one_bad.jsonl"
+        corpus.write_text(f"{lines[0]}\n{json.dumps(bad)}\n{lines[1]}\n")
+        out = tmp_path / "templates.jsonl"
+        assert main(["abstract", str(corpus), "-o", str(out)]) == 1
+        assert f"{corpus}: record 'bad': " in capsys.readouterr().err
+        rows = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [r["id"] for r in rows] == [r.id for r in records]
+
     def test_output_file(self, octo_corpus, tmp_path):
         path, _ = octo_corpus
         out = tmp_path / "templates.jsonl"
@@ -242,6 +259,20 @@ class TestDataset:
         row = json.loads((outdir / "train.jsonl").read_text().splitlines()[0])
         assert row["target_kind"] == "lemma"
         assert row["target"].startswith("(app")
+
+    def test_every_partition_gets_a_theory(self, tmp_path, capsys):
+        """0.98/0.01/0.01 of 20 theories rounds to 20/0/0; each empty
+        partition then takes a theory from the largest, giving 18/1/1."""
+        corpus = _many_theory_corpus(tmp_path, n_theories=20)
+        outdir = tmp_path / "x"
+        argv = ["dataset", corpus, "--outdir", str(outdir), "--split", "0.98/0.01/0.01"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        for name, n_theories in (("train", 18), ("val", 1), ("test", 1)):
+            assert f"{outdir / name}.jsonl: {2 * n_theories} datapoints" in err
+            text = (outdir / f"{name}.jsonl").read_text()
+            rows = [json.loads(l) for l in text.splitlines()]
+            assert len({r["theory"] for r in rows}) == n_theories
 
     def test_too_few_theories_exits_1(self, tmp_path, capsys):
         corpus = _many_theory_corpus(tmp_path, n_theories=2)
@@ -445,6 +476,48 @@ class TestEval:
         assert report["aggregates"]["lemma_success_rate"] == 1.0
 
 
+class TestDistinctHoles:
+    """--distinct-holes decides which templates retrieval finds feasible:
+    distributivity (the more frequent) needs two distinct operators, so over
+    one operator the k=1 proposal is associativity."""
+
+    @pytest.fixture
+    def index_file(self, tmp_path, lemma_distrib_left, lemma_assoc_plus):
+        path = tmp_path / "index.jsonl"
+        path.write_text(
+            json.dumps({"template": abstract(lemma_distrib_left).canonical, "count": 5})
+            + "\n"
+            + json.dumps({"template": abstract(lemma_assoc_plus).canonical, "count": 1})
+            + "\n"
+        )
+        return str(path)
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_conjecture(
+        self, tmp_path, index_file, capsys, distinct, lemma_distrib_left,
+        lemma_assoc_plus,
+    ):
+        symbols = _write_signature(
+            tmp_path / "one_op.json", [SignatureEntry("g.op", BINOP, None)]
+        )
+        argv = ["conjecture", symbols, "--index", index_file, "-k", "1"]
+        assert main(argv + ["--distinct-holes"] * distinct) == 0
+        captured = capsys.readouterr()
+        rows = [json.loads(line) for line in captured.out.splitlines()]
+        expected = lemma_assoc_plus if distinct else lemma_distrib_left
+        assert {r["template"] for r in rows} == {abstract(expected).canonical}
+        assert "conjectures=1 " in captured.err
+
+    @pytest.mark.parametrize("distinct, success", [(False, 0.5), (True, 1.0)])
+    def test_eval(self, octo_corpus, index_file, tmp_path, distinct, success):
+        path, _ = octo_corpus
+        rp = tmp_path / "report.json"
+        argv = ["eval", path, "--index", index_file, "-k", "1", "--report", str(rp)]
+        assert main(argv + ["--distinct-holes"] * distinct) == 0
+        report = json.loads(rp.read_text())
+        assert report["aggregates"]["lemma_success_rate"] == success
+
+
 QS_SIG = {
     "sorts": [{"name": "int", "mod": 5}],
     "symbols": [
@@ -604,6 +677,79 @@ class TestQuickspec:
         assert message in proc.stderr
 
 
+class TestErrorExits:
+    """A bad flag value or input file that argument parsing lets through
+    exits 1 with one error line, before any output."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["instantiate", "{sym}", "--template", '(const "abc'],
+                "unterminated string (at offset 7)", id="unterminated-string",
+            ),
+            pytest.param(
+                ["instantiate", "{sym}", "--template", '(const "a\\q" (tc "octo"))'],
+                "bad escape (at offset 9)", id="bad-escape",
+            ),
+            pytest.param(
+                ["instantiate", "{sym}", "--template", '(hole 0 (tv "a"))'],
+                "hole index must be positive (at offset 6)", id="hole-0",
+            ),
+            pytest.param(
+                ["instantiate", "{sym}", "--template", "{tpl}", "--timeout-ms", "0"],
+                "timeout_millis must be positive", id="timeout-0",
+            ),
+            pytest.param(
+                ["instantiate", "{sym}", "--template", "{tpl}", "--max-results", "0"],
+                "max_results must be positive", id="max-results-0",
+            ),
+            pytest.param(
+                ["conjecture", "{sym}", "--proposer", "fixed"],
+                "fixed proposer needs --templates", id="fixed-without-templates",
+            ),
+            pytest.param(
+                ["quickspec", "{dup_sort}"], "{dup_sort}: duplicate sort 'int'",
+                id="duplicate-sort",
+            ),
+            pytest.param(
+                ["quickspec", "{dup_symbol}"], "{dup_symbol}: duplicate symbol names",
+                id="duplicate-symbol",
+            ),
+            pytest.param(
+                ["quickspec", "{sig}", "--max-size", "0"], "max_size must be >= 1",
+                id="max-size-0",
+            ),
+            pytest.param(
+                ["quickspec", "{sig}", "--tests", "0"], "num_tests must be >= 1",
+                id="tests-0",
+            ),
+            pytest.param(
+                ["quickspec", "{sig}", "--max-size", "3", "--gold", "{gold}"],
+                "gold laws must be equations", id="gold-not-an-equation",
+            ),
+        ],
+    )
+    def test_exits_1_with_message(
+        self, tmp_path, capsys, octo_symbols_file, lemma_assoc_plus, argv, message
+    ):
+        paths = {"sym": octo_symbols_file, "tpl": abstract(lemma_assoc_plus).canonical}
+        signatures = {
+            "sig": QS_SIG,
+            "dup_sort": dict(QS_SIG, sorts=QS_SIG["sorts"] * 2),
+            "dup_symbol": dict(QS_SIG, symbols=QS_SIG["symbols"] * 2),
+        }
+        for name, content in signatures.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(content))
+            paths[name] = str(path)
+        gold = tmp_path / "gold.txt"
+        gold.write_text(render_term(Const("zero", INT)) + "\n")
+        paths["gold"] = str(gold)
+        assert main([a.format(**paths) for a in argv]) == 1
+        assert f"error: {message.format(**paths)}\n" in capsys.readouterr().err
+
+
 class TestDeepJson:
     """JSON nested past the decoder's recursion limit is an input error."""
 
@@ -653,6 +799,19 @@ class TestInstantiate:
         with pytest.raises(SystemExit) as exc:
             main(["instantiate", octo_symbols_file])
         assert exc.value.code == 1
+
+    def test_rejects_both_template_flags(
+        self, octo_symbols_file, tmp_path, capsys, lemma_distrib_left
+    ):
+        """A --template-file next to --template is not silently ignored."""
+        tf = tmp_path / "garbage.txt"
+        tf.write_text("garbage\n")
+        canonical = abstract(lemma_distrib_left).canonical
+        with pytest.raises(SystemExit) as exc:
+            main(["instantiate", octo_symbols_file, "--template", canonical,
+                  "--template-file", str(tf)])
+        assert exc.value.code == 1
+        assert "not allowed with argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

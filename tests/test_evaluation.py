@@ -403,20 +403,7 @@ def _row(tid, theory="T", success=False, match=False, error=None):
 
 
 def _report(rows):
-    success = sum(r.lemma_success for r in rows) / len(rows) if rows else 0.0
-    match = sum(r.template_exact_match for r in rows) / len(rows) if rows else 0.0
-    theories = sorted({r.theory for r in rows})
-    per_theory = {
-        th: sum(r.lemma_success for r in rows if r.theory == th)
-        / sum(1 for r in rows if r.theory == th)
-        for th in theories
-    }
-    return EvalReport(
-        per_task=rows,
-        lemma_success_rate=success,
-        template_match_rate=match,
-        per_theory=per_theory,
-    )
+    return EvalReport(per_task=rows)
 
 
 class TestCombineReports:

@@ -165,11 +165,30 @@ def _empty_container(node: ast.AST) -> bool:
     )
 
 
+def _unbounded_cache(decorator: ast.expr) -> bool:
+    """Whether `decorator` is functools' `cache` or `lru_cache(maxsize=None)`,
+    by bare or dotted name."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    fn = call.func if call else decorator
+    name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+    if name == "cache":
+        return call is None
+    if name != "lru_cache" or call is None:
+        return False
+    sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+
 def module_memos(source: str) -> list[str]:
-    """Line-tagged module-level names bound to an empty container: such a
-    name is a memo or registry that outlives every call."""
+    """Line-tagged module-level names bound to an empty container, and
+    module-level functions behind an unbounded functools cache: such a name
+    is a memo or registry that outlives every call."""
     out = []
     for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            if any(_unbounded_cache(d) for d in node.decorator_list):
+                out.append(f"{node.lineno}: module-level memo {node.name}")
+            continue
         if isinstance(node, ast.Assign):
             targets, value = node.targets, node.value
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -208,6 +227,35 @@ def f():
 
 class Holder:
     slots = {}
+
+    @functools.cache
+    def method(self):
+        return 1
+
+
+@lru_cache(maxsize=None)
+def phi(n):
+    return n
+
+
+@functools.cache
+def fib(n):
+    return n
+
+
+@functools.lru_cache(None)
+def square(n):
+    return n * n
+
+
+@lru_cache(maxsize=64)
+def bounded(n):
+    return n
+
+
+@lru_cache
+def default_size(n):
+    return n
 '''
     assert module_memos(source) == [
         "2: module-level memo _CACHE",
@@ -215,4 +263,7 @@ class Holder:
         "4: module-level memo a",
         "4: module-level memo b",
         "5: module-level memo _NAMES",
+        "27: module-level memo phi",
+        "32: module-level memo fib",
+        "37: module-level memo square",
     ]

@@ -42,7 +42,6 @@ from lemmakit.terms import (
     _escape,
     apply_type_subst,
     base_scheme,
-    free_names,
     fun,
     map_types,
     parse_term,
@@ -58,7 +57,14 @@ from lemmakit.terms import (
     unify_types,
 )
 
-from oracles import TYPE_CONS, _rename, random_lemma_term, random_type, unifiable_oracle
+from oracles import (
+    TYPE_CONS,
+    _rename,
+    free_name_set,
+    random_lemma_term,
+    random_type,
+    unifiable_oracle,
+)
 
 OCTO = TCon("Octonions.octo")
 BOOL = TCon("HOL.bool")
@@ -645,8 +651,8 @@ def _alpha_equal_pairwise(a, b):
     """Reference: alpha_equal as it was, one walk over both terms in step
     with a bijection of free names and one of type-variable names."""
     fmap, frev, tmap, trev = {}, {}, {}, {}
-    frees_a = set(free_names(a))
-    frees_b = set(free_names(b))
+    frees_a = free_name_set(a)
+    frees_b = free_name_set(b)
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
@@ -737,7 +743,7 @@ def _alpha_pair(rng):
         a = abstract(_quantify(a)).body
     if rng.random() < 0.5:
         a = _generalize(a, rng)
-    names = sorted(set(free_names(a)))
+    names = sorted(free_name_set(a))
     kind = rng.randrange(7)
     if kind == 0:  # a copy, with binder names dropped
         b = _rename(a, {}, {})
