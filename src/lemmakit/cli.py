@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input/data error, 2 transport error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -240,6 +241,9 @@ def cmd_eval(args) -> int:
 
 def cmd_quickspec(args) -> int:
     sig = qs.load_interpreted_signature(args.signature)
+    # The gold laws are checked before the run, so a bad file writes nothing.
+    if args.gold:
+        golds = qs.gold_equations(corpus_mod.load_lines(args.gold, parse_term))
     terms = qs.enumerate_terms(sig, args.max_size)
     classes = qs.test_partition(terms, sig, args.tests, args.seed)
     laws = qs.emit_laws(classes)
@@ -256,7 +260,6 @@ def cmd_quickspec(args) -> int:
             ),
         )
     if args.gold:
-        golds = corpus_mod.load_lines(args.gold, parse_term)
         stats = qs.baseline_precision(laws, golds)
         print(
             f"emitted={stats['emitted']} matched_gold={stats['matched_gold']} "
@@ -394,8 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  The cycle collector is off while it runs, and back
+    in its former state afterwards: the library builds no reference cycles
+    (the tests pin this), so a collection would only walk live objects."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except TransportError as e:
@@ -404,6 +412,9 @@ def main(argv: list[str] | None = None) -> int:
     except (LemmakitError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -207,6 +207,11 @@ class _HttpOnly(BaseHandler):
             raise URLError(f"unsupported URL scheme {req.type!r}")
 
 
+# One opener for every request: an opener and its handlers refer to each
+# other, so one built per request would leave a reference cycle behind.
+_OPENER = build_opener(_HttpOnly())
+
+
 def propose_http(req: ProposalRequest, config: HttpProposerConfig) -> ProposalSet:
     """POST {"prompt", "n", "max_tokens"}; expect {"completions": [str, ...]},
     which `decode_completions` turns into proposals.
@@ -227,8 +232,7 @@ def propose_http(req: ProposalRequest, config: HttpProposerConfig) -> ProposalSe
         if config.token:
             # Unredirected: a redirect must not carry the token to another host.
             request.add_unredirected_header("Authorization", f"Bearer {config.token}")
-        opener = build_opener(_HttpOnly())
-        with opener.open(request, timeout=config.timeout_millis / 1000.0) as resp:
+        with _OPENER.open(request, timeout=config.timeout_millis / 1000.0) as resp:
             status, raw = resp.status, resp.read()
     except (OSError, ValueError, HTTPException) as e:
         raise TransportError(f"request to {config.url} failed: {e}") from e

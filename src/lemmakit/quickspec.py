@@ -46,7 +46,7 @@ from .terms import (
     Term,
     fun,
     parse_type,
-    render_term,
+    render_terms,
     strip_spine,
     subterms,
 )
@@ -399,15 +399,16 @@ def candidate_laws(classes: list[list[Term]]) -> list[Law]:
     renamings of one law, this keeps the form that names its variables in
     reading order, e.g. x1 + (x2 + x3) = (x1 + x2) + x3.  Variables compare
     by name, shorter names first, so x9 comes before x10.  Each term is sized
-    and rendered once.
+    and rendered once, and all members are rendered through one memo, so a
+    type or leaf node that many members share is rendered once.
     """
     shapes: dict[int, tuple[int, tuple[str, ...]]] = {}
     keyed = []
+    classes = [cls for cls in classes if len(cls) >= 2]
+    texts = iter(render_terms([t for cls in classes for t in cls]))
     for cls in classes:
-        if len(cls) < 2:
-            continue
         members = sorted(
-            ((*_shape(t, shapes), render_term(t), t) for t in cls),
+            ((*_shape(t, shapes), next(texts), t) for t in cls),
             key=lambda m: (m[0], m[2]),
         )
         rep_size, rep_vars, rep_text, rep = members[0]
@@ -685,9 +686,10 @@ def _laws_alpha_match(law: Law, gold: Term) -> bool:
     )
 
 
-def baseline_precision(laws: list[Law], gold_laws: list[Term]) -> dict:
-    """How many emitted laws appear in the gold set (alpha equivalence, either
-    equation orientation)."""
+def gold_equations(gold_laws: list[Term]) -> list[Term]:
+    """Each gold law as `baseline_precision` compares it, with its equality
+    constant's type ignored; a law that is not an equation raises
+    ValueError."""
     golds = []
     for g in gold_laws:
         head, args = strip_spine(g)
@@ -695,6 +697,13 @@ def baseline_precision(laws: list[Law], gold_laws: list[Term]) -> dict:
             golds.append(_equation(*args))
         else:
             raise ValueError("gold laws must be equations")
+    return golds
+
+
+def baseline_precision(laws: list[Law], gold_laws: list[Term]) -> dict:
+    """How many emitted laws appear in the gold set (alpha equivalence, either
+    equation orientation)."""
+    golds = gold_equations(gold_laws)
     matched = 0
     for law in laws:
         if any(_laws_alpha_match(law, gold) for gold in golds):

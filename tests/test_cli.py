@@ -588,6 +588,29 @@ class TestQuickspec:
         assert "Traceback" not in proc.stderr
         assert f"{gold_path}:1: unexpected end of input" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "gold, message",
+        [
+            ("x = y\n", "{gold}:1: unexpected character '=' (at offset 2)"),
+            (render_term(Free("x1", INT)) + "\n", "gold laws must be equations"),
+        ],
+    )
+    def test_bad_gold_exits_1_before_writing_anything(self, tmp_path, gold, message):
+        """The gold file is checked before the run: no law reaches stdout,
+        `-o` or `--jsonl`."""
+        sig_path = tmp_path / "sig.json"
+        sig_path.write_text(json.dumps(QS_SIG))
+        gold_path = tmp_path / "gold.txt"
+        gold_path.write_text(gold)
+        laws, jsonl = tmp_path / "laws.txt", tmp_path / "laws.jsonl"
+        argv = ["quickspec", str(sig_path), "--max-size", "4", "--tests", "50",
+                "--gold", str(gold_path), "--jsonl", str(jsonl)]
+        for output in ([], ["-o", str(laws)]):
+            proc = _run_cli(*argv, *output)
+            assert proc.returncode == 1
+            assert proc.stderr == f"error: {message.format(gold=gold_path)}\n"
+            assert proc.stdout == ""
+            assert not laws.exists() and not jsonl.exists()
 
     @pytest.mark.parametrize(
         "content, message",

@@ -10,14 +10,22 @@ import pytest
 
 import lemmakit
 
+from lemmakit.corpus import make_record
+from lemmakit.evaluation import dedupe, evaluate_suite, make_task
 from lemmakit.instantiation import instantiate
+from lemmakit.proposer import propose_fixed
 from lemmakit.quickspec import (
     InterpretedSignature,
     InterpSymbol,
     IntListSort,
     IntRangeSort,
+    candidate_laws,
+    emit_laws,
     enumerate_terms,
+    load_interpreted_signature,
+    reverify_laws,
 )
+from lemmakit.quickspec import test_partition as partition_by_testing
 from lemmakit.templates import abstract, parse_template, pretty_term
 from lemmakit.terms import (
     MAX_DEPTH,
@@ -839,15 +847,49 @@ def _list_signature():
     )
 
 
+_LIST, _INT = TCon("list"), TCon("int")
+_LIST_SIGNATURE_JSON = {
+    "sorts": [
+        {"name": "list", "max_len": 5, "elem_mod": 10},
+        {"name": "int", "min": 0, "max": 25},
+    ],
+    "symbols": [
+        {"name": "append", "type": render_type(fun(_LIST, fun(_LIST, _LIST))),
+         "builtin": "list_append", "infix": "@"},
+        {"name": "rev", "type": render_type(fun(_LIST, _LIST)), "builtin": "list_rev"},
+        {"name": "len", "type": render_type(fun(_LIST, _INT)), "builtin": "list_len"},
+        {"name": "zero", "type": render_type(_INT), "value": 0},
+    ],
+}
+
+
 class TestNoReferenceCycles:
+    """The CLI runs each command with the cycle collector off (cli.main),
+    which is sound only while the library builds no reference cycle."""
+
+    @pytest.fixture(scope="class")
+    def quickspec_stages(self):
+        """The list signature's terms up to size 5, their classes over 50
+        tests, and the laws the classes give."""
+        sig = _list_signature()
+        terms = enumerate_terms(sig, 5)
+        classes = partition_by_testing(terms, sig, 50, 0)
+        return sig, terms, classes, emit_laws(classes)
+
     @pytest.mark.parametrize(
         "name",
         [
             "render_term", "render_terms", "alpha_key", "alpha_equal", "alpha_unequal",
             "instantiate", "enumerate_terms", "abstract", "parse_template", "pretty_term",
+            "load_interpreted_signature", "test_partition", "candidate_laws",
+            "emit_laws", "reverify_laws", "dedupe", "evaluate_suite",
+            "evaluate_suite_workers",
         ],
     )
-    def test_call_leaves_no_cycle(self, name, lemma_distrib_left, lemma_assoc_plus):
+    def test_call_leaves_no_cycle(
+        self, name, lemma_distrib_left, lemma_assoc_plus, octo_signature,
+        quickspec_stages, tmp_path,
+    ):
         t = _quantify(lemma_distrib_left)
         other = _quantify(lemma_assoc_plus)
         tpl = abstract(lemma_distrib_left)
@@ -860,6 +902,17 @@ class TestNoReferenceCycles:
         ]
         assert len(instantiate(tpl, ops).conjectures) == 9
         sig = _list_signature()
+        qs_sig, qs_terms, classes, laws = quickspec_stages
+        assert len(laws) > 3
+        sig_path = tmp_path / "signature.json"
+        sig_path.write_text(json.dumps(_LIST_SIGNATURE_JSON))
+        conjectures = instantiate(tpl, ops).conjectures
+        tasks = [
+            make_task(make_record(f"Octonions.{lemma_name}", "Octonions", lemma_name,
+                                  lemma, octo_signature))
+            for lemma_name, lemma in (("d", lemma_distrib_left), ("a", lemma_assoc_plus))
+        ] * 3
+        fixed = lambda req: propose_fixed(req, [tpl, abstract(lemma_assoc_plus)])
         call = {
             "render_term": lambda: render_term(t),
             "render_terms": lambda: render_terms(
@@ -873,5 +926,13 @@ class TestNoReferenceCycles:
             "abstract": lambda: abstract(lemma_distrib_left),
             "parse_template": lambda: parse_template(tpl.canonical),
             "pretty_term": lambda: pretty_term(t),
+            "load_interpreted_signature": lambda: load_interpreted_signature(sig_path),
+            "test_partition": lambda: partition_by_testing(qs_terms, qs_sig, 50, 0),
+            "candidate_laws": lambda: candidate_laws(classes),
+            "emit_laws": lambda: emit_laws(classes),
+            "reverify_laws": lambda: reverify_laws(laws, qs_sig, 50, 0),
+            "dedupe": lambda: dedupe(conjectures + conjectures[::-1]),
+            "evaluate_suite": lambda: evaluate_suite(tasks, fixed),
+            "evaluate_suite_workers": lambda: evaluate_suite(tasks, fixed, workers=2),
         }[name]
         assert _garbage_after(call) == 0
