@@ -199,6 +199,9 @@ def cmd_dataset(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # ProposalRequest's own check, made before the corpus is read.
+    if args.k < 1:
+        raise ValueError("k must be >= 1")
     w = _whitelist(args)
     records = corpus_mod.load_records(args.corpus)
     tasks = [eval_mod.make_task(r, mode=args.mode, k=args.k, w=w) for r in records]
@@ -207,6 +210,7 @@ def cmd_eval(args) -> int:
     report = eval_mod.evaluate_suite(
         tasks, prop, budget, workers=args.workers,
         strict_denominator=args.strict_denominator,
+        with_instantiation_rate=args.instantiation_rate,
     )
     if args.also_proposer:
         other = _make_proposer(
@@ -216,9 +220,10 @@ def cmd_eval(args) -> int:
             tasks, other, budget, workers=args.workers,
             strict_denominator=args.strict_denominator,
         )
+        # The gold-template rate does not depend on the proposer.
+        rate = report.instantiation_rate
         report = eval_mod.combine_reports([report, other_report])
-    if args.instantiation_rate:
-        report.instantiation_rate = eval_mod.instantiation_rate(tasks, budget)
+        report.instantiation_rate = rate
     text = report.to_json()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -355,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=corpus_mod.MODES, default="types+defs")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--strict-denominator", action="store_true",
-                   help="exclude errored tasks from rate denominators")
+                   help="exclude errored tasks from rate denominators "
+                   "(the instantiation rate still divides by every task)")
     p.add_argument("--instantiation-rate", action="store_true",
                    help="also compute the gold-template instantiation rate")
     p.add_argument("--whitelist")

@@ -72,7 +72,10 @@ class TaskResult:
 class EvalReport:
     """A suite's per-task rows, from which construction derives every rate but
     `instantiation_rate` (measured over gold templates, reported when set).
-    With `strict_denominator`, errored tasks count in no rate's denominator."""
+    With `strict_denominator`, errored tasks count in no derived rate's
+    denominator.  `instantiation_rate` always divides by every task: a gold
+    template's instantiation does not depend on the proposer, so a task the
+    proposer failed on still has one."""
 
     per_task: list[TaskResult]
     strict_denominator: bool = False
@@ -167,15 +170,11 @@ def _evaluate(
         result.proposed_templates.append(tpl.canonical)
         if tpl.canonical == gold_canonical:
             result.template_exact_match = True
-        inst = memo.get(tpl.canonical)
-        if inst is None:
-            try:
-                inst = instantiate(tpl, candidates, budget)
-            except LemmakitError as e:
-                result.error = str(e)
-                return result
-            if not inst.timed_out:
-                memo[tpl.canonical] = inst
+        try:
+            inst = _instantiate_through(memo, tpl, candidates, budget)
+        except LemmakitError as e:
+            result.error = str(e)
+            return result
         result.conjecture_count += len(inst.conjectures)
         result.timed_out = result.timed_out or inst.timed_out
         result.capped = result.capped or inst.capped
@@ -187,12 +186,29 @@ def _evaluate(
     return result
 
 
+def _instantiate_through(
+    memo: dict[str, InstantiationResult],
+    tpl: Template,
+    candidates: list[SignatureEntry],
+    budget: Budget | None,
+) -> InstantiationResult:
+    """`instantiate(tpl, candidates, budget)`, answered from `memo` when it
+    holds tpl's canonical string; a result that did not time out is stored."""
+    inst = memo.get(tpl.canonical)
+    if inst is None:
+        inst = instantiate(tpl, candidates, budget)
+        if not inst.timed_out:
+            memo[tpl.canonical] = inst
+    return inst
+
+
 def evaluate_suite(
     tasks: list[EvalTask],
     proposer,
     budget: Budget | None = None,
     workers: int = 1,
     strict_denominator: bool = False,
+    with_instantiation_rate: bool = False,
 ) -> EvalReport:
     """Evaluate every task; the report does not depend on `workers`.
 
@@ -201,6 +217,11 @@ def evaluate_suite(
     instantiates a template once for all its tasks (one memo for the
     group, see `_evaluate`), though the proposer is still asked once per
     task.  Workers run whole groups.
+
+    With `with_instantiation_rate`, the report's `instantiation_rate` is
+    set, the value `instantiation_rate(tasks, budget)` gives.  Each gold
+    template is looked up in its group's memo first, so a gold template
+    that was proposed is not instantiated again.
 
     Workers are threads, so more than one helps only a proposer that waits
     on I/O.  On the 100-task synthetic suite (31 symbol lists) with an http
@@ -211,44 +232,70 @@ def evaluate_suite(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    groups = _symbol_groups(tasks)
+    budget = budget or Budget()
+
+    def run(group: list[int]) -> tuple[list[TaskResult], int]:
+        memo: dict[str, InstantiationResult] = {}
+        rows = [_evaluate(tasks[i], proposer, budget, memo) for i in group]
+        if not with_instantiation_rate:
+            return rows, 0
+        return rows, sum(_gold_hit(tasks[i], budget, memo) for i in group)
+
+    if workers == 1:
+        runs = [run(g) for g in groups]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(run, groups))
+    # Back in task order, so that tasks with one id keep their file order.
+    results: list[TaskResult] = [None] * len(tasks)
+    for g, (rows, _) in zip(groups, runs):
+        for i, r in zip(g, rows):
+            results[i] = r
+    results.sort(key=lambda r: r.id)
+    rate = None
+    if with_instantiation_rate:
+        rate = sum(h for _, h in runs) / len(tasks) if tasks else 0.0
+    return EvalReport(results, strict_denominator, rate)
+
+
+def _symbol_groups(tasks: list[EvalTask]) -> list[list[int]]:
+    """Task indices grouped by the record's symbol list, in first-seen order."""
     groups: dict[tuple[SignatureEntry, ...], list[int]] = {}
     for i, task in enumerate(tasks):
         groups.setdefault(task.record.symbols, []).append(i)
-    budget = budget or Budget()
+    return list(groups.values())
 
-    def run(group: list[int]) -> list[TaskResult]:
-        memo: dict[str, InstantiationResult] = {}
-        return [_evaluate(tasks[i], proposer, budget, memo) for i in group]
 
-    if workers == 1:
-        runs = [run(g) for g in groups.values()]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(run, groups.values()))
-    # Back in task order, so that tasks with one id keep their file order.
-    results: list[TaskResult] = [None] * len(tasks)
-    for g, got in zip(groups.values(), runs):
-        for i, r in zip(g, got):
-            results[i] = r
-    results.sort(key=lambda r: r.id)
-    return EvalReport(results, strict_denominator)
+def _gold_hit(
+    task: EvalTask, budget: Budget | None, memo: dict[str, InstantiationResult]
+) -> bool:
+    """Whether the task's gold template, instantiated with the record's own
+    symbols through `memo`, recovers a term
+    alpha-equivalent to the gold lemma.  An instantiation error (e.g.
+    repeated symbol names) is a miss."""
+    try:
+        inst = _instantiate_through(
+            memo, task.gold_template, list(task.record.symbols), budget
+        )
+    except LemmakitError:
+        return False
+    return any(alpha_equal(c.term, task.record.term) for c in inst.conjectures)
 
 
 def instantiation_rate(tasks: list[EvalTask], budget: Budget | None = None) -> float:
     """Fraction of tasks whose gold template, instantiated with the record's
     own symbols, recovers a term alpha-equivalent to the gold lemma.  A task
     whose instantiation fails (e.g. repeated symbol names) counts as a miss;
-    evaluate_task records the failure as that task's error."""
+    evaluate_task records the failure as that task's error.  Every task
+    counts in the denominator.  `evaluate_suite` gives the same value
+    without instantiating a proposed gold template twice."""
     if not tasks:
         return 0.0
     hits = 0
-    for task in tasks:
-        try:
-            inst = instantiate(task.gold_template, list(task.record.symbols), budget)
-        except LemmakitError:
-            continue
-        if any(alpha_equal(c.term, task.record.term) for c in inst.conjectures):
-            hits += 1
+    for group in _symbol_groups(tasks):
+        memo: dict[str, InstantiationResult] = {}
+        hits += sum(_gold_hit(tasks[i], budget, memo) for i in group)
     return hits / len(tasks)
 
 

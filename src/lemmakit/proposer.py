@@ -72,9 +72,10 @@ class ProposalSet:
 class TemplateIndex:
     """Frequency map over canonical template strings.
 
-    The index also remembers propose_retrieval's feasibility answers, keyed by
-    (canonical, set of candidate types), so the memo grows by one entry per
-    template and distinct candidate type set.
+    `ranked` gives the templates in retrieval's rank order, sorted once and
+    again only after an `add`.  The index also remembers propose_retrieval's
+    feasibility answers, keyed by (canonical, set of candidate types), so the
+    memo holds at most one entry per template and distinct candidate type set.
     A search that hit its deadline is remembered as False, the answer
     `feasible` gave.  Worker threads share the memo: a dict read or write is
     atomic, and two threads that miss on one key store the same answer.
@@ -84,6 +85,7 @@ class TemplateIndex:
         self.counts: dict[str, int] = {}
         self.total = 0
         self._parsed: dict[str, Template] = {}
+        self._ranked: list[tuple[Template, int]] | None = None
         self._feasible: dict[tuple[str, frozenset[TypeExpr]], bool] = {}
         # One object per distinct candidate type set, so that memo keys
         # holding it compare by identity instead of type by type.
@@ -96,9 +98,20 @@ class TemplateIndex:
         self.counts[tpl.canonical] = self.counts.get(tpl.canonical, 0) + count
         self.total += count
         self._parsed[tpl.canonical] = tpl
+        self._ranked = None
 
     def template(self, canonical: str) -> Template:
         return self._parsed[canonical]
+
+    def ranked(self) -> list[tuple[Template, int]]:
+        """(template, count) pairs by frequency (desc), then fewer holes, then
+        canonical string."""
+        if self._ranked is None:
+            self._ranked = sorted(
+                ((self._parsed[c], n) for c, n in self.counts.items()),
+                key=lambda tc: (-tc[1], tc[0].hole_count, tc[0].canonical),
+            )
+        return self._ranked
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -146,8 +159,10 @@ def build_index(datapoints) -> TemplateIndex:
 
 
 def propose_retrieval(req: ProposalRequest, idx: TemplateIndex) -> ProposalSet:
-    """Feasible index templates ranked by frequency (desc), then fewer holes,
-    then canonical string; scores are corpus frequencies.
+    """The first req.k feasible index templates in `idx.ranked()` order:
+    by frequency (desc), then fewer holes, then canonical string; scores are
+    corpus frequencies.  The walk stops at the k-th feasible template, so
+    the templates ranked below it are never searched.
 
     Feasibility is memoized on idx.  Only the set of candidate types can
     change the answer: without distinct holes the candidates' names, order
@@ -161,26 +176,23 @@ def propose_retrieval(req: ProposalRequest, idx: TemplateIndex) -> ProposalSet:
         raise DuplicateCandidates()
     types = frozenset(c.type for c in candidates)
     types = idx._type_sets.setdefault(types, types)
-    ranked = []
-    for canonical, count in idx.counts.items():
-        tpl = idx.template(canonical)
+    total = idx.total or 1
+    proposals = []
+    for tpl, count in idx.ranked():
+        if len(proposals) == req.k:
+            break
         if req.distinct_holes:
             ok = feasible(tpl, candidates, distinct_holes=True)
         else:
-            key = (canonical, types)
+            key = (tpl.canonical, types)
             ok = idx._feasible.get(key)
             if ok is None:
                 ok = idx._feasible[key] = feasible(tpl, candidates)
         if ok:
-            ranked.append((tpl, count))
-    ranked.sort(key=lambda tc: (-tc[1], tc[0].hole_count, tc[0].canonical))
-    total = idx.total or 1
-    return ProposalSet(
-        proposals=[
-            Proposal(template=tpl, score=count / total, source="retrieval")
-            for tpl, count in ranked[: req.k]
-        ]
-    )
+            proposals.append(
+                Proposal(template=tpl, score=count / total, source="retrieval")
+            )
+    return ProposalSet(proposals=proposals)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import lemmakit
+from lemmakit import cli
 from lemmakit.cli import _conjecture_lines, main
 from lemmakit.corpus import Datapoint, make_record, save_records
 from lemmakit.instantiation import Budget, instantiate
@@ -401,6 +402,28 @@ class TestEval:
         report = json.loads(rp.read_text())
         assert report["aggregates"]["lemma_success_rate"] == 1.0
 
+    def test_ensemble_keeps_the_instantiation_rate(
+        self, octo_corpus, tmp_path, lemma_distrib_left, lemma_assoc_plus
+    ):
+        """The gold-template rate does not depend on the proposer: the
+        ensemble report carries the single-proposer rate."""
+        path, _ = octo_corpus
+        only_distrib = tmp_path / "d.txt"
+        only_distrib.write_text(abstract(lemma_distrib_left).canonical + "\n")
+        only_assoc = tmp_path / "a.txt"
+        only_assoc.write_text(abstract(lemma_assoc_plus).canonical + "\n")
+        single, union = tmp_path / "single.json", tmp_path / "union.json"
+        argv = ["eval", path, "--proposer", "fixed", "--templates", str(only_distrib),
+                "--instantiation-rate", "--max-results", "1"]
+        assert main([*argv, "--report", str(single)]) == 0
+        assert main([*argv, "--report", str(union), "--also-proposer", "fixed",
+                     "--also-templates", str(only_assoc)]) == 0
+        single = json.loads(single.read_text())["aggregates"]
+        union = json.loads(union.read_text())["aggregates"]
+        assert single["instantiation_rate"] == union["instantiation_rate"] == 0.5
+        assert single["template_match_rate"] == 0.5
+        assert union["template_match_rate"] == 1.0
+
     @pytest.mark.parametrize(
         "broken, message",
         [
@@ -771,6 +794,25 @@ class TestErrorExits:
         paths["gold"] = str(gold)
         assert main([a.format(**paths) for a in argv]) == 1
         assert f"error: {message.format(**paths)}\n" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("records", [2, 0], ids=["corpus", "empty-corpus"])
+    def test_eval_k_0_exits_1_before_reading_the_corpus(
+        self, tmp_path, capsys, monkeypatch, octo_corpus, octo_templates_file, records
+    ):
+        path, _ = octo_corpus
+        if not records:
+            path = tmp_path / "empty.jsonl"
+            path.write_text("")
+        report = tmp_path / "report.json"
+        argv = ["eval", str(path), "-k", "0", "--proposer", "fixed",
+                "--templates", octo_templates_file, "--report", str(report)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: k must be >= 1\n")
+        assert not report.exists()
+        # The check comes first: the corpus is not read at all.
+        monkeypatch.setattr(cli.corpus_mod, "load_records", None)
+        assert main(argv) == 1
 
 
 class TestDeepJson:

@@ -392,6 +392,78 @@ class TestInstantiationRate:
         assert instantiation_rate([]) == 0.0
 
 
+def _with_symbols_twice(task):
+    record = dataclasses.replace(task.record, symbols=task.record.symbols * 2)
+    return dataclasses.replace(task, record=record)
+
+
+class TestSuiteInstantiationRate:
+    """`evaluate_suite(..., with_instantiation_rate=True)` reports the rate
+    that `instantiation_rate` gives, through the groups' memos."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize(
+        "case, rate",
+        [
+            ("four-tasks", 1.0),
+            ("repeated-names", 2 / 3),
+            ("tight-cap", 0.0),
+            ("empty", 0.0),
+            ("gold-never-proposed", 1.0),
+        ],
+    )
+    def test_equals_the_standalone_rate(
+        self, four_tasks, lemma_noncommutative, case, rate, workers
+    ):
+        tasks, budget = four_tasks, None
+        proposer = distrib_only_proposer(four_tasks)
+        if case == "repeated-names":
+            tasks = [four_tasks[0], _with_symbols_twice(four_tasks[1]), four_tasks[2]]
+        elif case == "tight-cap":
+            tasks, budget = four_tasks[:1], Budget(max_results=1)
+        elif case == "empty":
+            tasks = []
+        elif case == "gold-never-proposed":
+            proposer = lambda req: _proposal_set(abstract(lemma_noncommutative))
+        report = evaluate_suite(
+            tasks, proposer, budget, workers=workers, with_instantiation_rate=True
+        )
+        assert report.instantiation_rate == instantiation_rate(tasks, budget) == rate
+        assert evaluate_suite(tasks, proposer, budget).instantiation_rate is None
+
+    def test_gold_never_proposed_is_instantiated_once_per_group(
+        self, four_tasks, lemma_noncommutative, monkeypatch
+    ):
+        """Dist and Assoc records list different symbols: two groups of two
+        tasks each, and each group instantiates its one gold template once."""
+        other = abstract(lemma_noncommutative)
+        proposer = lambda req: _proposal_set(other)
+        calls = _count_instantiate(monkeypatch)
+        report = evaluate_suite(four_tasks, proposer, with_instantiation_rate=True)
+        assert report.instantiation_rate == 1.0
+        assert report.lemma_success_rate == 0.0
+        expected = []
+        for task in four_tasks[0], four_tasks[2]:
+            names = tuple(e.name for e in task.record.symbols)
+            expected += [(other.canonical, names), (task.gold_template.canonical, names)]
+        assert calls == expected
+
+    def test_rate_adds_no_instantiation_on_the_synthetic_suite(self, monkeypatch):
+        idx = build_index(build_train_datapoints())
+        retrieval = lambda req: propose_retrieval(req, idx)
+        tasks = _interleaved_heldout_tasks()
+        calls = _count_instantiate(monkeypatch)
+        without = evaluate_suite(tasks, retrieval)
+        n = len(calls)
+        with_rate = evaluate_suite(tasks, retrieval, with_instantiation_rate=True)
+        assert len(calls) == 2 * n
+        assert with_rate.template_match_rate == 1.0
+        assert with_rate.to_dict()["per_task"] == without.to_dict()["per_task"]
+        calls.clear()
+        assert with_rate.instantiation_rate == instantiation_rate(tasks)
+        assert len(calls) == len(tasks)
+
+
 def _row(tid, theory="T", success=False, match=False, error=None):
     return TaskResult(
         id=tid,

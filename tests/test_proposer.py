@@ -227,6 +227,23 @@ def _ranking(got):
     return [(p.template.canonical, p.score) for p in got.proposals]
 
 
+def _searches_until_k(reqs, idx) -> int:
+    """The feasibility searches that `reqs`, asked in turn, need when each
+    walks the rank order only up to its k-th feasible template: one per
+    (template, candidate type set) pair that some request reaches."""
+    order = sorted(idx.counts, key=lambda c: (-idx.counts[c], idx.template(c).hole_count, c))
+    reached = set()
+    for req in reqs:
+        types = frozenset(s.type for s in req.symbols)
+        found = 0
+        for c in order:
+            if found == req.k:
+                break
+            reached.add((c, types))
+            found += instantiation.feasible(idx.template(c), list(req.symbols))
+    return len(reached)
+
+
 S, T = TCon("S"), TCon("T")
 LIST = lambda a: TCon("List.list", (a,))  # noqa: E731
 # Candidate type pool; "a" and "b" stand for type variables, named anew per list.
@@ -252,21 +269,22 @@ class TestFeasibilityMemo:
         idx = build_index(build_train_datapoints())
         _, heldout = build_synthetic_corpus()
         calls = _count_feasible(monkeypatch)
-        for r in heldout:
-            req = ProposalRequest(symbols=r.symbols)
+        reqs = [ProposalRequest(symbols=r.symbols) for r in heldout]
+        for req in reqs:
             got = propose_retrieval(req, idx)
             assert _ranking(got) == _ranking_without_memo(req, idx)
         type_sets = {frozenset(render_type(s.type) for s in r.symbols) for r in heldout}
         # The mixed theories list their two symbols in either order.
         assert len({r.symbols for r in heldout}) == 31 and len(type_sets) == 20
-        assert len(calls) == len(idx.counts) * len(type_sets) == 600
+        # Of the 30 * 20 (template, type set) pairs, the walks to k reach 330.
+        assert len(calls) == _searches_until_k(reqs, idx) == 330
         assert len(set(calls)) == len(idx.counts)
 
     def test_matches_unmemoized_ranking_on_random_lists(self, monkeypatch):
         idx = build_index(build_train_datapoints())
         rng = random.Random(4)
         calls = _count_feasible(monkeypatch)
-        type_sets = set()
+        reqs = []
         for _ in range(25):
             picks = rng.sample(range(len(TYPE_POOL)), rng.randint(1, 4))
             for _ in range(4):
@@ -275,15 +293,41 @@ class TestFeasibilityMemo:
                 types = [TYPE_POOL[i](TVar(tvs[0]), TVar(tvs[1])) for i in picks]
                 types += rng.sample(types, rng.randint(0, len(types)))
                 rng.shuffle(types)
-                type_sets.add(frozenset(types))
                 tag = rng.randrange(10**6)
                 symbols = tuple(
                     SignatureEntry(f"c{tag}_{i}", ty, None) for i, ty in enumerate(types)
                 )
                 req = ProposalRequest(symbols=symbols, k=rng.randint(1, 8))
+                reqs.append(req)
                 got = propose_retrieval(req, idx)
                 assert _ranking(got) == _ranking_without_memo(req, idx)
-        assert len(calls) == len(idx.counts) * len(type_sets)
+        assert len(calls) == _searches_until_k(reqs, idx) == 839
+
+    def test_k_beyond_the_feasible_searches_every_template_once(self, monkeypatch):
+        idx = build_index(build_train_datapoints())
+        _, heldout = build_synthetic_corpus()
+        req = ProposalRequest(symbols=heldout[0].symbols, k=len(idx.counts) + 1)
+        calls = _count_feasible(monkeypatch)
+        got = propose_retrieval(req, idx)
+        assert 0 < len(got.proposals) < len(idx.counts)
+        assert _ranking(got) == _ranking_without_memo(req, idx)
+        assert sorted(calls) == sorted(idx.counts)
+        assert propose_retrieval(req, idx).canonicals() == got.canonicals()
+        assert len(calls) == len(idx.counts)
+
+    def test_add_after_a_proposal_joins_the_ranking(self, octo_templates):
+        idx = build_index(_datapoints([(octo_templates["assoc"].canonical, 3)]))
+        req = ProposalRequest(symbols=OCTO_SYMBOLS, k=1)
+        assert propose_retrieval(req, idx).canonicals() == [
+            octo_templates["assoc"].canonical
+        ]
+        idx.add(octo_templates["distrib"].canonical, 5)
+        assert [t.canonical for t, _ in idx.ranked()] == [
+            octo_templates["distrib"].canonical, octo_templates["assoc"].canonical
+        ]
+        got = propose_retrieval(req, idx)
+        assert _ranking(got) == _ranking_without_memo(req, idx)
+        assert _ranking(got) == [(octo_templates["distrib"].canonical, 5 / 8)]
 
     def test_type_constructors_are_part_of_the_key(self, monkeypatch):
         x = Free("x", S)
@@ -318,7 +362,7 @@ class TestFeasibilityMemo:
             sys.setswitchinterval(interval)
         assert threaded.to_json() == serial.to_json()
         assert shared._feasible == serial_idx._feasible
-        assert len(shared._feasible) == 600
+        assert len(shared._feasible) == 330
 
 
 class TestHttp:
