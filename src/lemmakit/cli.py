@@ -220,10 +220,7 @@ def cmd_eval(args) -> int:
             tasks, other, budget, workers=args.workers,
             strict_denominator=args.strict_denominator,
         )
-        # The gold-template rate does not depend on the proposer.
-        rate = report.instantiation_rate
         report = eval_mod.combine_reports([report, other_report])
-        report.instantiation_rate = rate
     text = report.to_json()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

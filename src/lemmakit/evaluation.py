@@ -301,7 +301,9 @@ def instantiation_rate(tasks: list[EvalTask], budget: Budget | None = None) -> f
 
 def combine_reports(reports: list[EvalReport]) -> EvalReport:
     """Ensemble union: per-task OR of successes across reports covering the
-    same task ids; aggregates recomputed."""
+    same task ids; aggregates recomputed.  The first report's
+    `instantiation_rate` is carried over, since the gold-template rate does
+    not depend on the proposer."""
     if not reports:
         raise ValueError("need at least one report")
     base_ids = [r.id for r in reports[0].per_task]
@@ -331,7 +333,9 @@ def combine_reports(reports: list[EvalReport]) -> EvalReport:
                 else None,
             )
         )
-    return EvalReport(combined, reports[0].strict_denominator)
+    return EvalReport(
+        combined, reports[0].strict_denominator, reports[0].instantiation_rate
+    )
 
 
 def dedupe(conjectures: list[Conjecture]) -> tuple[list[Conjecture], int]:

@@ -10,15 +10,15 @@ search node; the signature loaders in `corpus` hand equal types back as one
 object.  Retained logical constants are re-constrained against
 `terms.base_scheme` so the produced conjectures get concrete logical types
 back (bool, prop, ...); those root constraints are worked out once per
-template object and every search starts from them.
+template object, with the rest of its search plan, and every search starts
+from them.
 
 Those candidates also share the search leaf: one substitution object for all
-of them at the last hole.  Each distinct annotation of the template is
-resolved once per leaf, and solutions that follow one another on one leaf
-differ only in the last hole's symbol, so from the second on they share
-every subtree without that hole and one constant per symbol.  A search that
-emits one conjecture per leaf pays one identity check for this and builds
-nothing to share.
+of them at the last hole.  Each leaf substitution gets one memo, and every
+conjecture is built through the memo of its leaf, in whatever order the
+leaves emit: each distinct annotation of the template is resolved once per
+leaf, and the conjectures of one leaf differ only in the last hole's symbol,
+so they share every subtree without that hole and one constant per symbol.
 """
 
 from __future__ import annotations
@@ -119,28 +119,30 @@ def instantiate(
         raise DuplicateCandidates()
 
     deadline = time.monotonic() + budget.timeout_millis / 1000.0
-    root, used = _root(tpl)
+    root, used, hole_order, varying = _plan(tpl)
     if root is None:
         return InstantiationResult()
     fresh = FreshNames("?f")
     fresh.n = used
-    search = _Search(tpl, candidates, budget, deadline, fresh)
+    search = _Search(tpl, hole_order, varying, candidates, budget, deadline, fresh)
     search.run(0, root, [])
     return search.result
 
 
-def _root(tpl: Template) -> tuple[TypeSubstitution | None, int]:
-    """The constraints of `tpl`'s retained constants with known schemes
-    (None when they clash), and how many `?f` names they used up.
+def _plan(tpl: Template) -> tuple[TypeSubstitution | None, int, list[int], set[int]]:
+    """The plan every search of `tpl` starts from: the constraints of its
+    retained constants with known schemes (None when they clash), how many
+    `?f` names they used up, the hole indices in order, and the ids of the
+    nodes that contain the last hole.
 
-    They depend on the template alone, so they are computed once per template
+    It depends on the template alone, so it is computed once per template
     object and kept on it, in its `__dict__` as `functools.cached_property`
     keeps a value.  Every search resumes naming from the count, so its names
-    are those of a search that computed the root itself.  Sharing the root is
-    safe because nothing mutates a substitution once it is built; two threads
-    that miss at once compute and store equal roots.
+    are those of a search that computed the root itself.  Sharing the plan is
+    safe because nothing mutates it; two threads that miss at once compute
+    and store equal plans.
     """
-    got = vars(tpl).get("_root")
+    got = vars(tpl).get("_plan")
     if got is None:
         fresh = FreshNames("?f")
         root: TypeSubstitution | None = {}
@@ -152,8 +154,30 @@ def _root(tpl: Template) -> tuple[TypeSubstitution | None, int]:
                 except UnificationError:
                     root = None
                     break
-        got = vars(tpl)["_root"] = (root, fresh.n)
+        hole_order = sorted(tpl.hole_types)
+        varying: set[int] = set()
+        for last in hole_order[-1:]:
+            _containing(tpl.body, last, varying)
+        got = vars(tpl)["_plan"] = (root, fresh.n, hole_order, varying)
     return got
+
+
+class _Leaf:
+    """A leaf substitution and the memo of the conjectures built under it:
+    its resolved annotations, by annotation id (template bodies share one
+    object per distinct annotation), its built subtrees without the last
+    hole, by node id, and one constant per symbol of that hole, by name."""
+
+    def __init__(self, subst: TypeSubstitution):
+        self.subst = subst
+        self.resolved: dict[int, TypeExpr] = {}
+        self.built: dict = {}
+
+    def fill(self, ty: TypeExpr) -> TypeExpr:
+        got = self.resolved.get(id(ty))
+        if got is None:
+            got = self.resolved[id(ty)] = resolve(self.subst, ty)
+        return got
 
 
 class _Search:
@@ -162,9 +186,10 @@ class _Search:
     its closure cell: every call would leave a reference cycle for the garbage
     collector."""
 
-    def __init__(self, tpl, candidates, budget, deadline, fresh):
+    def __init__(self, tpl, hole_order, varying, candidates, budget, deadline, fresh):
         self.tpl = tpl
-        self.hole_order = sorted(tpl.hole_types)
+        self.hole_order = hole_order
+        self.varying = varying
         # Each scheme's type variables, found once here rather than per search
         # node.
         self.pool = [(c, type_vars(c.type)) for c in candidates]
@@ -172,73 +197,45 @@ class _Search:
         self.deadline = deadline
         self.fresh = fresh
         self.result = InstantiationResult()
-        # The substitution of the last emit (held, so that `is` on it stays
-        # sound), its resolved annotations, and, from its second emit on,
-        # what its emits share.  `varying` holds the ids of the template
-        # nodes that contain the last hole; it is found when a leaf first
-        # emits twice.
-        self.leaf: TypeSubstitution | None = None
-        self.resolved: dict[int, TypeExpr] = {}
-        self.shared: dict | None = None
-        self.varying: set[int] | None = None
+        # The leaves of the current last-hole node, by substitution id.  Only
+        # that node makes leaves, so it renews the table; each entry holds its
+        # substitution, so no id in the table is reused while it lives.
+        self.leaves: dict[int, _Leaf] = {}
 
     def emit(self, subst: TypeSubstitution, chosen: list[str]) -> None:
-        """Append the conjecture of the solution `chosen` with leaf
-        substitution `subst`."""
+        """Append the conjecture of the solution `chosen`, built through the
+        memo of its leaf substitution `subst`."""
         pairs = tuple(zip(self.hole_order, chosen))
-        mapping = dict(pairs)
-        if subst is not self.leaf:
-            self.leaf, self.resolved, self.shared = subst, {}, None
-            term = _build(self.tpl.body, mapping, self.fill)
-        else:
-            # Only the candidates of one search node share an extended
-            # substitution, so this emit differs from the last one only in
-            # the last hole's symbol.  From a leaf's second emit on, every
-            # subtree without that hole is built once and shared.
-            if self.shared is None:
-                if self.varying is None:
-                    self.varying = set()
-                    _containing(self.tpl.body, self.hole_order[-1], self.varying)
-                self.shared = {}
-            term = self.build_shared(self.tpl.body, mapping)
+        leaf = self.leaves.get(id(subst))
+        if leaf is None:
+            leaf = self.leaves[id(subst)] = _Leaf(subst)
         self.result.conjectures.append(
             Conjecture(
-                term=term,
+                term=self.build(self.tpl.body, dict(pairs), leaf),
                 template_canonical=self.tpl.canonical,
                 assignment=Assignment(mapping=pairs),
             )
         )
 
-    def fill(self, ty: TypeExpr) -> TypeExpr:
-        """`ty` resolved under the current leaf's substitution.  Template
-        bodies share one object per distinct annotation, so each is resolved
-        once per leaf and the nodes that carry it share the result."""
-        got = self.resolved.get(id(ty))
-        if got is None:
-            got = self.resolved[id(ty)] = resolve(self.leaf, ty)
-        return got
-
-    def build_shared(self, node: Term, mapping: dict[int, str]) -> Term:
-        """`_build` of `node`, reusing what earlier emits of the current leaf
-        built: `shared` maps the id of each template node without the last
-        hole to its built subtree, and each symbol of the last hole to its
-        constant."""
-        shared = self.shared
+    def build(self, node: Term, mapping: dict[int, str], leaf: _Leaf) -> Term:
+        """`_build` of `node` through `leaf`'s memo.  The emits of one leaf
+        differ only in the last hole's symbol, so they share every subtree
+        without that hole, built once per leaf."""
         if id(node) not in self.varying:
-            got = shared.get(id(node))
+            got = leaf.built.get(id(node))
             if got is None:
-                got = shared[id(node)] = _build(node, mapping, self.fill)
+                got = leaf.built[id(node)] = _build(node, mapping, leaf.fill)
             return got
         if isinstance(node, App):
-            return App(self.build_shared(node.fn, mapping), self.build_shared(node.arg, mapping))
+            return App(self.build(node.fn, mapping, leaf), self.build(node.arg, mapping, leaf))
         if isinstance(node, Abs):
             return Abs(
-                node.binder, self.fill(node.binder_type), self.build_shared(node.body, mapping)
+                node.binder, leaf.fill(node.binder_type), self.build(node.body, mapping, leaf)
             )
         name = mapping[node.index]
-        got = shared.get(name)
+        got = leaf.built.get(name)
         if got is None:
-            got = shared[name] = Const(name, self.fill(node.type))
+            got = leaf.built[name] = Const(name, leaf.fill(node.type))
         return got
 
     def run(self, pos: int, subst: TypeSubstitution, chosen: list[str]) -> bool:
@@ -252,6 +249,8 @@ class _Search:
                 return False
             self.emit(subst, chosen)
             return True
+        if pos == len(self.hole_order) - 1:
+            self.leaves = {}
         hole_ty = self.tpl.hole_types[self.hole_order[pos]]
         distinct, deadline, fresh = self.budget.distinct_holes, self.deadline, self.fresh
         # A scheme without type variables is its own renaming, so candidates
@@ -285,8 +284,8 @@ class _Search:
 
 
 def _build(node: Term, mapping: dict[int, str], fill) -> Term:
-    """The conjecture term: `node` with each hole replaced by the constant
-    `mapping` names for it, and every annotation replaced by `fill` of it."""
+    """`node` with each hole replaced by the constant `mapping` names for it,
+    and every annotation replaced by `fill` of it."""
     if isinstance(node, App):
         return App(_build(node.fn, mapping, fill), _build(node.arg, mapping, fill))
     if isinstance(node, Hole):

@@ -512,6 +512,16 @@ class TestCombineReports:
         both_down = combine_reports([a, a])
         assert both_down.per_task[0].error == "down"
 
+    def test_carries_the_first_instantiation_rate(self):
+        rows = [_row("t1", success=True), _row("t2")]
+        a = EvalReport(rows, instantiation_rate=0.5)
+        b = EvalReport(rows, instantiation_rate=0.25)
+        unset = _report(rows)
+        assert combine_reports([a, b]).instantiation_rate == 0.5
+        assert combine_reports([unset, a]).instantiation_rate is None
+        combined = combine_reports([a, unset])
+        assert combined.to_dict()["aggregates"]["instantiation_rate"] == 0.5
+
     def test_combined_at_least_max_component(self):
         rng = random.Random(5)
         for _ in range(50):

@@ -1,6 +1,8 @@
+import itertools
 import random
 import re
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -674,7 +676,7 @@ class TestSharedLeaves:
         expected = _instantiate_per_node(tpl, pool, distinct=distinct)
         n = len(expected)
         reused = 0
-        for cap in sorted({1, 5, n - 1, n, n + 1} - {0}):
+        for cap in sorted(c for c in {1, 5, n - 1, n, n + 1} if c > 0):
             res = instantiate(tpl, pool, Budget(max_results=cap, distinct_holes=distinct))
             got = [c.term for c in res.conjectures]
             assert got == expected[:cap]
@@ -715,7 +717,7 @@ class TestSharedLeaves:
         texts = render_terms([c.term for c in instantiate(tpl, pool).conjectures])
         assert any("?f" in s for s in texts)
 
-    def _resolves(self, tpl, pool, monkeypatch):
+    def _resolves(self, tpl, pool, monkeypatch, distinct=False):
         calls = []
         real = instantiation.resolve
 
@@ -724,30 +726,154 @@ class TestSharedLeaves:
             return real(subst, ty)
 
         monkeypatch.setattr(instantiation, "resolve", counted)
-        res = instantiate(tpl, pool, Budget(max_results=10**9))
+        res = instantiate(tpl, pool, Budget(max_results=10**9, distinct_holes=distinct))
         monkeypatch.undo()
-        assert [c.term for c in res.conjectures] == _instantiate_per_node(tpl, pool)
+        assert [c.term for c in res.conjectures] == _instantiate_per_node(tpl, pool, distinct)
         return len(calls), len({id(s) for s in calls}), len(res.conjectures)
 
     def test_one_resolve_per_annotation_per_leaf(self, lemma_distrib_left, monkeypatch):
         """One `resolve` per distinct annotation (the distributivity template
-        has 3) per run of emits that share a leaf substitution.  Below each of
-        the 3·B binaries in the first hole, the B binaries of its sort share
-        one leaf and are one run: no other candidate fits between them.
-        Poly.pick fits either hole and is a leaf of its own wherever it goes.
-        With pick in the first hole, the second takes pick and then the
-        binaries of all three sorts, interleaved: a run of one each."""
+        has 3) per leaf substitution, whatever order its emits come in.
+        Below each of the 3·B binaries in the first hole, the B binaries of
+        its sort share one leaf: no other candidate fits there.  Poly.pick
+        fits either hole and is a leaf of its own wherever it goes.  With
+        pick in the first hole, the second takes pick and then the binaries
+        of all three sorts, interleaved: 3 leaves, each emitting B times."""
         tpl = abstract(lemma_distrib_left)
         B = self.B
         shared = _sorted_candidates(B, 2)
         calls, leaves, conjectures = self._resolves(tpl, shared, monkeypatch)
         assert (calls, leaves, conjectures) == (3 * 3 * B, 3 * B, 3 * B * B)
+        assert calls == 3 * leaves
 
         calls, leaves, _ = self._resolves(tpl, POLY_SYMBOLS[:1] + shared, monkeypatch)
         assert leaves == 3 * B * 2 + 3 + 1
-        assert calls == 3 * (3 * B * 2 + 1 + 3 * B)
+        assert calls == 3 * (3 * B * 2 + 1 + 3) == 3 * leaves
 
         # Equal but unshared types: every solution is a leaf of its own.
         unshared = _sorted_candidates(B, 2, shared=False)
         calls, leaves, conjectures = self._resolves(tpl, unshared, monkeypatch)
         assert leaves == conjectures == 3 * B * B and calls == 3 * leaves
+
+    def _leaf_tables(self, tpl, pool, distinct, monkeypatch):
+        """The conjectures of an uncapped search, and the size of its leaf
+        table after each emit."""
+        sizes = []
+
+        class Recording(instantiation._Search):
+            def emit(self, subst, chosen):
+                super().emit(subst, chosen)
+                sizes.append(len(self.leaves))
+
+        monkeypatch.setattr(instantiation, "_Search", Recording)
+        res = instantiate(tpl, pool, Budget(max_results=10**9, distinct_holes=distinct))
+        monkeypatch.undo()
+        return res.conjectures, sizes
+
+    def test_random_interleaved_pools(self, lemma_distrib_left, monkeypatch):
+        """Leaves that emit in any order, next to polymorphic candidates,
+        build through one memo each: the terms are the reference's at every
+        cap, each distinct annotation is resolved once per leaf, and the leaf
+        table holds the leaves of one last-hole node only.  A leaf is told
+        apart by the symbols of the other holes and the last symbol's type
+        object, or the symbol itself when its scheme is polymorphic."""
+        conjectures = interleaved = 0
+        for tpl, pool in _interleaved_cases(lemma_distrib_left):
+            annotations = len(
+                {
+                    id(s.binder_type if isinstance(s, Abs) else s.type)
+                    for s in subterms(tpl.body)
+                    if not isinstance(s, (App, Bound))
+                }
+            )
+            by_name = {e.name: e.type for e in pool}
+            for distinct in (False, True):
+                n, _ = self._check(tpl, pool, distinct)
+                calls, leaves, _ = self._resolves(tpl, pool, monkeypatch, distinct)
+                got, sizes = self._leaf_tables(tpl, pool, distinct, monkeypatch)
+                nodes: dict[tuple, list] = {}
+                for c in got:
+                    *head, (_, last) = c.assignment.mapping
+                    ty = by_name[last]
+                    nodes.setdefault(tuple(head), []).append(
+                        last if type_vars(ty) else id(ty)
+                    )
+                assert leaves == sum(len(set(k)) for k in nodes.values())
+                assert calls == annotations * leaves
+                assert max(sizes, default=0) == max(
+                    (len(set(k)) for k in nodes.values()), default=0
+                )
+                conjectures += n
+                # Nodes where some leaf emits, then another, then it again.
+                interleaved += sum(
+                    len(set(k)) < 1 + sum(a != b for a, b in zip(k, k[1:]))
+                    for k in nodes.values()
+                )
+        assert conjectures > 1000 and interleaved > 50
+
+    def test_leaf_ids_are_not_reused(self, lemma_distrib_left, monkeypatch):
+        """The leaf table is keyed by the `id` of each substitution, so it
+        must hold them.  Here, as an allocator may, a substitution that dies
+        hands its id to the next one whose id is taken, and the terms are
+        still the reference's."""
+        free, fresh, taken = [], itertools.count(1), []
+
+        class Subst(dict):
+            pass
+
+        def recycled_id(obj):
+            if type(obj) is not Subst:
+                return id(obj)
+            if "n" not in vars(obj):
+                obj.n = free.pop() if free else next(fresh)
+                taken.append(obj.n)
+                weakref.finalize(obj, free.append, obj.n)
+            return -obj.n
+
+        monkeypatch.setattr(instantiation, "dict", Subst, raising=False)
+        monkeypatch.setattr(instantiation, "id", recycled_id, raising=False)
+        for tpl, pool in _interleaved_cases(lemma_distrib_left):
+            for distinct in (False, True):
+                budget = Budget(max_results=10**9, distinct_holes=distinct)
+                got = [c.term for c in instantiate(tpl, pool, budget).conjectures]
+                assert got == _instantiate_per_node(tpl, pool, distinct)
+        assert len(taken) > 2 * len(set(taken))
+
+
+def _interleaved_cases(lemma_distrib_left):
+    """The distributivity template and 19 random ones with 1 to 3 holes,
+    every other one with a binder, each with a monomorphic and a
+    polymorphic pool from `_interleaved_pool`."""
+    rng = random.Random(19)
+    templates = [abstract(lemma_distrib_left)]
+    while len(templates) < 20:
+        term, _ = random_lemma_term(rng)
+        tpl = abstract(_forall_first_free(term) if len(templates) % 2 else term)
+        if 1 <= tpl.hole_count <= 3:
+            templates.append(tpl)
+    return [(tpl, _interleaved_pool(rng, poly)) for tpl in templates for poly in (0, 1)]
+
+
+def _interleaved_pool(rng, poly):
+    """Constants, unary and binary operators on each of the 3 sorts, and
+    binaries from each sort and the next back to it, up to 3 of each in
+    random order, so the sorts interleave.  Candidates of one sort and kind
+    share one type object; with `poly`, the polymorphic symbols are spliced
+    in at random places."""
+    out = []
+    for k, sort in enumerate(_SORTS):
+        nxt = _SORTS[(k + 1) % len(_SORTS)]
+        kinds = {
+            "c": sort,
+            "u": fun(sort, sort),
+            "b": fun(sort, fun(sort, sort)),
+            "m": fun(sort, fun(nxt, sort)),
+        }
+        for kind, ty in kinds.items():
+            for i in range(rng.randint(0, 3)):
+                out.append(SignatureEntry(f"S.{kind}{k}_{i}", ty, None))
+    rng.shuffle(out)
+    if poly:
+        for e in POLY_SYMBOLS:
+            out.insert(rng.randint(0, len(out)), e)
+    return out

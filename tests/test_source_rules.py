@@ -4,7 +4,9 @@ outside the standard library is imported, so lemmakit has no runtime
 dependency, no nested function is recursive, so no call leaves a
 reference cycle for the collector, and no module-level name starts out as an
 empty container, so every cache lives in a call, a suite group or an
-object instead of growing for the life of the process."""
+object instead of growing for the life of the process, and every
+module-level private function or class is referenced outside its own body,
+so there is no helper that nothing calls."""
 
 import ast
 import sys
@@ -266,4 +268,71 @@ def default_size(n):
         "27: module-level memo phi",
         "32: module-level memo fib",
         "37: module-level memo square",
+    ]
+
+
+def unreferenced_helpers(source: str) -> list[str]:
+    """Line-tagged module-level private functions and classes that no name
+    outside their own definition refers to."""
+    tree = ast.parse(source)
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not _private(node.name):
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(
+            isinstance(n, ast.Name) and n.id == node.name and id(n) not in inside
+            for n in ast.walk(tree)
+        ):
+            out.append(f"{node.lineno}: unreferenced {node.name}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unreferenced_helper(path):
+    assert unreferenced_helpers(path.read_text(encoding="utf-8")) == []
+
+
+def test_helper_rule_catches_each_form():
+    source = '''
+def _helper(x):
+    return x
+
+
+def _walk(node):
+    return [_walk(c) for c in node]
+
+
+class _Unused:
+    def method(self):
+        return _Unused()
+
+
+def _called(x):
+    return x
+
+
+class _Annotated:
+    pass
+
+
+def _decorator(f):
+    return f
+
+
+@_decorator
+def _registered():
+    pass
+
+
+def public(x: _Annotated):
+    return _called(x)
+'''
+    assert unreferenced_helpers(source) == [
+        "2: unreferenced _helper",
+        "6: unreferenced _walk",
+        "10: unreferenced _Unused",
+        "28: unreferenced _registered",
     ]
