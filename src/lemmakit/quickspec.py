@@ -17,10 +17,13 @@ universe, a known artifact of this pruning.
 
 One evaluator, `evaluate_columns`, serves partitioning, re-verification and
 counterexample search: it maps each term to its column of values over a list
-of valuations.  Equal columns of one sort are one interned object, and a
-symbol is applied once per tuple of argument columns, so a term whose
-arguments fall in classes already seen costs no symbol calls, and the
-partition groups terms by column object.
+of valuations.  It resolves every head with one lookup in one table, the
+signature's `meanings`: each symbol and each logical constant (equality and
+the connectives) maps to its argument sorts, result sort and function, and a
+name not in it has no interpretation.  Equal columns of one sort are one
+interned object, and a symbol is applied once per tuple of argument columns,
+so a term whose arguments fall in classes already seen costs no symbol
+calls, and the partition groups terms by column object.
 
 Value domains are deliberately small and closed (integers mod M, bounded
 ranges, booleans, short integer lists) so everything is executable and
@@ -40,10 +43,10 @@ from .terms import (
     App,
     Const,
     Free,
-    Hole,
     LemmakitError,
     TCon,
     Term,
+    base_scheme,
     fun,
     parse_type,
     render_terms,
@@ -107,7 +110,8 @@ class InterpSymbol:
     (a constant's `fn` is its value).  `fn` must be pure and return hashable
     values: the evaluator applies it once per tuple of distinct argument
     columns and interns its results, and raises NotTestable naming the
-    symbol on an unhashable value."""
+    symbol on an unhashable value, or when `fn` raises ArithmeticError or
+    ValueError."""
 
     name: str
     type: "TCon"
@@ -116,6 +120,11 @@ class InterpSymbol:
 
 
 class InterpretedSignature:
+    """`meanings`, the one table the evaluator reads, maps each symbol and
+    each logical constant of `_LOGIC` to (argument sorts, result sort,
+    function).  A logical constant works at any sort, so its sorts are None;
+    a symbol named like one raises ValueError."""
+
     def __init__(self, sorts: list[Sort], symbols: list[InterpSymbol], vars_per_sort: int = 3):
         self.sorts: dict[str, Sort] = {}
         for s in sorts:
@@ -127,9 +136,10 @@ class InterpretedSignature:
         if len(self.by_name) != len(symbols):
             raise ValueError("duplicate symbol names")
         self.vars_per_sort = vars_per_sort
-        # name -> (argument sort names, result sort name)
-        self.profile: dict[str, tuple[tuple[str, ...], str]] = {}
+        self.meanings: dict[str, tuple[tuple, str | None, object]] = dict(_LOGIC_MEANINGS)
         for sym in symbols:
+            if sym.name in _LOGIC_MEANINGS:
+                raise ValueError(f"symbol {sym.name!r} shadows a logical constant")
             parts = _arrow_parts(sym.type)
             for t in parts:
                 if not (isinstance(t, TCon) and t.name in self.sorts):
@@ -137,7 +147,7 @@ class InterpretedSignature:
                         f"symbol {sym.name!r} mentions undeclared sort {t}"
                     )
             *args, res = (t.name for t in parts)
-            self.profile[sym.name] = (tuple(args), res)
+            self.meanings[sym.name] = (tuple(args), res, sym.fn)
 
     def variables(self) -> list[Free]:
         """x1, x2, ... — vars_per_sort variables per sort, in sort order."""
@@ -200,7 +210,7 @@ def enumerate_terms(sig: InterpretedSignature, max_size: int) -> list[Term]:
     for sort in sig.sorts:
         atoms: list[Term] = [v for v in variables if v.type.name == sort]
         for sym in sig.symbols:
-            if sig.profile[sym.name] == ((), sort):
+            if sig.meanings[sym.name][:2] == ((), sort):
                 atoms.append(Const(sym.name, sym.type))
         by_sort_size[(sort, 1)] = atoms
 
@@ -208,7 +218,7 @@ def enumerate_terms(sig: InterpretedSignature, max_size: int) -> list[Term]:
         for sort in sig.sorts:
             terms: list[Term] = []
             for sym in sig.symbols:
-                args, res = sig.profile[sym.name]
+                args, res, _ = sig.meanings[sym.name]
                 if not args or res != sort:
                     continue
                 for sizes in _compositions(size - 1, len(args)):
@@ -247,6 +257,8 @@ def _product_apply(head: Term, pools: list[list[Term]], out: list[Term]) -> None
 # ---------------------------------------------------------------------------
 # Evaluation
 
+# The logical constants every signature interprets (a constant's function is
+# its value), and their rows of `meanings`.
 _LOGIC = {
     "HOL.eq": lambda a, b: a == b,
     "HOL.Not": lambda a: not a,
@@ -255,6 +267,10 @@ _LOGIC = {
     "HOL.implies": lambda a, b: (not a) or b,
     "HOL.True": True,
     "HOL.False": False,
+}
+_LOGIC_MEANINGS = {
+    name: ((None,) * (len(_arrow_parts(base_scheme(name))) - 1), None, fn)
+    for name, fn in _LOGIC.items()
 }
 
 
@@ -312,19 +328,18 @@ def _column(
         key = (head.name, *map(id, arg_cols))
         col = applied.get(key)
         if col is None:
-            sym = sig.by_name.get(head.name)
-            if sym is not None:
-                arg_sorts, sort = sig.profile[head.name]
-                if len(arg_sorts) != len(args):
-                    raise NotTestable(f"partial application of {head.name!r}")
-                fn = sym.fn
-            elif head.name in _LOGIC:
-                fn, sort = _LOGIC[head.name], None
-                if (fn.__code__.co_argcount if callable(fn) else 0) != len(args):
-                    raise NotTestable(f"{head.name} applied to {len(args)} arguments")
-            else:
+            meaning = sig.meanings.get(head.name)
+            if meaning is None:
                 raise NotTestable(f"symbol {head.name!r} has no interpretation")
-            col = list(map(fn, *arg_cols)) if args else [fn] * len(valuations)
+            arg_sorts, sort, fn = meaning
+            if len(arg_sorts) != len(args):
+                raise NotTestable(f"symbol {head.name!r} applied to {len(args)} arguments")
+            try:
+                col = list(map(fn, *arg_cols)) if args else [fn] * len(valuations)
+            except (ArithmeticError, ValueError) as e:
+                raise NotTestable(
+                    f"symbol {head.name!r} raised {type(e).__name__}: {e}"
+                ) from None
             col = applied[key] = _intern(col, sort, interned, f"symbol {head.name!r}")
     else:
         raise NotTestable(f"untestable head node {type(head).__name__}")
@@ -349,16 +364,20 @@ def make_valuations(
     sig: InterpretedSignature, variables: list[Free], num_tests: int, seed: int
 ) -> list[dict[str, object]]:
     """num_tests valuations from one sequential stream, so a longer run's
-    prefix equals a shorter run with the same seed."""
+    prefix equals a shorter run with the same seed.  A variable whose type is
+    not one of the signature's sorts raises NotTestable."""
+    samplers = []
+    for v in variables:
+        sort = sig.sorts.get(v.type.name) if isinstance(v.type, TCon) else None
+        if sort is None:
+            raise NotTestable(f"variable {v.name!r} has no samplable sort")
+        samplers.append((v.name, sort.sample))
     rng = random.Random(seed)
     out = []
     for _ in range(num_tests):
         val = {}
-        for v in variables:
-            sort = sig.sorts.get(v.type.name)
-            if sort is None:
-                raise NotTestable(f"variable {v.name!r} has unknown sort {v.type}")
-            val[v.name] = sort.sample(rng)
+        for name, sample in samplers:
+            val[name] = sample(rng)
         out.append(val)
     return out
 
@@ -610,18 +629,6 @@ def reverify_laws(
 # Counterexample search
 
 
-def _check_testable(t: Term, sig: InterpretedSignature) -> None:
-    for s in subterms(t):
-        if isinstance(s, Hole):
-            raise NotTestable("term contains holes")
-        if isinstance(s, Const) and s.name not in sig.by_name and s.name not in _LOGIC:
-            raise NotTestable(f"symbol {s.name!r} has no interpretation")
-        if isinstance(s, Free) and not (
-            isinstance(s.type, TCon) and s.type.name in sig.sorts
-        ):
-            raise NotTestable(f"variable {s.name!r} has no samplable sort")
-
-
 def find_counterexample(
     equation: Term,
     interp: InterpretedSignature,
@@ -646,7 +653,6 @@ def _counterexample(
     """`find_counterexample`, drawing valuations once per sorted variable
     tuple in `memo`.  The stream depends only on the variables, the seed and
     num_tests, so reusing it changes no result."""
-    _check_testable(equation, interp)
     variables = tuple(sorted(
         {s for s in subterms(equation) if isinstance(s, Free)},
         key=lambda f: f.name,
@@ -760,10 +766,10 @@ _BUILTINS = {
     "int_mul": (("int", "int", "int"), operator.mul),
     "int_pow": (("int", "int", "int"), operator.pow),
     "int_le": (("int", "int", "bool"), operator.le),
-    "bool_and": (("bool", "bool", "bool"), lambda a, b: a and b),
-    "bool_or": (("bool", "bool", "bool"), lambda a, b: a or b),
+    "bool_and": (("bool", "bool", "bool"), _LOGIC["HOL.conj"]),
+    "bool_or": (("bool", "bool", "bool"), _LOGIC["HOL.disj"]),
     "bool_not": (("bool", "bool"), operator.not_),
-    "bool_implies": (("bool", "bool", "bool"), lambda a, b: (not a) or b),
+    "bool_implies": (("bool", "bool", "bool"), _LOGIC["HOL.implies"]),
     "list_append": (("list", "list", "list"), operator.add),
     "list_rev": (("list", "list"), lambda a: tuple(reversed(a))),
     "list_len": (("list", "int"), len),
@@ -771,24 +777,25 @@ _BUILTINS = {
 }
 
 
-def builtin_evaluators(sorts: dict[str, Sort]) -> dict[str, object]:
-    """Evaluators by builtin name, for symbols whose result sort is in
-    `sorts`: every builtin with an int result reduces by the modulus of a
-    mod sort there, and not at all without one.  The loader passes each
-    symbol its own result sort."""
-    mod = next((s.mod for s in sorts.values() if isinstance(s, IntModSort)), None)
-    out = {name: fn for name, (_, fn) in _BUILTINS.items()}
-    if mod:
-        for name, (kinds, fn) in _BUILTINS.items():
-            if kinds[-1] == "int":
-                out[name] = _reduced(fn, mod)
-        # Three-argument pow never builds a ** b.
-        out["int_pow"] = lambda a, b: pow(a, b, mod)
-    return out
-
-
-def _reduced(fn, mod: int):
+def _builtin(name: str, sort: Sort | None):
+    """Builtin `name`'s function for a symbol of result sort `sort`: a
+    builtin with an int result reduces by the modulus of a mod sort, and not
+    at all on any other sort."""
+    kinds, fn = _BUILTINS[name]
+    mod = sort.mod if isinstance(sort, IntModSort) else None
+    if not mod or kinds[-1] != "int":
+        return fn
+    if name == "int_pow":  # three-argument pow never builds a ** b
+        return lambda a, b: pow(a, b, mod)
     return lambda *args: fn(*args) % mod
+
+
+def builtin_evaluators(sorts: dict[str, Sort]) -> dict[str, object]:
+    """Each builtin's function by name, as `_builtin` picks it for the first
+    mod sort in `sorts`, or for no sort without one.  The loader picks each
+    symbol's function for its own result sort."""
+    mod_sort = next((s for s in sorts.values() if isinstance(s, IntModSort)), None)
+    return {name: _builtin(name, mod_sort) for name in _BUILTINS}
 
 
 _SIGNATURE_FIELDS = {
@@ -853,8 +860,7 @@ def load_interpreted_signature(path) -> InterpretedSignature:
     sorts = [
         _sort_from_dict(d, f"{path}: sort {i}") for i, d in enumerate(data["sorts"])
     ]
-    builtins = builtin_evaluators({})
-    own = {TCon(s.name): builtin_evaluators({s.name: s}) for s in sorts}
+    sort_of = {TCon(s.name): s for s in sorts}
     symbols = []
     for i, d in enumerate(data["symbols"]):
         where = f"{path}: symbol {i}"
@@ -875,12 +881,12 @@ def load_interpreted_signature(path) -> InterpretedSignature:
                 raise LemmakitError(
                     f"{where}: field 'value' must be a scalar or a list of scalars"
                 ) from None
-        elif d.get("builtin") in builtins:
-            fn = own.get(result, builtins)[d["builtin"]]
+        elif d.get("builtin") in _BUILTINS:
+            fn = _builtin(d["builtin"], sort_of.get(result))
         else:
             raise LemmakitError(
                 f"{where}: field 'builtin' must name a builtin evaluator "
-                f"({', '.join(sorted(builtins))}), or give a 'value'"
+                f"({', '.join(sorted(_BUILTINS))}), or give a 'value'"
             )
         symbols.append(InterpSymbol(d["name"], ty, fn, d.get("infix")))
     vars_per_sort = data.get("vars_per_sort")
@@ -894,7 +900,7 @@ def load_interpreted_signature(path) -> InterpretedSignature:
         raise LemmakitError(f"{path}: {e}") from e
     for i, (d, sym) in enumerate(zip(data["symbols"], symbols)):
         where = f"{path}: symbol {i}"
-        args, res = sig.profile[sym.name]
+        args, res, _ = sig.meanings[sym.name]
         kinds = tuple(_SORT_KINDS[type(sig.sorts[s])] for s in (*args, res))
         if "value" not in d:
             want = _BUILTINS[d["builtin"]][0]
@@ -912,5 +918,11 @@ def load_interpreted_signature(path) -> InterpretedSignature:
             if not holds(sym.fn):
                 raise LemmakitError(
                     f"{where}: field 'value' must be {kind} for sort {res!r}"
+                )
+            sort = sig.sorts[res]
+            if isinstance(sort, IntModSort) and not 0 <= sym.fn < sort.mod:
+                raise LemmakitError(
+                    f"{where}: field 'value' must be an integer in "
+                    f"0..{sort.mod - 1} for sort {res!r}"
                 )
     return sig

@@ -611,6 +611,17 @@ class TestQuickspec:
         assert "Traceback" not in proc.stderr
         assert f"{gold_path}:1: unexpected end of input" in proc.stderr
 
+    def test_symbol_that_raises_exits_1(self, tmp_path):
+        sig_path = tmp_path / "sig.json"
+        sig_path.write_text(json.dumps({
+            "sorts": [{"name": "int", "min": -2, "max": 2}],
+            "symbols": [{"name": "pow", "type": render_type(INT_BINOP), "builtin": "int_pow"}],
+        }))
+        proc = _run_cli("quickspec", str(sig_path), "--max-size", "3", "--tests", "50")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: symbol 'pow' raised ")
+
     @pytest.mark.parametrize(
         "gold, message",
         [
@@ -763,6 +774,11 @@ class TestErrorExits:
                 id="duplicate-symbol",
             ),
             pytest.param(
+                ["quickspec", "{shadow}"],
+                "{shadow}: symbol 'HOL.eq' shadows a logical constant",
+                id="symbol-shadows-a-logical-constant",
+            ),
+            pytest.param(
                 ["quickspec", "{sig}", "--max-size", "0"], "max_size must be >= 1",
                 id="max-size-0",
             ),
@@ -784,6 +800,7 @@ class TestErrorExits:
             "sig": QS_SIG,
             "dup_sort": dict(QS_SIG, sorts=QS_SIG["sorts"] * 2),
             "dup_symbol": dict(QS_SIG, symbols=QS_SIG["symbols"] * 2),
+            "shadow": dict(QS_SIG, symbols=[dict(QS_SIG["symbols"][0], name="HOL.eq")]),
         }
         for name, content in signatures.items():
             path = tmp_path / f"{name}.json"

@@ -33,7 +33,7 @@ from lemmakit.proposer import (
     propose_http,
     propose_retrieval,
 )
-from lemmakit.quickspec import InterpSymbol, IntModSort, InterpretedSignature
+from lemmakit.quickspec import InterpSymbol, IntModSort, IntRangeSort, InterpretedSignature
 from lemmakit.templates import abstract
 from lemmakit.terms import (
     Abs,
@@ -759,6 +759,13 @@ class TestCategorize:
         labels, counts = categorize([_conj(self._assoc("minus"))], gold, None)
         assert labels == [CATEGORY_UNKNOWN]
         assert counts[CATEGORY_FALSE] == 0
+
+    def test_symbol_that_raises_is_unknown(self):
+        pow_ = InterpSymbol("pow", fun(INT, fun(INT, INT)), lambda a, b: a ** b)
+        interp = InterpretedSignature([IntRangeSort("int", -2, 2)], [pow_])
+        term = App(App(Const("pow", pow_.type), Free("x1", INT)), Free("x2", INT))
+        labels, _ = categorize([_conj(_eq(term, term))], self._assoc("plus"), interp)
+        assert labels == [CATEGORY_UNKNOWN]
 
     def test_untestable_symbol_is_unknown(self):
         gold = self._assoc("plus")

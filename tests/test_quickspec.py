@@ -35,12 +35,16 @@ from lemmakit.quickspec import (
 )
 from lemmakit.quickspec import test_partition as partition_by_testing
 from lemmakit.terms import (
+    Abs,
     App,
+    Bound,
     Const,
     Free,
     Hole,
     LemmakitError,
     TCon,
+    TVar,
+    base_scheme,
     fun,
     render_term,
     render_type,
@@ -67,6 +71,29 @@ def int_mod_sig(symbols, mod=5, vars_per_sort=2):
 PLUS = InterpSymbol("plus", fun(INT, fun(INT, INT)), lambda a, b: (a + b) % 5, "+")
 ZERO = InterpSymbol("zero", INT, 0)
 TIMES = InterpSymbol("times", fun(INT, fun(INT, INT)), lambda a, b: a * b % 5, "*")
+
+
+HOL_BOOL = TCon("HOL.bool")
+LOGIC_NAMES = ("HOL.eq", "HOL.Not", "HOL.conj", "HOL.disj", "HOL.implies", "HOL.True", "HOL.False")
+
+
+def _eq(lhs, rhs):
+    return App(App(Const("HOL.eq", fun(INT, fun(INT, HOL_BOOL))), lhs), rhs)
+
+
+def _apply(head, args):
+    for a in args:
+        head = App(head, a)
+    return head
+
+
+def _wrong_arities(name):
+    """One argument more than the logical constant takes, and one fewer."""
+    n = 0
+    ty = base_scheme(name)
+    while isinstance(ty, TCon) and ty.name == "fun":
+        n, ty = n + 1, ty.args[1]
+    return [n + 1] + ([n - 1] if n else [])
 
 
 class TestEnumerate:
@@ -223,6 +250,60 @@ class TestEvaluator:
             evaluate_term(eq, sig, {})
         with pytest.raises(NotTestable):
             find_counterexample(App(eq, Free("x1", INT)), sig, 10, 0)
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            _eq(Free("x1", TVar("int")), Free("x1", TVar("int"))),
+            _eq(App(Free("f", fun(INT, INT)), Free("x1", INT)), Free("x1", INT)),
+            _eq(Free("f", fun(INT, INT)), Free("f", fun(INT, INT))),
+            _eq(
+                App(Abs("y", INT, App(App(Const("plus", PLUS.type), Bound(0)), Hole(1, INT))),
+                    Free("x1", INT)),
+                Free("x1", INT),
+            ),
+            *(
+                _eq(_apply(Const(name, HOL_BOOL), [Free("x1", INT)] * n), Free("x1", INT))
+                for name in LOGIC_NAMES
+                for n in _wrong_arities(name)
+            ),
+        ],
+        ids=[
+            "type-variable-named-like-a-sort",
+            "applied-function-variable",
+            "function-variable",
+            "hole-under-a-binder",
+            *(f"{name}-{n}-args" for name in LOGIC_NAMES for n in _wrong_arities(name)),
+        ],
+    )
+    def test_find_counterexample_refuses_what_it_cannot_test(self, term):
+        sig = int_mod_sig([PLUS, ZERO])
+        with pytest.raises(NotTestable):
+            find_counterexample(term, sig, 10, 0)
+        with pytest.raises(NotTestable):
+            reverify_laws([Law(lhs=term, rhs=term, size=2)], sig, 10, 0)
+
+    def test_symbol_that_raises_is_not_testable(self):
+        pow_ = InterpSymbol("pow", fun(INT, fun(INT, INT)), lambda a, b: a ** b)
+        sig = InterpretedSignature([IntRangeSort("int", -2, 2)], [pow_])
+        x1, x2 = Free("x1", INT), Free("x2", INT)
+        term = App(App(Const("pow", pow_.type), x1), x2)
+        with pytest.raises(NotTestable, match="symbol 'pow' raised ZeroDivisionError"):
+            find_counterexample(_eq(term, term), sig, 50, 0)
+        with pytest.raises(NotTestable, match="symbol 'pow'"):
+            partition_by_testing(enumerate_terms(sig, 3), sig, 50, 0)
+
+    def test_symbol_cannot_shadow_a_logical_constant(self):
+        minus = InterpSymbol("minus", fun(INT, fun(INT, INT)), lambda a, b: (a - b) % 5)
+        x1, x2 = Free("x1", INT), Free("x2", INT)
+        sub = lambda a, b: App(App(Const("minus", minus.type), a), b)
+        claim = _eq(sub(x1, x2), sub(x2, x1))
+        cex = find_counterexample(claim, int_mod_sig([minus]), 400, 0)
+        assert cex.as_dict() == {"x1": 0, "x2": 2}
+        for name in LOGIC_NAMES:
+            plus = InterpSymbol(name, fun(INT, fun(INT, INT)), lambda a, b: (a + b) % 5)
+            with pytest.raises(ValueError, match=f"symbol '{name}' shadows a logical constant"):
+                int_mod_sig([minus, plus])
 
     def test_columns_follow_valuation_order(self):
         sig = int_mod_sig([PLUS, ZERO])
@@ -838,7 +919,7 @@ class TestLoadSignatureChecks:
     @pytest.mark.parametrize(
         "sort, good, bad",
         [
-            ("int", [0, 6], [True, 1.5, "1", [1, 2]]),
+            ("int", [0, 6], [True, 1.5, "1", [1, 2], -1, 7]),
             ("bool", [True, False], [0, 1, "true"]),
             ("list", [[], [1, 2]], [3, [True], [1.0], "ab"]),
         ],
