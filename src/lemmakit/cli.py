@@ -64,19 +64,21 @@ def _add_proposer_flags(p: argparse.ArgumentParser) -> None:
                    help="template list file for the fixed proposer")
 
 
-def _make_proposer(kind: str, index_path, templates_path):
+def _make_proposer(kind: str, index_path, templates_path, w=None):
+    """The proposer `kind`, whose templates are checked against the
+    whitelist `w` (the default one when None)."""
     if kind == "retrieval":
         if not index_path:
             raise LemmakitError("retrieval proposer needs --index")
-        idx = TemplateIndex.load(index_path)
+        idx = TemplateIndex.load(index_path, w)
         return lambda req: propose_retrieval(req, idx)
     if kind == "fixed":
         if not templates_path:
             raise LemmakitError("fixed proposer needs --templates")
-        templates = load_templates_file(templates_path)
+        templates = load_templates_file(templates_path, w)
         return lambda req: propose_fixed(req, templates)
     config = HttpProposerConfig.from_env()
-    return lambda req: propose_http(req, config)
+    return lambda req: propose_http(req, config, w)
 
 
 def _out(args):
@@ -206,7 +208,7 @@ def cmd_eval(args) -> int:
     records = corpus_mod.load_records(args.corpus)
     tasks = [eval_mod.make_task(r, mode=args.mode, k=args.k, w=w) for r in records]
     budget = _budget(args)
-    prop = _make_proposer(args.proposer, args.index, args.templates)
+    prop = _make_proposer(args.proposer, args.index, args.templates, w)
     report = eval_mod.evaluate_suite(
         tasks, prop, budget, workers=args.workers,
         strict_denominator=args.strict_denominator,
@@ -214,7 +216,7 @@ def cmd_eval(args) -> int:
     )
     if args.also_proposer:
         other = _make_proposer(
-            args.also_proposer, args.also_index, args.also_templates
+            args.also_proposer, args.also_index, args.also_templates, w
         )
         other_report = eval_mod.evaluate_suite(
             tasks, other, budget, workers=args.workers,

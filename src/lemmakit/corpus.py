@@ -227,16 +227,37 @@ def parse_at(parse, text: str, where: str):
         raise LemmakitError(f"{where}: {e}") from e
 
 
-def record_from_dict(d: dict, where: str = "record") -> CorpusRecord:
+class _TypeTable:
+    """Symbol types parsed once per distinct text, with equal types as one
+    object, for all the symbols of one file."""
+
+    def __init__(self):
+        self.by_text: dict[str, TypeExpr] = {}
+        self.by_value: dict[TypeExpr, TypeExpr] = {}
+
+    def parse(self, text: str, where: str) -> TypeExpr:
+        """The type `text` spells; a syntax error is prefixed by `where`."""
+        ty = self.by_text.get(text)
+        if ty is None:
+            ty = parse_at(parse_type, text, where)
+            ty = self.by_text[text] = self.by_value.setdefault(ty, ty)
+        return ty
+
+
+def record_from_dict(
+    d: dict, where: str = "record", types: _TypeTable | None = None
+) -> CorpusRecord:
     """A corpus record from its JSON object; equal symbol types come back as
-    one shared object, as in `load_signature`."""
+    one shared object, as in `load_signature`.  `types` extends that sharing
+    to every record read through it."""
     check_fields(d, _RECORD_FIELDS, where)
+    if types is None:
+        types = _TypeTable()
     symbols = []
-    shared: dict[TypeExpr, TypeExpr] = {}
     for j, s in enumerate(d["symbols"]):
         check_fields(s, _SYMBOL_FIELDS, f"{where}: symbol {j}")
-        ty = parse_at(parse_type, s["type"], f"{where}: symbol {j}: field 'type'")
-        symbols.append(SignatureEntry(s["name"], shared.setdefault(ty, ty), s.get("def")))
+        ty = types.parse(s["type"], f"{where}: symbol {j}: field 'type'")
+        symbols.append(SignatureEntry(s["name"], ty, s.get("def")))
     return CorpusRecord(
         id=d["id"],
         theory=d["theory"],
@@ -308,8 +329,11 @@ def write_jsonl(path, dicts) -> None:
 
 def load_records(path) -> list[CorpusRecord]:
     """Records of a JSONL corpus; a line of the wrong shape raises
-    LemmakitError naming the file, the line and the field."""
-    return [record_from_dict(d, f"{path}:{i}") for i, d in read_jsonl(path)]
+    LemmakitError naming the file, the line and the field.  Each distinct
+    symbol type text is parsed once, and equal symbol types are one object
+    across the file."""
+    types = _TypeTable()
+    return [record_from_dict(d, f"{path}:{i}", types) for i, d in read_jsonl(path)]
 
 
 def save_records(path, records) -> None:
@@ -320,17 +344,19 @@ def load_signature(path) -> list[SignatureEntry]:
     """Signature file: JSON array of {"name", "type": s-expr, "def"|null}.
 
     A file of any other shape raises LemmakitError naming the file, the entry
-    index and the field.  Equal types come back as one shared object, so
-    `instantiate` unifies each of them once per search node.
+    index and the field.  Each distinct type text is parsed once, and equal
+    types come back as one shared object, so `instantiate` unifies each of
+    them once per search node.
     """
     data = load_json(path)
     if not isinstance(data, list):
         raise LemmakitError(f"{path}: expected a JSON array of symbol objects")
     for i, d in enumerate(data):
         check_fields(d, _SYMBOL_FIELDS, f"{path}: entry {i}")
-    entries = []
-    shared: dict[TypeExpr, TypeExpr] = {}
-    for i, d in enumerate(data):
-        ty = parse_at(parse_type, d["type"], f"{path}: entry {i}: field 'type'")
-        entries.append(SignatureEntry(d["name"], shared.setdefault(ty, ty), d.get("def")))
-    return entries
+    types = _TypeTable()
+    return [
+        SignatureEntry(
+            d["name"], types.parse(d["type"], f"{path}: entry {i}: field 'type'"), d.get("def")
+        )
+        for i, d in enumerate(data)
+    ]

@@ -112,6 +112,12 @@ def instantiate(
     """
     if budget is None:
         budget = Budget()
+    return _run(_Search, tpl, candidates, budget).result
+
+
+def _run(search_class, tpl, candidates, budget):
+    """A search of class `search_class` over `candidates` for `tpl`, after
+    it ran from the template's root constraints."""
     if not isinstance(tpl, Template):
         raise InvalidTemplate(f"expected a Template, got {type(tpl).__name__}")
     names = [c.name for c in candidates]
@@ -120,13 +126,12 @@ def instantiate(
 
     deadline = time.monotonic() + budget.timeout_millis / 1000.0
     root, used, hole_order, varying = _plan(tpl)
-    if root is None:
-        return InstantiationResult()
     fresh = FreshNames("?f")
     fresh.n = used
-    search = _Search(tpl, hole_order, varying, candidates, budget, deadline, fresh)
-    search.run(0, root, [])
-    return search.result
+    search = search_class(tpl, hole_order, varying, candidates, budget, deadline, fresh)
+    if root is not None:
+        search.run(0, root, [])
+    return search
 
 
 def _plan(tpl: Template) -> tuple[TypeSubstitution | None, int, list[int], set[int]]:
@@ -202,6 +207,16 @@ class _Search:
         # substitution, so no id in the table is reused while it lives.
         self.leaves: dict[int, _Leaf] = {}
 
+    def solution(self, subst: TypeSubstitution, chosen: list[str]) -> bool:
+        """Take the solution `chosen`, reached under the leaf substitution
+        `subst`; False stops the search.  A solution beyond the cap is
+        dropped unbuilt: only it makes the result capped."""
+        if len(self.result.conjectures) == self.budget.max_results:
+            self.result.capped = True
+            return False
+        self.emit(subst, chosen)
+        return True
+
     def emit(self, subst: TypeSubstitution, chosen: list[str]) -> None:
         """Append the conjecture of the solution `chosen`, built through the
         memo of its leaf substitution `subst`."""
@@ -242,13 +257,7 @@ class _Search:
         """Returns False when enumeration must stop (timeout or cap)."""
         result = self.result
         if pos == len(self.hole_order):
-            # A solution beyond the cap is dropped unbuilt: only it makes the
-            # result capped.
-            if len(result.conjectures) == self.budget.max_results:
-                result.capped = True
-                return False
-            self.emit(subst, chosen)
-            return True
+            return self.solution(subst, chosen)
         if pos == len(self.hole_order) - 1:
             self.leaves = {}
         hole_ty = self.tpl.hole_types[self.hole_order[pos]]
@@ -321,6 +330,18 @@ def feasible(
 ) -> bool:
     """True iff at least one well-typed full assignment exists within
     FEASIBLE_TIMEOUT_MILLIS; with `distinct_holes`, one in which no two holes
-    share a symbol."""
-    budget = Budget(FEASIBLE_TIMEOUT_MILLIS, max_results=1, distinct_holes=distinct_holes)
-    return bool(instantiate(tpl, candidates, budget).conjectures)
+    share a symbol.  The search stops at its first solution and builds no
+    conjecture."""
+    budget = Budget(FEASIBLE_TIMEOUT_MILLIS, distinct_holes=distinct_holes)
+    return _run(_FirstSolution, tpl, candidates, budget).found
+
+
+class _FirstSolution(_Search):
+    """A search that stops at its first solution, noting only that it found
+    one."""
+
+    found = False
+
+    def solution(self, subst: TypeSubstitution, chosen: list[str]) -> bool:
+        self.found = True
+        return False

@@ -21,7 +21,7 @@ from urllib.request import BaseHandler, Request, build_opener
 
 from .corpus import check_fields, format_symbols_prompt, load_lines, parse_json, read_jsonl
 from .instantiation import DuplicateCandidates, feasible
-from .templates import NonCanonical, Template, parse_template
+from .templates import NonCanonical, Template, Whitelist, parse_template
 from .terms import LemmakitError, SignatureEntry, TermSyntaxError, TypeExpr
 
 ENV_LLM_URL = "LEMMAKIT_LLM_URL"
@@ -79,9 +79,13 @@ class TemplateIndex:
     A search that hit its deadline is remembered as False, the answer
     `feasible` gave.  Worker threads share the memo: a dict read or write is
     atomic, and two threads that miss on one key store the same answer.
+
+    Templates are checked against the whitelist `w`, the default one when
+    None: it must be the one they were abstracted with.
     """
 
-    def __init__(self):
+    def __init__(self, w: Whitelist | None = None):
+        self.whitelist = w
         self.counts: dict[str, int] = {}
         self.total = 0
         self._parsed: dict[str, Template] = {}
@@ -94,7 +98,7 @@ class TemplateIndex:
     def add(self, canonical: str, count: int = 1) -> None:
         if count < 1:
             raise ValueError(f"template count must be positive, got {count}")
-        tpl = parse_template(canonical)
+        tpl = parse_template(canonical, self.whitelist)
         self.counts[tpl.canonical] = self.counts.get(tpl.canonical, 0) + count
         self.total += count
         self._parsed[tpl.canonical] = tpl
@@ -125,11 +129,11 @@ class TemplateIndex:
                 fh.write("\n")
 
     @classmethod
-    def load(cls, path) -> "TemplateIndex":
-        """JSONL of {"template": canonical, "count": positive int}; a line of
-        any other shape raises LemmakitError naming the file, the line and the
-        field."""
-        idx = cls()
+    def load(cls, path, w: Whitelist | None = None) -> "TemplateIndex":
+        """JSONL of {"template": canonical, "count": positive int}, checked
+        against the whitelist `w`; a line of any other shape raises
+        LemmakitError naming the file, the line and the field."""
+        idx = cls(w)
         for i, d in read_jsonl(path):
             check_fields(
                 d, {"template": "a string", "count": "an integer"}, f"{path}:{i}"
@@ -224,9 +228,11 @@ class _HttpOnly(BaseHandler):
 _OPENER = build_opener(_HttpOnly())
 
 
-def propose_http(req: ProposalRequest, config: HttpProposerConfig) -> ProposalSet:
+def propose_http(
+    req: ProposalRequest, config: HttpProposerConfig, w: Whitelist | None = None
+) -> ProposalSet:
     """POST {"prompt", "n", "max_tokens"}; expect {"completions": [str, ...]},
-    which `decode_completions` turns into proposals.
+    which `decode_completions` turns into proposals under the whitelist `w`.
 
     Any status other than 200 raises TransportError, as does any URL,
     redirect targets included, that is not http or https.  The token is not
@@ -250,12 +256,13 @@ def propose_http(req: ProposalRequest, config: HttpProposerConfig) -> ProposalSe
         raise TransportError(f"request to {config.url} failed: {e}") from e
     if status != 200:
         raise TransportError(f"endpoint returned HTTP {status}")
-    return decode_completions(raw, config.url)
+    return decode_completions(raw, config.url, w)
 
 
-def decode_completions(raw: bytes, source: str) -> ProposalSet:
+def decode_completions(raw: bytes, source: str, w: Whitelist | None = None) -> ProposalSet:
     """The proposals in an HTTP proposer's reply body `raw`, which `source`
-    (the endpoint URL) names in JSON syntax errors.
+    (the endpoint URL) names in JSON syntax errors.  Completions are checked
+    against the whitelist `w`, the default one when None.
 
     The body is read as UTF-8, an invalid byte becoming U+FFFD, so it spoils
     only the completion that holds it.  Completions failing template
@@ -281,19 +288,20 @@ def decode_completions(raw: bytes, source: str) -> ProposalSet:
                 f"malformed response body: completion {i} must be a string"
             )
         try:
-            templates.append(parse_template(text.strip()))
+            templates.append(parse_template(text.strip(), w))
         except LemmakitError:
             failures += 1
     return ProposalSet(_ranked(templates, "http"), failures)
 
 
-def load_templates_file(path) -> list[Template]:
-    """Text file of canonical template strings, one per line, '#' comments.
+def load_templates_file(path, w: Whitelist | None = None) -> list[Template]:
+    """Text file of canonical template strings, one per line, '#' comments,
+    checked against the whitelist `w`, the default one when None.
 
     A line that is not a canonical template raises LemmakitError naming the
     file and the line.
     """
-    return load_lines(path, parse_template)
+    return load_lines(path, lambda text: parse_template(text, w))
 
 
 def propose_fixed(req: ProposalRequest, templates: list[Template]) -> ProposalSet:

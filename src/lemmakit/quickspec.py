@@ -829,17 +829,26 @@ _KINDS = {
 }
 
 
+def _at_least(d: dict, key: str, low: int, where: str) -> int:
+    """d[key], which must be at least `low`: a sort must have a value to
+    sample."""
+    if d[key] < low:
+        raise LemmakitError(f"{where}: field {key!r} must be at least {low}")
+    return d[key]
+
+
 def _sort_from_dict(d: dict, where: str) -> Sort:
     check_fields(d, _SORT_FIELDS, where)
     name, get = d["name"], d.get
     if get("mod") is not None:
-        return IntModSort(name, d["mod"])
+        return IntModSort(name, _at_least(d, "mod", 1, where))
     if get("min") is not None or get("max") is not None:
         check_fields(d, {"max": "an integer"}, where)
-        return IntRangeSort(name, get("min") or 0, d["max"])
+        lo = get("min") or 0
+        return IntRangeSort(name, lo, _at_least(d, "max", lo, where))
     if get("max_len") is not None:
-        elem_mod = get("elem_mod")
-        return IntListSort(name, d["max_len"], 10 if elem_mod is None else elem_mod)
+        elem_mod = 10 if get("elem_mod") is None else _at_least(d, "elem_mod", 1, where)
+        return IntListSort(name, _at_least(d, "max_len", 0, where), elem_mod)
     if get("kind") == "bool" or name == "bool":
         return BoolSort(name)
     raise LemmakitError(f"{where}: cannot infer the kind of sort {name!r}")

@@ -9,6 +9,7 @@ occurrence, so polymorphic constants may appear at several types in one term.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import zip_longest
 from operator import is_
@@ -358,6 +359,17 @@ def base_scheme(name: str) -> TypeExpr | None:
 #   term ::= "(" "const" STR type ")" | "(" "free" STR type ")"
 #          | "(" "bound" NAT ")"      | "(" "abs" STR type term ")"
 #          | "(" "app" term term ")"  | "(" "hole" NAT type ")"
+#
+# Tokens are "(", ")", STR (a double-quoted string in which a backslash
+# escapes only '"' and itself), NAT (a run of decimal digits, of any script)
+# and atoms (runs of letters); " \t\r\n" separate them.  Any other character
+# is an error.  The scanner is one regex, `_TOKEN`: `findall` splits a text
+# into token strings, and the parser walks that list by index, telling a
+# token's kind by its first character.  A text that fails to parse is
+# scanned again with `finditer`, which gives each token its offset; that
+# walk reports the first lexical error in text order (an unterminated string,
+# a bad escape, an unexpected character, nesting deeper than MAX_DEPTH), and
+# failing one, the parser's own error at its token's offset.
 
 
 # The deepest parenthesis nesting the parser accepts.  Terms and types are
@@ -367,156 +379,218 @@ def base_scheme(name: str) -> TypeExpr | None:
 # TermSyntaxError at the offset of the first parenthesis past the limit.
 MAX_DEPTH = 400
 
+# One match per token: a parenthesis, a whole string, a decimal run, a run of
+# word characters that are neither decimal digits nor "_" (letters, and
+# numerals such as "²", which `_lexical_error` rejects), and else any one
+# character but whitespace: a lone '"' (a string that does not close or has
+# a bad escape, which the parser never takes for a string) or a character no
+# token may hold.
+_TOKEN = re.compile(r'[()]|"[^"\\]*(?:\\["\\][^"\\]*)*"|\d+|[^\W\d_]+|[^ \t\r\n]')
+
 
 def _escape(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _tokenize(text: str):
-    tokens: list[tuple[str, object, int]] = []
-    i, n = 0, len(text)
-    depth = 0
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c in "()":
-            depth += 1 if c == "(" else -1
-            if depth > MAX_DEPTH:
-                raise TermSyntaxError(f"nesting deeper than {MAX_DEPTH}", i)
-            tokens.append((c, c, i))
-            i += 1
-        elif c == '"':
-            start = i
-            i += 1
-            buf: list[str] = []
-            while True:
-                if i >= n:
-                    raise TermSyntaxError("unterminated string", start)
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in '"\\':
-                        raise TermSyntaxError("bad escape", i)
-                    buf.append(text[i + 1])
-                    i += 2
-                elif c == '"':
-                    i += 1
-                    break
-                else:
-                    buf.append(c)
-                    i += 1
-            tokens.append(("str", "".join(buf), start))
-        elif c.isdecimal():
-            start = i
-            while i < n and text[i].isdecimal():
-                i += 1
-            tokens.append(("nat", int(text[start:i]), start))
-        elif c.isalpha():
-            start = i
-            while i < n and text[i].isalpha():
-                i += 1
-            tokens.append(("atom", text[start:i], start))
-        else:
-            raise TermSyntaxError(f"unexpected character {c!r}", i)
-    return tokens
+class _Stop(Exception):
+    """Where a parse stopped: the token index `pos`, and what the parser
+    expected there: a token kind ("(", ")", "str", "nat"), "type" or "term"
+    (a head atom), "hole" (a positive index), "end" (no more tokens) or
+    "more" (at the end of the tokens)."""
+
+    def __init__(self, expected: str, pos: int):
+        self.expected = expected
+        self.pos = pos
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.end = len(text)
-        self.types: dict[tuple, TypeExpr] = {}
+def _unquote(tok: str) -> str:
+    """The string that a string token spells."""
+    s = tok[1:-1]
+    if "\\" in s:
+        # Each run of backslashes holds escaped backslashes, then, before a
+        # '"', that quote's own backslash; replace pairs them left to right.
+        s = s.replace("\\\\", "\\").replace('\\"', '"')
+    return s
 
-    def peek(self):
-        if self.pos >= len(self.tokens):
-            raise TermSyntaxError("unexpected end of input", self.end)
-        return self.tokens[self.pos]
 
-    def next(self, kind: str | None = None):
-        tok = self.peek()
-        if kind is not None and tok[0] != kind:
-            raise TermSyntaxError(f"expected {kind}, got {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
+def _type_at(toks: list[str], i: int, types: dict) -> tuple[TypeExpr, int]:
+    """The type whose "(" is token i, and the index of the token after it.
 
-    def at_close(self) -> bool:
-        return self.pos < len(self.tokens) and self.tokens[self.pos][0] == ")"
+    `types` holds the types of this parse, so that equal types are one
+    object.  Its keys are name tokens as written: a leaf constructor's is
+    the token, a variable's is ("tv", token) and an applied constructor's is
+    (token, *argument ids), since equal arguments are one object already.
+    Only a type not met before decodes its name.
+    """
+    if toks[i] != "(":
+        raise _Stop("(", i)
+    head = toks[i + 1]
+    if head != "tc" and head != "tv":
+        raise _Stop("type", i + 1)
+    name = toks[i + 2]
+    if name[0] != '"' or name == '"':
+        raise _Stop("str", i + 2)
+    i += 3
+    args: list[TypeExpr] = []
+    if head == "tv":
+        if toks[i] != ")":
+            raise _Stop(")", i)
+        key = ("tv", name)
+    elif toks[i] == ")":
+        key = name
+    else:
+        while toks[i] != ")":
+            ty, i = _type_at(toks, i, types)
+            args.append(ty)
+        key = (name, *map(id, args))
+    ty = types.get(key)
+    if ty is None:
+        name = _unquote(name)
+        ty = types[key] = TVar(name) if head == "tv" else TCon(name, tuple(args))
+    return ty, i + 1
 
-    def finish(self):
-        if self.pos != len(self.tokens):
-            tok = self.tokens[self.pos]
-            raise TermSyntaxError("trailing input after expression", tok[2])
 
-    def type_expr(self) -> TypeExpr:
-        self.next("(")
-        kind, head, off = self.next("atom")
-        if head != "tv" and head != "tc":
-            raise TermSyntaxError(f"expected type constructor, got {head!r}", off)
-        name = self.next("str")[1]
-        args: list[TypeExpr] = []
-        while head == "tc" and not self.at_close():
-            args.append(self.type_expr())
-        self.next(")")
-        # Equal types in one parse are one object, so arguments compare by id.
-        key = (head, name, *map(id, args))
-        ty = self.types.get(key)
-        if ty is None:
-            ty = self.types[key] = TVar(name) if head == "tv" else TCon(name, tuple(args))
-        return ty
+def _name_at(toks: list[str], i: int) -> str:
+    """The string that token i spells."""
+    tok = toks[i]
+    if tok[0] != '"' or tok == '"':
+        raise _Stop("str", i)
+    return _unquote(tok)
 
-    def term(self) -> Term:
-        self.next("(")
-        kind, head, off = self.next("atom")
-        if head == "const":
-            name = self.next("str")[1]
-            ty = self.type_expr()
-            self.next(")")
-            return Const(name, ty)
-        if head == "free":
-            name = self.next("str")[1]
-            ty = self.type_expr()
-            self.next(")")
-            return Free(name, ty)
+
+def _term_at(toks: list[str], i: int, types: dict) -> tuple[Term, int]:
+    """The term whose "(" is token i, and the index of the token after it."""
+    if toks[i] != "(":
+        raise _Stop("(", i)
+    head = toks[i + 1]
+    if head == "app":
+        fn, i = _term_at(toks, i + 2, types)
+        arg, i = _term_at(toks, i, types)
+        t = App(fn, arg)
+    elif head == "const" or head == "free":
+        name = _name_at(toks, i + 2)
+        ty, i = _type_at(toks, i + 3, types)
+        t = Const(name, ty) if head == "const" else Free(name, ty)
+    elif head == "abs":
+        binder = _name_at(toks, i + 2)
+        ty, i = _type_at(toks, i + 3, types)
+        body, i = _term_at(toks, i, types)
+        t = Abs(binder, ty, body)
+    elif head == "bound" or head == "hole":
+        try:
+            index = int(toks[i + 2])
+        except ValueError:
+            raise _Stop("nat", i + 2) from None
         if head == "bound":
-            idx = self.next("nat")[1]
-            self.next(")")
-            return Bound(idx)
-        if head == "abs":
-            binder = self.next("str")[1]
-            ty = self.type_expr()
-            body = self.term()
-            self.next(")")
-            return Abs(binder, ty, body)
-        if head == "app":
-            fn = self.term()
-            arg = self.term()
-            self.next(")")
-            return App(fn, arg)
-        if head == "hole":
-            tok = self.next("nat")
-            if tok[1] < 1:
-                raise TermSyntaxError("hole index must be positive", tok[2])
-            ty = self.type_expr()
-            self.next(")")
-            return Hole(tok[1], ty)
-        raise TermSyntaxError(f"unknown term head {head!r}", off)
+            t = Bound(index)
+            i += 3
+        else:
+            if index < 1:
+                raise _Stop("hole", i + 2)
+            ty, i = _type_at(toks, i + 3, types)
+            t = Hole(index, ty)
+    else:
+        raise _Stop("term", i + 1)
+    if toks[i] != ")":
+        raise _Stop(")", i)
+    return t, i + 1
+
+
+def _parse(text: str, at):
+    """`at(toks, 0, types)` over the tokens of `text`, which it must use up."""
+    toks = _TOKEN.findall(text)
+    # Only a text with more "(" than MAX_DEPTH can nest deeper; the walk in
+    # text order then meets that parenthesis, or an earlier error.
+    if text.count("(") > MAX_DEPTH and _too_deep(toks):
+        raise _lexical_error(text)
+    try:
+        got, end = at(toks, 0, {})
+        if end == len(toks):
+            return got
+        expected, pos = "end", end
+    except _Stop as e:
+        # Only its fields outlive the handler: the exception's traceback
+        # holds this frame, so keeping it would make a reference cycle.
+        expected, pos = e.expected, e.pos
+    except IndexError:
+        expected, pos = "more", len(toks)
+    raise _error(text, toks, expected, pos)
+
+
+def _too_deep(toks: list[str]) -> bool:
+    """Whether the parentheses of `toks` nest deeper than MAX_DEPTH."""
+    depth = 0
+    for tok in toks:
+        if tok == "(":
+            depth += 1
+            if depth > MAX_DEPTH:
+                return True
+        elif tok == ")":
+            depth -= 1
+    return False
+
+
+def _error(text: str, toks: list[str], expected: str, i: int) -> TermSyntaxError:
+    """The error of a text whose parse stopped at token i, expecting
+    `expected` there (see `_Stop`): its first lexical error, or else the
+    parser's.  `toks` is the text's `findall`."""
+    found = _lexical_error(text)
+    if found is not None:
+        return found
+    if i == len(toks):
+        return TermSyntaxError("unexpected end of input", len(text))
+    tok = toks[i]
+    offset = [m.start() for m in _TOKEN.finditer(text)][i]
+    if expected == "end":
+        return TermSyntaxError("trailing input after expression", offset)
+    if expected == "hole":
+        return TermSyntaxError("hole index must be positive", offset)
+    c = tok[0]
+    kind = (
+        c if c in "()" else "str" if c == '"' else "nat" if c.isdecimal() else "atom"
+    )
+    if expected == "type" and kind == "atom":
+        return TermSyntaxError(f"expected type constructor, got {tok!r}", offset)
+    if expected == "term" and kind == "atom":
+        return TermSyntaxError(f"unknown term head {tok!r}", offset)
+    if expected in ("type", "term"):
+        expected = "atom"
+    value = _unquote(tok) if kind == "str" else int(tok) if kind == "nat" else tok
+    return TermSyntaxError(f"expected {expected}, got {value!r}", offset)
+
+
+def _lexical_error(text: str) -> TermSyntaxError | None:
+    """The first lexical error of `text` in text order, or None."""
+    depth = 0
+    for m in _TOKEN.finditer(text):
+        tok, start = m.group(), m.start()
+        if tok == "(" or tok == ")":
+            depth += 1 if tok == "(" else -1
+            if depth > MAX_DEPTH:
+                return TermSyntaxError(f"nesting deeper than {MAX_DEPTH}", start)
+        elif tok == '"':
+            i = start + 1
+            while i < len(text) and text[i] != '"':
+                if text[i] == "\\":
+                    if text[i + 1 : i + 2] not in ('"', "\\"):
+                        return TermSyntaxError("bad escape", i)
+                    i += 1
+                i += 1
+            return TermSyntaxError("unterminated string", start)
+        elif tok[0] != '"' and not tok.isdecimal() and not tok.isalpha():
+            bad = next(k for k, c in enumerate(tok) if not c.isalpha())
+            return TermSyntaxError(f"unexpected character {tok[bad]!r}", start + bad)
+    return None
 
 
 def parse_type(text: str) -> TypeExpr:
     """The type an s-expression denotes; equal subtypes are one object."""
-    p = _Parser(text)
-    t = p.type_expr()
-    p.finish()
-    return t
+    return _parse(text, _type_at)
 
 
 def parse_term(text: str) -> Term:
     """The term an s-expression denotes; equal types in it are one object."""
-    p = _Parser(text)
-    t = p.term()
-    p.finish()
-    return t
+    return _parse(text, _term_at)
 
 
 def render_type(t: TypeExpr) -> str:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: brute-force bijection search for alpha
 equivalence, substitution-enumeration for unifiability, textbook Robinson
-unification for typability, exhaustive product enumeration for
+unification for typability, a character-by-character tokenizer and a
+peek/next parser for s-expressions, exhaustive product enumeration for
 instantiation, saturation to a fixpoint for congruence over a term
 universe, one-sided matching for law instances, and plain recursive
 evaluation for testing-based partitions.  None of it shares code
@@ -21,8 +22,12 @@ from lemmakit.terms import (
     Const,
     Free,
     Hole,
+    MAX_DEPTH,
     TCon,
+    Term,
+    TermSyntaxError,
     TVar,
+    TypeExpr,
     fun,
 )
 
@@ -471,6 +476,162 @@ def partition_oracle(terms, sig, valuations):
         values = tuple(naive_value(t, fns, v) for v in valuations)
         classes.setdefault((sort, values), []).append(t)
     return list(classes.values())
+
+
+# ---------------------------------------------------------------------------
+# S-expression parsing, character by character
+#
+# The package's first tokenizer and parser, kept as the reference that the
+# regex scanner and the index-walking parser in `lemmakit.terms` must agree
+# with: the same term or type, or the same TermSyntaxError message and offset.
+
+
+def _tokenize(text: str):
+    """(kind, value, offset) per token, by stepping through the characters."""
+    tokens: list[tuple[str, object, int]] = []
+    i, n = 0, len(text)
+    depth = 0
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            i += 1
+        elif c in "()":
+            depth += 1 if c == "(" else -1
+            if depth > MAX_DEPTH:
+                raise TermSyntaxError(f"nesting deeper than {MAX_DEPTH}", i)
+            tokens.append((c, c, i))
+            i += 1
+        elif c == '"':
+            start = i
+            i += 1
+            buf: list[str] = []
+            while True:
+                if i >= n:
+                    raise TermSyntaxError("unterminated string", start)
+                c = text[i]
+                if c == "\\":
+                    if i + 1 >= n or text[i + 1] not in '"\\':
+                        raise TermSyntaxError("bad escape", i)
+                    buf.append(text[i + 1])
+                    i += 2
+                elif c == '"':
+                    i += 1
+                    break
+                else:
+                    buf.append(c)
+                    i += 1
+            tokens.append(("str", "".join(buf), start))
+        elif c.isdecimal():
+            start = i
+            while i < n and text[i].isdecimal():
+                i += 1
+            tokens.append(("nat", int(text[start:i]), start))
+        elif c.isalpha():
+            start = i
+            while i < n and text[i].isalpha():
+                i += 1
+            tokens.append(("atom", text[start:i], start))
+        else:
+            raise TermSyntaxError(f"unexpected character {c!r}", i)
+    return tokens
+
+
+class _Parser:
+    """Recursive descent over `_tokenize`'s list, one peek/next call per token."""
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.end = len(text)
+        self.types: dict[tuple, TypeExpr] = {}
+
+    def peek(self):
+        if self.pos >= len(self.tokens):
+            raise TermSyntaxError("unexpected end of input", self.end)
+        return self.tokens[self.pos]
+
+    def next(self, kind: str | None = None):
+        tok = self.peek()
+        if kind is not None and tok[0] != kind:
+            raise TermSyntaxError(f"expected {kind}, got {tok[1]!r}", tok[2])
+        self.pos += 1
+        return tok
+
+    def at_close(self) -> bool:
+        return self.pos < len(self.tokens) and self.tokens[self.pos][0] == ")"
+
+    def finish(self):
+        if self.pos != len(self.tokens):
+            tok = self.tokens[self.pos]
+            raise TermSyntaxError("trailing input after expression", tok[2])
+
+    def type_expr(self) -> TypeExpr:
+        self.next("(")
+        kind, head, off = self.next("atom")
+        if head != "tv" and head != "tc":
+            raise TermSyntaxError(f"expected type constructor, got {head!r}", off)
+        name = self.next("str")[1]
+        args: list[TypeExpr] = []
+        while head == "tc" and not self.at_close():
+            args.append(self.type_expr())
+        self.next(")")
+        # Equal types in one parse are one object, so arguments compare by id.
+        key = (head, name, *map(id, args))
+        ty = self.types.get(key)
+        if ty is None:
+            ty = self.types[key] = TVar(name) if head == "tv" else TCon(name, tuple(args))
+        return ty
+
+    def term(self) -> Term:
+        self.next("(")
+        kind, head, off = self.next("atom")
+        if head == "const":
+            name = self.next("str")[1]
+            ty = self.type_expr()
+            self.next(")")
+            return Const(name, ty)
+        if head == "free":
+            name = self.next("str")[1]
+            ty = self.type_expr()
+            self.next(")")
+            return Free(name, ty)
+        if head == "bound":
+            idx = self.next("nat")[1]
+            self.next(")")
+            return Bound(idx)
+        if head == "abs":
+            binder = self.next("str")[1]
+            ty = self.type_expr()
+            body = self.term()
+            self.next(")")
+            return Abs(binder, ty, body)
+        if head == "app":
+            fn = self.term()
+            arg = self.term()
+            self.next(")")
+            return App(fn, arg)
+        if head == "hole":
+            tok = self.next("nat")
+            if tok[1] < 1:
+                raise TermSyntaxError("hole index must be positive", tok[2])
+            ty = self.type_expr()
+            self.next(")")
+            return Hole(tok[1], ty)
+        raise TermSyntaxError(f"unknown term head {head!r}", off)
+
+
+def reference_parse_type(text: str):
+    p = _Parser(text)
+    t = p.type_expr()
+    p.finish()
+    return t
+
+
+def reference_parse_term(text: str):
+    p = _Parser(text)
+    t = p.term()
+    p.finish()
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,17 @@ import pytest
 import lemmakit
 from lemmakit import cli
 from lemmakit.cli import _conjecture_lines, main
-from lemmakit.corpus import Datapoint, make_record, save_records
+from lemmakit.corpus import Datapoint, load_records, make_record, save_records
 from lemmakit.instantiation import Budget, instantiate
-from lemmakit.proposer import build_index
-from lemmakit.templates import abstract, parse_template
+from lemmakit.proposer import build_index, decode_completions
+from lemmakit.templates import abstract, load_whitelist, parse_template
 from lemmakit.terms import (
     MAX_DEPTH,
     App,
     Const,
     Free,
     Hole,
+    Signature,
     SignatureEntry,
     TCon,
     fun,
@@ -497,6 +498,59 @@ class TestEval:
         assert code == 0
         report = json.loads(rp.read_text())
         assert report["aggregates"]["lemma_success_rate"] == 1.0
+
+
+class TestWhitelistRoundTrip:
+    """Templates that `abstract --whitelist W` writes keep W's constants, and
+    `eval --whitelist W` reads them back through every proposer's loader."""
+
+    NAT = TCon("Nat.nat")
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        nat = self.NAT
+        plus = Const("Groups.plus", fun(nat, fun(nat, nat)))
+        suc = Const("Nat.Suc", fun(nat, nat))
+        x, y = Free("x", nat), Free("y", nat)
+        eq = Const("HOL.eq", fun(nat, fun(nat, TCon("HOL.bool"))))
+        lhs = App(App(plus, App(suc, x)), y)
+        rhs = App(suc, App(App(plus, x), y))
+        sig = Signature([SignatureEntry(c.name, c.type) for c in (plus, suc)])
+        w = tmp_path / "whitelist.txt"
+        w.write_text("HOL.\nPure.\nGroups.plus\n")
+        record = make_record("Nat.r0", "Nat", "add_Suc", App(App(eq, lhs), rhs), sig,
+                             load_whitelist(w))
+        corpus = tmp_path / "corpus.jsonl"
+        save_records(corpus, [record])
+        return {"corpus": str(corpus), "w": str(w), "dir": tmp_path}
+
+    def test_abstract_then_eval(self, files, capsys):
+        d, corpus, w = files["dir"], files["corpus"], files["w"]
+        out = d / "templates.jsonl"
+        assert main(["abstract", corpus, "--whitelist", w, "-o", str(out)]) == 0
+        templates = [json.loads(line)["template"] for line in out.read_text().splitlines()]
+        assert len(templates) == 1 and '"Groups.plus"' in templates[0]
+        index = d / "index.jsonl"
+        index.write_text(json.dumps({"template": templates[0], "count": 1}) + "\n")
+        listed = d / "templates.txt"
+        listed.write_text(templates[0] + "\n")
+        capsys.readouterr()
+        for source in (["--index", str(index)], ["--proposer", "fixed", "--templates", str(listed)]):
+            report = d / "report.json"
+            argv = ["eval", corpus, *source, "--report", str(report)]
+            assert main([*argv, "--whitelist", w]) == 0, capsys.readouterr().err
+            assert json.loads(report.read_text())["aggregates"]["lemma_success_rate"] == 1.0
+            # Without the flag the default whitelist still applies.
+            assert main(argv) == 1
+            assert "non-whitelist constant 'Groups.plus' in template" in capsys.readouterr().err
+
+    def test_http_completions_under_the_whitelist(self, files):
+        w = load_whitelist(files["w"])
+        record = load_records(files["corpus"])[0]
+        canonical = abstract(record.term, w).canonical
+        raw = json.dumps({"completions": [canonical]}).encode()
+        assert decode_completions(raw, "http://stub", w).canonicals() == [canonical]
+        assert decode_completions(raw, "http://stub").parse_failures == 1
 
 
 class TestDistinctHoles:

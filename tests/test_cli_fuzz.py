@@ -177,6 +177,16 @@ _sort_decls = st.one_of(
     st.builds(lambda n, m: ({"max_len": n, "elem_mod": m}, "list"),
               st.integers(0, 3), st.integers(1, 50)),
 )
+# Sort declarations with no value to sample: a modulus below 1, a range
+# whose max is below its min (0 when missing), an element modulus below 1, a
+# negative length bound.
+_bad_sort_decls = st.one_of(
+    st.builds(lambda m: {"mod": m}, st.integers(-5, 0)),
+    st.builds(lambda lo, d: {"min": lo, "max": lo - d}, st.integers(-5, 9), st.integers(1, 5)),
+    st.builds(lambda hi: {"max": hi}, st.integers(-5, -1)),
+    st.builds(lambda n, m: {"max_len": n, "elem_mod": m}, st.integers(0, 3), st.integers(-5, 0)),
+    st.builds(lambda n: {"max_len": n}, st.integers(-5, -1)),
+)
 # Values of each kind, in and out of every sort's range.
 _values = {
     "int": st.integers(-6, 52),
@@ -224,6 +234,22 @@ def test_fuzzed_signatures_exit_cleanly(tmp_path, signature):
     code, err = _run(["quickspec", str(path), "--max-size", "3", "--tests", "5"])
     assert code in (0, 1), err
     assert "Traceback" not in err
+
+
+@seed(20261021)
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(signature=_signatures(), bad=_bad_sort_decls, data=st.data())
+def test_fuzzed_bad_sorts_are_named(tmp_path, signature, bad, data):
+    """A well-formed signature with one sort made empty exits 1 naming the
+    file, that sort and its field."""
+    i = data.draw(st.integers(0, len(signature["sorts"]) - 1))
+    signature["sorts"][i] = {"name": signature["sorts"][i]["name"], **bad}
+    path = tmp_path / "signature.json"
+    path.write_text(json.dumps(signature))
+    code, err = _run(["quickspec", str(path), "--max-size", "3", "--tests", "5"])
+    assert code == 1
+    assert err.startswith(f"error: {path}: sort {i}: field '") and "must be at least" in err
 
 
 def _body(completions, junk: bytes) -> bytes:

@@ -36,6 +36,8 @@ from lemmakit.terms import (
     render_type,
 )
 
+from synthetic import build_synthetic_corpus
+
 OCTO = TCon("Octonions.octo")
 
 
@@ -305,6 +307,27 @@ class TestSharedTypes:
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps(d) + "\n")
         _assert_shared(list(load_records(path)[0].symbols))
+
+    def test_one_type_object_per_text_across_a_corpus_file(self, tmp_path):
+        """Every record's symbol types are the very objects of the first
+        record's with the same text, spelled alike or not."""
+        _, heldout = build_synthetic_corpus()
+        lines = [record_to_dict(r) for r in heldout]
+        # One symbol's type in every other record written with other
+        # whitespace: a text of its own for an equal type.
+        for d in lines[::2]:
+            d["symbols"][0]["type"] = d["symbols"][0]["type"].replace(" ", "  ")
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in lines))
+        first = {}
+        for d, r in zip(lines, load_records(path)):
+            for s, entry in zip(d["symbols"], r.symbols):
+                assert first.setdefault(s["type"], entry.type) is entry.type
+                assert entry.type == parse_type(s["type"])
+        by_value = {}
+        for ty in first.values():
+            assert by_value.setdefault(ty, ty) is ty
+        assert len(by_value) < len(first) < sum(len(d["symbols"]) for d in lines)
 
     @pytest.mark.parametrize(
         "bad, message",

@@ -877,3 +877,67 @@ def _interleaved_pool(rng, poly):
         for e in POLY_SYMBOLS:
             out.insert(rng.randint(0, len(out)), e)
     return out
+
+
+class _Clock:
+    """A `time` stand-in whose `monotonic` moves on `step` seconds per call."""
+
+    def __init__(self, step):
+        self.now, self.step = 0.0, step
+
+    def monotonic(self):
+        self.now += self.step
+        return self.now
+
+
+class TestFeasibleBuildsNothing:
+    """`feasible` stops at its first solution, building no conjecture, and
+    answers as a one-result `instantiate` under the same deadline did."""
+
+    def _cases(self, lemma_distrib_left):
+        rng = random.Random(23)
+        for tpl, pool in _interleaved_cases(lemma_distrib_left):
+            for size in (0, 1, 2, 4, len(pool)):
+                for distinct in (False, True):
+                    yield tpl, rng.sample(pool, min(size, len(pool))), distinct
+
+    def test_agrees_with_one_result_instantiate(self, lemma_distrib_left, monkeypatch):
+        calls = []
+        real = instantiation.resolve
+
+        def counted(subst, ty):
+            calls.append(subst)
+            return real(subst, ty)
+
+        monkeypatch.setattr(instantiation, "resolve", counted)
+        answers = []
+        for tpl, pool, distinct in self._cases(lemma_distrib_left):
+            del calls[:]
+            got = feasible(tpl, pool, distinct_holes=distinct)
+            assert calls == []
+            res = instantiate(tpl, pool, Budget(1000, 1, distinct))
+            assert got == bool(res.conjectures)
+            assert bool(calls) == got
+            answers.append(got)
+        assert answers.count(True) > 50 and answers.count(False) > 50
+
+    def test_agrees_under_the_deadline(self, lemma_distrib_left, monkeypatch):
+        """With a clock that moves 1/k of the timeout per reading, the
+        deadline fires at the k-th check of the search, in `feasible` as in
+        `instantiate`."""
+        outcomes = set()
+        cases = itertools.islice(self._cases(lemma_distrib_left), 0, None, 7)
+        for tpl, pool, distinct in cases:
+            for k in (1, 2, 3, 5, 8, 13):
+                step = instantiation.FEASIBLE_TIMEOUT_MILLIS / 1000.0 / k
+                monkeypatch.setattr(instantiation, "time", _Clock(step))
+                got = feasible(tpl, pool, distinct_holes=distinct)
+                monkeypatch.setattr(instantiation, "time", _Clock(step))
+                budget = Budget(instantiation.FEASIBLE_TIMEOUT_MILLIS, 1, distinct)
+                res = instantiate(tpl, pool, budget)
+                monkeypatch.undo()
+                assert got == bool(res.conjectures)
+                outcomes.add((got, res.timed_out))
+        # Found before the deadline, found before it fired in the lookahead,
+        # and not found before it.
+        assert {(True, False), (True, True), (False, True)} <= outcomes

@@ -934,6 +934,30 @@ class TestLoadSignatureChecks:
 
 
     @pytest.mark.parametrize(
+        "decl, message",
+        [
+            ({"mod": 0}, "field 'mod' must be at least 1"),
+            ({"mod": -3}, "field 'mod' must be at least 1"),
+            ({"min": 3, "max": 1}, "field 'max' must be at least 3"),
+            ({"max": -1}, "field 'max' must be at least 0"),
+            ({"max_len": 3, "elem_mod": 0}, "field 'elem_mod' must be at least 1"),
+            ({"max_len": -1}, "field 'max_len' must be at least 0"),
+        ],
+        ids=["mod0", "mod-3", "min3max1", "max-1", "elem_mod0", "max_len-1"],
+    )
+    def test_sort_without_values_rejected(self, tmp_path, capsys, decl, message):
+        """A sort with no value to sample is named with its field, by the
+        loader and by `lemmakit quickspec`, before any run."""
+        sorts = SORT_DECLS["mod"][:1] + [{"name": "s", **decl}]
+        symbols = [{"name": "zero", "type": render_type(INT), "value": 0}]
+        path = tmp_path / "sig.json"
+        with pytest.raises(LemmakitError) as exc:
+            self._load(tmp_path, sorts, symbols)
+        assert str(exc.value) == f"{path}: sort 1: {message}"
+        assert main(["quickspec", str(path), "--max-size", "2", "--tests", "3"]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: sort 1: {message}\n")
+
+    @pytest.mark.parametrize(
         "ty",
         [
             TCon("fun", (LIST_T,)),

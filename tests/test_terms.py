@@ -12,7 +12,7 @@ import lemmakit
 
 from lemmakit.corpus import make_record
 from lemmakit.evaluation import dedupe, evaluate_suite, make_task
-from lemmakit.instantiation import instantiate
+from lemmakit.instantiation import feasible, instantiate
 from lemmakit.proposer import propose_fixed
 from lemmakit.quickspec import (
     InterpretedSignature,
@@ -819,6 +819,16 @@ class TestAlphaEqualStream:
         assert alpha_equal(ab, App(App(plus, c), Free("d", OCTO)))
 
 
+def _parse_errors(texts):
+    """Parse each text, each of which must fail."""
+    for text in texts:
+        try:
+            parse_term(text)
+        except TermSyntaxError:
+            continue
+        raise AssertionError(text)
+
+
 def _garbage_after(call):
     """The objects the collector frees after `call`, run with automatic
     collection off: nonzero when the call left a reference cycle behind."""
@@ -883,7 +893,7 @@ class TestNoReferenceCycles:
             "instantiate", "enumerate_terms", "abstract", "parse_template", "pretty_term",
             "load_interpreted_signature", "test_partition", "candidate_laws",
             "emit_laws", "reverify_laws", "dedupe", "evaluate_suite",
-            "evaluate_suite_workers",
+            "evaluate_suite_workers", "parse_errors", "feasible",
         ],
     )
     def test_call_leaves_no_cycle(
@@ -934,5 +944,10 @@ class TestNoReferenceCycles:
             "dedupe": lambda: dedupe(conjectures + conjectures[::-1]),
             "evaluate_suite": lambda: evaluate_suite(tasks, fixed),
             "evaluate_suite_workers": lambda: evaluate_suite(tasks, fixed, workers=2),
+            "parse_errors": lambda: _parse_errors(
+                [tpl.canonical[:-1], tpl.canonical + ")", tpl.canonical.replace("app", "ap", 1),
+                 tpl.canonical.replace('"', "²", 1), _deep_terms(MAX_DEPTH + 1)["arg"]]
+            ),
+            "feasible": lambda: feasible(tpl, ops),
         }[name]
         assert _garbage_after(call) == 0
