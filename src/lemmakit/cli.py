@@ -280,7 +280,7 @@ def cmd_instantiate(args) -> int:
         tpl = parse_template(args.template)
     else:
         with open(args.template_file, encoding="utf-8") as fh:
-            tpl = parse_template(fh.read().strip())
+            tpl = corpus_mod.parse_at(parse_template, fh.read().strip(), args.template_file)
     symbols = corpus_mod.load_signature(args.symbols)
     res = instantiate(tpl, symbols, _budget(args))
     _write_lines(_out(args), _conjecture_lines(res.conjectures))

@@ -1,24 +1,26 @@
 """The symbolic engine: fill template holes with typed symbols under a budget.
 
-Backtracking over holes in index order, candidates in list order; a single
-global type substitution links all holes, so constraints shared through type
-variables (e.g. a distributivity template) are respected.  Each try unifies
-the hole's type, with `terms.unify_into`, against the candidate's scheme
-renamed apart by `terms.FreshNames`.  A scheme without type variables needs no
-renaming, so candidates that share one such type object are unified once per
-search node; the signature loaders in `corpus` hand equal types back as one
-object.  Retained logical constants are re-constrained against
-`terms.base_scheme` so the produced conjectures get concrete logical types
-back (bool, prop, ...); those root constraints are worked out once per
-template object, with the rest of its search plan, and every search starts
-from them.
+One search, the generator `_Search.solutions`, yields every solution: its
+leaf substitution and its symbols in hole order.  It backtracks over holes in
+index order, candidates in list order; a single global type substitution
+links all holes, so constraints shared through type variables (e.g. a
+distributivity template) are respected.  Each try unifies the hole's type,
+with `terms.unify_into`, against the candidate's scheme renamed apart by
+`terms.FreshNames`.  A scheme without type variables needs no renaming, so
+candidates that share one such type object are unified once per search node;
+the signature loaders in `corpus` hand equal types back as one object.
+Retained logical constants are re-constrained against `terms.base_scheme` so
+the produced conjectures get concrete logical types back (bool, prop, ...);
+those root constraints are worked out once per template object, with the
+rest of its search plan, and every search starts from them.
 
-Those candidates also share the search leaf: one substitution object for all
-of them at the last hole.  Each leaf substitution gets one memo, and every
-conjecture is built through the memo of its leaf, in whatever order the
-leaves emit: each distinct annotation of the template is resolved once per
-leaf, and the conjectures of one leaf differ only in the last hole's symbol,
-so they share every subtree without that hole and one constant per symbol.
+Two consumers take the solutions: `feasible` takes the first and builds
+nothing, and `instantiate` builds each one up to the cap through the memo of
+its leaf substitution, which the candidates that share a type object at the
+last hole share.  Each distinct annotation of the template is resolved once
+per leaf, and the conjectures of one leaf differ only in the last hole's
+symbol, so they share every subtree without that hole and one constant per
+symbol, however the leaves interleave.
 """
 
 from __future__ import annotations
@@ -112,26 +114,35 @@ def instantiate(
     """
     if budget is None:
         budget = Budget()
-    return _run(_Search, tpl, candidates, budget).result
-
-
-def _run(search_class, tpl, candidates, budget):
-    """A search of class `search_class` over `candidates` for `tpl`, after
-    it ran from the template's root constraints."""
-    if not isinstance(tpl, Template):
-        raise InvalidTemplate(f"expected a Template, got {type(tpl).__name__}")
-    names = [c.name for c in candidates]
-    if len(set(names)) != len(names):
-        raise DuplicateCandidates()
-
-    deadline = time.monotonic() + budget.timeout_millis / 1000.0
-    root, used, hole_order, varying = _plan(tpl)
-    fresh = FreshNames("?f")
-    fresh.n = used
-    search = search_class(tpl, hole_order, varying, candidates, budget, deadline, fresh)
-    if root is not None:
-        search.run(0, root, [])
-    return search
+    search = _Search(tpl, candidates, budget)
+    result = InstantiationResult()
+    # The leaves of the current last-hole node, by substitution id.  The
+    # solutions of one such node come in a row, so the table is renewed when
+    # the symbols of the other holes change; each entry holds its
+    # substitution, so no id in the table is reused while it lives.
+    leaves: dict[int, _Leaf] = {}
+    node = None
+    for subst, chosen in search.solutions():
+        # A solution beyond the cap is dropped unbuilt: only it makes the
+        # result capped.
+        if len(result.conjectures) == budget.max_results:
+            result.capped = True
+            break
+        if chosen[:-1] != node:
+            node, leaves = chosen[:-1], {}
+        leaf = leaves.get(id(subst))
+        if leaf is None:
+            leaf = leaves[id(subst)] = _Leaf(subst, search.varying)
+        pairs = tuple(zip(search.hole_order, chosen))
+        result.conjectures.append(
+            Conjecture(
+                term=leaf.build(tpl.body, dict(pairs)),
+                template_canonical=tpl.canonical,
+                assignment=Assignment(mapping=pairs),
+            )
+        )
+    result.timed_out = search.timed_out
+    return result
 
 
 def _plan(tpl: Template) -> tuple[TypeSubstitution | None, int, list[int], set[int]]:
@@ -171,10 +182,12 @@ class _Leaf:
     """A leaf substitution and the memo of the conjectures built under it:
     its resolved annotations, by annotation id (template bodies share one
     object per distinct annotation), its built subtrees without the last
-    hole, by node id, and one constant per symbol of that hole, by name."""
+    hole, by node id, and one constant per symbol of that hole, by name.
+    `varying` holds the ids of the nodes that contain the last hole."""
 
-    def __init__(self, subst: TypeSubstitution):
+    def __init__(self, subst: TypeSubstitution, varying: set[int]):
         self.subst = subst
+        self.varying = varying
         self.resolved: dict[int, TypeExpr] = {}
         self.built: dict = {}
 
@@ -184,84 +197,67 @@ class _Leaf:
             got = self.resolved[id(ty)] = resolve(self.subst, ty)
         return got
 
-
-class _Search:
-    """The backtracking search of one `instantiate` call.  It is an object, not
-    a recursive nested function, because such a function holds itself through
-    its closure cell: every call would leave a reference cycle for the garbage
-    collector."""
-
-    def __init__(self, tpl, hole_order, varying, candidates, budget, deadline, fresh):
-        self.tpl = tpl
-        self.hole_order = hole_order
-        self.varying = varying
-        # Each scheme's type variables, found once here rather than per search
-        # node.
-        self.pool = [(c, type_vars(c.type)) for c in candidates]
-        self.budget = budget
-        self.deadline = deadline
-        self.fresh = fresh
-        self.result = InstantiationResult()
-        # The leaves of the current last-hole node, by substitution id.  Only
-        # that node makes leaves, so it renews the table; each entry holds its
-        # substitution, so no id in the table is reused while it lives.
-        self.leaves: dict[int, _Leaf] = {}
-
-    def solution(self, subst: TypeSubstitution, chosen: list[str]) -> bool:
-        """Take the solution `chosen`, reached under the leaf substitution
-        `subst`; False stops the search.  A solution beyond the cap is
-        dropped unbuilt: only it makes the result capped."""
-        if len(self.result.conjectures) == self.budget.max_results:
-            self.result.capped = True
-            return False
-        self.emit(subst, chosen)
-        return True
-
-    def emit(self, subst: TypeSubstitution, chosen: list[str]) -> None:
-        """Append the conjecture of the solution `chosen`, built through the
-        memo of its leaf substitution `subst`."""
-        pairs = tuple(zip(self.hole_order, chosen))
-        leaf = self.leaves.get(id(subst))
-        if leaf is None:
-            leaf = self.leaves[id(subst)] = _Leaf(subst)
-        self.result.conjectures.append(
-            Conjecture(
-                term=self.build(self.tpl.body, dict(pairs), leaf),
-                template_canonical=self.tpl.canonical,
-                assignment=Assignment(mapping=pairs),
-            )
-        )
-
-    def build(self, node: Term, mapping: dict[int, str], leaf: _Leaf) -> Term:
-        """`_build` of `node` through `leaf`'s memo.  The emits of one leaf
+    def build(self, node: Term, mapping: dict[int, str]) -> Term:
+        """`_build` of `node` through this memo.  The solutions of one leaf
         differ only in the last hole's symbol, so they share every subtree
         without that hole, built once per leaf."""
         if id(node) not in self.varying:
-            got = leaf.built.get(id(node))
+            got = self.built.get(id(node))
             if got is None:
-                got = leaf.built[id(node)] = _build(node, mapping, leaf.fill)
+                got = self.built[id(node)] = _build(node, mapping, self.fill)
             return got
         if isinstance(node, App):
-            return App(self.build(node.fn, mapping, leaf), self.build(node.arg, mapping, leaf))
+            return App(self.build(node.fn, mapping), self.build(node.arg, mapping))
         if isinstance(node, Abs):
-            return Abs(
-                node.binder, leaf.fill(node.binder_type), self.build(node.body, mapping, leaf)
-            )
+            return Abs(node.binder, self.fill(node.binder_type), self.build(node.body, mapping))
         name = mapping[node.index]
-        got = leaf.built.get(name)
+        got = self.built.get(name)
         if got is None:
-            got = leaf.built[name] = Const(name, leaf.fill(node.type))
+            got = self.built[name] = Const(name, self.fill(node.type))
         return got
 
-    def run(self, pos: int, subst: TypeSubstitution, chosen: list[str]) -> bool:
-        """Returns False when enumeration must stop (timeout or cap)."""
-        result = self.result
+
+class _Search:
+    """The backtracking search of `tpl`'s holes over `candidates` under
+    `budget`'s deadline and `distinct_holes`.  It is an object, not a
+    recursive nested function, because such a function holds itself through
+    its closure cell: every call would leave a reference cycle for the
+    garbage collector."""
+
+    def __init__(self, tpl: Template, candidates: list[SignatureEntry], budget: Budget):
+        if not isinstance(tpl, Template):
+            raise InvalidTemplate(f"expected a Template, got {type(tpl).__name__}")
+        names = [c.name for c in candidates]
+        if len(set(names)) != len(names):
+            raise DuplicateCandidates()
+        self.deadline = time.monotonic() + budget.timeout_millis / 1000.0
+        self.root, used, self.hole_order, self.varying = _plan(tpl)
+        self.fresh = FreshNames("?f")
+        self.fresh.n = used
+        self.hole_types = tpl.hole_types
+        # Each scheme's type variables, found once here rather than per search
+        # node.
+        self.pool = [(c, type_vars(c.type)) for c in candidates]
+        self.distinct = budget.distinct_holes
+        self.timed_out = False
+
+    def solutions(
+        self, pos: int = 0, subst: TypeSubstitution | None = None, chosen: tuple[str, ...] = ()
+    ):
+        """Yield each solution below the node at hole position `pos`, reached
+        under `subst` with the symbols `chosen`: its leaf substitution and
+        its symbols in hole order.  The call at position 0 starts from the
+        template's root constraints.  At the deadline it sets `timed_out`
+        and stops."""
+        if pos == 0:
+            subst = self.root
+            if subst is None:
+                return
         if pos == len(self.hole_order):
-            return self.solution(subst, chosen)
-        if pos == len(self.hole_order) - 1:
-            self.leaves = {}
-        hole_ty = self.tpl.hole_types[self.hole_order[pos]]
-        distinct, deadline, fresh = self.budget.distinct_holes, self.deadline, self.fresh
+            yield subst, chosen
+            return
+        hole_ty = self.hole_types[self.hole_order[pos]]
+        distinct, deadline, fresh = self.distinct, self.deadline, self.fresh
         # A scheme without type variables is its own renaming, so candidates
         # that share its type object extend `subst` alike: each such object is
         # unified once per node, and those candidates share the one extended
@@ -270,8 +266,8 @@ class _Search:
         by_type: dict[int, TypeSubstitution | None] = {}
         for cand, tvars in self.pool:
             if time.monotonic() > deadline:
-                result.timed_out = True
-                return False
+                self.timed_out = True
+                return
             if distinct and cand.name in chosen:
                 continue
             key = None if tvars else id(cand.type)
@@ -287,9 +283,9 @@ class _Search:
                     by_type[key] = attempt
             if attempt is None:
                 continue
-            if not self.run(pos + 1, attempt, chosen + [cand.name]):
-                return False
-        return True
+            yield from self.solutions(pos + 1, attempt, chosen + (cand.name,))
+            if self.timed_out:
+                return
 
 
 def _build(node: Term, mapping: dict[int, str], fill) -> Term:
@@ -330,18 +326,7 @@ def feasible(
 ) -> bool:
     """True iff at least one well-typed full assignment exists within
     FEASIBLE_TIMEOUT_MILLIS; with `distinct_holes`, one in which no two holes
-    share a symbol.  The search stops at its first solution and builds no
+    share a symbol.  It takes the search's first solution and builds no
     conjecture."""
     budget = Budget(FEASIBLE_TIMEOUT_MILLIS, distinct_holes=distinct_holes)
-    return _run(_FirstSolution, tpl, candidates, budget).found
-
-
-class _FirstSolution(_Search):
-    """A search that stops at its first solution, noting only that it found
-    one."""
-
-    found = False
-
-    def solution(self, subst: TypeSubstitution, chosen: list[str]) -> bool:
-        self.found = True
-        return False
+    return next(_Search(tpl, candidates, budget).solutions(), None) is not None

@@ -10,6 +10,7 @@ occurrence, so polymorphic constants may appear at several types in one term.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from itertools import zip_longest
 from operator import is_
@@ -477,10 +478,10 @@ def _term_at(toks: list[str], i: int, types: dict) -> tuple[Term, int]:
         body, i = _term_at(toks, i, types)
         t = Abs(binder, ty, body)
     elif head == "bound" or head == "hole":
-        try:
-            index = int(toks[i + 2])
-        except ValueError:
-            raise _Stop("nat", i + 2) from None
+        tok = toks[i + 2]
+        if not tok[0].isdecimal() or _too_long(tok):
+            raise _Stop("nat", i + 2)
+        index = int(tok)
         if head == "bound":
             t = Bound(index)
             i += 3
@@ -555,8 +556,19 @@ def _error(text: str, toks: list[str], expected: str, i: int) -> TermSyntaxError
         return TermSyntaxError(f"unknown term head {tok!r}", offset)
     if expected in ("type", "term"):
         expected = "atom"
+    if kind == "nat" and _too_long(tok):
+        return TermSyntaxError(f"number longer than {_max_digits()} digits", offset)
     value = _unquote(tok) if kind == "str" else int(tok) if kind == "nat" else tok
     return TermSyntaxError(f"expected {expected}, got {value!r}", offset)
+
+
+# How many digits `int` converts at most; 0, as before Python 3.10.7: no limit.
+_max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _too_long(run: str) -> bool:
+    """Whether the decimal run `run` has more digits than `int` converts."""
+    return 0 < _max_digits() < len(run)
 
 
 def _lexical_error(text: str) -> TermSyntaxError | None:

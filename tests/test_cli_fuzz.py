@@ -114,6 +114,36 @@ def test_calls_succeed_on_valid_files(valid_files, call):
     code, err = _run([valid_files.get(a.lstrip("*"), a) for a in call])
     assert code == 0, err
 
+
+# The files that hold terms or types: those read line by line, and those
+# read whole (a JSON value, or one template).
+_LINE_FILES = ["corpus.jsonl", "index.jsonl", "templates.txt", "gold.txt"]
+_TERM_FILES = _LINE_FILES + ["template.txt", "symbols.json", "signature.json"]
+_LONG_RUN = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "call",
+    [c for c in CALLS if any(a.lstrip("*") in _TERM_FILES for a in c if a[0] == "*")],
+    ids=lambda c: f"{c[0]}-{next(a for a in c if a[0] == '*')}",
+)
+def test_long_decimal_run_is_named(valid_files, tmp_path, call):
+    """A decimal run longer than `int` converts, in the first term or type
+    of a file, fails the call with a message that names the file, and the
+    line of a file read line by line."""
+    name = next(a for a in call if a[0] == "*")[1:]
+    path = tmp_path / name
+    if name == "gold.txt":
+        path.write_text(f"(bound {_LONG_RUN})\n")
+    else:
+        with open(valid_files[name], encoding="utf-8") as fh:
+            path.write_text(fh.read().replace("(tc ", f"(tc {_LONG_RUN} ", 1))
+    code, err = _run([str(path) if a[0] == "*" else valid_files.get(a, a) for a in call])
+    where = f"{path}:1: " if name in _LINE_FILES else f"{path}: "
+    assert code == 1
+    assert err.startswith(f"error: {where}") and "number longer than" in err, err[:200]
+
+
 _json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
     lambda inner: st.lists(inner, max_size=4)

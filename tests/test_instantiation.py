@@ -757,15 +757,22 @@ class TestSharedLeaves:
 
     def _leaf_tables(self, tpl, pool, distinct, monkeypatch):
         """The conjectures of an uncapped search, and the size of its leaf
-        table after each emit."""
-        sizes = []
+        table at each conjecture the build loop builds: the number of leaves
+        alive then, since only the table and the leaf being built hold one."""
+        sizes, live = [], []
 
-        class Recording(instantiation._Search):
-            def emit(self, subst, chosen):
-                super().emit(subst, chosen)
-                sizes.append(len(self.leaves))
+        class Recording(instantiation._Leaf):
+            def __init__(self, *args):
+                super().__init__(*args)
+                live.append(None)
+                weakref.finalize(self, live.pop)
 
-        monkeypatch.setattr(instantiation, "_Search", Recording)
+            def build(self, node, mapping):
+                if node is tpl.body:
+                    sizes.append(len(live))
+                return super().build(node, mapping)
+
+        monkeypatch.setattr(instantiation, "_Leaf", Recording)
         res = instantiate(tpl, pool, Budget(max_results=10**9, distinct_holes=distinct))
         monkeypatch.undo()
         return res.conjectures, sizes

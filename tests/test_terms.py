@@ -12,7 +12,7 @@ import lemmakit
 
 from lemmakit.corpus import make_record
 from lemmakit.evaluation import dedupe, evaluate_suite, make_task
-from lemmakit.instantiation import feasible, instantiate
+from lemmakit.instantiation import Budget, feasible, instantiate
 from lemmakit.proposer import propose_fixed
 from lemmakit.quickspec import (
     InterpretedSignature,
@@ -167,6 +167,19 @@ class TestParseRenderTerms:
 
     def test_decimal_digits_of_any_script_still_parse(self):
         assert parse_term("(bound ٣)") == Bound(3)
+
+    @pytest.mark.parametrize(
+        "head, parse, offset",
+        [("(bound ", parse_term, 7), ("(app ", parse_term, 5), ("(tc ", parse_type, 4)],
+    )
+    def test_decimal_run_longer_than_int_converts(self, head, parse, offset):
+        """A run that `int` refuses is a syntax error at its offset, wherever
+        it stands; one at the limit still parses."""
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(TermSyntaxError, match=f"number longer than {limit} digits") as exc:
+            parse(head + "1" * 5000 + ")")
+        assert exc.value.offset == offset
+        assert parse_term("(bound " + "1" * limit + ")") == Bound(int("1" * limit))
 
 
 def _render_term_recursive(t):
@@ -893,7 +906,8 @@ class TestNoReferenceCycles:
             "instantiate", "enumerate_terms", "abstract", "parse_template", "pretty_term",
             "load_interpreted_signature", "test_partition", "candidate_laws",
             "emit_laws", "reverify_laws", "dedupe", "evaluate_suite",
-            "evaluate_suite_workers", "parse_errors", "feasible",
+            "evaluate_suite_workers", "parse_errors", "feasible", "instantiate_capped",
+            "infeasible",
         ],
     )
     def test_call_leaves_no_cycle(
@@ -911,6 +925,12 @@ class TestNoReferenceCycles:
             SignatureEntry("Octonions.octo_times", binop, None),
         ]
         assert len(instantiate(tpl, ops).conjectures) == 9
+        # A capped search is left suspended after its lookahead; an
+        # infeasible one runs to its end.
+        capped = Budget(max_results=1)
+        assert instantiate(tpl, ops, capped).capped
+        consts = [SignatureEntry("Octonions.octo_zero", OCTO, None)]
+        assert not feasible(tpl, consts)
         sig = _list_signature()
         qs_sig, qs_terms, classes, laws = quickspec_stages
         assert len(laws) > 3
@@ -949,5 +969,7 @@ class TestNoReferenceCycles:
                  tpl.canonical.replace('"', "²", 1), _deep_terms(MAX_DEPTH + 1)["arg"]]
             ),
             "feasible": lambda: feasible(tpl, ops),
+            "instantiate_capped": lambda: instantiate(tpl, ops, capped),
+            "infeasible": lambda: feasible(tpl, consts),
         }[name]
         assert _garbage_after(call) == 0
