@@ -6,6 +6,7 @@ construction (corpus), template proposal backends (proposer), the evaluation
 harness (evaluation), and a desk-scale enumerative baseline (quickspec).
 """
 
+from .corpus import datapoint_from_dict, make_record, save_records
 from .evaluation import (
     EvalReport,
     EvalTask,
@@ -13,12 +14,18 @@ from .evaluation import (
     combine_reports,
     dedupe,
     evaluate_suite,
-    evaluate_task,
-    instantiation_rate,
     make_task,
 )
 from .instantiation import Budget, Conjecture, InstantiationResult, instantiate
-from .templates import Template, Whitelist, abstract, default_whitelist, parse_template
+from .proposer import build_index
+from .templates import (
+    Template,
+    Whitelist,
+    abstract,
+    default_whitelist,
+    parse_template,
+    pretty_template,
+)
 from .terms import (
     LemmakitError,
     Signature,
@@ -30,6 +37,7 @@ from .terms import (
     render_terms,
     render_type,
     typecheck,
+    unify_types,
 )
 
 __all__ = [
@@ -45,22 +53,26 @@ __all__ = [
     "Whitelist",
     "abstract",
     "alpha_equal",
+    "build_index",
     "categorize",
     "combine_reports",
+    "datapoint_from_dict",
     "dedupe",
     "default_whitelist",
     "evaluate_suite",
-    "evaluate_task",
     "instantiate",
-    "instantiation_rate",
+    "make_record",
     "make_task",
     "parse_template",
     "parse_term",
     "parse_type",
+    "pretty_template",
     "render_term",
     "render_terms",
     "render_type",
+    "save_records",
     "typecheck",
+    "unify_types",
 ]
 
 __version__ = "0.1.0"

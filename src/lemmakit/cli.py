@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from dataclasses import replace
@@ -95,14 +94,10 @@ def _write_lines(fh, lines) -> None:
         fh.close()
 
 
-def _jdump(d: dict) -> str:
-    return json.dumps(d, sort_keys=True, ensure_ascii=False)
-
-
 def _conjecture_lines(conjectures, proposer: bool = False):
-    """Each conjecture's output line, as `_jdump` would give its object:
-    `assignment` (hole index -> symbol, keys in string order), `proposer`
-    when asked for, `template` and `term`.
+    """Each conjecture's output line, as `corpus.json_line` gives its
+    object: `assignment` (hole index -> symbol, keys in string order),
+    `proposer` when asked for, `template` and `term`.
 
     Lines are built from parts and yielded one by one, so that a caller can
     write each before the next is built.  The terms are rendered together,
@@ -145,7 +140,7 @@ def cmd_abstract(args) -> int:
             failures += 1
             print(f"{args.corpus}: record {r.id!r}: {e}", file=sys.stderr)
             continue
-        lines.append(_jdump({"id": r.id, "template": tpl.canonical}))
+        lines.append(corpus_mod.json_line({"id": r.id, "template": tpl.canonical}))
     _write_lines(_out(args), lines)
     return 1 if failures else 0
 
@@ -298,7 +293,9 @@ def cmd_propose(args) -> int:
     req = ProposalRequest(symbols=tuple(symbols), mode=args.mode, k=args.k)
     result = prop(req)
     lines = [
-        _jdump({"template": p.template.canonical, "score": p.score, "source": p.source})
+        corpus_mod.json_line(
+            {"template": p.template.canonical, "score": p.score, "source": p.source}
+        )
         for p in result.proposals
     ]
     _write_lines(_out(args), lines)

@@ -107,10 +107,6 @@ def format_symbols_prompt(symbols, mode: str) -> str:
     return " ".join(sections)
 
 
-def format_prompt(r: CorpusRecord, mode: str) -> str:
-    return format_symbols_prompt(r.symbols, mode)
-
-
 def make_datapoint(
     r: CorpusRecord, mode: str, target_kind: str, w: Whitelist | None = None
 ) -> Datapoint:
@@ -122,7 +118,7 @@ def make_datapoint(
         target = render_term(r.term)
     return Datapoint(
         id=r.id,
-        input=format_prompt(r, mode),
+        input=format_symbols_prompt(r.symbols, mode),
         target_kind=target_kind,
         target=target,
         mode=mode,
@@ -277,12 +273,13 @@ def datapoint_from_dict(d: dict) -> Datapoint:
 
 
 def parse_json(text: str, where: str, what: str = "JSON"):
-    """json.loads(text).  Text that is not JSON, or JSON nested too deeply
-    for the decoder, raises LemmakitError prefixed by `where`; `what` names
-    the kind of input in the message."""
+    """json.loads(text).  Text that is not JSON (an integer longer than
+    `int` converts included), or JSON nested too deeply for the decoder,
+    raises LemmakitError prefixed by `where`; `what` names the kind of input
+    in the message."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer too long
         raise LemmakitError(f"{where}: malformed {what}: {e}") from e
     except RecursionError:
         raise LemmakitError(f"{where}: {what} nested too deeply") from None
@@ -320,10 +317,15 @@ def load_lines(path, parse) -> list:
     return out
 
 
+def json_line(d: dict) -> str:
+    """d as one line of JSON: keys sorted, non-ASCII text kept as it is."""
+    return json.dumps(d, sort_keys=True, ensure_ascii=False)
+
+
 def write_jsonl(path, dicts) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for d in dicts:
-            fh.write(json.dumps(d, sort_keys=True, ensure_ascii=False))
+            fh.write(json_line(d))
             fh.write("\n")
 
 

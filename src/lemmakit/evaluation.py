@@ -2,9 +2,10 @@
 rate, per-theory breakdowns, report ensembles, deduplication and conjecture
 categorization.
 
-Suites run under a bounded worker pool, one group of tasks with one symbol
-list at a time, but the report is assembled single-threaded in task-id order,
-so the output is identical for any worker count.
+`evaluate_suite` is the one way to score tasks, one task or many.  It runs
+under a bounded worker pool, one group of tasks with one symbol list at a
+time, but assembles the report single-threaded in task-id order, so the
+output is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -128,30 +129,17 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def evaluate_task(task: EvalTask, proposer, budget: Budget | None = None) -> TaskResult:
-    """Run one gold-lemma regeneration task.
-
-    `proposer` is a callable ProposalRequest -> ProposalSet.  Template exact
-    match compares canonical strings; lemma success holds when any conjecture
-    from any proposed template is alpha-equivalent to the gold term.
-    A failure of the proposer or of `instantiate` (any LemmakitError,
-    transport errors and repeated symbol names included) marks the task
-    errored rather than raising, so one bad reply or record cannot abort a
-    suite.
-    """
-    return _evaluate(task, proposer, budget or Budget(), {})
-
-
 def _evaluate(
     task: EvalTask, proposer, budget: Budget, memo: dict[str, InstantiationResult]
 ) -> TaskResult:
-    """`evaluate_task`, instantiating through `memo`.
+    """One task's row: template exact match compares canonical strings, and
+    lemma success holds when a conjecture of a proposed template is
+    alpha-equivalent to the gold term.
 
     Tasks that share one symbol list instantiate a template alike, so they
-    can share a `memo` from template canonical string to result, and each
-    template is instantiated once for all of them.  A search that timed out
-    is not stored, nor is an error, so only the deterministic answer is
-    reused and every task that an error hits is marked.
+    share a `memo` from template canonical string to result.  A search that
+    timed out is not stored, nor is an error, so only the deterministic
+    answer is reused and every task that an error hits is marked.
     """
     result = TaskResult(id=task.record.id, theory=task.record.theory)
     req = ProposalRequest(
@@ -212,14 +200,19 @@ def evaluate_suite(
 ) -> EvalReport:
     """Evaluate every task; the report does not depend on `workers`.
 
+    `proposer` is a callable ProposalRequest -> ProposalSet.  A failure of
+    the proposer or of `instantiate` (any LemmakitError, transport errors and
+    repeated symbol names included) marks that task errored, never the suite.
+
     Tasks are grouped by their record's symbol list, in order, since the
     candidate order decides which conjectures a cap keeps.  Each group
     instantiates a template once for all its tasks (one memo for the
     group, see `_evaluate`), though the proposer is still asked once per
     task.  Workers run whole groups.
 
-    With `with_instantiation_rate`, the report's `instantiation_rate` is
-    set, the value `instantiation_rate(tasks, budget)` gives.  Each gold
+    With `with_instantiation_rate`, the report's `instantiation_rate` is the
+    share of all tasks whose gold template, instantiated with the record's
+    own symbols, recovers the gold lemma (see `_gold_hit`).  Each gold
     template is looked up in its group's memo first, so a gold template
     that was proposed is not instantiated again.
 
@@ -271,9 +264,7 @@ def _gold_hit(
     task: EvalTask, budget: Budget | None, memo: dict[str, InstantiationResult]
 ) -> bool:
     """Whether the task's gold template, instantiated with the record's own
-    symbols through `memo`, recovers a term
-    alpha-equivalent to the gold lemma.  An instantiation error (e.g.
-    repeated symbol names) is a miss."""
+    symbols through `memo`, gives the gold lemma up to alpha; an error is a miss."""
     try:
         inst = _instantiate_through(
             memo, task.gold_template, list(task.record.symbols), budget
@@ -281,22 +272,6 @@ def _gold_hit(
     except LemmakitError:
         return False
     return any(alpha_equal(c.term, task.record.term) for c in inst.conjectures)
-
-
-def instantiation_rate(tasks: list[EvalTask], budget: Budget | None = None) -> float:
-    """Fraction of tasks whose gold template, instantiated with the record's
-    own symbols, recovers a term alpha-equivalent to the gold lemma.  A task
-    whose instantiation fails (e.g. repeated symbol names) counts as a miss;
-    evaluate_task records the failure as that task's error.  Every task
-    counts in the denominator.  `evaluate_suite` gives the same value
-    without instantiating a proposed gold template twice."""
-    if not tasks:
-        return 0.0
-    hits = 0
-    for group in _symbol_groups(tasks):
-        memo: dict[str, InstantiationResult] = {}
-        hits += sum(_gold_hit(tasks[i], budget, memo) for i in group)
-    return hits / len(tasks)
 
 
 def combine_reports(reports: list[EvalReport]) -> EvalReport:

@@ -19,7 +19,14 @@ from http.client import HTTPException
 from urllib.error import URLError
 from urllib.request import BaseHandler, Request, build_opener
 
-from .corpus import check_fields, format_symbols_prompt, load_lines, parse_json, read_jsonl
+from .corpus import (
+    check_fields,
+    format_symbols_prompt,
+    load_lines,
+    parse_json,
+    read_jsonl,
+    write_jsonl,
+)
 from .instantiation import DuplicateCandidates, feasible
 from .templates import NonCanonical, Template, Whitelist, parse_template
 from .terms import LemmakitError, SignatureEntry, TermSyntaxError, TypeExpr
@@ -118,15 +125,9 @@ class TemplateIndex:
         return self._ranked
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for canonical in sorted(self.counts):
-                fh.write(
-                    json.dumps(
-                        {"template": canonical, "count": self.counts[canonical]},
-                        ensure_ascii=False,
-                    )
-                )
-                fh.write("\n")
+        write_jsonl(
+            path, ({"template": c, "count": n} for c, n in sorted(self.counts.items()))
+        )
 
     @classmethod
     def load(cls, path, w: Whitelist | None = None) -> "TemplateIndex":

@@ -185,12 +185,6 @@ class Law:
     size: int
 
 
-def term_size(t: Term) -> int:
-    """Atom count: applications are free, every symbol/variable counts once."""
-    head, args = strip_spine(t)
-    return 1 + sum(term_size(a) for a in args)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration
 
@@ -355,11 +349,6 @@ def _intern(col: list, sort: str | None, interned: dict[tuple, list], what: str)
         raise NotTestable(f"{what} has an unhashable value") from None
 
 
-def evaluate_term(t: Term, sig: InterpretedSignature, valuation: dict[str, object]):
-    """Value of a testable term under one valuation."""
-    return evaluate_columns([t], sig, [valuation])[id(t)][0]
-
-
 def make_valuations(
     sig: InterpretedSignature, variables: list[Free], num_tests: int, seed: int
 ) -> list[dict[str, object]]:
@@ -453,7 +442,7 @@ def _ascending(names: tuple[str, ...]) -> bool:
 
 
 def _shape(t: Term, memo: dict) -> tuple[int, tuple[str, ...]]:
-    """(term_size(t), t's variable names in first-occurrence order), memoized
+    """(t's size, t's variable names in first-occurrence order), memoized
     by object identity."""
     got = memo.get(id(t))
     if got is None:
@@ -790,14 +779,6 @@ def _builtin(name: str, sort: Sort | None):
     return lambda *args: fn(*args) % mod
 
 
-def builtin_evaluators(sorts: dict[str, Sort]) -> dict[str, object]:
-    """Each builtin's function by name, as `_builtin` picks it for the first
-    mod sort in `sorts`, or for no sort without one.  The loader picks each
-    symbol's function for its own result sort."""
-    mod_sort = next((s for s in sorts.values() if isinstance(s, IntModSort)), None)
-    return {name: _builtin(name, mod_sort) for name in _BUILTINS}
-
-
 _SIGNATURE_FIELDS = {
     "sorts": "a list",
     "symbols": "a list",
@@ -831,7 +812,7 @@ _KINDS = {
 
 def _at_least(d: dict, key: str, low: int, where: str) -> int:
     """d[key], which must be at least `low`: a sort must have a value to
-    sample."""
+    sample, and a count of variables cannot be negative."""
     if d[key] < low:
         raise LemmakitError(f"{where}: field {key!r} must be at least {low}")
     return d[key]
@@ -898,13 +879,11 @@ def load_interpreted_signature(path) -> InterpretedSignature:
                 f"({', '.join(sorted(_BUILTINS))}), or give a 'value'"
             )
         symbols.append(InterpSymbol(d["name"], ty, fn, d.get("infix")))
-    vars_per_sort = data.get("vars_per_sort")
+    vars_per_sort = 3
+    if data.get("vars_per_sort") is not None:
+        vars_per_sort = _at_least(data, "vars_per_sort", 0, str(path))
     try:
-        sig = InterpretedSignature(
-            sorts=sorts,
-            symbols=symbols,
-            vars_per_sort=3 if vars_per_sort is None else vars_per_sort,
-        )
+        sig = InterpretedSignature(sorts, symbols, vars_per_sort)
     except ValueError as e:
         raise LemmakitError(f"{path}: {e}") from e
     for i, (d, sym) in enumerate(zip(data["symbols"], symbols)):

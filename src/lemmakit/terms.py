@@ -144,12 +144,6 @@ def is_fun(t: TypeExpr) -> bool:
     return isinstance(t, TCon) and t.name == FUN
 
 
-def type_size(t: TypeExpr) -> int:
-    if isinstance(t, TVar):
-        return 1
-    return 1 + sum(type_size(a) for a in t.args)
-
-
 def type_vars(t: TypeExpr, acc: list[str] | None = None) -> list[str]:
     """Type variable names in preorder, first occurrence only."""
     if acc is None:

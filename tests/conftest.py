@@ -124,6 +124,8 @@ class StubEndpoint:
     sleeping `delay` seconds, with `status`, the extra `headers` and
     {"completions": completions}.  `raw_body` (str or bytes) replaces that
     body; `raw_reply` (bytes) replaces the whole reply, status line included.
+    `bodies` (a list of str) replaces the body of the first requests, one
+    each, in the order they arrive.
     Each request is served on its own thread.
     """
 
@@ -132,6 +134,7 @@ class StubEndpoint:
         self.status = 200
         self.headers = {}
         self.raw_body = None
+        self.bodies = []
         self.raw_reply = None
         self.delay = 0.0
         self.requests_seen = []
@@ -169,7 +172,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         for name, value in {"Content-Type": "application/json", **stub.headers}.items():
             self.send_header(name, value)
         self.end_headers()
-        raw = stub.raw_body
+        raw = stub.bodies.pop(0) if stub.bodies else stub.raw_body
         if raw is None and stub.status == 200:
             raw = json.dumps({"completions": stub.completions})
         if raw is not None:

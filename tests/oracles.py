@@ -322,6 +322,20 @@ def _head_args(t):
     return t, args
 
 
+def term_size(t) -> int:
+    """Atom count of a first-order term: applications are free, and each
+    head symbol and variable counts once.  A law's size is the sum over its
+    two sides."""
+    return 1 + sum(term_size(a) for a in _head_args(t)[1])
+
+
+def type_size(t) -> int:
+    """Node count of a type: each constructor and variable counts once."""
+    if isinstance(t, TVar):
+        return 1
+    return 1 + sum(type_size(a) for a in t.args)
+
+
 def _components(n, edges):
     """Component number of each of n nodes under an undirected edge set,
     by depth-first search."""

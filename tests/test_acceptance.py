@@ -38,7 +38,6 @@ from lemmakit.quickspec import (
     enumerate_terms,
     pretty_law,
     reverify_laws,
-    term_size,
 )
 from lemmakit.quickspec import Law, baseline_precision, law_to_equation
 from lemmakit.quickspec import test_partition as partition_by_testing
@@ -55,7 +54,6 @@ from lemmakit.terms import (
     apply_type_subst,
     fun,
     render_type,
-    type_size,
     typecheck,
     unify_types,
 )
@@ -66,6 +64,8 @@ from oracles import (
     is_instance_of,
     random_lemma_term,
     random_type,
+    term_size,
+    type_size,
     unifiable_oracle,
 )
 from synthetic import build_synthetic_corpus, build_train_datapoints

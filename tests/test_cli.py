@@ -9,7 +9,7 @@ import pytest
 import lemmakit
 from lemmakit import cli
 from lemmakit.cli import _conjecture_lines, main
-from lemmakit.corpus import Datapoint, load_records, make_record, save_records
+from lemmakit.corpus import Datapoint, json_line, load_records, make_record, save_records
 from lemmakit.instantiation import Budget, instantiate
 from lemmakit.proposer import build_index, decode_completions
 from lemmakit.templates import abstract, load_whitelist, parse_template
@@ -776,6 +776,7 @@ class TestQuickspec:
                 ]},
                 "symbol 0: field 'type' must be a sort for a symbol with a 'value'",
             ),
+            ({**QS_SIG, "vars_per_sort": -1}, "field 'vars_per_sort' must be at least 0"),
         ],
     )
     def test_malformed_signature_names_file_and_field(self, tmp_path, content, message):
@@ -1003,7 +1004,7 @@ _ODD_NAMES = ['Ünï.f', 'q"uote', "back\\slash", "日本.g", "tab\tand\nline", 
 
 
 def _json_dumps_lines(conjectures, proposer):
-    """Reference: each output line as `json.dumps` gives it."""
+    """Reference: each output line as `json_line` gives it."""
     out = []
     for c in conjectures:
         d = {
@@ -1013,14 +1014,14 @@ def _json_dumps_lines(conjectures, proposer):
         }
         if proposer:
             d["proposer"] = c.source_proposer
-        out.append(json.dumps(d, sort_keys=True, ensure_ascii=False))
+        out.append(json_line(d))
     return out
 
 
 class TestConjectureLines:
     """`instantiate` and `conjecture` build each output line from parts; the
-    lines are byte-equal to `json.dumps(sort_keys=True, ensure_ascii=False)`
-    of the conjecture's object."""
+    lines are byte-equal to `json_line` of the conjecture's object, which is
+    `json.dumps(sort_keys=True, ensure_ascii=False)`."""
 
     def _conjectures(self, holes=12, n=60):
         s = TCon("S.s")
@@ -1105,6 +1106,28 @@ class TestPropose:
             ["propose", octo_symbols_file, "--proposer", "http"]
         ) == 2
         assert "transport error" in capsys.readouterr().err
+
+    def test_long_json_integer_in_first_http_reply_errors_one_task(
+        self, octo_corpus, monkeypatch, stub_server, tmp_path
+    ):
+        """`eval` asks for Octonions.d0 first; its reply holds an integer
+        longer than `int` converts, and only that task is errored."""
+        corpus, records = octo_corpus
+        monkeypatch.delenv("LEMMAKIT_LLM_TOKEN", raising=False)
+        monkeypatch.setenv("LEMMAKIT_LLM_URL", stub_server.url)
+        stub_server.bodies = ['{"completions": [], "n": ' + "1" * 5000 + "}"]
+        stub_server.completions = [abstract(r.term).canonical for r in records]
+        report = tmp_path / "report.json"
+        proc = _run_cli("eval", corpus, "--proposer", "http", "--report", str(report))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        rows = {r["id"]: r for r in json.loads(report.read_text())["per_task"]}
+        assert rows["Octonions.d0"]["error"].startswith(
+            f"malformed response body: {stub_server.url}: malformed JSON: "
+        )
+        assert rows["Octonions.a0"]["error"] is None
+        assert rows["Octonions.a0"]["lemma_success"]
+        assert len(stub_server.requests_seen) == 2
 
     def test_deep_http_body_exits_2(self, octo_symbols_file, monkeypatch, stub_server):
         monkeypatch.delenv("LEMMAKIT_LLM_TOKEN", raising=False)

@@ -144,6 +144,38 @@ def test_long_decimal_run_is_named(valid_files, tmp_path, call):
     assert err.startswith(f"error: {where}") and "number longer than" in err, err[:200]
 
 
+_JSON_FILES = ["corpus.jsonl", "index.jsonl", "symbols.json", "signature.json"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [c for c in CALLS if any(a.lstrip("*") in _JSON_FILES for a in c if a[0] == "*")],
+    ids=lambda c: f"{c[0]}-{next(a for a in c if a[0] == '*')}",
+)
+def test_long_json_integer_is_named(valid_files, tmp_path, call):
+    """An integer longer than `int` converts, in the first object of a JSON
+    file, fails the call as malformed JSON with a message that names the
+    file, and the line of a JSONL file."""
+    name = next(a for a in call if a[0] == "*")[1:]
+    path = tmp_path / name
+    with open(valid_files[name], encoding="utf-8") as fh:
+        path.write_text(fh.read().replace("{", f'{{"n": {_LONG_RUN}, ', 1))
+    code, err = _run([str(path) if a[0] == "*" else valid_files.get(a, a) for a in call])
+    if name.endswith(".jsonl"):
+        where = f"{path}:1: malformed JSON line: "
+    else:
+        where = f"{path}: malformed JSON: "
+    assert code == 1
+    assert err.startswith(f"error: {where}") and "4300" in err, err[:200]
+
+
+def test_long_json_integer_in_http_body_raises_transport():
+    raw = f'{{"completions": [], "n": {_LONG_RUN}}}'.encode()
+    with pytest.raises(TransportError) as exc:
+        decode_completions(raw, "http://stub")
+    assert str(exc.value).startswith("malformed response body: http://stub: malformed JSON: ")
+
+
 _json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=20),
     lambda inner: st.lists(inner, max_size=4)

@@ -9,8 +9,8 @@ from lemmakit.corpus import (
     Datapoint,
     datapoint_from_dict,
     datapoint_to_dict,
-    format_prompt,
     format_symbols_prompt,
+    json_line,
     load_lines,
     load_records,
     load_signature,
@@ -74,7 +74,7 @@ class TestMakeRecord:
 
 class TestFormatPrompt:
     def test_full_mode(self, distrib_record):
-        got = format_prompt(distrib_record, "types+defs")
+        got = format_symbols_prompt(distrib_record.symbols, "types+defs")
         binop = render_type(fun(OCTO, fun(OCTO, OCTO)))
         expected = (
             "[Symbols: Octonions.octo_times, Octonions.octo_plus] "
@@ -86,11 +86,11 @@ class TestFormatPrompt:
         assert got == expected
 
     def test_types_mode_has_no_defs(self, distrib_record):
-        got = format_prompt(distrib_record, "types")
+        got = format_symbols_prompt(distrib_record.symbols, "types")
         assert "[Defs:" not in got and "[Types:" in got
 
     def test_defs_mode_has_no_types(self, distrib_record):
-        got = format_prompt(distrib_record, "defs")
+        got = format_symbols_prompt(distrib_record.symbols, "defs")
         assert "[Types:" not in got and "[Defs:" in got
 
     def test_missing_def_renders_none(self):
@@ -180,6 +180,10 @@ class TestJsonl:
         save_records(path, [distrib_record])
         loaded = load_records(path)
         assert loaded == [distrib_record]
+
+    def test_json_line_sorts_keys_and_keeps_non_ascii(self):
+        line = json_line({"b": "ü\n", "a": [1, None, {"d": True, "c": 0.5}]})
+        assert line == '{"a": [1, null, {"c": 0.5, "d": true}], "b": "ü\\n"}'
 
     def test_datapoint_round_trip(self, distrib_record):
         dp = make_datapoint(distrib_record, "types", "template")

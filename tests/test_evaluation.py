@@ -17,8 +17,6 @@ from lemmakit.evaluation import (
     combine_reports,
     dedupe,
     evaluate_suite,
-    evaluate_task,
-    instantiation_rate,
     make_task,
 )
 from lemmakit.instantiation import Assignment, Budget, Conjecture, InstantiationResult
@@ -58,6 +56,21 @@ INT = TCon("int")
 
 def _proposal_set(*templates, source="fixed"):
     return ProposalSet([Proposal(t, 1.0, source) for t in templates])
+
+
+def one_task(task, proposer, budget=None):
+    """The task's row from a suite of that one task, whose group has a memo
+    of its own."""
+    return evaluate_suite([task], proposer, budget).per_task[0]
+
+
+def gold_rate(tasks, budget=None):
+    """The suite's instantiation rate with a proposer that proposes nothing,
+    so that each gold template is instantiated through an empty memo."""
+    report = evaluate_suite(
+        tasks, lambda req: ProposalSet(), budget, with_instantiation_rate=True
+    )
+    return report.instantiation_rate
 
 
 def gold_proposer_for(task):
@@ -104,7 +117,7 @@ def distrib_only_proposer(tasks):
 
 class TestEvaluateTask:
     def test_gold_template_regenerates_lemma(self, distrib_task):
-        res = evaluate_task(distrib_task, gold_proposer_for(distrib_task))
+        res = one_task(distrib_task, gold_proposer_for(distrib_task))
         assert res.template_exact_match
         assert res.lemma_success
         # two holes, candidates = the record's two symbols -> 2^2 conjectures
@@ -112,7 +125,7 @@ class TestEvaluateTask:
         assert res.error is None
 
     def test_wrong_template_fails(self, distrib_task, assoc_task):
-        res = evaluate_task(assoc_task, gold_proposer_for(distrib_task))
+        res = one_task(assoc_task, gold_proposer_for(distrib_task))
         assert not res.template_exact_match
         assert not res.lemma_success
 
@@ -120,13 +133,13 @@ class TestEvaluateTask:
         def broken(req):
             raise TransportError("connection refused")
 
-        res = evaluate_task(distrib_task, broken)
+        res = one_task(distrib_task, broken)
         assert res.error == "connection refused"
         assert not res.lemma_success and res.conjecture_count == 0
 
     def test_proposed_templates_recorded(self, distrib_task, assoc_task):
         both = _proposal_set(assoc_task.gold_template, distrib_task.gold_template)
-        res = evaluate_task(distrib_task, lambda req: both)
+        res = one_task(distrib_task, lambda req: both)
         assert res.proposed_templates == [
             assoc_task.gold_template.canonical,
             distrib_task.gold_template.canonical,
@@ -221,7 +234,7 @@ class TestEvaluateSuite:
         }
         assert report.lemma_success_rate == 1 / 3  # Dist.l0 only
         # The erroring task's gold template does not instantiate either.
-        assert instantiation_rate(tasks) == 2 / 3
+        assert gold_rate(tasks) == 2 / 3
 
     def test_deep_http_reply_errors_each_task(self, four_tasks, stub_server):
         stub_server.raw_body = '{"completions": ' + "[" * 100_000
@@ -286,7 +299,7 @@ def _count_instantiate(monkeypatch, first=None):
 
 class TestOneInstantiationPerSymbolList:
     """`evaluate_suite` instantiates each proposed template once per distinct
-    symbol list, and the report is that of `evaluate_task` run task by task."""
+    symbol list, and the report is that of one-task suites run task by task."""
 
     @pytest.fixture(scope="class")
     def retrieval(self):
@@ -296,7 +309,7 @@ class TestOneInstantiationPerSymbolList:
     def test_once_per_template_and_symbol_list(self, retrieval, monkeypatch):
         tasks = _interleaved_heldout_tasks()
         one_by_one = sorted(
-            (evaluate_task(t, retrieval) for t in tasks), key=lambda r: r.id
+            (one_task(t, retrieval) for t in tasks), key=lambda r: r.id
         )
         wanted = {
             (tpl.canonical, tuple(e.name for e in t.record.symbols))
@@ -332,7 +345,7 @@ class TestOneInstantiationPerSymbolList:
         tasks = [first, reordered]
         proposer = distrib_only_proposer(tasks)
         budget = Budget(max_results=2)
-        one_by_one = [evaluate_task(t, proposer, budget) for t in tasks]
+        one_by_one = [one_task(t, proposer, budget) for t in tasks]
         assert one_by_one[0].lemma_success != one_by_one[1].lemma_success
         calls = _count_instantiate(monkeypatch)
         report = evaluate_suite(tasks, proposer, budget)
@@ -381,15 +394,15 @@ class TestOneInstantiationPerSymbolList:
 
 class TestInstantiationRate:
     def test_gold_templates_recover_lemmas(self, four_tasks):
-        assert instantiation_rate(four_tasks) == 1.0
+        assert gold_rate(four_tasks) == 1.0
 
     def test_tight_cap_can_miss(self, distrib_task):
         # with max_results=1 only the times/times filling is produced, which
         # is not the distributivity lemma
-        assert instantiation_rate([distrib_task], Budget(max_results=1)) == 0.0
+        assert gold_rate([distrib_task], Budget(max_results=1)) == 0.0
 
     def test_empty(self):
-        assert instantiation_rate([]) == 0.0
+        assert gold_rate([]) == 0.0
 
 
 def _with_symbols_twice(task):
@@ -399,7 +412,8 @@ def _with_symbols_twice(task):
 
 class TestSuiteInstantiationRate:
     """`evaluate_suite(..., with_instantiation_rate=True)` reports the rate
-    that `instantiation_rate` gives, through the groups' memos."""
+    that a suite with an empty proposer gives, through the groups' memos, so
+    reusing a proposed template's instantiation does not change the rate."""
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize(
@@ -428,7 +442,7 @@ class TestSuiteInstantiationRate:
         report = evaluate_suite(
             tasks, proposer, budget, workers=workers, with_instantiation_rate=True
         )
-        assert report.instantiation_rate == instantiation_rate(tasks, budget) == rate
+        assert report.instantiation_rate == gold_rate(tasks, budget) == rate
         assert evaluate_suite(tasks, proposer, budget).instantiation_rate is None
 
     def test_gold_never_proposed_is_instantiated_once_per_group(
@@ -460,7 +474,7 @@ class TestSuiteInstantiationRate:
         assert with_rate.template_match_rate == 1.0
         assert with_rate.to_dict()["per_task"] == without.to_dict()["per_task"]
         calls.clear()
-        assert with_rate.instantiation_rate == instantiation_rate(tasks)
+        assert with_rate.instantiation_rate == gold_rate(tasks)
         assert len(calls) == len(tasks)
 
 

@@ -7,7 +7,7 @@ import pytest
 from lemmakit import instantiation
 from lemmakit import proposer as proposer_mod
 from lemmakit.cli import main
-from lemmakit.corpus import Datapoint
+from lemmakit.corpus import Datapoint, json_line
 from lemmakit.evaluation import evaluate_suite, make_task
 from lemmakit.proposer import (
     HttpProposerConfig,
@@ -104,6 +104,9 @@ class TestIndex:
         idx.save(path)
         again = TemplateIndex.load(path)
         assert again.counts == idx.counts and again.total == idx.total
+        assert path.read_text(encoding="utf-8") == "".join(
+            json_line({"template": c, "count": n}) + "\n" for c, n in sorted(idx.counts.items())
+        )
 
 
     @pytest.mark.parametrize(

@@ -19,11 +19,9 @@ from lemmakit.quickspec import (
     NotTestable,
     baseline_precision,
     candidate_laws,
-    builtin_evaluators,
     emit_laws,
     enumerate_terms,
     evaluate_columns,
-    evaluate_term,
     find_counterexample,
     law_to_equation,
     load_interpreted_signature,
@@ -31,7 +29,6 @@ from lemmakit.quickspec import (
     pretty_interp_term,
     pretty_law,
     reverify_laws,
-    term_size,
 )
 from lemmakit.quickspec import test_partition as partition_by_testing
 from lemmakit.terms import (
@@ -57,9 +54,15 @@ from oracles import (
     naive_functions,
     naive_value,
     partition_oracle,
+    term_size,
 )
 
 INT = TCon("int")
+
+
+def value_at(t, sig, valuation):
+    """The value of a testable term under one valuation, by `evaluate_columns`."""
+    return evaluate_columns([t], sig, [valuation])[id(t)][0]
 
 
 def int_mod_sig(symbols, mod=5, vars_per_sort=2):
@@ -214,27 +217,27 @@ class TestEvaluator:
     def test_hole_not_testable(self):
         sig = int_mod_sig([PLUS, ZERO])
         with pytest.raises(NotTestable):
-            evaluate_term(Hole(0, INT), sig, {})
+            value_at(Hole(0, INT), sig, {})
         with pytest.raises(NotTestable):
             plus_hole = App(Const("plus", PLUS.type), Hole(0, INT))
-            evaluate_term(App(plus_hole, Free("x1", INT)), sig, {"x1": 1})
+            value_at(App(plus_hole, Free("x1", INT)), sig, {"x1": 1})
 
     def test_applied_variable_not_testable(self):
         sig = int_mod_sig([PLUS, ZERO])
         f = Free("f", fun(INT, INT))
         with pytest.raises(NotTestable):
-            evaluate_term(App(f, Free("x1", INT)), sig, {"f": 0, "x1": 1})
+            value_at(App(f, Free("x1", INT)), sig, {"f": 0, "x1": 1})
 
     def test_partial_application_not_testable(self):
         sig = int_mod_sig([PLUS, ZERO])
         with pytest.raises(NotTestable):
             plus_x1 = App(Const("plus", PLUS.type), Free("x1", INT))
-            evaluate_term(plus_x1, sig, {"x1": 1})
+            value_at(plus_x1, sig, {"x1": 1})
 
     def test_missing_value_not_testable(self):
         sig = int_mod_sig([PLUS, ZERO])
         with pytest.raises(NotTestable):
-            evaluate_term(Free("x1", INT), sig, {"x2": 1})
+            value_at(Free("x1", INT), sig, {"x2": 1})
         # missing from one valuation of many is enough
         with pytest.raises(NotTestable):
             evaluate_columns([Free("x1", INT)], sig, [{"x1": 0}, {"x2": 1}])
@@ -244,10 +247,10 @@ class TestEvaluator:
         bool_t = TCon("HOL.bool")
         with pytest.raises(NotTestable):
             true_x1 = App(Const("HOL.True", fun(INT, bool_t)), Free("x1", INT))
-            evaluate_term(true_x1, sig, {"x1": 1})
+            value_at(true_x1, sig, {"x1": 1})
         eq = Const("HOL.eq", fun(INT, fun(INT, bool_t)))
         with pytest.raises(NotTestable):
-            evaluate_term(eq, sig, {})
+            value_at(eq, sig, {})
         with pytest.raises(NotTestable):
             find_counterexample(App(eq, Free("x1", INT)), sig, 10, 0)
 
@@ -313,7 +316,7 @@ class TestEvaluator:
         cols = evaluate_columns([t], sig, vals)
         assert cols[id(t)] == [(v["x1"] + v["x2"]) % 5 for v in vals]
         assert cols[id(x1)] == [v["x1"] for v in vals]
-        assert [evaluate_term(t, sig, v) for v in vals] == cols[id(t)]
+        assert [value_at(t, sig, v) for v in vals] == cols[id(t)]
 
 
 class TestEmitLaws:
@@ -601,7 +604,7 @@ class TestPartitionOracle:
         typed = lambda values: [(type(v), v) for v in values]
         for t in terms + equations:
             assert typed(cols[id(t)]) == typed(naive_value(t, fns, v) for v in vals)
-            assert typed(cols[id(t)]) == typed(evaluate_term(t, sig, v) for v in vals)
+            assert typed(cols[id(t)]) == typed(value_at(t, sig, v) for v in vals)
 
 
 def _counted(sig, calls):
@@ -673,7 +676,7 @@ class TestColumnSharing:
         equation = law_to_equation(Law(wrap_x, wrap_x, 4))
         for run in (
             lambda: partition_by_testing(enumerate_terms(sig, 2), sig, 5, 0),
-            lambda: evaluate_term(wrap_x, sig, {"x1": (1, 2)}),
+            lambda: value_at(wrap_x, sig, {"x1": (1, 2)}),
             lambda: find_counterexample(equation, sig, 5, 0),
         ):
             with pytest.raises(NotTestable, match="symbol 'wrap'"):
@@ -719,9 +722,7 @@ class TestCounterexample:
         assert find_counterexample(self._assoc_equation(plus), sig, 400, 0) is None
 
     def test_totient_monotonicity_refuted_at_21_22(self):
-        from lemmakit.quickspec import builtin_evaluators
-
-        totient = builtin_evaluators({})["totient"]
+        totient = quickspec._BUILTINS["totient"][1]
         assert totient(21) == 12 and totient(22) == 10
         nat = TCon("nat")
         from lemmakit.quickspec import BoolSort
@@ -748,7 +749,7 @@ class TestCounterexample:
             App(App(le, App(tot, x1)), App(tot, x2)),
         )
         assert (
-            evaluate_term(claim, sig, {"x1": 21, "x2": 22}) is False
+            value_at(claim, sig, {"x1": 21, "x2": 22}) is False
         )
         cex = find_counterexample(claim, sig, 2000, 0)
         assert cex is not None
@@ -800,7 +801,7 @@ class TestCounterexample:
         sig, minus, _ = self._arith_sig()
         eqn = self._assoc_equation(minus)
         cex = find_counterexample(eqn, sig, 400, 0)
-        assert evaluate_term(eqn, sig, cex.as_dict()) is False
+        assert value_at(eqn, sig, cex.as_dict()) is False
 
 
 class TestPrecision:
@@ -888,7 +889,7 @@ class TestLoadSignatureChecks:
 
     @pytest.mark.parametrize("sorts", ["mod", "range"])
     def test_every_builtin_loads_at_its_profile(self, tmp_path, sorts):
-        assert set(BUILTIN_PROFILES) == set(builtin_evaluators({}))
+        assert set(BUILTIN_PROFILES) == set(quickspec._BUILTINS)
         symbols = [
             {"name": name, "type": render_type(_arrow(profile)), "builtin": name}
             for name, profile in BUILTIN_PROFILES.items()
@@ -932,6 +933,25 @@ class TestLoadSignatureChecks:
             with pytest.raises(LemmakitError, match="symbol 0: field 'value'"):
                 self._load(tmp_path, SORT_DECLS["mod"], symbol(value))
 
+
+    @pytest.mark.parametrize("count", [-1, -7])
+    def test_negative_vars_per_sort_rejected(self, tmp_path, capsys, count):
+        """A negative count of variables per sort is named with its field, by
+        the loader and by `lemmakit quickspec`; 0 (ground laws only) loads."""
+        path = tmp_path / "sig.json"
+        symbols = [{"name": "zero", "type": render_type(INT), "value": 0}]
+        data = {"sorts": SORT_DECLS["mod"][:1], "symbols": symbols}
+        path.write_text(json.dumps({**data, "vars_per_sort": count}))
+        message = f"{path}: field 'vars_per_sort' must be at least 0"
+        with pytest.raises(LemmakitError) as exc:
+            load_interpreted_signature(path)
+        assert str(exc.value) == message
+        assert main(["quickspec", str(path), "--max-size", "2", "--tests", "3"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        path.write_text(json.dumps({**data, "vars_per_sort": 0}))
+        assert load_interpreted_signature(path).variables() == []
+        assert main(["quickspec", str(path), "--max-size", "2", "--tests", "3"]) == 0
+        assert capsys.readouterr().err == "emitted=0 laws\n"
 
     @pytest.mark.parametrize(
         "decl, message",

@@ -6,7 +6,9 @@ reference cycle for the collector, and no module-level name starts out as an
 empty container, so every cache lives in a call, a suite group or an
 object instead of growing for the life of the process, and every
 module-level private function or class is referenced outside its own body,
-so there is no helper that nothing calls."""
+so there is no helper that nothing calls.  A public module-level function or
+class is either referenced outside its own body, in its own module or in
+another, or named in `lemmakit.__all__`, the API that the package declares."""
 
 import ast
 import sys
@@ -271,23 +273,30 @@ def default_size(n):
     ]
 
 
+def _definitions(tree: ast.Module) -> list[ast.AST]:
+    """The module-level functions and classes of `tree`."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node for node in tree.body if isinstance(node, kinds)]
+
+
+def _referenced_outside(node: ast.AST, tree: ast.Module) -> bool:
+    """Whether a name in `tree` outside `node`'s own definition refers to it."""
+    inside = {id(n) for n in ast.walk(node)}
+    return any(
+        isinstance(n, ast.Name) and n.id == node.name and id(n) not in inside
+        for n in ast.walk(tree)
+    )
+
+
 def unreferenced_helpers(source: str) -> list[str]:
     """Line-tagged module-level private functions and classes that no name
     outside their own definition refers to."""
     tree = ast.parse(source)
-    out = []
-    for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if not _private(node.name):
-            continue
-        inside = {id(n) for n in ast.walk(node)}
-        if not any(
-            isinstance(n, ast.Name) and n.id == node.name and id(n) not in inside
-            for n in ast.walk(tree)
-        ):
-            out.append(f"{node.lineno}: unreferenced {node.name}")
-    return out
+    return [
+        f"{node.lineno}: unreferenced {node.name}"
+        for node in _definitions(tree)
+        if _private(node.name) and not _referenced_outside(node, tree)
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -335,4 +344,123 @@ def public(x: _Annotated):
         "6: unreferenced _walk",
         "10: unreferenced _Unused",
         "28: unreferenced _registered",
+    ]
+
+
+def _module_of(node: ast.ImportFrom) -> str | None:
+    """The package module that `node` imports from, without the package:
+    "corpus" for `from .corpus import ...` and `from lemmakit.corpus import
+    ...`, "" for `from . import ...` and `from lemmakit import ...`, and None
+    for an import from outside the package."""
+    module = node.module or ""
+    if node.level == 1:
+        return module
+    if node.level == 0 and module.split(".")[0] == "lemmakit":
+        return module[len("lemmakit.") :]
+    return None
+
+
+def unreferenced_public(sources: dict[str, str]) -> list[str]:
+    """Module- and line-tagged public module-level functions and classes of a
+    package, given as module name -> source, that no name refers to outside
+    their own definition, no other module imports (`from .m import f`) or
+    reaches through a module alias (`alias.f` after `from . import m as
+    alias`), and that the package's `__init__` does not name in `__all__`.
+    The imports of `__init__` do not count: `__all__` is what declares the
+    API."""
+    trees = {m: ast.parse(src) for m, src in sources.items()}
+    used = set()  # (module, name) reached from another module
+    exported = set()
+    for module, tree in trees.items():
+        if module == "__init__":
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+                ):
+                    exported |= {e.value for e in node.value.elts}
+            continue
+        aliases = {}  # local name -> package module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = _module_of(node)
+                for a in node.names if source is not None else ():
+                    if source:
+                        used.add((source, a.name))
+                    elif a.name in trees:
+                        aliases[a.asname or a.name] = a.name
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                used.add((aliases[node.value.id], node.attr))
+    return [
+        f"{module}:{node.lineno}: unreferenced {node.name}"
+        for module, tree in trees.items()
+        for node in _definitions(tree)
+        if not _private(node.name)
+        and node.name not in exported
+        and (module, node.name) not in used
+        and not _referenced_outside(node, tree)
+    ]
+
+
+@pytest.fixture(scope="module")
+def package_unreferenced():
+    return unreferenced_public({p.stem: p.read_text(encoding="utf-8") for p in MODULES})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_public_names_are_api_or_referenced(path, package_unreferenced):
+    assert [v for v in package_unreferenced if v.startswith(f"{path.stem}:")] == []
+
+
+def test_public_rule_catches_each_form():
+    sources = {
+        "__init__": '''
+from .a import exported, unused
+
+__all__ = ["exported"]
+''',
+        "a": '''
+def unused():
+    return 1
+
+
+def exported():
+    return 2
+
+
+def imported():
+    return 3
+
+
+def through_alias():
+    return 4
+
+
+def recursive(n):
+    return recursive(n - 1) if n else 0
+
+
+class Local:
+    pass
+
+
+def _private():
+    return Local()
+''',
+        "b": '''
+from . import a as a_mod
+from .a import imported
+
+
+def _user():
+    return imported() + a_mod.through_alias()
+''',
+    }
+    assert unreferenced_public(sources) == [
+        "a:2: unreferenced unused",
+        "a:18: unreferenced recursive",
     ]
