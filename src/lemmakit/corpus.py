@@ -1,10 +1,14 @@
 """Corpus records, prompt formatting, datapoint construction and file-wise splits.
 
 Interchange is JSONL so an external exporter can produce records without
-depending on this package.  Record line schema:
+depending on this package.  Record line schema, with the symbol object that
+`read_symbols` reads wherever one appears:
 
     {"id": s, "theory": s, "name": s, "term": s-expr,
      "symbols": [{"name": s, "type": s-expr, "def": s|null}]}
+
+A signature file is a JSON array of symbol objects, or a quickspec signature
+file (`quickspec.load_interpreted_signature`), whose "symbols" list holds them.
 
 Datapoint line schema:
 
@@ -240,6 +244,19 @@ class _TypeTable:
         return ty
 
 
+def read_symbols(items, where: str, types: _TypeTable | None = None) -> list[SignatureEntry]:
+    """The symbols of a list of symbol objects.  An object of another shape
+    raises LemmakitError prefixed by `where`, its index and the field.  Each
+    type text is parsed once per `types` table, so equal types are one object."""
+    types = types or _TypeTable()
+    symbols = []
+    for i, d in enumerate(items):
+        check_fields(d, _SYMBOL_FIELDS, f"{where} {i}")
+        ty = types.parse(d["type"], f"{where} {i}: field 'type'")
+        symbols.append(SignatureEntry(d["name"], ty, d.get("def")))
+    return symbols
+
+
 def record_from_dict(
     d: dict, where: str = "record", types: _TypeTable | None = None
 ) -> CorpusRecord:
@@ -247,19 +264,12 @@ def record_from_dict(
     one shared object, as in `load_signature`.  `types` extends that sharing
     to every record read through it."""
     check_fields(d, _RECORD_FIELDS, where)
-    if types is None:
-        types = _TypeTable()
-    symbols = []
-    for j, s in enumerate(d["symbols"]):
-        check_fields(s, _SYMBOL_FIELDS, f"{where}: symbol {j}")
-        ty = types.parse(s["type"], f"{where}: symbol {j}: field 'type'")
-        symbols.append(SignatureEntry(s["name"], ty, s.get("def")))
     return CorpusRecord(
         id=d["id"],
         theory=d["theory"],
         lemma_name=d["name"],
         term=parse_at(parse_term, d["term"], f"{where}: field 'term'"),
-        symbols=tuple(symbols),
+        symbols=tuple(read_symbols(d["symbols"], f"{where}: symbol", types)),
     )
 
 
@@ -343,22 +353,20 @@ def save_records(path, records) -> None:
 
 
 def load_signature(path) -> list[SignatureEntry]:
-    """Signature file: JSON array of {"name", "type": s-expr, "def"|null}.
+    """The symbols of a signature file: a JSON array of symbol objects, or a
+    quickspec signature file, whose "symbols" list holds them.
 
     A file of any other shape raises LemmakitError naming the file, the entry
-    index and the field.  Each distinct type text is parsed once, and equal
-    types come back as one shared object, so `instantiate` unifies each of
-    them once per search node.
+    index and the field, and so does a name given twice.  Each distinct type
+    text is parsed once, and equal types come back as one shared object, so
+    `instantiate` unifies each of them once per search node.
     """
     data = load_json(path)
-    if not isinstance(data, list):
-        raise LemmakitError(f"{path}: expected a JSON array of symbol objects")
-    for i, d in enumerate(data):
-        check_fields(d, _SYMBOL_FIELDS, f"{path}: entry {i}")
-    types = _TypeTable()
-    return [
-        SignatureEntry(
-            d["name"], types.parse(d["type"], f"{path}: entry {i}: field 'type'"), d.get("def")
-        )
-        for i, d in enumerate(data)
-    ]
+    if isinstance(data, dict) and isinstance(data.get("symbols"), list):
+        data = data["symbols"]
+    elif not isinstance(data, list):
+        raise LemmakitError(f"{path}: expected a JSON array of symbol objects or a 'symbols' list")
+    symbols = read_symbols(data, f"{path}: entry")
+    if len({s.name for s in symbols}) != len(symbols):
+        raise LemmakitError(f"{path}: duplicate symbol names")
+    return symbols

@@ -349,6 +349,8 @@ def categorize(
     term is ground-testable over it, and a counterexample shows up within
     `tests` sampled valuations.  Everything else that is not the gold lemma is
     unknown (this build has no prover to separate "provable" from "open").
+    The conjectures of `instantiate(tpl, interp.symbols)` need no second
+    description of their symbols: both read the same `SignatureEntry`s.
     """
     labels: list[str] = []
     for conj in conjectures:

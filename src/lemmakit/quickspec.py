@@ -27,7 +27,8 @@ calls, and the partition groups terms by column object.
 
 Value domains are deliberately small and closed (integers mod M, bounded
 ranges, booleans, short integer lists) so everything is executable and
-reproducible from a seed.
+reproducible from a seed.  A signature's symbols are the `SignatureEntry`s
+that instantiation reads, with their functions kept beside them by name.
 """
 
 from __future__ import annotations
@@ -37,19 +38,20 @@ import random
 from dataclasses import dataclass
 
 from . import terms as terms_mod
-from .corpus import check_fields, load_json, parse_at
+from .corpus import check_fields, load_json, read_symbols
 from .templates import BOOL
 from .terms import (
     App,
     Const,
     Free,
     LemmakitError,
+    SignatureEntry,
     TCon,
     Term,
     base_scheme,
     fun,
-    parse_type,
     render_terms,
+    render_type,
     strip_spine,
     subterms,
 )
@@ -104,50 +106,49 @@ class IntListSort:
 Sort = IntModSort | IntRangeSort | BoolSort | IntListSort
 
 
-@dataclass(frozen=True)
-class InterpSymbol:
-    """A symbol with its interpretation: `fn` is called on argument values
-    (a constant's `fn` is its value).  `fn` must be pure and return hashable
-    values: the evaluator applies it once per tuple of distinct argument
-    columns and interns its results, and raises NotTestable naming the
-    symbol on an unhashable value, or when `fn` raises ArithmeticError or
+class InterpretedSignature:
+    """Symbols over samplable sorts.  `functions` maps each symbol's name to
+    its function, called on argument values (a constant's is its value), and
+    `infix` a name to the operator it prints as.  A function must be pure and
+    return hashable values: the evaluator applies it once per tuple of
+    distinct argument columns and interns its results, and raises NotTestable
+    naming the symbol on an unhashable value, or when the function raises
+    ArithmeticError or ValueError.
+
+    `meanings`, the one table the evaluator reads, maps each symbol and each
+    logical constant of `_LOGIC` to (argument sorts, result sort, function).
+    A logical constant works at any sort, so its sorts are None.  A symbol
+    named like one or with no function, or a negative `vars_per_sort`, raises
     ValueError."""
 
-    name: str
-    type: "TCon"
-    fn: object  # callable on values; arity = number of arrows in `type`
-    infix: str | None = None
-
-
-class InterpretedSignature:
-    """`meanings`, the one table the evaluator reads, maps each symbol and
-    each logical constant of `_LOGIC` to (argument sorts, result sort,
-    function).  A logical constant works at any sort, so its sorts are None;
-    a symbol named like one raises ValueError."""
-
-    def __init__(self, sorts: list[Sort], symbols: list[InterpSymbol], vars_per_sort: int = 3):
+    def __init__(self, sorts: list[Sort], symbols: list[SignatureEntry], functions: dict,
+                 vars_per_sort: int = 3, infix: dict[str, str] | None = None):
         self.sorts: dict[str, Sort] = {}
         for s in sorts:
             if s.name in self.sorts:
                 raise ValueError(f"duplicate sort {s.name!r}")
             self.sorts[s.name] = s
         self.symbols = list(symbols)
-        self.by_name = {s.name: s for s in symbols}
-        if len(self.by_name) != len(symbols):
+        if len({s.name for s in symbols}) != len(symbols):
             raise ValueError("duplicate symbol names")
+        if vars_per_sort < 0:
+            raise ValueError("vars_per_sort must be at least 0")
         self.vars_per_sort = vars_per_sort
+        self.infix = dict(infix or {})
         self.meanings: dict[str, tuple[tuple, str | None, object]] = dict(_LOGIC_MEANINGS)
         for sym in symbols:
             if sym.name in _LOGIC_MEANINGS:
                 raise ValueError(f"symbol {sym.name!r} shadows a logical constant")
+            if sym.name not in functions:
+                raise ValueError(f"symbol {sym.name!r} has no function")
             parts = _arrow_parts(sym.type)
             for t in parts:
                 if not (isinstance(t, TCon) and t.name in self.sorts):
                     raise ValueError(
-                        f"symbol {sym.name!r} mentions undeclared sort {t}"
+                        f"symbol {sym.name!r} mentions undeclared sort {render_type(t)}"
                     )
             *args, res = (t.name for t in parts)
-            self.meanings[sym.name] = (tuple(args), res, sym.fn)
+            self.meanings[sym.name] = (tuple(args), res, functions[sym.name])
 
     def variables(self) -> list[Free]:
         """x1, x2, ... — vars_per_sort variables per sort, in sort order."""
@@ -168,14 +169,6 @@ def _arrow_parts(ty) -> list:
         parts.append(ty.args[0])
         ty = ty.args[1]
     return parts + [ty]
-
-
-@dataclass(frozen=True)
-class Valuation:
-    values: tuple[tuple[str, object], ...]
-
-    def as_dict(self) -> dict[str, object]:
-        return dict(self.values)
 
 
 @dataclass(frozen=True)
@@ -623,7 +616,7 @@ def find_counterexample(
     interp: InterpretedSignature,
     num_tests: int = 400,
     seed: int = 0,
-) -> Valuation | None:
+) -> dict[str, object] | None:
     """First falsifying valuation of a boolean-valued testable term, or None.
 
     An equation `lhs = rhs` is falsified when the sides evaluate unequal; any
@@ -638,7 +631,7 @@ def _counterexample(
     num_tests: int,
     seed: int,
     memo: dict[tuple[Free, ...], list[dict[str, object]]],
-) -> Valuation | None:
+) -> dict[str, object] | None:
     """`find_counterexample`, drawing valuations once per sorted variable
     tuple in `memo`.  The stream depends only on the variables, the seed and
     num_tests, so reusing it changes no result."""
@@ -654,7 +647,7 @@ def _counterexample(
     column = evaluate_columns([equation], interp, valuations)[id(equation)]
     for val, result in zip(valuations, column):
         if result is False:
-            return Valuation(values=tuple(sorted(val.items())))
+            return dict(val)
     return None
 
 
@@ -720,9 +713,9 @@ def pretty_interp_term(t: Term, sig: InterpretedSignature) -> str:
         return s if not isinstance(sub, App) else f"({s})"
 
     assert isinstance(head, Const)
-    sym = sig.by_name.get(head.name)
-    if sym is not None and sym.infix and len(args) == 2:
-        return f"{wrap(args[0])} {sym.infix} {wrap(args[1])}"
+    op = sig.infix.get(head.name)
+    if op and len(args) == 2:
+        return f"{wrap(args[0])} {op} {wrap(args[1])}"
     if not args:
         return head.name
     return " ".join([head.name] + [wrap(a) for a in args])
@@ -789,12 +782,7 @@ _SORT_FIELDS = {
     "kind": "a string or null",
     **{k: "an integer or null" for k in ("mod", "min", "max", "max_len", "elem_mod")},
 }
-_SYMBOL_FIELDS = {
-    "name": "a string",
-    "type": "a string",
-    "builtin": "a string or null",
-    "infix": "a string or null",
-}
+_SYMBOL_FIELDS = {"builtin": "a string or null", "infix": "a string or null"}
 
 
 def _is_int(v) -> bool:
@@ -836,8 +824,8 @@ def _sort_from_dict(d: dict, where: str) -> Sort:
 
 
 def load_interpreted_signature(path) -> InterpretedSignature:
-    """JSON: {"sorts": [...], "symbols": [{"name","type","builtin"|"value",
-    "infix"?}], "vars_per_sort": n}.
+    """JSON: {"sorts": [...], "symbols": [symbol objects (`read_symbols`) with
+    "builtin"|"value" and "infix"?], "vars_per_sort": n}.
 
     A file of any other shape raises LemmakitError naming the file, the sort
     or symbol index and the field.  So does a builtin whose type does not
@@ -851,12 +839,12 @@ def load_interpreted_signature(path) -> InterpretedSignature:
         _sort_from_dict(d, f"{path}: sort {i}") for i, d in enumerate(data["sorts"])
     ]
     sort_of = {TCon(s.name): s for s in sorts}
-    symbols = []
-    for i, d in enumerate(data["symbols"]):
+    symbols = read_symbols(data["symbols"], f"{path}: symbol")
+    functions = {}
+    for i, (d, sym) in enumerate(zip(data["symbols"], symbols)):
         where = f"{path}: symbol {i}"
         check_fields(d, _SYMBOL_FIELDS, where)
-        ty = parse_at(parse_type, d["type"], f"{where}: field 'type'")
-        result = _arrow_parts(ty)[-1]
+        result = _arrow_parts(sym.type)[-1]
         if isinstance(result, TCon) and result.name == "fun":
             raise LemmakitError(
                 f"{where}: field 'type' must give 'fun' two types, not {len(result.args)}"
@@ -878,17 +866,18 @@ def load_interpreted_signature(path) -> InterpretedSignature:
                 f"{where}: field 'builtin' must name a builtin evaluator "
                 f"({', '.join(sorted(_BUILTINS))}), or give a 'value'"
             )
-        symbols.append(InterpSymbol(d["name"], ty, fn, d.get("infix")))
+        functions[sym.name] = fn
+    infix = {s.name: d["infix"] for d, s in zip(data["symbols"], symbols) if d.get("infix")}
     vars_per_sort = 3
     if data.get("vars_per_sort") is not None:
         vars_per_sort = _at_least(data, "vars_per_sort", 0, str(path))
     try:
-        sig = InterpretedSignature(sorts, symbols, vars_per_sort)
+        sig = InterpretedSignature(sorts, symbols, functions, vars_per_sort, infix)
     except ValueError as e:
         raise LemmakitError(f"{path}: {e}") from e
     for i, (d, sym) in enumerate(zip(data["symbols"], symbols)):
         where = f"{path}: symbol {i}"
-        args, res, _ = sig.meanings[sym.name]
+        args, res, fn = sig.meanings[sym.name]
         kinds = tuple(_SORT_KINDS[type(sig.sorts[s])] for s in (*args, res))
         if "value" not in d:
             want = _BUILTINS[d["builtin"]][0]
@@ -903,12 +892,12 @@ def load_interpreted_signature(path) -> InterpretedSignature:
             )
         else:
             kind, holds = _KINDS[kinds[-1]]
-            if not holds(sym.fn):
+            if not holds(fn):
                 raise LemmakitError(
                     f"{where}: field 'value' must be {kind} for sort {res!r}"
                 )
             sort = sig.sorts[res]
-            if isinstance(sort, IntModSort) and not 0 <= sym.fn < sort.mod:
+            if isinstance(sort, IntModSort) and not 0 <= fn < sort.mod:
                 raise LemmakitError(
                     f"{where}: field 'value' must be an integer in "
                     f"0..{sort.mod - 1} for sort {res!r}"

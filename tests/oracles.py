@@ -461,7 +461,7 @@ def naive_functions(sig):
     """Name -> function, or value for a constant, of the signature's symbols
     and of the equality and connectives (a symbol wins over a connective of
     the same name)."""
-    return {**_NAIVE_LOGIC, **{s.name: s.fn for s in sig.symbols}}
+    return {**_NAIVE_LOGIC, **{s.name: sig.meanings[s.name][2] for s in sig.symbols}}
 
 
 def naive_value(t, fns, valuation):

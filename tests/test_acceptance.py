@@ -29,7 +29,6 @@ from lemmakit.proposer import (
     propose_retrieval,
 )
 from lemmakit.quickspec import (
-    InterpSymbol,
     IntListSort,
     IntModSort,
     IntRangeSort,
@@ -295,15 +294,21 @@ def _list_signature():
     return InterpretedSignature(
         sorts=[IntListSort("list", 5, 10), IntRangeSort("int", 0, 25)],
         symbols=[
-            InterpSymbol(
-                "append", fun(LIST_T, fun(LIST_T, LIST_T)), lambda a, b: a + b, "@"
-            ),
-            InterpSymbol("rev", fun(LIST_T, LIST_T), lambda a: tuple(reversed(a))),
-            InterpSymbol("len", fun(LIST_T, INT), lambda a: len(a)),
-            InterpSymbol("plus", fun(INT, fun(INT, INT)), lambda a, b: a + b, "+"),
-            InterpSymbol("zero", INT, 0),
+            SignatureEntry("append", fun(LIST_T, fun(LIST_T, LIST_T))),
+            SignatureEntry("rev", fun(LIST_T, LIST_T)),
+            SignatureEntry("len", fun(LIST_T, INT)),
+            SignatureEntry("plus", fun(INT, fun(INT, INT))),
+            SignatureEntry("zero", INT),
         ],
+        functions={
+            "append": lambda a, b: a + b,
+            "rev": lambda a: tuple(reversed(a)),
+            "len": lambda a: len(a),
+            "plus": lambda a, b: a + b,
+            "zero": 0,
+        },
         vars_per_sort=3,
+        infix={"append": "@", "plus": "+"},
     )
 
 
@@ -354,16 +359,14 @@ def test_8_false_by_testing_mod_101():
     interp = InterpretedSignature(
         sorts=[IntModSort("int", 101)],
         symbols=[
-            InterpSymbol(
-                "Demo.minus", fun(INT, fun(INT, INT)), lambda a, b: (a - b) % 101
-            ),
-            InterpSymbol(
-                "Demo.power", fun(INT, fun(INT, INT)), lambda a, b: pow(a, b, 101)
-            ),
-            InterpSymbol(
-                "Demo.plus", fun(INT, fun(INT, INT)), lambda a, b: (a + b) % 101
-            ),
+            SignatureEntry(name, fun(INT, fun(INT, INT)))
+            for name in ("Demo.minus", "Demo.power", "Demo.plus")
         ],
+        functions={
+            "Demo.minus": lambda a, b: (a - b) % 101,
+            "Demo.power": lambda a, b: pow(a, b, 101),
+            "Demo.plus": lambda a, b: (a + b) % 101,
+        },
         vars_per_sort=3,
     )
 

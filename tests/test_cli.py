@@ -9,10 +9,19 @@ import pytest
 import lemmakit
 from lemmakit import cli
 from lemmakit.cli import _conjecture_lines, main
-from lemmakit.corpus import Datapoint, json_line, load_records, make_record, save_records
+from lemmakit.corpus import (
+    Datapoint,
+    json_line,
+    load_records,
+    load_signature,
+    make_record,
+    save_records,
+)
+from lemmakit.evaluation import CATEGORY_FALSE, CATEGORY_GOLD, categorize
 from lemmakit.instantiation import Budget, instantiate
 from lemmakit.proposer import build_index, decode_completions
-from lemmakit.templates import abstract, load_whitelist, parse_template
+from lemmakit.quickspec import load_interpreted_signature
+from lemmakit.templates import BOOL, abstract, load_whitelist, parse_template
 from lemmakit.terms import (
     MAX_DEPTH,
     App,
@@ -22,6 +31,8 @@ from lemmakit.terms import (
     Signature,
     SignatureEntry,
     TCon,
+    TVar,
+    alpha_equal,
     fun,
     render_term,
     render_type,
@@ -788,6 +799,22 @@ class TestQuickspec:
         assert proc.stderr.startswith(f"error: {sig_path}")
         assert message in proc.stderr
 
+    @pytest.mark.parametrize(
+        "ty, shown",
+        [(fun(TCon("nat"), INT), '(tc "nat")'), (fun(TVar("a"), INT), '(tv "a")')],
+        ids=["constructor", "variable"],
+    )
+    def test_undeclared_sort_is_named_as_a_type(self, tmp_path, capsys, ty, shown):
+        sig_path = tmp_path / "sig.json"
+        sig_path.write_text(json.dumps({
+            "sorts": QS_SIG["sorts"],
+            "symbols": [{"name": "f", "type": render_type(ty), "builtin": "totient"}],
+        }))
+        assert main(["quickspec", str(sig_path), "--max-size", "2"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {sig_path}: symbol 'f' mentions undeclared sort {shown}\n"
+        )
+
 
 class TestErrorExits:
     """A bad flag value or input file that argument parsing lets through
@@ -1138,3 +1165,100 @@ class TestPropose:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("transport error: malformed response body")
         assert "nested too deeply" in proc.stderr
+
+
+# The list signature of the quickspec acceptance test, as a file.
+LIST_QS_SIG = {
+    "sorts": [{"name": "list", "max_len": 5, "elem_mod": 10}, {"name": "int", "min": 0, "max": 25}],
+    "symbols": [
+        {"name": "append", "type": render_type(LIST_BINOP), "builtin": "list_append",
+         "infix": "@"},
+        {"name": "rev", "type": render_type(fun(LIST, LIST)), "builtin": "list_rev"},
+        {"name": "len", "type": render_type(fun(LIST, INT)), "builtin": "list_len"},
+        {"name": "plus", "type": render_type(INT_BINOP), "builtin": "int_add", "infix": "+"},
+        {"name": "zero", "type": render_type(INT), "value": 0},
+    ],
+}
+
+
+def _rev_append(swapped):
+    """rev (x1 @ x2) = rev x2 @ rev x1 if swapped, else the false
+    rev (x1 @ x2) = rev x1 @ rev x2."""
+    rev, app = Const("rev", fun(LIST, LIST)), Const("append", LIST_BINOP)
+    x1, x2 = Free("x1", LIST), Free("x2", LIST)
+    first, second = (x2, x1) if swapped else (x1, x2)
+    lhs = App(rev, App(App(app, x1), x2))
+    rhs = App(App(app, App(rev, first)), App(rev, second))
+    return App(App(Const("HOL.eq", fun(LIST, fun(LIST, BOOL))), lhs), rhs)
+
+
+class TestOneSignatureFile:
+    """One quickspec signature file serves every command that reads symbols,
+    and its symbols are one description for instantiation and testing."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        sig = tmp_path / "list.json"
+        sig.write_text(json.dumps(LIST_QS_SIG))
+        templates = tmp_path / "templates.txt"
+        templates.write_text(
+            "".join(abstract(_rev_append(s)).canonical + "\n" for s in (True, False))
+        )
+        return str(sig), str(templates)
+
+    def test_every_command_reads_it(self, files, capsys):
+        sig, templates = files
+        runs = [
+            ["quickspec", sig, "--max-size", "5", "--tests", "100"],
+            ["instantiate", sig, "--template", abstract(_rev_append(False)).canonical],
+            ["conjecture", sig, "--proposer", "fixed", "--templates", templates],
+            ["propose", sig, "--proposer", "fixed", "--templates", templates],
+        ]
+        outs = []
+        for argv in runs:
+            assert main(argv) == 0, capsys.readouterr().err
+            outs.append(capsys.readouterr().out.splitlines())
+        assert "rev (rev x1) = x1" in outs[0]
+        assert [len(out) for out in outs[1:]] == [1, 2, 2]
+
+    def test_refuted_instance_over_the_shared_symbols(self, files):
+        sig = load_interpreted_signature(files[0])
+        assert load_signature(files[0]) == sig.symbols
+        gold, wrong = _rev_append(True), _rev_append(False)
+        conjectures = [
+            c for law in (gold, wrong) for c in instantiate(abstract(law), sig.symbols).conjectures
+        ]
+        assert [alpha_equal(c.term, law) for c, law in zip(conjectures, (gold, wrong))] == [
+            True, True,
+        ]
+        labels, _ = categorize(conjectures, gold, sig)
+        assert labels == [CATEGORY_GOLD, CATEGORY_FALSE]
+
+
+class TestRepeatedSymbolNames:
+    """A signature file that names a symbol twice is refused, naming the
+    file, by every command that reads symbols, in either file shape."""
+
+    @pytest.mark.parametrize(
+        "shape, command",
+        [("array", c) for c in ("instantiate", "conjecture", "propose")]
+        + [("object", c) for c in ("instantiate", "conjecture", "propose", "quickspec")],
+    )
+    def test_refused_before_the_run(
+        self, tmp_path, capsys, octo_templates_file, lemma_assoc_plus, shape, command
+    ):
+        zero = QS_SIG["symbols"][1]
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(
+            [zero, zero] if shape == "array" else dict(QS_SIG, symbols=[zero, zero])
+        ))
+        rest = {
+            "instantiate": ["--template", abstract(lemma_assoc_plus).canonical],
+            "conjecture": ["--proposer", "fixed", "--templates", octo_templates_file],
+            "propose": ["--proposer", "fixed", "--templates", octo_templates_file],
+            "quickspec": ["--max-size", "2"],
+        }[command]
+        assert main([command, str(path), *rest]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: duplicate symbol names\n"
+        assert captured.out == ""

@@ -22,10 +22,16 @@ from hypothesis import strategies as st
 from lemmakit.cli import main
 from lemmakit.corpus import make_record, save_records
 from lemmakit.proposer import ProposalSet, TransportError, decode_completions
-from lemmakit.templates import abstract
-from lemmakit.terms import TCon, fun, render_type
+from lemmakit.templates import BOOL, abstract
+from lemmakit.terms import App, Const, Free, TCon, TVar, fun, render_type
 
 INT = TCon("int")
+_A = TVar("a")
+# ?1 x1 = x1, with the hole at any type 'a => 'a.
+ENDO_TEMPLATE = abstract(App(
+    App(Const("HOL.eq", fun(_A, fun(_A, BOOL))), App(Const("f", fun(_A, _A)), Free("x1", _A))),
+    Free("x1", _A),
+)).canonical
 
 QS_SIG = {
     "sorts": [{"name": "int", "mod": 3}],
@@ -72,6 +78,8 @@ CALLS = [
     ["abstract", "corpus.jsonl", "--whitelist", "*whitelist.txt", "-o", "out"],
     ["conjecture", "*symbols.json", "--proposer", "fixed", "--templates", "templates.txt",
      "-o", "out"],
+    ["conjecture", "*signature.json", "--proposer", "fixed", "--templates", "templates.txt",
+     "-o", "out"],
     ["conjecture", "symbols.json", "--index", "*index.jsonl", "-o", "out"],
     ["conjecture", "symbols.json", "--proposer", "fixed", "--templates", "*templates.txt",
      "-o", "out"],
@@ -93,8 +101,11 @@ CALLS = [
     ["quickspec", "signature.json", "--max-size", "3", "--tests", "5", "--gold", "*gold.txt",
      "-o", "out"],
     ["instantiate", "*symbols.json", "--template-file", "template.txt", "-o", "out"],
+    ["instantiate", "*signature.json", "--template-file", "template.txt", "-o", "out"],
     ["instantiate", "symbols.json", "--template-file", "*template.txt", "-o", "out"],
     ["propose", "*symbols.json", "--proposer", "fixed", "--templates", "templates.txt",
+     "-o", "out"],
+    ["propose", "*signature.json", "--proposer", "fixed", "--templates", "templates.txt",
      "-o", "out"],
     ["propose", "symbols.json", "--index", "*index.jsonl", "-o", "out"],
     ["propose", "symbols.json", "--proposer", "fixed", "--templates", "*templates.txt",
@@ -291,11 +302,14 @@ def _signatures(draw):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(signature=_signatures())
 def test_fuzzed_signatures_exit_cleanly(tmp_path, signature):
+    """quickspec, and instantiate over the same file's symbols."""
     path = tmp_path / "signature.json"
     path.write_text(json.dumps(signature))
-    code, err = _run(["quickspec", str(path), "--max-size", "3", "--tests", "5"])
-    assert code in (0, 1), err
-    assert "Traceback" not in err
+    for argv in (["quickspec", str(path), "--max-size", "3", "--tests", "5"],
+                 ["instantiate", str(path), "--template", ENDO_TEMPLATE]):
+        code, err = _run(argv)
+        assert code in (0, 1), err
+        assert "Traceback" not in err
 
 
 @seed(20261021)

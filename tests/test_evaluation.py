@@ -31,7 +31,7 @@ from lemmakit.proposer import (
     propose_http,
     propose_retrieval,
 )
-from lemmakit.quickspec import InterpSymbol, IntModSort, IntRangeSort, InterpretedSignature
+from lemmakit.quickspec import IntModSort, IntRangeSort, InterpretedSignature
 from lemmakit.templates import abstract
 from lemmakit.terms import (
     Abs,
@@ -41,6 +41,7 @@ from lemmakit.terms import (
     Free,
     Hole,
     LemmakitError,
+    SignatureEntry,
     TCon,
     alpha_equal,
     alpha_key,
@@ -737,13 +738,13 @@ def _rename_frees(t):
 
 class TestCategorize:
     def _interp(self):
-        mk = lambda name, f: InterpSymbol(name, fun(INT, fun(INT, INT)), f)
         return InterpretedSignature(
             sorts=[IntModSort("int", 101)],
-            symbols=[
-                mk("plus", lambda a, b: (a + b) % 101),
-                mk("minus", lambda a, b: (a - b) % 101),
-            ],
+            symbols=[SignatureEntry(name, fun(INT, fun(INT, INT))) for name in ("plus", "minus")],
+            functions={
+                "plus": lambda a, b: (a + b) % 101,
+                "minus": lambda a, b: (a - b) % 101,
+            },
             vars_per_sort=3,
         )
 
@@ -775,8 +776,10 @@ class TestCategorize:
         assert counts[CATEGORY_FALSE] == 0
 
     def test_symbol_that_raises_is_unknown(self):
-        pow_ = InterpSymbol("pow", fun(INT, fun(INT, INT)), lambda a, b: a ** b)
-        interp = InterpretedSignature([IntRangeSort("int", -2, 2)], [pow_])
+        pow_ = SignatureEntry("pow", fun(INT, fun(INT, INT)))
+        interp = InterpretedSignature(
+            [IntRangeSort("int", -2, 2)], [pow_], {"pow": lambda a, b: a ** b}
+        )
         term = App(App(Const("pow", pow_.type), Free("x1", INT)), Free("x2", INT))
         labels, _ = categorize([_conj(_eq(term, term))], self._assoc("plus"), interp)
         assert labels == [CATEGORY_UNKNOWN]

@@ -10,7 +10,6 @@ from lemmakit import quickspec
 from lemmakit.cli import main
 from lemmakit.quickspec import (
     BoolSort,
-    InterpSymbol,
     IntListSort,
     IntModSort,
     IntRangeSort,
@@ -39,6 +38,7 @@ from lemmakit.terms import (
     Free,
     Hole,
     LemmakitError,
+    SignatureEntry,
     TCon,
     TVar,
     base_scheme,
@@ -65,15 +65,23 @@ def value_at(t, sig, valuation):
     return evaluate_columns([t], sig, [valuation])[id(t)][0]
 
 
-def int_mod_sig(symbols, mod=5, vars_per_sort=2):
+PLUS = SignatureEntry("plus", fun(INT, fun(INT, INT)))
+ZERO = SignatureEntry("zero", INT)
+TIMES = SignatureEntry("times", fun(INT, fun(INT, INT)))
+# The functions of the three symbols above, on integers mod 5, and how they print.
+INT_MOD_FUNCTIONS = {"plus": lambda a, b: (a + b) % 5, "zero": 0, "times": lambda a, b: a * b % 5}
+INT_MOD_INFIX = {"plus": "+", "times": "*"}
+
+
+def int_mod_sig(symbols, mod=5, vars_per_sort=2, functions=None):
+    """symbols over one mod sort, with INT_MOD_FUNCTIONS and `functions`."""
     return InterpretedSignature(
-        sorts=[IntModSort("int", mod)], symbols=symbols, vars_per_sort=vars_per_sort
+        sorts=[IntModSort("int", mod)],
+        symbols=symbols,
+        functions={**INT_MOD_FUNCTIONS, **(functions or {})},
+        vars_per_sort=vars_per_sort,
+        infix=INT_MOD_INFIX,
     )
-
-
-PLUS = InterpSymbol("plus", fun(INT, fun(INT, INT)), lambda a, b: (a + b) % 5, "+")
-ZERO = InterpSymbol("zero", INT, 0)
-TIMES = InterpSymbol("times", fun(INT, fun(INT, INT)), lambda a, b: a * b % 5, "*")
 
 
 HOL_BOOL = TCon("HOL.bool")
@@ -287,8 +295,10 @@ class TestEvaluator:
             reverify_laws([Law(lhs=term, rhs=term, size=2)], sig, 10, 0)
 
     def test_symbol_that_raises_is_not_testable(self):
-        pow_ = InterpSymbol("pow", fun(INT, fun(INT, INT)), lambda a, b: a ** b)
-        sig = InterpretedSignature([IntRangeSort("int", -2, 2)], [pow_])
+        pow_ = SignatureEntry("pow", fun(INT, fun(INT, INT)))
+        sig = InterpretedSignature(
+            [IntRangeSort("int", -2, 2)], [pow_], {"pow": lambda a, b: a ** b}
+        )
         x1, x2 = Free("x1", INT), Free("x2", INT)
         term = App(App(Const("pow", pow_.type), x1), x2)
         with pytest.raises(NotTestable, match="symbol 'pow' raised ZeroDivisionError"):
@@ -297,16 +307,19 @@ class TestEvaluator:
             partition_by_testing(enumerate_terms(sig, 3), sig, 50, 0)
 
     def test_symbol_cannot_shadow_a_logical_constant(self):
-        minus = InterpSymbol("minus", fun(INT, fun(INT, INT)), lambda a, b: (a - b) % 5)
+        minus = SignatureEntry("minus", fun(INT, fun(INT, INT)))
+        functions = {"minus": lambda a, b: (a - b) % 5}
         x1, x2 = Free("x1", INT), Free("x2", INT)
         sub = lambda a, b: App(App(Const("minus", minus.type), a), b)
         claim = _eq(sub(x1, x2), sub(x2, x1))
-        cex = find_counterexample(claim, int_mod_sig([minus]), 400, 0)
-        assert cex.as_dict() == {"x1": 0, "x2": 2}
+        cex = find_counterexample(claim, int_mod_sig([minus], functions=functions), 400, 0)
+        assert cex == {"x1": 0, "x2": 2}
         for name in LOGIC_NAMES:
-            plus = InterpSymbol(name, fun(INT, fun(INT, INT)), lambda a, b: (a + b) % 5)
+            plus = SignatureEntry(name, fun(INT, fun(INT, INT)))
             with pytest.raises(ValueError, match=f"symbol '{name}' shadows a logical constant"):
-                int_mod_sig([minus, plus])
+                int_mod_sig(
+                    [minus, plus], functions={**functions, name: lambda a, b: (a + b) % 5}
+                )
 
     def test_columns_follow_valuation_order(self):
         sig = int_mod_sig([PLUS, ZERO])
@@ -387,15 +400,21 @@ def list_sig():
     return InterpretedSignature(
         sorts=[IntListSort("list", 5, 10), IntRangeSort("int", 0, 25)],
         symbols=[
-            InterpSymbol(
-                "append", fun(LIST_T, fun(LIST_T, LIST_T)), lambda a, b: a + b, "@"
-            ),
-            InterpSymbol("rev", fun(LIST_T, LIST_T), lambda a: tuple(reversed(a))),
-            InterpSymbol("len", fun(LIST_T, INT), lambda a: len(a)),
-            InterpSymbol("plus", fun(INT, fun(INT, INT)), lambda a, b: a + b, "+"),
-            InterpSymbol("zero", INT, 0),
+            SignatureEntry("append", fun(LIST_T, fun(LIST_T, LIST_T))),
+            SignatureEntry("rev", fun(LIST_T, LIST_T)),
+            SignatureEntry("len", fun(LIST_T, INT)),
+            SignatureEntry("plus", fun(INT, fun(INT, INT))),
+            SignatureEntry("zero", INT),
         ],
+        functions={
+            "append": lambda a, b: a + b,
+            "rev": lambda a: tuple(reversed(a)),
+            "len": lambda a: len(a),
+            "plus": lambda a, b: a + b,
+            "zero": 0,
+        },
         vars_per_sort=3,
+        infix={"append": "@", "plus": "+"},
     )
 
 
@@ -406,12 +425,16 @@ def mixed_sig():
         sorts=[IntModSort("int", 2), IntListSort("list", 2, 2)],
         symbols=[
             PLUS, ZERO,
-            InterpSymbol("len", fun(LIST_T, INT), lambda a: len(a) % 2),
-            InterpSymbol(
-                "append", fun(LIST_T, fun(LIST_T, LIST_T)), lambda a, b: a + b, "@"
-            ),
+            SignatureEntry("len", fun(LIST_T, INT)),
+            SignatureEntry("append", fun(LIST_T, fun(LIST_T, LIST_T))),
         ],
+        functions={
+            **INT_MOD_FUNCTIONS,
+            "len": lambda a: len(a) % 2,
+            "append": lambda a, b: a + b,
+        },
         vars_per_sort=2,
+        infix={**INT_MOD_INFIX, "append": "@"},
     )
 
 
@@ -430,7 +453,8 @@ CONGRUENCE_CASES = {
     # A nullary symbol named like the variable x1: neither matches the other.
     "intmod-4-symbol-named-x1": (
         lambda: int_mod_sig(
-            [PLUS, ZERO, TIMES, InterpSymbol("x1", INT, 1)], vars_per_sort=3
+            [PLUS, ZERO, TIMES, SignatureEntry("x1", INT)], vars_per_sort=3,
+            functions={"x1": 1},
         ),
         4,
         400,
@@ -544,18 +568,23 @@ def values_sig():
     return InterpretedSignature(
         sorts=[IntModSort("int", 3), BoolSort("bool")],
         symbols=[
-            InterpSymbol(
-                "plus", fun(INT, fun(INT, INT)), lambda a, b: (a + b) % 3, "+"
-            ),
-            InterpSymbol("one", INT, 1),
-            InterpSymbol("tt", BOOL_T, True),
-            InterpSymbol("ff", BOOL_T, False),
-            InterpSymbol("is_zero", fun(INT, BOOL_T), lambda a: a == 0),
-            InterpSymbol(
-                "and", fun(BOOL_T, fun(BOOL_T, BOOL_T)), lambda a, b: a and b, "&"
-            ),
+            SignatureEntry("plus", fun(INT, fun(INT, INT))),
+            SignatureEntry("one", INT),
+            SignatureEntry("tt", BOOL_T),
+            SignatureEntry("ff", BOOL_T),
+            SignatureEntry("is_zero", fun(INT, BOOL_T)),
+            SignatureEntry("and", fun(BOOL_T, fun(BOOL_T, BOOL_T))),
         ],
+        functions={
+            "plus": lambda a, b: (a + b) % 3,
+            "one": 1,
+            "tt": True,
+            "ff": False,
+            "is_zero": lambda a: a == 0,
+            "and": lambda a, b: a and b,
+        },
         vars_per_sort=2,
+        infix={"plus": "+", "and": "&"},
     )
 
 
@@ -610,18 +639,19 @@ class TestPartitionOracle:
 def _counted(sig, calls):
     """sig with each symbol function wrapped to count its calls in `calls`."""
 
-    def wrap(sym):
-        if not callable(sym.fn):
-            return sym
+    def wrap(name, fn):
+        if not callable(fn):
+            return fn
 
-        def fn(*args):
-            calls[sym.name] += 1
-            return sym.fn(*args)
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
 
-        return InterpSymbol(sym.name, sym.type, fn, sym.infix)
+        return counted
 
+    functions = {s.name: wrap(s.name, sig.meanings[s.name][2]) for s in sig.symbols}
     return InterpretedSignature(
-        list(sig.sorts.values()), [wrap(s) for s in sig.symbols], sig.vars_per_sort
+        list(sig.sorts.values()), sig.symbols, functions, sig.vars_per_sort, sig.infix
     )
 
 
@@ -669,7 +699,8 @@ class TestColumnSharing:
     def test_unhashable_values_are_not_testable(self):
         sig = InterpretedSignature(
             sorts=[IntListSort("list", 3, 3)],
-            symbols=[InterpSymbol("wrap", fun(LIST_T, LIST_T), lambda a: list(a))],
+            symbols=[SignatureEntry("wrap", fun(LIST_T, LIST_T))],
+            functions={"wrap": lambda a: list(a)},
             vars_per_sort=1,
         )
         wrap_x = App(Const("wrap", fun(LIST_T, LIST_T)), Free("x1", LIST_T))
@@ -685,15 +716,18 @@ class TestColumnSharing:
 
 class TestCounterexample:
     def _arith_sig(self):
-        minus = InterpSymbol(
-            "Demo.minus", fun(INT, fun(INT, INT)), lambda a, b: (a - b) % 101, "-"
-        )
-        plus = InterpSymbol(
-            "Demo.plus", fun(INT, fun(INT, INT)), lambda a, b: (a + b) % 101, "+"
-        )
+        minus = SignatureEntry("Demo.minus", fun(INT, fun(INT, INT)))
+        plus = SignatureEntry("Demo.plus", fun(INT, fun(INT, INT)))
         return (
             InterpretedSignature(
-                sorts=[IntModSort("int", 101)], symbols=[minus, plus], vars_per_sort=3
+                sorts=[IntModSort("int", 101)],
+                symbols=[minus, plus],
+                functions={
+                    "Demo.minus": lambda a, b: (a - b) % 101,
+                    "Demo.plus": lambda a, b: (a + b) % 101,
+                },
+                vars_per_sort=3,
+                infix={"Demo.minus": "-", "Demo.plus": "+"},
             ),
             minus,
             plus,
@@ -712,7 +746,7 @@ class TestCounterexample:
         sig, minus, _ = self._arith_sig()
         cex = find_counterexample(self._assoc_equation(minus), sig, 400, 0)
         assert cex is not None
-        val = cex.as_dict()
+        val = cex
         lhs = ((val["x1"] - val["x2"]) % 101 - val["x3"]) % 101
         rhs = (val["x1"] - (val["x2"] - val["x3"]) % 101) % 101
         assert lhs != rhs
@@ -730,11 +764,10 @@ class TestCounterexample:
         sig = InterpretedSignature(
             sorts=[IntRangeSort("nat", 1, 50), BoolSort("bool_s")],
             symbols=[
-                InterpSymbol("Demo.totient", fun(nat, nat), totient),
-                InterpSymbol(
-                    "Demo.le", fun(nat, fun(nat, TCon("bool_s"))), lambda a, b: a <= b
-                ),
+                SignatureEntry("Demo.totient", fun(nat, nat)),
+                SignatureEntry("Demo.le", fun(nat, fun(nat, TCon("bool_s")))),
             ],
+            functions={"Demo.totient": totient, "Demo.le": lambda a, b: a <= b},
         )
         # x1 <= x2 --> totient x1 <= totient x2, checked directly at 21, 22
         tot = Const("Demo.totient", fun(nat, nat))
@@ -762,9 +795,12 @@ class TestCounterexample:
 
     def test_first_falsifying_valuation_of_the_stream(self):
         nat = TCon("nat")
-        clip = InterpSymbol("clip", fun(nat, nat), lambda a: a if a < 45 else 0)
+        clip = SignatureEntry("clip", fun(nat, nat))
         sig = InterpretedSignature(
-            sorts=[IntRangeSort("nat", 1, 50)], symbols=[clip], vars_per_sort=1
+            sorts=[IntRangeSort("nat", 1, 50)],
+            symbols=[clip],
+            functions={"clip": lambda a: a if a < 45 else 0},
+            vars_per_sort=1,
         )
         x1 = Free("x1", nat)
         eq = Const("HOL.eq", fun(nat, fun(nat, TCon("HOL.bool"))))
@@ -779,7 +815,7 @@ class TestCounterexample:
             vals = [reference(a, val) for a in args]
             if head.name == "HOL.eq":
                 return vals[0] == vals[1]
-            return sig.by_name[head.name].fn(*vals)
+            return sig.meanings[head.name][2](*vals)
 
         later_than_first = 0
         for seed in range(8):
@@ -791,7 +827,7 @@ class TestCounterexample:
             if not falsifying:
                 assert cex is None
                 continue
-            assert cex.as_dict() == stream[falsifying[0]]
+            assert cex == stream[falsifying[0]]
             later_than_first += falsifying[0] > 0
             # a stream that stops before the first failure finds nothing
             assert find_counterexample(claim, sig, falsifying[0], seed) is None
@@ -801,7 +837,7 @@ class TestCounterexample:
         sig, minus, _ = self._arith_sig()
         eqn = self._assoc_equation(minus)
         cex = find_counterexample(eqn, sig, 400, 0)
-        assert value_at(eqn, sig, cex.as_dict()) is False
+        assert value_at(eqn, sig, cex) is False
 
 
 class TestPrecision:
@@ -845,8 +881,33 @@ class TestListSort:
         with pytest.raises(ValueError):
             InterpretedSignature(
                 sorts=[IntModSort("int", 5)],
-                symbols=[InterpSymbol("f", fun(TCon("mystery"), INT), lambda a: 0)],
+                symbols=[SignatureEntry("f", fun(TCon("mystery"), INT))],
+                functions={"f": lambda a: 0},
             )
+
+
+class TestInterpretedSignature:
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_vars_per_sort_rejected(self, n):
+        with pytest.raises(ValueError, match="vars_per_sort must be at least 0"):
+            int_mod_sig([PLUS, ZERO], vars_per_sort=n)
+        sig = int_mod_sig([PLUS, ZERO], vars_per_sort=0)
+        assert sig.variables() == []
+        assert [render_term(t) for t in enumerate_terms(sig, 1)] == [
+            render_term(Const("zero", INT))
+        ]
+
+    def test_symbol_without_function_rejected(self):
+        with pytest.raises(ValueError, match="symbol 'minus' has no function"):
+            int_mod_sig([PLUS, SignatureEntry("minus", PLUS.type)])
+
+    def test_infix_is_read_from_the_map(self):
+        x1, x2 = Free("x1", INT), Free("x2", INT)
+        t = App(App(Const("plus", PLUS.type), x1), App(App(Const("times", TIMES.type), x2), x1))
+        sig = int_mod_sig([PLUS, ZERO, TIMES])
+        assert pretty_interp_term(t, sig) == "x1 + (x2 * x1)"
+        sig.infix.clear()
+        assert pretty_interp_term(t, sig) == "plus x1 (times x2 x1)"
 
 
 BOOL_T = TCon("bool")
@@ -1001,7 +1062,7 @@ class TestLoadSignatureChecks:
                 f"error: {path}: symbol 0: field 'type' must give 'fun' two types, not {n}\n"
             )
         with pytest.raises(ValueError, match="undeclared sort"):
-            InterpretedSignature([IntListSort("list", 3, 10)], [InterpSymbol("f", ty, 1)])
+            InterpretedSignature([IntListSort("list", 3, 10)], [SignatureEntry("f", ty)], {"f": 1})
 
 
 INT_BUILTINS = ("int_add", "int_sub", "int_mul", "int_pow")
@@ -1020,20 +1081,20 @@ class TestIntBuiltinModulus:
         ]
         path = tmp_path / "sig.json"
         path.write_text(json.dumps({"sorts": sorts, "symbols": symbols}))
-        return load_interpreted_signature(path).by_name
+        return load_interpreted_signature(path).meanings
 
     def test_two_mod_sorts(self, tmp_path):
         sorts = [{"name": "z5", "mod": 5}, {"name": "z7", "mod": 7}]
         fns = self._load(tmp_path, sorts, ["z5", "z7"])
         for sort, mod in (("z5", 5), ("z7", 7)):
-            got = [fns[f"{op}_{sort}"].fn(6, 3) for op in INT_BUILTINS]
+            got = [fns[f"{op}_{sort}"][2](6, 3) for op in INT_BUILTINS]
             assert got == [9 % mod, 3 % mod, 18 % mod, 216 % mod]
 
     def test_mod_sort_beside_range_sort(self, tmp_path):
         sorts = [{"name": "z5", "mod": 5}, {"name": "nat", "max": 30}]
         fns = self._load(tmp_path, sorts, ["z5", "nat"])
-        assert [fns[f"{op}_nat"].fn(6, 3) for op in INT_BUILTINS] == [9, 3, 18, 216]
-        assert [fns[f"{op}_z5"].fn(6, 3) for op in INT_BUILTINS] == [4, 3, 3, 1]
+        assert [fns[f"{op}_nat"][2](6, 3) for op in INT_BUILTINS] == [9, 3, 18, 216]
+        assert [fns[f"{op}_z5"][2](6, 3) for op in INT_BUILTINS] == [4, 3, 3, 1]
 
     def test_false_law_of_the_first_modulus_not_emitted(self, tmp_path):
         z7 = TCon("z7")
@@ -1065,8 +1126,8 @@ class TestIntBuiltinModulus:
         path = tmp_path / "sig.json"
         path.write_text(json.dumps({"sorts": sorts, "symbols": symbols}))
         sig = load_interpreted_signature(path)
-        assert sig.by_name["len"].fn((1, 2, 3, 4)) == 1
-        assert sig.by_name["phi"].fn(5) == 1
+        assert sig.meanings["len"][2]((1, 2, 3, 4)) == 1
+        assert sig.meanings["phi"][2](5) == 1
         terms = enumerate_terms(sig, 4)
         valuations = make_valuations(sig, sig.variables(), 400, 0)
         cols = evaluate_columns(terms, sig, valuations)

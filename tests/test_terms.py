@@ -16,7 +16,6 @@ from lemmakit.instantiation import Budget, feasible, instantiate
 from lemmakit.proposer import propose_fixed
 from lemmakit.quickspec import (
     InterpretedSignature,
-    InterpSymbol,
     IntListSort,
     IntRangeSort,
     candidate_laws,
@@ -861,12 +860,19 @@ def _list_signature():
     return InterpretedSignature(
         sorts=[IntListSort("list", 5, 10), IntRangeSort("int", 0, 25)],
         symbols=[
-            InterpSymbol("append", fun(lst, fun(lst, lst)), lambda a, b: a + b),
-            InterpSymbol("rev", fun(lst, lst), lambda a: tuple(reversed(a))),
-            InterpSymbol("len", fun(lst, num), len),
-            InterpSymbol("plus", fun(num, fun(num, num)), lambda a, b: a + b),
-            InterpSymbol("zero", num, 0),
+            SignatureEntry("append", fun(lst, fun(lst, lst))),
+            SignatureEntry("rev", fun(lst, lst)),
+            SignatureEntry("len", fun(lst, num)),
+            SignatureEntry("plus", fun(num, fun(num, num))),
+            SignatureEntry("zero", num),
         ],
+        functions={
+            "append": lambda a, b: a + b,
+            "rev": lambda a: tuple(reversed(a)),
+            "len": len,
+            "plus": lambda a, b: a + b,
+            "zero": 0,
+        },
     )
 
 
