@@ -16,7 +16,7 @@ from json.encoder import encode_basestring
 from . import corpus as corpus_mod
 from . import evaluation as eval_mod
 from . import quickspec as qs
-from .instantiation import Budget, instantiate
+from .instantiation import Budget, instantiate, instantiate_texts
 from .proposer import (
     HttpProposerConfig,
     ProposalRequest,
@@ -95,14 +95,26 @@ def _write_lines(fh, lines) -> None:
 
 
 def _conjecture_lines(conjectures, proposer: bool = False):
-    """Each conjecture's output line, as `corpus.json_line` gives its
+    """Each conjecture's output line, from `_lines`.  The terms are rendered
+    together, through one memo."""
+    texts = render_terms([c.term for c in conjectures])
+    return _lines(
+        ((c.assignment, c.source_proposer, c.template_canonical, text)
+         for c, text in zip(conjectures, texts)),
+        proposer,
+    )
+
+
+def _lines(rows, proposer: bool = False):
+    """The output line of each (assignment, proposer name, template
+    canonical, term text) row, as `corpus.json_line` gives the conjecture's
     object: `assignment` (hole index -> symbol, keys in string order),
     `proposer` when asked for, `template` and `term`.
 
     Lines are built from parts and yielded one by one, so that a caller can
-    write each before the next is built.  The terms are rendered together,
-    through one memo, and each is escaped once; every other string (symbol
-    and proposer names, template canonicals) is escaped once per call.
+    write each before the next is built.  Each term text is escaped once;
+    every other string (symbol and proposer names, template canonicals) is
+    escaped once per call.
     """
     quoted: dict[str, str] = {}
 
@@ -112,14 +124,13 @@ def _conjecture_lines(conjectures, proposer: bool = False):
             got = quoted[text] = encode_basestring(text)
         return got
 
-    texts = render_terms([c.term for c in conjectures])
-    for c, text in zip(conjectures, texts):
-        holes = sorted((str(i), n) for i, n in c.assignment.mapping)
+    for assignment, source, template, text in rows:
+        holes = sorted((str(i), n) for i, n in assignment.mapping)
         parts = ", ".join(f'"{i}": {quote(n)}' for i, n in holes)
-        src = f'"proposer": {quote(c.source_proposer)}, ' if proposer else ""
+        src = f'"proposer": {quote(source)}, ' if proposer else ""
         yield (
             f'{{"assignment": {{{parts}}}, {src}'
-            f'"template": {quote(c.template_canonical)}, '
+            f'"template": {quote(template)}, '
             f'"term": {encode_basestring(text)}}}'
         )
 
@@ -147,7 +158,7 @@ def cmd_abstract(args) -> int:
 
 def cmd_conjecture(args) -> int:
     symbols = corpus_mod.load_signature(args.symbols)
-    prop = _make_proposer(args.proposer, args.index, args.templates)
+    prop = _make_proposer(args.proposer, args.index, args.templates, _whitelist(args))
     budget = _budget(args)
     req = ProposalRequest(symbols=tuple(symbols), mode=args.mode, k=args.k,
                           distinct_holes=budget.distinct_holes)
@@ -271,16 +282,20 @@ def cmd_quickspec(args) -> int:
 
 
 def cmd_instantiate(args) -> int:
+    w = _whitelist(args)
     if args.template is not None:
-        tpl = parse_template(args.template)
+        tpl = parse_template(args.template, w)
     else:
         with open(args.template_file, encoding="utf-8") as fh:
-            tpl = corpus_mod.parse_at(parse_template, fh.read().strip(), args.template_file)
+            tpl = corpus_mod.parse_at(
+                lambda text: parse_template(text, w), fh.read().strip(), args.template_file
+            )
     symbols = corpus_mod.load_signature(args.symbols)
-    res = instantiate(tpl, symbols, _budget(args))
-    _write_lines(_out(args), _conjecture_lines(res.conjectures))
+    res = instantiate_texts(tpl, symbols, _budget(args))
+    rows = ((a, "", tpl.canonical, text) for a, text in res.texts)
+    _write_lines(_out(args), _lines(rows))
     print(
-        f"conjectures={len(res.conjectures)} capped={res.capped} "
+        f"conjectures={len(res.texts)} capped={res.capped} "
         f"timed_out={res.timed_out}",
         file=sys.stderr,
     )
@@ -289,7 +304,7 @@ def cmd_instantiate(args) -> int:
 
 def cmd_propose(args) -> int:
     symbols = corpus_mod.load_signature(args.symbols)
-    prop = _make_proposer(args.proposer, args.index, args.templates)
+    prop = _make_proposer(args.proposer, args.index, args.templates, _whitelist(args))
     req = ProposalRequest(symbols=tuple(symbols), mode=args.mode, k=args.k)
     result = prop(req)
     lines = [
@@ -336,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default="-")
     p.add_argument("-k", type=int, default=5, help="number of template proposals")
     p.add_argument("--mode", choices=corpus_mod.MODES, default="types+defs")
+    p.add_argument("--whitelist", help="constant whitelist file")
     _add_proposer_flags(p)
     _add_budget_flags(p)
     p.set_defaults(fn=cmd_conjecture)
@@ -384,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--template", help="template as a canonical s-expression")
     source.add_argument("--template-file", help="file holding one template")
     p.add_argument("-o", "--output", default="-")
+    p.add_argument("--whitelist", help="constant whitelist file")
     _add_budget_flags(p)
     p.set_defaults(fn=cmd_instantiate)
 
@@ -392,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default="-")
     p.add_argument("-k", type=int, default=5)
     p.add_argument("--mode", choices=corpus_mod.MODES, default="types+defs")
+    p.add_argument("--whitelist", help="constant whitelist file")
     _add_proposer_flags(p)
     p.set_defaults(fn=cmd_propose)
 

@@ -356,17 +356,20 @@ def load_signature(path) -> list[SignatureEntry]:
     """The symbols of a signature file: a JSON array of symbol objects, or a
     quickspec signature file, whose "symbols" list holds them.
 
-    A file of any other shape raises LemmakitError naming the file, the entry
-    index and the field, and so does a name given twice.  Each distinct type
-    text is parsed once, and equal types come back as one shared object, so
-    `instantiate` unifies each of them once per search node.
+    A file of any other shape raises LemmakitError naming the file, the
+    index and the field, and so does a name given twice.  The index is an
+    "entry" of an array, and a "symbol" of a quickspec file, as the quickspec
+    loader names it.  Each distinct type text is parsed once, and equal types
+    come back as one shared object, so `instantiate` unifies each of them
+    once per search node.
     """
     data = load_json(path)
+    where = f"{path}: entry"
     if isinstance(data, dict) and isinstance(data.get("symbols"), list):
-        data = data["symbols"]
+        data, where = data["symbols"], f"{path}: symbol"
     elif not isinstance(data, list):
         raise LemmakitError(f"{path}: expected a JSON array of symbol objects or a 'symbols' list")
-    symbols = read_symbols(data, f"{path}: entry")
+    symbols = read_symbols(data, where)
     if len({s.name for s in symbols}) != len(symbols):
         raise LemmakitError(f"{path}: duplicate symbol names")
     return symbols

@@ -14,13 +14,17 @@ the produced conjectures get concrete logical types back (bool, prop, ...);
 those root constraints are worked out once per template object, with the
 rest of its search plan, and every search starts from them.
 
-Two consumers take the solutions: `feasible` takes the first and builds
-nothing, and `instantiate` builds each one up to the cap through the memo of
-its leaf substitution, which the candidates that share a type object at the
-last hole share.  Each distinct annotation of the template is resolved once
-per leaf, and the conjectures of one leaf differ only in the last hole's
-symbol, so they share every subtree without that hole and one constant per
-symbol, however the leaves interleave.
+Three consumers take the solutions.  `feasible` takes the first and builds
+nothing.  `instantiate` and `instantiate_texts` take them up to the cap
+through `_Search.leaves`, which pairs each with the memo of its leaf
+substitution; the candidates that share a type object at the last hole share
+it.  Each distinct annotation of the template is resolved once per leaf, and
+the conjectures of one leaf differ only in the last hole's symbol, however
+the leaves interleave.  So `instantiate` builds each conjecture's term from
+subtrees without that hole and one constant per symbol, shared in the leaf,
+and `instantiate_texts`, which the `instantiate` command prints from, builds
+no term: each leaf renders the template's text parts once, cut at the last
+hole, and each conjecture's text is one join of those pieces.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from .terms import (
     TypeSubstitution,
     UnificationError,
     base_scheme,
+    render_parts,
+    render_type,
     resolve,
     subterms,
     type_vars,
@@ -116,24 +122,7 @@ def instantiate(
         budget = Budget()
     search = _Search(tpl, candidates, budget)
     result = InstantiationResult()
-    # The leaves of the current last-hole node, by substitution id.  The
-    # solutions of one such node come in a row, so the table is renewed when
-    # the symbols of the other holes change; each entry holds its
-    # substitution, so no id in the table is reused while it lives.
-    leaves: dict[int, _Leaf] = {}
-    node = None
-    for subst, chosen in search.solutions():
-        # A solution beyond the cap is dropped unbuilt: only it makes the
-        # result capped.
-        if len(result.conjectures) == budget.max_results:
-            result.capped = True
-            break
-        if chosen[:-1] != node:
-            node, leaves = chosen[:-1], {}
-        leaf = leaves.get(id(subst))
-        if leaf is None:
-            leaf = leaves[id(subst)] = _Leaf(subst, search.varying)
-        pairs = tuple(zip(search.hole_order, chosen))
+    for leaf, pairs in search.leaves(budget.max_results):
         result.conjectures.append(
             Conjecture(
                 term=leaf.build(tpl.body, dict(pairs)),
@@ -141,7 +130,45 @@ def instantiate(
                 assignment=Assignment(mapping=pairs),
             )
         )
-    result.timed_out = search.timed_out
+    result.timed_out, result.capped = search.timed_out, search.capped
+    return result
+
+
+@dataclass
+class InstantiationTexts:
+    """Each conjecture's assignment and s-expression text, as `instantiate`
+    would give them, and its flags."""
+
+    texts: list[tuple[Assignment, str]] = field(default_factory=list)
+    timed_out: bool = False
+    capped: bool = False
+
+
+def instantiate_texts(
+    tpl: Template,
+    candidates: list[SignatureEntry],
+    budget: Budget | None = None,
+) -> InstantiationTexts:
+    """`instantiate`'s conjectures as (assignment, `render_term` of the term)
+    pairs, in its order and with its flags, without building their terms.
+
+    Each leaf joins the template's text parts once, cut at the last hole;
+    each conjecture is one join of those pieces around its last symbol's
+    head, `(const "name" `: the first part of that symbol's constant, worked
+    out once per candidate.
+    """
+    if budget is None:
+        budget = Budget()
+    search = _Search(tpl, candidates, budget)
+    parts = _text_parts(tpl)
+    heads = {c.name: render_parts(Const(c.name, c.type))[0] for c in candidates}
+    result = InstantiationTexts()
+    for leaf, pairs in search.leaves(budget.max_results):
+        if leaf.pieces is None:
+            leaf.pieces = leaf.split(parts, heads, dict(pairs))
+        head = heads[pairs[-1][1]] if pairs else ""
+        result.texts.append((Assignment(mapping=pairs), head.join(leaf.pieces)))
+    result.timed_out, result.capped = search.timed_out, search.capped
     return result
 
 
@@ -178,18 +205,29 @@ def _plan(tpl: Template) -> tuple[TypeSubstitution | None, int, list[int], set[i
     return got
 
 
+def _text_parts(tpl: Template) -> list:
+    """`render_parts` of `tpl`'s body, kept on the template object as `_plan`
+    keeps its plan."""
+    got = vars(tpl).get("_text_parts")
+    if got is None:
+        got = vars(tpl)["_text_parts"] = render_parts(tpl.body)
+    return got
+
+
 class _Leaf:
     """A leaf substitution and the memo of the conjectures built under it:
     its resolved annotations, by annotation id (template bodies share one
     object per distinct annotation), its built subtrees without the last
-    hole, by node id, and one constant per symbol of that hole, by name.
-    `varying` holds the ids of the nodes that contain the last hole."""
+    hole, by node id, and one constant per symbol of that hole, by name; or,
+    for texts, the pieces of `split`.  `varying` holds the ids of the nodes
+    that contain the last hole."""
 
     def __init__(self, subst: TypeSubstitution, varying: set[int]):
         self.subst = subst
         self.varying = varying
         self.resolved: dict[int, TypeExpr] = {}
         self.built: dict = {}
+        self.pieces: list[str] | None = None
 
     def fill(self, ty: TypeExpr) -> TypeExpr:
         got = self.resolved.get(id(ty))
@@ -216,6 +254,32 @@ class _Leaf:
             got = self.built[name] = Const(name, self.fill(node.type))
         return got
 
+    def split(self, parts: list, heads: dict[str, str], mapping: dict[int, str]) -> list[str]:
+        """The text of this leaf's conjectures, from `parts` (the template
+        body's `render_parts`), cut where the last hole's symbol is named:
+        joined around that symbol's head in `heads`, the pieces give the
+        conjecture's text.  `mapping` names the other holes' symbols."""
+        texts: dict[int, str] = {}
+        pieces, run = [], []
+        for part in parts:
+            cls = part.__class__
+            if cls is str:
+                run.append(part)
+                continue
+            ty = part.type if cls is Hole else part
+            text = texts.get(id(ty))
+            if text is None:
+                text = texts[id(ty)] = render_type(self.fill(ty))
+            if cls is not Hole:
+                run.append(text)
+            elif id(part) in self.varying:
+                pieces.append("".join(run))
+                run = [text, ")"]
+            else:
+                run += (heads[mapping[part.index]], text, ")")
+        pieces.append("".join(run))
+        return pieces
+
 
 class _Search:
     """The backtracking search of `tpl`'s holes over `candidates` under
@@ -240,6 +304,32 @@ class _Search:
         self.pool = [(c, type_vars(c.type)) for c in candidates]
         self.distinct = budget.distinct_holes
         self.timed_out = False
+        self.capped = False
+
+    def leaves(self, cap: int):
+        """Each of the first `cap` solutions, as its leaf and its (hole
+        index, symbol) pairs in hole order; a solution beyond the cap is
+        dropped unbuilt, and only it sets `capped`.
+
+        Leaves are kept per last-hole node, by substitution id.  The
+        solutions of one such node come in a row, so the table is renewed
+        when the symbols of the other holes change; each entry holds its
+        substitution, so no id in the table is reused while it lives.
+        """
+        leaves: dict[int, _Leaf] = {}
+        node = None
+        count = 0
+        for subst, chosen in self.solutions():
+            if count == cap:
+                self.capped = True
+                return
+            count += 1
+            if chosen[:-1] != node:
+                node, leaves = chosen[:-1], {}
+            leaf = leaves.get(id(subst))
+            if leaf is None:
+                leaf = leaves[id(subst)] = _Leaf(subst, self.varying)
+            yield leaf, tuple(zip(self.hole_order, chosen))
 
     def solutions(
         self, pos: int = 0, subst: TypeSubstitution | None = None, chosen: tuple[str, ...] = ()

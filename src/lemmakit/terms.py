@@ -655,6 +655,39 @@ def _type_text(ty: TypeExpr, memo: dict[int, str]) -> str:
     return s
 
 
+def render_parts(t: Term) -> list:
+    """`t`'s s-expression in parts, in order: literal text, each annotation
+    as its type object, and each hole as its node.  Joining the parts, with
+    each type rendered by `render_type` and each hole by `render_term`,
+    gives `render_term(t)`.  Adjacent literal text is one part."""
+    out: list = [""]
+    _parts(t, out)
+    return [p for p in out if p.__class__ is not str or p]
+
+
+def _parts(t: Term, out: list) -> None:
+    """Append `t`'s parts to `out`, which ends in a literal part."""
+    if isinstance(t, App):
+        out[-1] += "(app "
+        _parts(t.fn, out)
+        out[-1] += " "
+        _parts(t.arg, out)
+        out[-1] += ")"
+    elif isinstance(t, Abs):
+        out[-1] += f"(abs {_escape(t.binder)} "
+        out += (t.binder_type, " ")
+        _parts(t.body, out)
+        out[-1] += ")"
+    elif isinstance(t, Bound):
+        out[-1] += f"(bound {t.index})"
+    elif isinstance(t, Hole):
+        out += (t, "")
+    else:
+        kind = "const" if isinstance(t, Const) else "free"
+        out[-1] += f"({kind} {_escape(t.name)} "
+        out += (t.type, ")")
+
+
 # ---------------------------------------------------------------------------
 # Unification
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import lemmakit
-from lemmakit import cli
+from lemmakit import cli, instantiation
 from lemmakit.cli import _conjecture_lines, main
 from lemmakit.corpus import (
     Datapoint,
@@ -34,6 +34,7 @@ from lemmakit.terms import (
     TVar,
     alpha_equal,
     fun,
+    parse_term,
     render_term,
     render_type,
 )
@@ -554,6 +555,34 @@ class TestWhitelistRoundTrip:
             # Without the flag the default whitelist still applies.
             assert main(argv) == 1
             assert "non-whitelist constant 'Groups.plus' in template" in capsys.readouterr().err
+
+    def test_commands_that_read_templates_take_the_whitelist(self, files, capsys):
+        """`conjecture`, `propose` and `instantiate` read the template that
+        `abstract --whitelist W` wrote under `--whitelist W`, and refuse it
+        under the default whitelist."""
+        d, w = files["dir"], files["w"]
+        record = load_records(files["corpus"])[0]
+        canonical = abstract(record.term, load_whitelist(w)).canonical
+        index = d / "index.jsonl"
+        index.write_text(json.dumps({"template": canonical, "count": 1}) + "\n")
+        suc = SignatureEntry("Nat.Suc", fun(self.NAT, self.NAT))
+        symbols = _write_signature(d / "symbols.json", [suc])
+        runs = {
+            "conjecture": ["conjecture", symbols, "--index", str(index), "-k", "1"],
+            "propose": ["propose", symbols, "--index", str(index), "-k", "1"],
+            "instantiate": ["instantiate", symbols, "--template", canonical],
+        }
+        for command, argv in runs.items():
+            capsys.readouterr()
+            assert main([*argv, "--whitelist", w]) == 0, capsys.readouterr().err
+            rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            assert len(rows) == 1 and rows[0]["template"] == canonical, command
+            if command != "propose":
+                assert alpha_equal(parse_term(rows[0]["term"]), record.term)
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert "non-whitelist constant 'Groups.plus' in template" in captured.err
+            assert captured.out == ""
 
     def test_http_completions_under_the_whitelist(self, files):
         w = load_whitelist(files["w"])
@@ -1080,16 +1109,24 @@ class TestConjectureLines:
             str(i) for i in range(1, 13)
         ]
 
-    def test_instantiate_command_writes_the_same_bytes(self, tmp_path):
-        pool, conjectures = self._conjectures(n=40)
-        symbols = _write_signature(tmp_path / "odd.json", pool)
-        out = tmp_path / "out.jsonl"
-        assert main(
-            ["instantiate", symbols, "--template", _chain_template(12),
-             "--max-results", "40", "-o", str(out)]
-        ) == 0
-        expected = "".join(line + "\n" for line in _json_dumps_lines(conjectures, False))
-        assert out.read_bytes() == expected.encode("utf-8")
+    def test_instantiate_command_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        """`lemmakit instantiate` writes the lines of `instantiate`'s
+        conjectures, capped or not, and builds no term to write them."""
+        def refuse(*args):
+            raise AssertionError("a term was built")
+
+        for holes, cap in ((12, 40), (3, None)):
+            pool, conjectures = self._conjectures(holes, cap or 1000)
+            expected = "".join(line + "\n" for line in _json_dumps_lines(conjectures, False))
+            assert expected == "".join(line + "\n" for line in _conjecture_lines(conjectures))
+            symbols = _write_signature(tmp_path / "odd.json", pool)
+            out = tmp_path / "out.jsonl"
+            argv = ["instantiate", symbols, "--template", _chain_template(holes), "-o", str(out)]
+            monkeypatch.setattr(instantiation, "_build", refuse)
+            monkeypatch.setattr(instantiation._Leaf, "build", refuse)
+            assert main(argv + ["--max-results", str(cap)] * bool(cap)) == 0
+            monkeypatch.undo()
+            assert out.read_bytes() == expected.encode("utf-8")
 
 
 class TestPropose:
@@ -1262,3 +1299,40 @@ class TestRepeatedSymbolNames:
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: duplicate symbol names\n"
         assert captured.out == ""
+
+
+class TestBadSymbolMessage:
+    """A bad symbol in a quickspec signature file gets one message from
+    every command that reads the file: its index is a "symbol" index, as
+    quickspec names it.  An array file names an "entry"."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"name": "zero", "type": 5, "value": 0}, "field 'type' must be a string"),
+            ({"type": render_type(INT), "value": 0}, "field 'name' must be a string"),
+            ({"name": "zero", "type": "(tc", "value": 0}, "field 'type': "),
+        ],
+    )
+    def test_same_message_from_every_command(
+        self, tmp_path, capsys, octo_templates_file, lemma_assoc_plus, bad, message
+    ):
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(dict(QS_SIG, symbols=[QS_SIG["symbols"][0], bad])))
+        runs = {
+            "quickspec": ["--max-size", "2"],
+            "instantiate": ["--template", abstract(lemma_assoc_plus).canonical],
+            "conjecture": ["--proposer", "fixed", "--templates", octo_templates_file],
+            "propose": ["--proposer", "fixed", "--templates", octo_templates_file],
+        }
+        errors = set()
+        for command, rest in runs.items():
+            assert main([command, str(path), *rest]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.add(captured.err)
+        assert len(errors) == 1
+        assert errors.pop().startswith(f"error: {path}: symbol 1: {message}")
+        path.write_text(json.dumps([QS_SIG["symbols"][0], bad]))
+        assert main(["instantiate", str(path), *runs["instantiate"]]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: entry 1: {message}")

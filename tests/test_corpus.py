@@ -267,6 +267,11 @@ class TestLoadSignature:
              "entry 0: field 'def' must be a string or null"),
             ([{"name": "f", "type": '(tc "int")'}, {"name": "g", "type": "(tc"}],
              "entry 1: field 'type': "),
+            # A quickspec signature file names the symbol, as its loader does.
+            ({"symbols": [{"name": "f", "type": '(tc "int")'}, {"name": "g", "type": 3}]},
+             "symbol 1: field 'type' must be a string"),
+            ({"symbols": [{"name": "f", "type": '(tc "int")'}, "g"]},
+             "symbol 1: expected an object"),
         ],
     )
     def test_bad_shape_names_file_entry_and_field(self, tmp_path, content, message):

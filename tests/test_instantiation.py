@@ -14,6 +14,7 @@ from lemmakit.instantiation import (
     InvalidTemplate,
     feasible,
     instantiate,
+    instantiate_texts,
 )
 from lemmakit.templates import abstract, parse_template
 from lemmakit.terms import (
@@ -948,3 +949,96 @@ class TestFeasibleBuildsNothing:
         # Found before the deadline, found before it fired in the lookahead,
         # and not found before it.
         assert {(True, False), (True, True), (False, True)} <= outcomes
+
+
+# Symbol names that the s-expression syntax must escape, or that are not
+# ASCII.
+_ODD_NAMES = ['Ünï.f', 'q"uote', "back\\slash", "日本.g", 'b\\"\\', "\u2028sep"]
+
+
+def _odd_names(pool):
+    """`pool` with every symbol renamed to an odd name, types kept as they
+    are (shared objects stay shared)."""
+    return [
+        SignatureEntry(f"{_ODD_NAMES[i % len(_ODD_NAMES)]}{i}", e.type, e.definition)
+        for i, e in enumerate(pool)
+    ]
+
+
+def _drift_cases(lemma_distrib_left):
+    """`_interleaved_cases`, and random lemmas with and without a binder,
+    each over its own symbols, their twins on the same type objects and the
+    polymorphic ones; every pool renamed by `_odd_names`."""
+    cases = list(_interleaved_cases(lemma_distrib_left))
+    rng = random.Random(71)
+    while len(cases) < 70:
+        term, entries = random_lemma_term(rng)
+        tpl = abstract(_forall_first_free(term) if len(cases) % 2 else term)
+        if 1 <= tpl.hole_count <= 3:
+            symbols = [SignatureEntry(n, t, None) for n, t in entries]
+            twins = [SignatureEntry(f"{e.name}'", e.type, None) for e in symbols]
+            cases.append((tpl, POLY_SYMBOLS[:2] + symbols + POLY_SYMBOLS[2:] + twins))
+    return [(tpl, _odd_names(pool)) for tpl, pool in cases]
+
+
+def _rendered(res):
+    """An `instantiate` result as `instantiate_texts` gives it."""
+    return [(c.assignment, render_term(c.term)) for c in res.conjectures], res.capped, res.timed_out
+
+
+def _texts(res):
+    return res.texts, res.capped, res.timed_out
+
+
+class TestTextsDriftOracle:
+    """`instantiate_texts` is `instantiate` without the terms: its pairs are
+    each conjecture's assignment and `render_term` of its term, in order,
+    and its `capped` and `timed_out` are `instantiate`'s."""
+
+    def test_random_templates_at_every_cap(self, lemma_distrib_left):
+        conjectures = binders = capped = 0
+        texts = set()
+        for tpl, pool in _drift_cases(lemma_distrib_left):
+            binders += any(isinstance(s, Abs) for s in subterms(tpl.body))
+            for distinct in (False, True):
+                n = len(instantiate(tpl, pool, Budget(distinct_holes=distinct)).conjectures)
+                for cap in sorted(c for c in {1, 2, n - 1, n, n + 1} if c > 0):
+                    budget = Budget(max_results=cap, distinct_holes=distinct)
+                    expected = _rendered(instantiate(tpl, pool, budget))
+                    got = _texts(instantiate_texts(tpl, pool, budget))
+                    assert got == expected
+                    capped += got[1]
+                    texts.update(text for _, text in got[0])
+                conjectures += n
+        assert binders > 10 and conjectures > 2000 and capped > 100
+        # Escaped names, non-ASCII ones, and fresh type variables.
+        for mark in ('\\"', "\\\\", "日本", "?f"):
+            assert any(mark in t for t in texts)
+
+    def test_expiring_deadline(self, lemma_distrib_left, monkeypatch):
+        """With a clock that moves 1/k of the timeout per reading, the
+        deadline fires at the same check of both searches."""
+        outcomes = set()
+        for tpl, pool in _drift_cases(lemma_distrib_left)[::5]:
+            for k in (1, 2, 5, 13, 40):
+                for distinct in (False, True):
+                    budget = Budget(1000, 10**9, distinct)
+                    step = budget.timeout_millis / 1000.0 / k
+                    monkeypatch.setattr(instantiation, "time", _Clock(step))
+                    expected = _rendered(instantiate(tpl, pool, budget))
+                    monkeypatch.setattr(instantiation, "time", _Clock(step))
+                    got = _texts(instantiate_texts(tpl, pool, budget))
+                    monkeypatch.undo()
+                    assert got == expected
+                    outcomes.add((bool(got[0]), got[2]))
+        assert outcomes == {(False, True), (True, True), (True, False)}
+
+    def test_zero_holes_and_no_candidates(self, lemma_assoc_plus):
+        x = Free("v", _A)
+        eq = Const("HOL.eq", fun(_A, fun(_A, TCon("HOL.bool"))))
+        for tpl in (abstract(lemma_assoc_plus), abstract(App(App(eq, x), x))):
+            for pool in ([], OCTO_SYMBOLS):
+                for cap in (1, 5):
+                    budget = Budget(max_results=cap)
+                    expected = _rendered(instantiate(tpl, pool, budget))
+                    assert _texts(instantiate_texts(tpl, pool, budget)) == expected

@@ -12,7 +12,7 @@ import lemmakit
 
 from lemmakit.corpus import make_record
 from lemmakit.evaluation import dedupe, evaluate_suite, make_task
-from lemmakit.instantiation import Budget, feasible, instantiate
+from lemmakit.instantiation import Budget, feasible, instantiate, instantiate_texts
 from lemmakit.proposer import propose_fixed
 from lemmakit.quickspec import (
     InterpretedSignature,
@@ -53,6 +53,7 @@ from lemmakit.terms import (
     map_types,
     parse_term,
     parse_type,
+    render_parts,
     render_term,
     render_terms,
     render_type,
@@ -263,6 +264,45 @@ class TestRenderSharedTypes:
         assert render_term(t) == _render_term_recursive(t)
         assert render_term(_shared(t)) == _render_term_recursive(t)
         assert parse_term(render_term(t)) == t
+
+
+def _rejoin(parts):
+    """`parts` joined, each type rendered by `render_type` and each hole by
+    `render_term`."""
+    return "".join(
+        p if isinstance(p, str) else render_term(p) if isinstance(p, Hole) else render_type(p)
+        for p in parts
+    )
+
+
+class TestRenderParts:
+    def test_rejoin_to_render_term_on_random_terms(self):
+        rng = random.Random(37)
+        holes = slots = 0
+        for _ in range(300):
+            t, _ = random_lemma_term(rng)
+            q = _quantify(t)
+            for u in (t, q, abstract(t).body, abstract(q).body, _shared(q)):
+                parts = render_parts(u)
+                assert _rejoin(parts) == render_term(u)
+                # Literal runs are one part, and no part is empty.
+                kinds = [isinstance(p, str) for p in parts]
+                assert not any(a and b for a, b in zip(kinds, kinds[1:]))
+                assert all(p != "" for p in parts)
+                holes += sum(isinstance(p, Hole) for p in parts)
+                slots += kinds.count(False)
+        assert holes > 300 and slots > 3 * holes
+
+    def test_slots_are_the_nodes_and_annotations(self):
+        a = fun(OCTO, OCTO)
+        h = Hole(2, a)
+        t = Abs('y"\\', a, App(App(Const("C.c", fun(a, fun(a, a))), h), Bound(0)))
+        assert render_parts(h) == [h]
+        assert render_parts(t) == [
+            '(abs "y\\"\\\\" ', a, ' (app (app (const "C.c" ', t.body.fn.fn.type, ") ",
+            h, ") (bound 0)))",
+        ]
+        assert all(x is y for x, y in zip(render_parts(t)[1::2], (a, t.body.fn.fn.type, h)))
 
 
 def _nesting(text):
@@ -913,7 +953,7 @@ class TestNoReferenceCycles:
             "load_interpreted_signature", "test_partition", "candidate_laws",
             "emit_laws", "reverify_laws", "dedupe", "evaluate_suite",
             "evaluate_suite_workers", "parse_errors", "feasible", "instantiate_capped",
-            "infeasible",
+            "infeasible", "instantiate_texts", "instantiate_texts_capped",
         ],
     )
     def test_call_leaves_no_cycle(
@@ -977,5 +1017,7 @@ class TestNoReferenceCycles:
             "feasible": lambda: feasible(tpl, ops),
             "instantiate_capped": lambda: instantiate(tpl, ops, capped),
             "infeasible": lambda: feasible(tpl, consts),
+            "instantiate_texts": lambda: instantiate_texts(tpl, ops),
+            "instantiate_texts_capped": lambda: instantiate_texts(tpl, ops, capped),
         }[name]
         assert _garbage_after(call) == 0
