@@ -37,6 +37,11 @@ def _whitelist(args):
     return default_whitelist()
 
 
+def _per_record(fn, records, path: str) -> list:
+    """fn(r) for each record r of the corpus file `path`; an error names r as `abstract` does."""
+    return [corpus_mod.parse_at(fn, r, f"{path}: record {r.id!r}") for r in records]
+
+
 def _budget(args) -> Budget:
     return Budget(
         timeout_millis=args.timeout_ms,
@@ -195,9 +200,9 @@ def cmd_dataset(args) -> int:
     names += [f"part{i}" for i in range(len(names), len(parts))]
     os.makedirs(args.outdir, exist_ok=True)
     for name, part in zip(names, parts):
-        datapoints = [
-            corpus_mod.make_datapoint(r, args.mode, args.target, w) for r in part
-        ]
+        datapoints = _per_record(
+            lambda r: corpus_mod.make_datapoint(r, args.mode, args.target, w), part, args.corpus
+        )
         path = os.path.join(args.outdir, f"{name}.jsonl")
         corpus_mod.write_jsonl(
             path, (corpus_mod.datapoint_to_dict(d) for d in datapoints)
@@ -212,7 +217,9 @@ def cmd_eval(args) -> int:
         raise ValueError("k must be >= 1")
     w = _whitelist(args)
     records = corpus_mod.load_records(args.corpus)
-    tasks = [eval_mod.make_task(r, mode=args.mode, k=args.k, w=w) for r in records]
+    tasks = _per_record(
+        lambda r: eval_mod.make_task(r, mode=args.mode, k=args.k, w=w), records, args.corpus
+    )
     budget = _budget(args)
     prop = _make_proposer(args.proposer, args.index, args.templates, w)
     report = eval_mod.evaluate_suite(

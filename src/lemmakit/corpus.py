@@ -219,7 +219,7 @@ def check_fields(d, fields: dict[str, str], where: str) -> None:
             raise LemmakitError(f"{where}: field {key!r} must be {kind}")
 
 
-def parse_at(parse, text: str, where: str):
+def parse_at(parse, text, where: str):
     """parse(text), with a LemmakitError it raises prefixed by `where`."""
     try:
         return parse(text)

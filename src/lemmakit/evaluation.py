@@ -15,11 +15,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .corpus import CorpusRecord
-from .instantiation import Budget, Conjecture, InstantiationResult, instantiate
+from .instantiation import Budget, Conjecture, instantiate
 from .proposer import ProposalRequest, ProposalSet
 from .quickspec import InterpretedSignature, NotTestable, find_counterexample
 from .templates import Template, Whitelist, abstract
-from .terms import LemmakitError, SignatureEntry, Term, alpha_equal, alpha_key
+from .terms import LemmakitError, SignatureEntry, Term, alpha_key
 
 CATEGORY_GOLD = "gold"
 CATEGORY_FALSE = "false_by_testing"
@@ -130,15 +130,15 @@ class EvalReport:
 
 
 def _evaluate(
-    task: EvalTask, proposer, budget: Budget, memo: dict[str, InstantiationResult]
+    task: EvalTask, proposer, budget: Budget, memo: dict[str, _Instances]
 ) -> TaskResult:
     """One task's row: template exact match compares canonical strings, and
-    lemma success holds when a conjecture of a proposed template is
-    alpha-equivalent to the gold term.
+    lemma success holds when a conjecture of a proposed template has the gold
+    term's `alpha_key`.
 
     Tasks that share one symbol list instantiate a template alike, so they
-    share a `memo` from template canonical string to result.  A search that
-    timed out is not stored, nor is an error, so only the deterministic
+    share a `memo` from template canonical string to `_Instances`.  A search
+    that timed out is not stored, nor is an error, so only the deterministic
     answer is reused and every task that an error hits is marked.
     """
     result = TaskResult(id=task.record.id, theory=task.record.theory)
@@ -153,6 +153,7 @@ def _evaluate(
         return result
 
     gold_canonical = task.gold_template.canonical
+    gold_key = alpha_key(task.record.term)
     candidates = list(task.record.symbols)
     for tpl in proposals.templates():
         result.proposed_templates.append(tpl.canonical)
@@ -163,31 +164,40 @@ def _evaluate(
         except LemmakitError as e:
             result.error = str(e)
             return result
-        result.conjecture_count += len(inst.conjectures)
+        result.conjecture_count += inst.count
         result.timed_out = result.timed_out or inst.timed_out
         result.capped = result.capped or inst.capped
-        if not result.lemma_success:
-            for conj in inst.conjectures:
-                if alpha_equal(conj.term, task.record.term):
-                    result.lemma_success = True
-                    break
+        result.lemma_success = result.lemma_success or gold_key in inst.keys
     return result
 
 
+@dataclass(frozen=True)
+class _Instances:
+    """What a task reads of one template's instantiation."""
+
+    count: int
+    timed_out: bool
+    capped: bool
+    keys: frozenset[tuple]  # the conjectures' `alpha_key`s
+
+
 def _instantiate_through(
-    memo: dict[str, InstantiationResult],
+    memo: dict[str, _Instances],
     tpl: Template,
     candidates: list[SignatureEntry],
     budget: Budget | None,
-) -> InstantiationResult:
-    """`instantiate(tpl, candidates, budget)`, answered from `memo` when it
-    holds tpl's canonical string; a result that did not time out is stored."""
-    inst = memo.get(tpl.canonical)
-    if inst is None:
+) -> _Instances:
+    """`instantiate(tpl, candidates, budget)` as `_Instances`, answered from
+    `memo` when it holds tpl's canonical string; a result that did not time
+    out is stored, so each conjecture is keyed once per symbol group."""
+    got = memo.get(tpl.canonical)
+    if got is None:
         inst = instantiate(tpl, candidates, budget)
+        keys = frozenset(alpha_key(c.term) for c in inst.conjectures)
+        got = _Instances(len(inst.conjectures), inst.timed_out, inst.capped, keys)
         if not inst.timed_out:
-            memo[tpl.canonical] = inst
-    return inst
+            memo[tpl.canonical] = got
+    return got
 
 
 def evaluate_suite(
@@ -229,7 +239,7 @@ def evaluate_suite(
     budget = budget or Budget()
 
     def run(group: list[int]) -> tuple[list[TaskResult], int]:
-        memo: dict[str, InstantiationResult] = {}
+        memo: dict[str, _Instances] = {}
         rows = [_evaluate(tasks[i], proposer, budget, memo) for i in group]
         if not with_instantiation_rate:
             return rows, 0
@@ -260,18 +270,16 @@ def _symbol_groups(tasks: list[EvalTask]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _gold_hit(
-    task: EvalTask, budget: Budget | None, memo: dict[str, InstantiationResult]
-) -> bool:
+def _gold_hit(task: EvalTask, budget: Budget | None, memo: dict[str, _Instances]) -> bool:
     """Whether the task's gold template, instantiated with the record's own
-    symbols through `memo`, gives the gold lemma up to alpha; an error is a miss."""
+    symbols through `memo`, gives the gold lemma; an error is a miss."""
     try:
         inst = _instantiate_through(
             memo, task.gold_template, list(task.record.symbols), budget
         )
     except LemmakitError:
         return False
-    return any(alpha_equal(c.term, task.record.term) for c in inst.conjectures)
+    return alpha_key(task.record.term) in inst.keys
 
 
 def combine_reports(reports: list[EvalReport]) -> EvalReport:
@@ -314,26 +322,13 @@ def combine_reports(reports: list[EvalReport]) -> EvalReport:
 
 
 def dedupe(conjectures: list[Conjecture]) -> tuple[list[Conjecture], int]:
-    """Drop alpha-equivalent duplicates, keeping the first in input order.
-
-    Returns the survivors and the number removed.  Survivors are bucketed by
-    the hash of their `alpha_key`, which alpha equivalence preserves, so each
-    conjecture is compared only with the earlier survivors in its bucket.
-    `alpha_equal` still decides, because it is not transitive and equal keys
-    do not make a duplicate; the result is the same as comparing against
-    every earlier survivor.
-    """
-    buckets: dict[int, list[Term]] = {}
-    kept: list[Conjecture] = []
-    removed = 0
+    """Drop repeated lemmas, keeping the first conjecture of each in input
+    order, and count the removed.  Conjectures are one lemma when their
+    `alpha_key`s are equal; each term is keyed once and no pair compared."""
+    kept: dict[tuple, Conjecture] = {}
     for conj in conjectures:
-        bucket = buckets.setdefault(hash(alpha_key(conj.term)), [])
-        if any(alpha_equal(conj.term, k) for k in bucket):
-            removed += 1
-            continue
-        bucket.append(conj.term)
-        kept.append(conj)
-    return kept, removed
+        kept.setdefault(alpha_key(conj.term), conj)
+    return list(kept.values()), len(conjectures) - len(kept)
 
 
 def categorize(
@@ -349,12 +344,14 @@ def categorize(
     term is ground-testable over it, and a counterexample shows up within
     `tests` sampled valuations.  Everything else that is not the gold lemma is
     unknown (this build has no prover to separate "provable" from "open").
+    A conjecture is the gold lemma when it has the gold's `alpha_key`.
     The conjectures of `instantiate(tpl, interp.symbols)` need no second
     description of their symbols: both read the same `SignatureEntry`s.
     """
+    gold_key = alpha_key(gold)
     labels: list[str] = []
     for conj in conjectures:
-        if alpha_equal(conj.term, gold):
+        if alpha_key(conj.term) == gold_key:
             labels.append(CATEGORY_GOLD)
             continue
         label = CATEGORY_UNKNOWN

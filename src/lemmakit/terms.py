@@ -919,7 +919,8 @@ def alpha_equal(a: Term, b: Term) -> bool:
 
     The free-variable bijection must be the identity on names the two terms
     share: `a + b` and `b + a` are NOT alpha-equal (a cannot map to b while b
-    occurs in both terms), whereas `x1 + x2` matches `a + b`.
+    occurs in both terms), whereas `x1 + x2` matches `a + b`.  It is not
+    transitive, and the package compares lemmas by `alpha_key` instead.
 
     The two terms' token streams, the ones `alpha_key` lists, are compared
     as they are produced, up to the first mismatch.  Equal streams pair the
@@ -938,11 +939,11 @@ def alpha_equal(a: Term, b: Term) -> bool:
 
 
 def alpha_key(t: Term) -> tuple:
-    """A hashable key that alpha equivalence preserves: the token stream
-    that `alpha_equal` compares, as a tuple.
-
-    So `alpha_equal(a, b)` implies `alpha_key(a) == alpha_key(b)`.  The
-    converse does not hold (the key ignores which free names the two terms
-    share), so equal keys only make a pair worth comparing.
-    """
+    """A lemma's identity, the token stream of `_alpha_tokens` as a tuple:
+    keys are equal iff a bijection of free names and one of type-variable
+    names make two terms equal up to binder names.  Free variables are
+    universally quantified, so the package scores, matches and dedupes
+    lemmas by this key alone.  `alpha_equal` implies equal keys; equal keys
+    imply it when both terms name their frees `x1..xn` by first occurrence,
+    as a canonical template's conjectures do."""
     return tuple(_alpha_tokens(t, {}))

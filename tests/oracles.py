@@ -130,6 +130,32 @@ def alpha_oracle(a, b) -> bool:
     return False
 
 
+def lemma_oracle(a, b) -> bool:
+    """Whether a and b are one lemma: some bijection of free names and some
+    bijection of type-variable names make them equal.  This is `alpha_oracle`
+    without its rule on shared names, got by first setting the two terms'
+    free names apart, so every bijection of them is admissible (`a + b` and
+    `b + a` are one lemma)."""
+
+    def apart(t, tag):
+        return _rename(t, {n: f"{tag}.{n}" for n in free_name_set(t)}, {})
+
+    return alpha_oracle(apart(a, "a"), apart(b, "b"))
+
+
+def dedupe_pairwise(conjectures, same=alpha_oracle):
+    """The quadratic reference for dedupe: keep each conjecture unless
+    `same` holds between its term and an earlier survivor's."""
+    kept = []
+    removed = 0
+    for conj in conjectures:
+        if any(same(conj.term, k.term) for k in kept):
+            removed += 1
+            continue
+        kept.append(conj)
+    return kept, removed
+
+
 # ---------------------------------------------------------------------------
 # Unifiability by substitution enumeration (triangle property)
 

@@ -1336,3 +1336,96 @@ class TestBadSymbolMessage:
         path.write_text(json.dumps([QS_SIG["symbols"][0], bad]))
         assert main(["instantiate", str(path), *runs["instantiate"]]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: entry 1: {message}")
+
+
+def _swap_x1_x2(t):
+    """t with its free variables x1 and x2 named the other way round."""
+    text = render_term(t).replace('(free "x1"', '(free "$"')
+    text = text.replace('(free "x2"', '(free "x1"').replace('(free "$"', '(free "x2"')
+    return parse_term(text)
+
+
+class TestOneLemmaWhateverItsFreeNames:
+    """A lemma's free variables are universally quantified, so a gold whose
+    free names are permuted, or are not `x1..xn`, is still regenerated and
+    matched: by `eval`, by `categorize` and by `quickspec --gold`."""
+
+    @pytest.mark.parametrize("names", [("x2", "x1"), ("x2", "y")])
+    def test_eval_regenerates_the_gold(self, tmp_path, capsys, names):
+        plus = Const("plus", INT_BINOP)
+        a, b = (Free(n, INT) for n in names)
+        eq = Const("HOL.eq", fun(INT, fun(INT, BOOL)))
+        gold = App(App(eq, App(App(plus, a), b)), App(App(plus, b), a))
+        sig = Signature([SignatureEntry("plus", INT_BINOP)])
+        record = make_record("C.l0", "C", "comm", gold, sig)
+        corpus = tmp_path / "corpus.jsonl"
+        save_records(corpus, [record])
+        templates = tmp_path / "templates.txt"
+        templates.write_text(abstract(gold).canonical + "\n")
+        argv = ["eval", str(corpus), "--proposer", "fixed", "--templates", str(templates),
+                "--instantiation-rate"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "lemma_success_rate=1.0000 template_match_rate=1.0000 "
+            "instantiation_rate=1.0000\n"
+        )
+
+    def test_categorize_labels_the_swapped_gold(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(LIST_QS_SIG))
+        sig = load_interpreted_signature(str(path))
+        gold = _swap_x1_x2(_rev_append(True))
+        conjectures = instantiate(abstract(gold), sig.symbols).conjectures
+        assert not alpha_equal(conjectures[0].term, gold)
+        labels, _ = categorize(conjectures, gold, sig)
+        assert labels == [CATEGORY_GOLD]
+
+    def test_quickspec_matches_every_renamed_law(self, tmp_path, capsys):
+        """Each emitted law, with x1 and x2 swapped, is a gold law it
+        matches."""
+        sig = tmp_path / "list.json"
+        sig.write_text(json.dumps(dict(LIST_QS_SIG, vars_per_sort=3)))
+        laws = tmp_path / "laws.jsonl"
+        run = ["--seed", "3", "quickspec", str(sig), "--max-size", "6", "--jsonl", str(laws)]
+        assert main(run) == 0
+        capsys.readouterr()
+        eq = Const("HOL.eq", fun(TCon("?"), fun(TCon("?"), BOOL)))
+        golds = [
+            _swap_x1_x2(App(App(eq, parse_term(r["lhs"])), parse_term(r["rhs"])))
+            for r in map(json.loads, laws.read_text().splitlines())
+        ]
+        gold = tmp_path / "gold.txt"
+        gold.write_text("".join(render_term(g) + "\n" for g in golds))
+        assert main(run + ["--gold", str(gold)]) == 0
+        err = capsys.readouterr().err
+        assert f"emitted={len(golds)} matched_gold={len(golds)} " in err
+        assert len(golds) == 11
+
+
+class TestFailingRecordIsNamed:
+    """`eval` and `dataset` name a record that `abstract` fails on, as the
+    `abstract` command does."""
+
+    @pytest.mark.parametrize("kind", ["ill-typed", "hole"])
+    def test_same_prefix_as_abstract(self, tmp_path, capsys, octo_templates_file, kind):
+        corpus = _many_theory_corpus(tmp_path)
+        with open(corpus, encoding="utf-8") as fh:
+            bad = json.loads(fh.readline())
+        bad["id"] = "T0.bad"
+        if kind == "ill-typed":
+            bad["term"] = render_term(App(Const("f", OCTO), Free("x", OCTO)))
+        else:
+            bad["term"] = render_term(Hole(1, OCTO))
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        assert main(["abstract", corpus, "-o", str(tmp_path / "t.jsonl")]) == 1
+        message = capsys.readouterr().err
+        assert message.startswith(f"{corpus}: record 'T0.bad': ")
+        runs = [
+            ["eval", corpus, "--proposer", "fixed", "--templates", octo_templates_file],
+            ["dataset", corpus, "--outdir", str(tmp_path / "ds")],
+        ]
+        for argv in runs:
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {message}"

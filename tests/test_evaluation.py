@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -19,7 +21,13 @@ from lemmakit.evaluation import (
     evaluate_suite,
     make_task,
 )
-from lemmakit.instantiation import Assignment, Budget, Conjecture, InstantiationResult
+from lemmakit.instantiation import (
+    Assignment,
+    Budget,
+    Conjecture,
+    InstantiationResult,
+    instantiate,
+)
 from lemmakit.proposer import (
     HttpProposerConfig,
     Proposal,
@@ -41,6 +49,7 @@ from lemmakit.terms import (
     Free,
     Hole,
     LemmakitError,
+    Signature,
     SignatureEntry,
     TCon,
     alpha_equal,
@@ -48,7 +57,15 @@ from lemmakit.terms import (
     fun,
 )
 
-from oracles import _rename, alpha_oracle, random_lemma_term, random_type
+from oracles import (
+    _rename,
+    alpha_oracle,
+    dedupe_pairwise,
+    free_name_set,
+    lemma_oracle,
+    random_lemma_term,
+    random_type,
+)
 from synthetic import build_synthetic_corpus, build_train_datapoints
 
 OCTO = TCon("Octonions.octo")
@@ -573,10 +590,11 @@ class TestDedupe:
         assert len(kept) == 1 and removed == 1
         assert kept[0].term == a
 
-    def test_commuted_arguments_kept(self):
+    def test_commuted_arguments_collapse(self):
+        # x + y and y + x are one lemma: its free names carry no meaning.
         x, y = Free("x", INT), Free("y", INT)
-        kept, removed = dedupe([_conj(_plus(x, y)), _conj(_plus(y, x))])
-        assert len(kept) == 2 and removed == 0
+        conjs = [_conj(_plus(x, y)), _conj(_plus(y, x))]
+        assert dedupe(conjs) == ([conjs[0]], 1)
 
     def test_idempotent(self):
         a = _plus(Free("p", INT), Free("q", INT))
@@ -589,22 +607,22 @@ class TestDedupe:
         assert dedupe([]) == ([], 0)
 
     def test_non_transitive_triple_matches_reference(self):
-        # g x y ~ g p q and g p q ~ g y x, but g x y !~ g y x: all three share
-        # one key, and only alpha_equal in input order decides.
+        # alpha_equal is not transitive here: g x y ~ g p q and g p q ~ g y x,
+        # but g x y !~ g y x.  The three are one lemma, so in any order the
+        # first is kept, as pairwise dedupe under lemma_oracle keeps it.
         g = Const("g", fun(INT, fun(INT, INT)))
         x, y, p, q = (Free(n, INT) for n in "xypq")
         triple = [App(App(g, x), y), App(App(g, p), q), App(App(g, y), x)]
         assert len({alpha_key(t) for t in triple}) == 1
+        assert not alpha_equal(triple[0], triple[2])
         for order in itertools.permutations(triple):
             conjs = [_conj(t) for t in order]
-            assert dedupe(conjs) == _dedupe_pairwise(conjs)
-        assert dedupe([_conj(t) for t in triple]) == (
-            [_conj(triple[0]), _conj(triple[2])], 1
-        )
+            assert dedupe(conjs) == dedupe_pairwise(conjs, lemma_oracle)
+            assert dedupe(conjs) == ([conjs[0]], 2)
 
     def test_matches_pairwise_reference_on_random_lists(self):
         rng = random.Random(41)
-        same_key_kept = removed_total = 0
+        removed_total = shared_names_removed = 0
         for _ in range(150):
             bases = [_random_term(rng, 3) for _ in range(rng.randint(1, 12))]
             conjs = [
@@ -612,14 +630,41 @@ class TestDedupe:
                 for _ in range(rng.randint(0, 40))
             ]
             got = dedupe(conjs)
-            want = _dedupe_pairwise(conjs)
+            want = dedupe_pairwise(conjs, lemma_oracle)
             assert got[1] == want[1]
             assert [id(c) for c in got[0]] == [id(c) for c in want[0]]
             removed_total += got[1]
-            keys = [alpha_key(c.term) for c in got[0]]
-            same_key_kept += len(keys) - len(set(keys))
-        # both outcomes of a same-bucket comparison are exercised
-        assert removed_total > 100 and same_key_kept > 20
+            kept = {id(c) for c in got[0]}
+            shared_names_removed += sum(
+                not any(alpha_equal(c.term, k.term) for k in got[0])
+                for c in conjs
+                if id(c) not in kept
+            )
+        # both kinds of duplicate are exercised: renamed apart, and with the
+        # shared names permuted (which alpha_equal keeps apart)
+        assert removed_total > 100 and shared_names_removed > 20
+
+    def test_equals_the_pairwise_alpha_equal_dedupe_on_canonical_conjectures(self):
+        """On conjectures of canonical templates, whose free variables are
+        `x1..xn` by first occurrence, the key and `alpha_equal` agree: dedupe
+        keeps what pairwise dedupe under `alpha_oracle` keeps."""
+        rng = random.Random(53)
+        removed_total = 0
+        for _ in range(40):
+            conjs = []
+            for _ in range(rng.randint(1, 3)):
+                term, entries = random_lemma_term(rng)
+                tpl = abstract(term)
+                symbols = [SignatureEntry(n, t) for n, t in entries]
+                # the reversed list builds the same conjectures anew, and a
+                # cap keeps another share of them
+                for pool in symbols, symbols[::-1]:
+                    conjs += instantiate(tpl, pool, Budget(max_results=8)).conjectures
+            rng.shuffle(conjs)
+            got = dedupe(conjs)
+            assert got == dedupe_pairwise(conjs)
+            removed_total += got[1]
+        assert removed_total > 100
 
     def test_key_agrees_with_alpha_oracle(self):
         rng = random.Random(43)
@@ -637,49 +682,37 @@ class TestDedupe:
         assert positives > 200
 
     def test_distinct_shapes_make_no_comparisons(self, monkeypatch):
-        calls = _count_alpha_equal(monkeypatch)
+        calls = _count_alpha_key(monkeypatch)
         conjs = [_conj(_shape(i)) for i in range(500)]
         kept, removed = dedupe(conjs)
         assert kept == conjs and removed == 0
-        assert calls == []
+        assert [id(t) for t in calls] == [id(c.term) for c in conjs]
 
-    def test_duplicates_compare_within_their_bucket_only(self, monkeypatch):
+    def test_each_conjecture_is_keyed_once(self, monkeypatch):
         rng = random.Random(47)
-        conjs = [_conj(_shape(i)) for i in range(200)]
+        originals = [_conj(_shape(i)) for i in range(200)]
+        conjs = list(originals)
         k = 37
         for _ in range(k):
             i = rng.randrange(len(conjs))
             conjs.insert(rng.randrange(i + 1, len(conjs) + 1),
                          _conj(_rename_frees(conjs[i].term)))
-        calls = _count_alpha_equal(monkeypatch)
+        calls = _count_alpha_key(monkeypatch)
         kept, removed = dedupe(conjs)
-        assert removed == k and len(kept) == 200
-        # each duplicate meets exactly one survivor, its original
-        assert len(calls) == k
-        assert all(alpha_key(a) == alpha_key(b) for a, b in calls)
+        assert removed == k and [id(c) for c in kept] == [id(c) for c in originals]
+        assert [id(t) for t in calls] == [id(c.term) for c in conjs]
 
 
-def _dedupe_pairwise(conjectures):
-    """The quadratic reference: compare with every earlier survivor."""
-    kept = []
-    removed = 0
-    for conj in conjectures:
-        if any(alpha_equal(conj.term, k.term) for k in kept):
-            removed += 1
-            continue
-        kept.append(conj)
-    return kept, removed
-
-
-def _count_alpha_equal(monkeypatch):
+def _count_alpha_key(monkeypatch):
+    """The terms that `evaluation` keys, in call order."""
     calls = []
-    real = evaluation.alpha_equal
+    real = evaluation.alpha_key
 
-    def counted(a, b):
-        calls.append((a, b))
-        return real(a, b)
+    def counted(t):
+        calls.append(t)
+        return real(t)
 
-    monkeypatch.setattr(evaluation, "alpha_equal", counted)
+    monkeypatch.setattr(evaluation, "alpha_key", counted)
     return calls
 
 
@@ -734,6 +767,72 @@ def _variant(t, rng):
 
 def _rename_frees(t):
     return _rename(t, {n: f"{n}_renamed" for n in "xyz"}, {})
+
+
+def _rename_frees_randomly(t, rng):
+    """t with its free names renamed by a random injection into `x1..xn`
+    and a few other names, so that shared names are often permuted."""
+    names = sorted(free_name_set(t))
+    pool = [f"x{i}" for i in range(1, len(names) + 1)] + ["y", "x7", "a"]
+    return _rename(t, dict(zip(names, rng.sample(pool, len(names)))), {})
+
+
+class TestLemmaIdentity:
+    """A lemma is its `alpha_key`: equal keys are exactly the lemmas that
+    `lemma_oracle` finds equal, and a gold template regenerates its gold
+    whatever the gold's free names."""
+
+    def test_key_equality_is_the_lemma_oracle(self):
+        rng = random.Random(59)
+        same = 0
+        for i in range(400):
+            if i % 2:
+                a, _ = random_lemma_term(rng)
+                if rng.random() < 0.7:
+                    b = _rename_frees_randomly(a, rng)
+                else:
+                    b, _ = random_lemma_term(rng)
+            else:
+                a = _random_term(rng, 3)
+                b = _variant(a, rng) if rng.random() < 0.7 else _random_term(rng, 3)
+            want = lemma_oracle(a, b)
+            assert (alpha_key(a) == alpha_key(b)) == want == lemma_oracle(b, a)
+            same += want
+        assert 150 < same < 350
+
+    def test_each_gold_template_regenerates_its_gold(self):
+        rng = random.Random(61)
+        tasks = []
+        permuted = 0
+        for i in range(150):
+            term, entries = random_lemma_term(rng)
+            gold = _rename_frees_randomly(term, rng)
+            symbols = [SignatureEntry(n, t) for n, t in entries]
+            conjs = instantiate(abstract(gold), symbols).conjectures
+            hits = [c.term for c in conjs if alpha_key(c.term) == alpha_key(gold)]
+            assert hits and all(lemma_oracle(h, gold) for h in hits)
+            permuted += not any(alpha_equal(h, gold) for h in hits)
+            record = make_record(f"T.l{i}", "T", f"l{i}", gold, Signature(symbols))
+            tasks.append(make_task(record))
+        assert permuted > 20
+        assert gold_rate(tasks) == 1.0
+
+    def test_no_module_calls_alpha_equal(self):
+        """`alpha_equal` stays API, but no module of the package reads it
+        beyond its definition and its export."""
+        package = pathlib.Path(evaluation.__file__).parent
+        readers = set()
+        for path in package.glob("*.py"):
+            if path.name in ("terms.py", "__init__.py"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = (
+                    [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                    else [getattr(node, "id", None), getattr(node, "attr", None)]
+                )
+                if "alpha_equal" in names:
+                    readers.add(path.name)
+        assert readers == set()
 
 
 class TestCategorize:
