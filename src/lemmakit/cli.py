@@ -198,11 +198,15 @@ def cmd_dataset(args) -> int:
     parts = corpus_mod.split_filewise(records, ratios, args.seed)
     names = ["train", "val", "test"][: len(parts)]
     names += [f"part{i}" for i in range(len(names), len(parts))]
-    os.makedirs(args.outdir, exist_ok=True)
-    for name, part in zip(names, parts):
-        datapoints = _per_record(
+    # Build every split before writing any, so a bad record leaves no output.
+    splits = [
+        _per_record(
             lambda r: corpus_mod.make_datapoint(r, args.mode, args.target, w), part, args.corpus
         )
+        for part in parts
+    ]
+    os.makedirs(args.outdir, exist_ok=True)
+    for name, datapoints in zip(names, splits):
         path = os.path.join(args.outdir, f"{name}.jsonl")
         corpus_mod.write_jsonl(
             path, (corpus_mod.datapoint_to_dict(d) for d in datapoints)

@@ -160,7 +160,7 @@ def instantiate_texts(
     if budget is None:
         budget = Budget()
     search = _Search(tpl, candidates, budget)
-    parts = _text_parts(tpl)
+    parts = render_parts(tpl.body)
     heads = {c.name: render_parts(Const(c.name, c.type))[0] for c in candidates}
     result = InstantiationTexts()
     for leaf, pairs in search.leaves(budget.max_results):
@@ -202,15 +202,6 @@ def _plan(tpl: Template) -> tuple[TypeSubstitution | None, int, list[int], set[i
         for last in hole_order[-1:]:
             _containing(tpl.body, last, varying)
         got = vars(tpl)["_plan"] = (root, fresh.n, hole_order, varying)
-    return got
-
-
-def _text_parts(tpl: Template) -> list:
-    """`render_parts` of `tpl`'s body, kept on the template object as `_plan`
-    keeps its plan."""
-    got = vars(tpl).get("_text_parts")
-    if got is None:
-        got = vars(tpl)["_text_parts"] = render_parts(tpl.body)
     return got
 
 

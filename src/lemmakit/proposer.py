@@ -98,9 +98,6 @@ class TemplateIndex:
         self._parsed: dict[str, Template] = {}
         self._ranked: list[tuple[Template, int]] | None = None
         self._feasible: dict[tuple[str, frozenset[TypeExpr]], bool] = {}
-        # One object per distinct candidate type set, so that memo keys
-        # holding it compare by identity instead of type by type.
-        self._type_sets: dict[frozenset[TypeExpr], frozenset[TypeExpr]] = {}
 
     def add(self, canonical: str, count: int = 1) -> None:
         if count < 1:
@@ -180,7 +177,6 @@ def propose_retrieval(req: ProposalRequest, idx: TemplateIndex) -> ProposalSet:
     if idx.counts and len(set(names)) != len(names):
         raise DuplicateCandidates()
     types = frozenset(c.type for c in candidates)
-    types = idx._type_sets.setdefault(types, types)
     total = idx.total or 1
     proposals = []
     for tpl, count in idx.ranked():

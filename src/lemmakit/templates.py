@@ -6,9 +6,10 @@ constant name), type annotations are generalized by replacing maximal
 non-function subtrees with shared type variables, and free variables /
 binders / type variables get canonical names (x1.., y0.., a0..).
 
-`abstract` builds a template in one walk, and `parse_template` checks one in
-one walk.  Only a hole met at several types (a polymorphic constant) costs
-`abstract` a second pass and the check.  Equal annotations are one object.
+`parse_template` is the one gate that checks a template.  `abstract` builds
+one in a walk that keeps every invariant and returns it unchecked; only a
+hole met at several types (a polymorphic constant) costs it a merge, and
+the merged body passes the gate.  Equal annotations are one object.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .terms import (
     TypeExpr,
     TypecheckError,
     UnificationError,
-    apply_type_subst,
     is_fun,
     map_types,
     parse_term,
@@ -134,8 +134,8 @@ def _validate_template(body: Term, w: Whitelist) -> dict[int, TypeExpr]:
     One preorder walk notes the first offence of each kind.  NonCanonical
     names the first kind broken, in this order: a non-whitelist constant, a
     hole at two types, hole indices not 1..n by first occurrence, free names
-    not x1..xn, a binder not y<depth>, type variables not a0..  `_template`
-    then checks typing.
+    not x1..xn, a binder not y<depth>, type variables not a0..
+    `parse_template` then checks typing.
     """
     foreign = clash = binder = None
     hole_types: dict[int, TypeExpr] = {}
@@ -178,15 +178,6 @@ def _validate_template(body: Term, w: Whitelist) -> dict[int, TypeExpr]:
     if tvars != [f"a{i}" for i in range(len(tvars))]:
         raise NonCanonical(f"type variables {tvars} are not a0.. by first occurrence")
     return hole_types
-
-
-def _template(body: Term, hole_types: dict[int, TypeExpr]) -> Template:
-    """The template of a canonical body; NonCanonical if it does not typecheck."""
-    try:
-        typecheck(body, None)
-    except TypecheckError as e:
-        raise NonCanonical(f"template does not typecheck: {e}") from e
-    return Template(body, len(hole_types), hole_types, render_term(body))
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +233,19 @@ class _Abstraction:
     def merge_hole_types(self, body: Term) -> Term:
         """`body` with each hole's occurrence types unified, and its type
         variables named a0, a1, ... by first occurrence again."""
-        # The unifier sees gen's variables as ?g0, ?g1, ..., the names that
-        # its errors show.
-        pre = {f"a{i}": TVar(f"?g{i}") for i in range(self.tvars)}
-        s: dict[str, TypeExpr] = {}
+        # The unifier starts by binding gen's variables to ?g0, ?g1, ..., the
+        # names that its errors show.
+        s: dict[str, TypeExpr] = {f"a{i}": TVar(f"?g{i}") for i in range(self.tvars)}
         try:
             for ts in self.occ_types.values():
                 for other in ts[1:]:
-                    unify_into(s, apply_type_subst(pre, ts[0]), apply_type_subst(pre, other))
+                    unify_into(s, ts[0], other)
         except UnificationError as e:
             raise IllTyped(f"cannot reconcile hole occurrence types: {e}") from e
         # Resolved types are built of function types and variables alone, so
         # a fresh gen renames them; map_types meets annotations in preorder.
         rename = _Abstraction(self.w).gen
-        return map_types(body, lambda ty: rename(resolve(s, apply_type_subst(pre, ty))))
+        return map_types(body, lambda ty: rename(resolve(s, ty)))
 
 
 def abstract(t: Term, w: Whitelist | None = None, sig: Signature | None = None) -> Template:
@@ -266,6 +256,12 @@ def abstract(t: Term, w: Whitelist | None = None, sig: Signature | None = None) 
     each maximal non-function type subtree to a type variable, identical
     subtrees sharing one variable; frees, binders and type variables are
     canonically renamed.  Equal annotations in the template are one object.
+
+    IllTyped if `t` does not typecheck under `sig`, or if a hole's types do
+    not unify.  An unmerged body needs no check: its annotations hold only
+    `fun` and type variables, so its typing cannot clash, and an occurs
+    cycle in it would be one in `t`'s.  A merge can break typing, so a
+    merged body passes `parse_template` and may fail there.
     """
     if w is None:
         w = default_whitelist()
@@ -275,27 +271,29 @@ def abstract(t: Term, w: Whitelist | None = None, sig: Signature | None = None) 
         typecheck(t, sig)
     except TypecheckError as e:
         raise IllTyped(str(e)) from e
-    hole_types = {i: ts[0] for i, ts in walk.occ_types.items()}
-    # A polymorphic constant may occur at several generalized types; the
-    # template invariant requires one annotation per hole.
     if any(ty is not ts[0] for ts in walk.occ_types.values() for ty in ts):
-        body = walk.merge_hole_types(body)
-        hole_types = _validate_template(body, w)
-    return _template(body, hole_types)
+        return parse_template(render_term(walk.merge_hole_types(body)), w)
+    hole_types = {i: ts[0] for i, ts in walk.occ_types.items()}
+    return Template(body, len(hole_types), hole_types, render_term(body))
 
 
 def parse_template(text: str, w: Whitelist | None = None) -> Template:
-    """Parse and validate a canonical template string.
+    """Parse and check a canonical template string: the one gate, passed by
+    every template lemmakit reads and by each body that `abstract` merged.
 
-    This is the gate applied to proposer completions: the text must parse as
-    a term and satisfy every template invariant, otherwise NonCanonical (or a
-    syntax error) is raised.  Equal annotations in the template are one
-    object, as the parser returns them.
+    The text must parse as a term, satisfy every template invariant and
+    typecheck, otherwise NonCanonical (or a syntax error) is raised.  Equal
+    annotations in the template are one object, as the parser returns them.
     """
     if w is None:
         w = default_whitelist()
     body = parse_term(text)
-    return _template(body, _validate_template(body, w))
+    hole_types = _validate_template(body, w)
+    try:
+        typecheck(body, None)
+    except TypecheckError as e:
+        raise NonCanonical(f"template does not typecheck: {e}") from e
+    return Template(body, len(hole_types), hole_types, render_term(body))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ unification for typability, a character-by-character tokenizer and a
 peek/next parser for s-expressions, exhaustive product enumeration for
 instantiation, saturation to a fixpoint for congruence over a term
 universe, one-sided matching for law instances, and plain recursive
-evaluation for testing-based partitions.  None of it shares code
-with the package internals it checks.
+evaluation for testing-based partitions, and template abstraction that
+typechecks every body it builds.  None of it shares code with the package
+internals it checks.
 """
 
 from __future__ import annotations
@@ -28,8 +29,16 @@ from lemmakit.terms import (
     TermSyntaxError,
     TVar,
     TypeExpr,
+    TypecheckError,
+    UnificationError,
+    apply_type_subst,
     fun,
+    render_term,
+    resolve,
+    typecheck,
+    unify_into,
 )
+from lemmakit.templates import IllTyped, NonCanonical, Template, default_whitelist
 
 # ---------------------------------------------------------------------------
 # Alpha equivalence by brute-force bijection
@@ -672,6 +681,123 @@ def reference_parse_term(text: str):
     t = p.term()
     p.finish()
     return t
+
+
+# ---------------------------------------------------------------------------
+# Template abstraction, checked twice
+#
+# `lemmakit.templates.abstract` as it was when every template it built passed
+# the template check: the body is typechecked again on every path.  It shares
+# the package's typechecker and unifier, whose messages its errors carry, but
+# not its walk.
+
+
+class _Generalize:
+    """Each maximal non-function subtree of a type to a type variable, a0,
+    a1, ... as first met; equal types to one object."""
+
+    def __init__(self):
+        self.seen: dict[TypeExpr, TypeExpr] = {}
+        self.n = 0
+
+    def __call__(self, ty: TypeExpr) -> TypeExpr:
+        if ty not in self.seen:
+            if isinstance(ty, TCon) and ty.name == "fun":
+                got = TCon("fun", tuple(self(a) for a in ty.args))
+            else:
+                got = TVar(f"a{self.n}")
+                self.n += 1
+            self.seen[ty] = got
+        return self.seen[ty]
+
+
+class _AbstractWalk:
+    """The walk over one lemma: its holes by constant name, each hole's
+    generalized types in preorder, and its free names."""
+
+    def __init__(self, w):
+        self.w = w
+        self.gen = _Generalize()
+        self.holes: dict[str, int] = {}
+        self.occurrences: dict[int, list[TypeExpr]] = {}
+        self.frees: dict[str, str] = {}
+
+    def __call__(self, t, depth=0):
+        if isinstance(t, Hole):
+            raise IllTyped("input term already contains holes")
+        if isinstance(t, Const):
+            ty = self.gen(t.type)
+            if self.w.contains(t.name):
+                return Const(t.name, ty)
+            idx = self.holes.setdefault(t.name, len(self.holes) + 1)
+            self.occurrences.setdefault(idx, []).append(ty)
+            return Hole(idx, ty)
+        if isinstance(t, Free):
+            name = self.frees.setdefault(t.name, f"x{len(self.frees) + 1}")
+            return Free(name, self.gen(t.type))
+        if isinstance(t, Bound):
+            return t
+        if isinstance(t, Abs):
+            binder_type = self.gen(t.binder_type)
+            return Abs(f"y{depth}", binder_type, self(t.body, depth + 1))
+        fn = self(t.fn, depth)
+        return App(fn, self(t.arg, depth))
+
+
+def _retype(t, f, hole_types):
+    """`t` with `f` applied to each annotation, in preorder; `hole_types`
+    receives each hole's first new type."""
+    if isinstance(t, Bound):
+        return t
+    if isinstance(t, Abs):
+        binder_type = f(t.binder_type)
+        return Abs(t.binder, binder_type, _retype(t.body, f, hole_types))
+    if isinstance(t, App):
+        fn = _retype(t.fn, f, hole_types)
+        return App(fn, _retype(t.arg, f, hole_types))
+    if isinstance(t, Hole):
+        ty = f(t.type)
+        hole_types.setdefault(t.index, ty)
+        return Hole(t.index, ty)
+    return type(t)(t.name, f(t.type))
+
+
+def reference_abstract(t: Term, w=None, sig=None) -> Template:
+    """The template of the lemma `t`, or IllTyped or NonCanonical with the
+    messages of `lemmakit.templates.abstract`.
+
+    A constant met at several generalized types has its hole's types
+    unified, with the walk's variables seen as ?g0, ?g1, ...  The walk
+    keeps every other template invariant, and a merge keeps them too, so of
+    the template check only typing is left to run."""
+    if w is None:
+        w = default_whitelist()
+    walk = _AbstractWalk(w)
+    body = walk(t)
+    occurrences = walk.occurrences
+    try:
+        typecheck(t, sig)
+    except TypecheckError as e:
+        raise IllTyped(str(e)) from e
+    hole_types = {i: ts[0] for i, ts in occurrences.items()}
+    if any(ty != ts[0] for ts in occurrences.values() for ty in ts):
+        pre = {f"a{i}": TVar(f"?g{i}") for i in range(walk.gen.n)}
+        s: dict[str, TypeExpr] = {}
+        try:
+            for ts in occurrences.values():
+                for other in ts[1:]:
+                    unify_into(s, apply_type_subst(pre, ts[0]), apply_type_subst(pre, other))
+        except UnificationError as e:
+            raise IllTyped(f"cannot reconcile hole occurrence types: {e}") from e
+        rename = _Generalize()
+        retype = lambda ty: rename(resolve(s, apply_type_subst(pre, ty)))
+        hole_types = {}
+        body = _retype(body, retype, hole_types)
+    try:
+        typecheck(body, None)
+    except TypecheckError as e:
+        raise NonCanonical(f"template does not typecheck: {e}") from e
+    return Template(body, len(hole_types), hole_types, render_term(body))
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,30 @@ class TestDataset:
         assert f"--split {split}: ratios must sum to more than 0" in proc.stderr
         assert not outdir.exists()
 
+    def test_bad_record_in_the_last_split_writes_nothing(self, tmp_path, capsys):
+        """Every split's datapoints are built before any file is written."""
+        corpus = _many_theory_corpus(tmp_path, n_theories=3)
+        split = ["--split", "1/1/1"]
+        assert main(["dataset", corpus, "--outdir", str(tmp_path / "ok"), *split]) == 0
+        test_rows = (tmp_path / "ok" / "test.jsonl").read_text().splitlines()
+        last = json.loads(test_rows[0])["theory"]
+        with open(corpus, encoding="utf-8") as fh:
+            bad = json.loads(fh.readline())
+        bad.update(
+            id=f"{last}.bad", theory=last,
+            term=render_term(App(Const("f", OCTO), Free("x", OCTO))),
+        )
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        capsys.readouterr()
+        outdir = tmp_path / "x"
+        assert main(["dataset", corpus, "--outdir", str(outdir), *split]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {corpus}: record '{last}.bad': ")
+        assert "datapoints" not in captured.err
+        assert not outdir.exists()
+
 
 class TestEval:
     def test_fixed_proposer_full_success(

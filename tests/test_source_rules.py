@@ -8,7 +8,9 @@ object instead of growing for the life of the process, and every
 module-level private function or class is referenced outside its own body,
 so there is no helper that nothing calls.  A public module-level function or
 class is either referenced outside its own body, in its own module or in
-another, or named in `lemmakit.__all__`, the API that the package declares."""
+another, or named in `lemmakit.__all__`, the API that the package declares.
+Only `abstract` and `parse_template` in `templates.py` call `Template(`, so
+every template was either built by abstraction's walk or passed the gate."""
 
 import ast
 import sys
@@ -463,4 +465,62 @@ def _user():
     assert unreferenced_public(sources) == [
         "a:2: unreferenced unused",
         "a:18: unreferenced recursive",
+    ]
+
+
+def template_calls(source: str) -> list[str]:
+    """Line-tagged calls of `Template`, by bare, aliased or dotted name, each
+    with the module-level function or class that holds it."""
+    tree = ast.parse(source)
+    names = {"Template"} | {
+        a.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+        if a.name == "Template" and a.asname
+    }
+    out = []
+    for top in tree.body:
+        for n in ast.walk(top):
+            if isinstance(n, ast.Call) and (
+                (isinstance(n.func, ast.Name) and n.func.id in names)
+                or (isinstance(n.func, ast.Attribute) and n.func.attr == "Template")
+            ):
+                where = getattr(top, "name", "module level")
+                out.append(f"{n.lineno}: calls {ast.unparse(n.func)} in {where}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_gate_and_abstract_make_a_template(path):
+    found = template_calls(path.read_text(encoding="utf-8"))
+    if path.name == "templates.py":
+        assert [f.rsplit(" in ", 1)[1] for f in found] == ["abstract", "parse_template"]
+    else:
+        assert found == []
+
+
+def test_template_rule_catches_each_form():
+    source = '''
+from .templates import Template, parse_template
+from .templates import Template as T
+from . import templates as tm
+
+
+def build(body):
+    return Template(body, 0, {}, "")
+
+
+class Holder:
+    def make(self, body):
+        return T(body, 0, {}, "")
+
+
+DEFAULT = tm.Template(None, 0, {}, "")
+CHECKED = parse_template(TEXT)
+'''
+    assert template_calls(source) == [
+        "8: calls Template in build",
+        "13: calls T in Holder",
+        "16: calls tm.Template in module level",
     ]

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lemmakit import templates
 from lemmakit.templates import (
     IllTyped,
     NonCanonical,
@@ -25,6 +26,7 @@ from lemmakit.terms import (
     TermSyntaxError,
     TypecheckError,
     fun,
+    is_fun,
     map_types,
     parse_term,
     parse_type,
@@ -35,7 +37,7 @@ from lemmakit.terms import (
     typecheck,
 )
 
-from oracles import random_lemma_term
+from oracles import random_lemma_term, reference_abstract
 
 OCTO = TCon("Octonions.octo")
 BOOL = TCon("HOL.bool")
@@ -492,3 +494,185 @@ class TestPinnedCanonicals:
             "cannot reconcile hole occurrence types: occurs check: '?g0' in "
             '(tc "fun" (tv "?g0") (tv "?g0"))'
         )
+
+
+# ---------------------------------------------------------------------------
+# One gate: `abstract` returns the templates its walk vouches for unchecked,
+# and sends a merged body through `parse_template`.
+
+NAT = TCon("Nat.nat")
+_GROUND = (NAT, TCon("List.list", (NAT,)), BOOL)
+# Few names, so that one constant meets several types and holes merge.
+_NAMES = ("T.c", "T.d", "T.e")
+
+
+def _random_type(rng, depth):
+    if depth and rng.random() < 0.4:
+        return fun(_random_type(rng, depth - 1), _random_type(rng, depth - 1))
+    return rng.choice(_GROUND)
+
+
+def _random_term(rng, target, depth, bound, frees):
+    """A random term of type `target` under binders of types `bound`
+    (innermost last); `frees` names one free variable per type."""
+    at = [i for i, ty in enumerate(reversed(bound)) if ty == target]
+    roll = rng.random()
+    if at and roll < 0.3:
+        return Bound(rng.choice(at))
+    if is_fun(target) and depth and roll < 0.5:
+        a, b = target.args
+        return Abs("z", a, _random_term(rng, b, depth - 1, bound + [a], frees))
+    if depth and roll < 0.85:
+        args = [_random_type(rng, 1) for _ in range(rng.randint(0, 2))]
+        ty = target
+        for a in reversed(args):
+            ty = fun(a, ty)
+        t = Const(rng.choice(_NAMES), ty)
+        for a in args:
+            t = App(t, _random_term(rng, a, depth - 1, bound, frees))
+        return t
+    if roll > 0.99:
+        return Hole(1, target)
+    return Free(frees.setdefault(target, f"v{len(frees)}"), target)
+
+
+def _weaken(rng, t, p, names):
+    """`t` with random subtrees of its theory constants' and frees'
+    annotations replaced by type variables from `names`, for typechecking to
+    bind; reusing a name may make the lemma ill-typed."""
+    def ty(x):
+        if rng.random() < p:
+            return TVar(rng.choice(names))
+        return TCon(x.name, tuple(map(ty, x.args))) if isinstance(x, TCon) else x
+
+    if isinstance(t, (Const, Free)) and t.name.startswith(("T.", "v")):
+        return type(t)(t.name, ty(t.type))
+    if isinstance(t, Abs):
+        return Abs(t.binder, t.binder_type, _weaken(rng, t.body, p, names))
+    if isinstance(t, App):
+        return App(_weaken(rng, t.fn, p, names), _weaken(rng, t.arg, p, names))
+    return t
+
+
+def _random_polymorphic_lemma(rng):
+    ty = _random_type(rng, 1)
+    frees = {}
+    lhs, rhs = (_random_term(rng, ty, rng.randint(1, 4), [], frees) for _ in "lr")
+    t = App(App(Const("HOL.eq", fun(ty, fun(ty, BOOL))), lhs), rhs)
+    names = rng.choice((("'a",), ("'a", "'b"), ("'a", "'b", "'c", "'d")))
+    return _weaken(rng, t, rng.choice((0.0, 0.1, 0.25)), names)
+
+
+def _merges(t):
+    """Whether a theory constant of `t` occurs at two types: generalization
+    keeps types apart, so its hole then needs a merge."""
+    seen = {}
+    return any(
+        seen.setdefault(s.name, s.type) != s.type
+        for s in subterms(t)
+        if isinstance(s, Const) and not default_whitelist().contains(s.name)
+    )
+
+
+@pytest.fixture
+def typecheck_calls(monkeypatch):
+    """The terms `templates` typechecks, in call order."""
+    calls = []
+
+    def counted(t, sig=None):
+        calls.append(t)
+        return typecheck(t, sig)
+
+    monkeypatch.setattr(templates, "typecheck", counted)
+    return calls
+
+
+def _abstract_outcome(make, t):
+    try:
+        tpl = make(t)
+    except (IllTyped, NonCanonical) as e:
+        return type(e), str(e)
+    return tpl.body, tpl.hole_count, tpl.hole_types, tpl.canonical
+
+
+class TestAbstractGate:
+    def test_agrees_with_the_reference_on_random_lemmas(self, typecheck_calls):
+        rng = random.Random(27)
+        kinds = {}
+        for _ in range(400):
+            t = _random_polymorphic_lemma(rng)
+            typecheck_calls.clear()
+            got = _abstract_outcome(abstract, t)
+            calls = len(typecheck_calls)
+            assert got == _abstract_outcome(reference_abstract, t), render_term(t)
+            if got[0] is IllTyped:
+                kind = "unreconcilable" if "reconcile" in got[1] else "input"
+                assert calls == (0 if "holes" in got[1] else 1)
+            else:
+                kind = "gate" if got[0] is NonCanonical else "template"
+                assert calls == 1 + _merges(t)
+            if kind == "template":
+                tpl = abstract(t)
+                again = parse_template(tpl.canonical)
+                assert again == tpl and again.hole_types == tpl.hole_types
+                _assert_annotations_shared(tpl)
+                _assert_annotations_shared(again)
+                kind += " merged" if _merges(t) else ""
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert set(kinds) == {
+            "template", "template merged", "unreconcilable", "gate", "input"
+        }, kinds
+
+    def test_merge_that_breaks_typing_fails_the_gate(self, typecheck_calls):
+        """The input typechecks with 'a := nat ⇒ nat; the merged hole has
+        one type, so `T.g`'s argument must be both a1 and a1 ⇒ a1."""
+        conj = Const("HOL.conj", fun(BOOL, fun(BOOL, BOOL)))
+        g = Const("T.g", fun(fun(NAT, NAT), BOOL))
+        h = Const("T.h", fun(NAT, BOOL))
+        c = lambda ty: Const("T.c", ty)
+        t = App(App(conj, App(g, c(TVar("'a")))), App(h, c(NAT)))
+        message = (
+            'template does not typecheck: type mismatch at path (0, 1): expected '
+            '(tc "fun" (tv "a1") (tv "?t1")), found (tc "fun" (tc "fun" (tv "a1") '
+            '(tv "a1")) (tv "a0"))'
+        )
+        with pytest.raises(NonCanonical) as e:
+            abstract(t)
+        assert str(e.value) == message and len(typecheck_calls) == 2
+        with pytest.raises(NonCanonical) as e:
+            reference_abstract(t)
+        assert str(e.value) == message
+        typecheck_calls.clear()
+        apart = App(App(conj, App(g, Const("T.d", TVar("'a")))), App(h, c(NAT)))
+        assert abstract(apart).hole_count == 4 and len(typecheck_calls) == 1
+
+    def test_one_inference_without_a_merge_two_with_one(
+        self, typecheck_calls, lemma_distrib_left
+    ):
+        abstract(lemma_distrib_left)
+        assert typecheck_calls == [lemma_distrib_left]
+        typecheck_calls.clear()
+        eq = Const("HOL.eq", fun(NAT, fun(NAT, BOOL)))
+        length = lambda ty, x: App(Const("List.length", fun(ty, NAT)), Free(x, ty))
+        lists = TCon("List.list", (NAT,)), TCon("List.list", (BOOL,))
+        t = App(App(eq, length(lists[0], "xs")), length(lists[1], "bs"))
+        merged = abstract(t)
+        assert typecheck_calls == [t, merged.body] and typecheck_calls[0] is t
+
+    def test_merged_body_too_deep_to_read_back_is_refused(self):
+        """The lemma nests under MAX_DEPTH parentheses, but the merge puts a
+        30-arrow type under its innermost hole.  The reference returns a
+        template whose canonical string no reader can parse back; the gate
+        refuses it with the parser's error."""
+        x, deep = TVar("'x"), NAT
+        for _ in range(30):
+            deep = fun(deep, NAT)
+        inner = Const("T.c", x)
+        for _ in range(370):
+            inner = App(Const("T.f", fun(x, x)), inner)
+        t = App(App(Const("HOL.eq", fun(x, fun(x, BOOL))), inner), Const("T.c", deep))
+        assert parse_term(render_term(t)) == t
+        with pytest.raises(TermSyntaxError, match="nesting deeper than 400"):
+            parse_term(reference_abstract(t).canonical)
+        with pytest.raises(TermSyntaxError, match="nesting deeper than 400"):
+            abstract(t)
