@@ -16,7 +16,13 @@ from .evaluation import (
     evaluate_suite,
     make_task,
 )
-from .instantiation import Budget, Conjecture, InstantiationResult, instantiate
+from .instantiation import (
+    Budget,
+    Candidates,
+    Conjecture,
+    InstantiationResult,
+    instantiate,
+)
 from .proposer import build_index
 from .templates import (
     Template,
@@ -42,6 +48,7 @@ from .terms import (
 
 __all__ = [
     "Budget",
+    "Candidates",
     "Conjecture",
     "EvalReport",
     "EvalTask",

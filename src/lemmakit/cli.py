@@ -16,7 +16,7 @@ from json.encoder import encode_basestring
 from . import corpus as corpus_mod
 from . import evaluation as eval_mod
 from . import quickspec as qs
-from .instantiation import Budget, instantiate, instantiate_texts
+from .instantiation import Budget, Candidates, instantiate, instantiate_texts
 from .proposer import (
     HttpProposerConfig,
     ProposalRequest,
@@ -168,11 +168,12 @@ def cmd_conjecture(args) -> int:
     req = ProposalRequest(symbols=tuple(symbols), mode=args.mode, k=args.k,
                           distinct_holes=budget.distinct_holes)
     proposals = prop(req)
+    candidates = Candidates(symbols)
     all_conjectures = []
     capped = False
     timed_out = False
     for p in proposals.proposals:
-        res = instantiate(p.template, symbols, budget)
+        res = instantiate(p.template, candidates, budget)
         capped = capped or res.capped
         timed_out = timed_out or res.timed_out
         for c in res.conjectures:

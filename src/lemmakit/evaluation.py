@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .corpus import CorpusRecord
-from .instantiation import Budget, Conjecture, instantiate
+from .instantiation import Budget, Candidates, Conjecture, DuplicateCandidates, instantiate
 from .proposer import ProposalRequest, ProposalSet
 from .quickspec import InterpretedSignature, NotTestable, find_counterexample
 from .templates import Template, Whitelist, abstract
@@ -130,16 +130,21 @@ class EvalReport:
 
 
 def _evaluate(
-    task: EvalTask, proposer, budget: Budget, memo: dict[str, _Instances]
+    task: EvalTask,
+    proposer,
+    budget: Budget,
+    candidates: Candidates | list[SignatureEntry],
+    memo: dict[str, _Instances],
 ) -> TaskResult:
     """One task's row: template exact match compares canonical strings, and
     lemma success holds when a conjecture of a proposed template has the gold
     term's `alpha_key`.
 
     Tasks that share one symbol list instantiate a template alike, so they
-    share a `memo` from template canonical string to `_Instances`.  A search
-    that timed out is not stored, nor is an error, so only the deterministic
-    answer is reused and every task that an error hits is marked.
+    share its `candidates` and a `memo` from template canonical string to
+    `_Instances`.  A search that timed out is not stored, nor is an error, so
+    only the deterministic answer is reused and every task that an error hits
+    is marked.
     """
     result = TaskResult(id=task.record.id, theory=task.record.theory)
     req = ProposalRequest(
@@ -154,7 +159,6 @@ def _evaluate(
 
     gold_canonical = task.gold_template.canonical
     gold_key = alpha_key(task.record.term)
-    candidates = list(task.record.symbols)
     for tpl in proposals.templates():
         result.proposed_templates.append(tpl.canonical)
         if tpl.canonical == gold_canonical:
@@ -184,7 +188,7 @@ class _Instances:
 def _instantiate_through(
     memo: dict[str, _Instances],
     tpl: Template,
-    candidates: list[SignatureEntry],
+    candidates: Candidates | list[SignatureEntry],
     budget: Budget | None,
 ) -> _Instances:
     """`instantiate(tpl, candidates, budget)` as `_Instances`, answered from
@@ -218,7 +222,8 @@ def evaluate_suite(
     candidate order decides which conjectures a cap keeps.  Each group
     instantiates a template once for all its tasks (one memo for the
     group, see `_evaluate`), though the proposer is still asked once per
-    task.  Workers run whole groups.
+    task, and all its searches share one `Candidates` table.  Workers run
+    whole groups.
 
     With `with_instantiation_rate`, the report's `instantiation_rate` is the
     share of all tasks whose gold template, instantiated with the record's
@@ -239,11 +244,18 @@ def evaluate_suite(
     budget = budget or Budget()
 
     def run(group: list[int]) -> tuple[list[TaskResult], int]:
+        symbols = tasks[group[0]].record.symbols
+        try:
+            candidates = Candidates(symbols)
+        except DuplicateCandidates:
+            # Every search over the list raises it, so each task that
+            # searches is marked, as one searching alone would be.
+            candidates = list(symbols)
         memo: dict[str, _Instances] = {}
-        rows = [_evaluate(tasks[i], proposer, budget, memo) for i in group]
+        rows = [_evaluate(tasks[i], proposer, budget, candidates, memo) for i in group]
         if not with_instantiation_rate:
             return rows, 0
-        return rows, sum(_gold_hit(tasks[i], budget, memo) for i in group)
+        return rows, sum(_gold_hit(tasks[i], budget, candidates, memo) for i in group)
 
     if workers == 1:
         runs = [run(g) for g in groups]
@@ -270,13 +282,17 @@ def _symbol_groups(tasks: list[EvalTask]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _gold_hit(task: EvalTask, budget: Budget | None, memo: dict[str, _Instances]) -> bool:
+def _gold_hit(
+    task: EvalTask,
+    budget: Budget | None,
+    candidates: Candidates | list[SignatureEntry],
+    memo: dict[str, _Instances],
+) -> bool:
     """Whether the task's gold template, instantiated with the record's own
-    symbols through `memo`, gives the gold lemma; an error is a miss."""
+    symbols (`candidates`) through `memo`, gives the gold lemma; an error is
+    a miss."""
     try:
-        inst = _instantiate_through(
-            memo, task.gold_template, list(task.record.symbols), budget
-        )
+        inst = _instantiate_through(memo, task.gold_template, candidates, budget)
     except LemmakitError:
         return False
     return alpha_key(task.record.term) in inst.keys

@@ -9,6 +9,17 @@ with `terms.unify_into`, against the candidate's scheme renamed apart by
 `terms.FreshNames`.  A scheme without type variables needs no renaming, so
 candidates that share one such type object are unified once per search node;
 the signature loaders in `corpus` hand equal types back as one object.
+
+A node tries only the candidates that can fit its hole: term indexing, with
+types as the terms.  A `Candidates` table, built once per symbol list and
+shared by every search over it, groups the monomorphic schemes by skeleton
+(the heads along the arrow spine, a type variable a wildcard).  The search
+walks the hole's type under the node's substitution to its skeleton, and the
+table lists, once per skeleton, the candidates to try there in list order:
+those whose skeleton is compatible, and every polymorphic one, whose renaming
+uses up fresh names whether it unifies or not.  That is a superset of the
+candidates that unify, so the solutions, their order and their fresh names
+are those of trying every candidate.
 Retained logical constants are re-constrained against `terms.base_scheme` so
 the produced conjectures get concrete logical types back (bool, prop, ...);
 those root constraints are worked out once per template object, with the
@@ -34,6 +45,7 @@ from dataclasses import dataclass, field
 
 from .templates import Template
 from .terms import (
+    FUN,
     Abs,
     App,
     Const,
@@ -42,6 +54,7 @@ from .terms import (
     Hole,
     LemmakitError,
     SignatureEntry,
+    TCon,
     Term,
     TypeExpr,
     TypeSubstitution,
@@ -53,6 +66,7 @@ from .terms import (
     subterms,
     type_vars,
     unify_into,
+    walk,
 )
 
 
@@ -66,6 +80,79 @@ class DuplicateCandidates(LemmakitError, ValueError):
 
     def __init__(self):
         super().__init__("candidate names must be unique")
+
+
+class Candidates:
+    """A symbol list as every search over it reads it, built once and shared
+    by those searches.  Iterating it gives its entries, in order.
+
+    It checks that no two entries share a name, finds each scheme's type
+    variables once, and groups the monomorphic entries by `_skeleton` key.
+    `fitting` lists, for the skeleton of a hole's type, the entries a search
+    must try there, in list order: every polymorphic one, since each renaming
+    uses up fresh names whether it unifies or not, and the monomorphic ones
+    whose key `_fits` it.  Those are a superset of the entries that unify,
+    so `unify_into` stays the test.  The lists are memoized by key; two
+    threads that miss at once store equal lists.
+    """
+
+    def __init__(self, entries):
+        self.entries = list(entries)
+        if len({c.name for c in self.entries}) != len(self.entries):
+            raise DuplicateCandidates()
+        self.pool = [(c, type_vars(c.type)) for c in self.entries]
+        self.poly: list[int] = []
+        self.groups: dict[tuple, list[int]] = {}
+        for i, (c, tvars) in enumerate(self.pool):
+            if tvars:
+                self.poly.append(i)
+            else:
+                self.groups.setdefault(_skeleton({}, c.type), []).append(i)
+        self.memo: dict[tuple, list[tuple[SignatureEntry, list[str]]]] = {}
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def fitting(self, key: tuple) -> list[tuple[SignatureEntry, list[str]]]:
+        """The (entry, its type variables) pairs to try at a hole whose
+        skeleton is `key`, in list order."""
+        got = self.memo.get(key)
+        if got is None:
+            keep = self.poly + [
+                i for k, group in self.groups.items() if _fits(key, k) for i in group
+            ]
+            keep.sort()
+            got = self.memo[key] = [self.pool[i] for i in keep]
+        return got
+
+
+def _skeleton(subst: TypeSubstitution, ty: TypeExpr) -> tuple:
+    """The key a type is indexed by, under `subst`: the head of each argument
+    along its arrow spine, then the head of its result, where the head of a
+    constructor is its name and that of a variable is None."""
+    heads = []
+    ty = walk(subst, ty)
+    while ty.__class__ is TCon and ty.name == FUN and len(ty.args) == 2:
+        arg = walk(subst, ty.args[0])
+        heads.append(arg.name if arg.__class__ is TCon else None)
+        ty = walk(subst, ty.args[1])
+    heads.append(ty.name if ty.__class__ is TCon else None)
+    return tuple(heads)
+
+
+def _fits(hole: tuple, mono: tuple) -> bool:
+    """Whether a monomorphic type with skeleton `mono` may unify with a hole
+    type with skeleton `hole`: at each place both have, the hole's head is a
+    variable or the same name.  A hole whose spine ends first fits only if
+    its result is a variable, which can take the further arrows; a
+    monomorphic result never can."""
+    n = len(hole)
+    if n > len(mono):
+        return False
+    for h, m in zip(hole, mono):
+        if h is not None and h != m:
+            return False
+    return n == len(mono) or hole[-1] is None
 
 
 @dataclass(frozen=True)
@@ -108,7 +195,7 @@ class InstantiationResult:
 
 def instantiate(
     tpl: Template,
-    candidates: list[SignatureEntry],
+    candidates: Candidates | list[SignatureEntry],
     budget: Budget | None = None,
 ) -> InstantiationResult:
     """Enumerate every well-typed full hole assignment within the budget.
@@ -116,7 +203,9 @@ def instantiate(
     Output order is lexicographic in candidate positions per hole.  All
     occurrences of one hole receive the same symbol; distinct holes may share
     a symbol unless budget.distinct_holes.  Partial results are returned with
-    timed_out set when the deadline fires mid-search.
+    timed_out set when the deadline fires mid-search.  `candidates` is a
+    `Candidates` table, shared with other searches over the same list, or a
+    list that a table is built from.
     """
     if budget is None:
         budget = Budget()
@@ -146,7 +235,7 @@ class InstantiationTexts:
 
 def instantiate_texts(
     tpl: Template,
-    candidates: list[SignatureEntry],
+    candidates: Candidates | list[SignatureEntry],
     budget: Budget | None = None,
 ) -> InstantiationTexts:
     """`instantiate`'s conjectures as (assignment, `render_term` of the term)
@@ -161,7 +250,7 @@ def instantiate_texts(
         budget = Budget()
     search = _Search(tpl, candidates, budget)
     parts = render_parts(tpl.body)
-    heads = {c.name: render_parts(Const(c.name, c.type))[0] for c in candidates}
+    heads = {c.name: render_parts(Const(c.name, c.type))[0] for c in search.table}
     result = InstantiationTexts()
     for leaf, pairs in search.leaves(budget.max_results):
         if leaf.pieces is None:
@@ -273,26 +362,23 @@ class _Leaf:
 
 
 class _Search:
-    """The backtracking search of `tpl`'s holes over `candidates` under
-    `budget`'s deadline and `distinct_holes`.  It is an object, not a
-    recursive nested function, because such a function holds itself through
-    its closure cell: every call would leave a reference cycle for the
-    garbage collector."""
+    """The backtracking search of `tpl`'s holes over `candidates` (a
+    `Candidates` table, or a list it builds one from) under `budget`'s
+    deadline and `distinct_holes`.  It is an object, not a recursive nested
+    function, because such a function holds itself through its closure cell:
+    every call would leave a reference cycle for the garbage collector."""
 
-    def __init__(self, tpl: Template, candidates: list[SignatureEntry], budget: Budget):
+    def __init__(
+        self, tpl: Template, candidates: Candidates | list[SignatureEntry], budget: Budget
+    ):
         if not isinstance(tpl, Template):
             raise InvalidTemplate(f"expected a Template, got {type(tpl).__name__}")
-        names = [c.name for c in candidates]
-        if len(set(names)) != len(names):
-            raise DuplicateCandidates()
+        self.table = candidates if isinstance(candidates, Candidates) else Candidates(candidates)
         self.deadline = time.monotonic() + budget.timeout_millis / 1000.0
         self.root, used, self.hole_order, self.varying = _plan(tpl)
         self.fresh = FreshNames("?f")
         self.fresh.n = used
         self.hole_types = tpl.hole_types
-        # Each scheme's type variables, found once here rather than per search
-        # node.
-        self.pool = [(c, type_vars(c.type)) for c in candidates]
         self.distinct = budget.distinct_holes
         self.timed_out = False
         self.capped = False
@@ -345,7 +431,7 @@ class _Search:
         # substitution (None on a clash).  Nothing mutates a substitution once
         # it is built; the next node copies before it unifies.
         by_type: dict[int, TypeSubstitution | None] = {}
-        for cand, tvars in self.pool:
+        for cand, tvars in self.table.fitting(_skeleton(subst, hole_ty)):
             if time.monotonic() > deadline:
                 self.timed_out = True
                 return
@@ -403,7 +489,7 @@ FEASIBLE_TIMEOUT_MILLIS = 1000
 
 
 def feasible(
-    tpl: Template, candidates: list[SignatureEntry], distinct_holes: bool = False
+    tpl: Template, candidates: Candidates | list[SignatureEntry], distinct_holes: bool = False
 ) -> bool:
     """True iff at least one well-typed full assignment exists within
     FEASIBLE_TIMEOUT_MILLIS; with `distinct_holes`, one in which no two holes

@@ -27,7 +27,7 @@ from .corpus import (
     read_jsonl,
     write_jsonl,
 )
-from .instantiation import DuplicateCandidates, feasible
+from .instantiation import Candidates, feasible
 from .templates import NonCanonical, Template, Whitelist, parse_template
 from .terms import LemmakitError, SignatureEntry, TermSyntaxError, TypeExpr
 
@@ -171,11 +171,10 @@ def propose_retrieval(req: ProposalRequest, idx: TemplateIndex) -> ProposalSet:
     and repeats do not decide whether an assignment exists.  With distinct
     holes, how many candidates share a type does, so nothing is memoized.
     """
-    candidates = list(req.symbols)
-    # instantiate rejects repeated names; an answer from the memo must too.
-    names = [c.name for c in candidates]
-    if idx.counts and len(set(names)) != len(names):
-        raise DuplicateCandidates()
+    # The request's searches share one table.  Building it rejects repeated
+    # names, so an answer from the memo does too; an empty index searches
+    # nothing and builds none.
+    candidates = Candidates(req.symbols) if idx.counts else ()
     types = frozenset(c.type for c in candidates)
     total = idx.total or 1
     proposals = []

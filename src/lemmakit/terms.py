@@ -694,14 +694,16 @@ def _parts(t: Term, out: list) -> None:
 TypeSubstitution = dict[str, TypeExpr]
 
 
-def _walk(s: TypeSubstitution, t: TypeExpr) -> TypeExpr:
+def walk(s: TypeSubstitution, t: TypeExpr) -> TypeExpr:
+    """`t`, or what its variable is bound to in `s`, followed until it is a
+    constructor or an unbound variable."""
     while isinstance(t, TVar) and t.name in s:
         t = s[t.name]
     return t
 
 
 def _occurs(s: TypeSubstitution, name: str, t: TypeExpr) -> bool:
-    t = _walk(s, t)
+    t = walk(s, t)
     if isinstance(t, TVar):
         return t.name == name
     return any(_occurs(s, name, a) for a in t.args)
@@ -711,8 +713,8 @@ def unify_into(s: TypeSubstitution, a: TypeExpr, b: TypeExpr) -> None:
     """Extend binding map `s` in place so that a and b become equal.  On
     Clash or OccursCheck `s` may keep partial bindings, so callers that
     backtrack unify into a copy."""
-    a = _walk(s, a)
-    b = _walk(s, b)
+    a = walk(s, a)
+    b = walk(s, b)
     if isinstance(a, TVar):
         if isinstance(b, TVar) and a.name == b.name:
             return
@@ -733,7 +735,7 @@ def resolve(s: TypeSubstitution, t: TypeExpr) -> TypeExpr:
     """`t` with every variable bound in `s` replaced, all the way down.  A
     subtree that no binding changes comes back as the same object, so resolved
     types share structure with the types they were resolved from."""
-    t = _walk(s, t)
+    t = walk(s, t)
     if isinstance(t, TVar) or not t.args:
         return t
     args = tuple([resolve(s, a) for a in t.args])

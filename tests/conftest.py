@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from lemmakit.instantiation import Candidates
 from lemmakit.terms import (
     Abs,
     App,
@@ -21,6 +22,22 @@ from lemmakit.terms import (
     TVar,
     fun,
 )
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The symbol lists, as name tuples, of the `Candidates` tables built
+    while the test runs, in order."""
+    built = []
+    real = Candidates.__init__
+
+    def init(self, entries):
+        real(self, entries)
+        built.append(tuple(c.name for c in self))
+
+    monkeypatch.setattr(Candidates, "__init__", init)
+    return built
+
 
 OCTO = TCon("Octonions.octo")
 BOOL = TCon("HOL.bool")

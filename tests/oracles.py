@@ -4,11 +4,11 @@ Everything here is deliberately naive: brute-force bijection search for alpha
 equivalence, substitution-enumeration for unifiability, textbook Robinson
 unification for typability, a character-by-character tokenizer and a
 peek/next parser for s-expressions, exhaustive product enumeration for
-instantiation, saturation to a fixpoint for congruence over a term
-universe, one-sided matching for law instances, and plain recursive
-evaluation for testing-based partitions, and template abstraction that
-typechecks every body it builds.  None of it shares code with the package
-internals it checks.
+instantiation, a search that tries every candidate at every node, saturation
+to a fixpoint for congruence over a term universe, one-sided matching for law
+instances, and plain recursive evaluation for testing-based partitions, and
+template abstraction that typechecks every body it builds.  None of it shares
+code with the package internals it checks.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from lemmakit.terms import (
     Bound,
     Const,
     Free,
+    FreshNames,
     Hole,
     MAX_DEPTH,
     TCon,
@@ -32,6 +33,7 @@ from lemmakit.terms import (
     TypecheckError,
     UnificationError,
     apply_type_subst,
+    base_scheme,
     fun,
     render_term,
     resolve,
@@ -318,6 +320,47 @@ def _walk_terms(t):
     elif isinstance(t, App):
         yield from _walk_terms(t.fn)
         yield from _walk_terms(t.arg)
+
+
+def unindexed_solutions(template, candidates, distinct=False):
+    """Every solution of `instantiate`'s search, in its order, as (leaf
+    substitution, symbol names in hole order): the search as it ran before
+    candidates were indexed by type, which tries every candidate at every
+    node.  With `distinct`, no symbol fills two holes.  There is no deadline
+    and no cap; callers cut the list.
+
+    Unlike the rest of this module it uses the package's renaming and
+    unifier: the substitutions it pins hold their fresh `?fN` names, and
+    those depend on every renaming the search makes, in order.
+    """
+    fresh = FreshNames("?f")
+    root = {}
+    for node in _walk_terms(template.body):
+        scheme = base_scheme(node.name) if isinstance(node, Const) else None
+        if scheme is not None:
+            try:
+                unify_into(root, fresh.rename(scheme), node.type)
+            except UnificationError:
+                return []
+    order = sorted(template.hole_types)
+    out = []
+
+    def search(pos, subst, chosen):
+        if pos == len(order):
+            out.append((subst, chosen))
+            return
+        for cand in candidates:
+            if distinct and cand.name in chosen:
+                continue
+            attempt = dict(subst)
+            try:
+                unify_into(attempt, template.hole_types[order[pos]], fresh.rename(cand.type))
+            except UnificationError:
+                continue
+            search(pos + 1, attempt, chosen + (cand.name,))
+
+    search(0, root, ())
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,16 @@ class TestConjecture:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_one_table_for_every_template(
+        self, octo_symbols_file, octo_templates_file, table_builds, capsys
+    ):
+        """The k templates' searches share one `Candidates` table."""
+        argv = ["conjecture", octo_symbols_file, "--proposer", "fixed",
+                "--templates", octo_templates_file]
+        assert main(argv) == 0
+        assert "templates=2 " in capsys.readouterr().err
+        assert len(table_builds) == 1
+
     def test_retrieval_needs_index(self, octo_symbols_file, capsys):
         assert main(["conjecture", octo_symbols_file]) == 1
         assert "--index" in capsys.readouterr().err

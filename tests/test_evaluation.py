@@ -344,6 +344,21 @@ class TestOneInstantiationPerSymbolList:
             r.to_dict() for r in one_by_one
         ]
 
+    def test_one_table_per_symbol_list(self, retrieval, table_builds):
+        """A group's searches, its gold templates' included, share one
+        `Candidates` table; retrieval builds one more per request."""
+        tasks = _interleaved_heldout_tasks()
+        lists = list(dict.fromkeys(t.record.symbols for t in tasks))
+        names = [tuple(c.name for c in symbols) for symbols in lists]
+        proposer = distrib_only_proposer(tasks)
+        for workers in (1, 4):
+            table_builds.clear()
+            evaluate_suite(tasks, proposer, workers=workers, with_instantiation_rate=True)
+            assert sorted(table_builds) == sorted(names) and len(names) == 31
+        table_builds.clear()
+        evaluate_suite(tasks, retrieval, with_instantiation_rate=True)
+        assert len(table_builds) == len(names) + len(tasks)
+
     def test_worker_count_does_not_change_multi_group_report(self, retrieval):
         tasks = _interleaved_heldout_tasks()
         assert len({t.record.symbols for t in tasks}) == 31

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import sys
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -10,6 +11,7 @@ import pytest
 from lemmakit import instantiation
 from lemmakit.instantiation import (
     Budget,
+    Candidates,
     DuplicateCandidates,
     InvalidTemplate,
     feasible,
@@ -43,7 +45,7 @@ from lemmakit.terms import (
     unify_into,
 )
 
-from oracles import exhaustive_instantiations, random_lemma_term
+from oracles import exhaustive_instantiations, random_lemma_term, unindexed_solutions
 from synthetic import build_synthetic_corpus
 
 OCTO = TCon("Octonions.octo")
@@ -550,11 +552,16 @@ def _sorted_candidates(binary, unary, shared=True):
 
 
 class TestUnifyOncePerType:
-    """`instantiate` unifies a hole once per node with each distinct type
-    object of the monomorphic candidates, and with each polymorphic candidate
-    on its own.  On the distributivity template that is 1 unification for
-    HOL.eq at the root, D at the first hole, and D at the second hole below
-    each of the 3·B binary candidates that fit the first."""
+    """`instantiate` tries at a hole only the candidates whose type's
+    skeleton fits the hole's, and every polymorphic one.  It unifies the hole
+    once per node with each distinct type object among the monomorphic ones
+    it tries, and with each polymorphic candidate on its own.
+
+    On the distributivity template both holes are `a0 ⇒ a0 ⇒ a0`.  At the
+    first hole a0 is unbound, so the binary types of all 3 sorts fit and the
+    unary ones do not: a spine of one arrow cannot take two arguments.  Below
+    a binary candidate on sort S, a0 is S, and only the binary type on S
+    fits the second hole.  Add 1 unification for HOL.eq at the root."""
 
     B, U, D = 4, 3, 6
 
@@ -575,7 +582,9 @@ class TestUnifyOncePerType:
         assert len({id(c.type) for c in pool}) == self.D
         calls = self._count(monkeypatch)
         got = instantiate(tpl, pool, Budget(max_results=10**9)).conjectures
-        assert len(calls) == 1 + self.D + 3 * self.B * self.D
+        # The root, the 3 binary type objects at the first hole, and 1 type
+        # object below each of the 3·B binaries that fill it: 1 + 3 + 12.
+        assert len(calls) == 1 + 3 + 3 * self.B == 16
         assert len(got) == 3 * self.B * self.B
         monkeypatch.undo()
         assert _assert_same_as_per_node(tpl, pool) == len(got)
@@ -590,10 +599,11 @@ class TestUnifyOncePerType:
         shared_calls = len(calls)
         calls.clear()
         got = instantiate(tpl, pool).conjectures
-        n = len(pool)
         # The first call unified HOL.eq at the root of this template object;
-        # the second reuses that root.
-        assert len(calls) == n + 3 * self.B * n > shared_calls
+        # the second reuses that root.  Every binary candidate has its own
+        # type object: 3·B at the first hole, and below each of them the B
+        # binaries of its sort: 12 + 12·4.
+        assert len(calls) == 3 * self.B + 3 * self.B * self.B == 60 > shared_calls
         assert got == shared
         monkeypatch.undo()
         assert _assert_same_as_per_node(tpl, pool) == len(got)
@@ -607,10 +617,17 @@ class TestUnifyOncePerType:
         pool = POLY_SYMBOLS[:1] + mono[:9] + POLY_SYMBOLS[1:] + [twin] + mono[9:]
         calls = self._count(monkeypatch)
         got = instantiate(tpl, pool, Budget(max_results=10**9)).conjectures
-        # Both picks and Poly.zip fit the first hole besides the 3·B binaries;
-        # Poly.id does not (a0 => a0 => a0 against ?f => ?f).
-        tries = self.D + len(POLY_SYMBOLS) + 1
-        assert len(calls) == 1 + tries + (3 * self.B + 3) * tries
+        # The 4 polymorphic candidates are tried at every node.  At the first
+        # hole they and the 3 binary type objects are tried: 7.  Both picks
+        # and Poly.zip fit besides the 3·B binaries; Poly.id does not
+        # (a0 => a0 => a0 against ?f => ?f).  Below a binary on S, the
+        # second hole tries the polymorphic 4 and S's binary type: 5, 3·B
+        # times.  Below a pick, a0 is a variable still, so 7 are tried, twice;
+        # below Poly.zip it is a list, which no monomorphic type fits: 4.
+        polys = len(POLY_SYMBOLS) + 1
+        first = polys + 3
+        below = 3 * self.B * (polys + 1) + 2 * first + polys
+        assert len(calls) == 1 + first + below == 1 + 7 + 78 == 86
         monkeypatch.undo()
         assert _assert_same_as_per_node(tpl, pool) == len(got)
         assert "?f" in render_term(got[0].term)
@@ -1042,3 +1059,244 @@ class TestTextsDriftOracle:
                     budget = Budget(max_results=cap)
                     expected = _rendered(instantiate(tpl, pool, budget))
                     assert _texts(instantiate_texts(tpl, pool, budget)) == expected
+
+
+_S0, _S1 = _SORTS[0], _SORTS[1]
+_B = TVar("'b")
+# Candidate types for the index: constants to ternaries, a spine that mixes
+# sorts, lists, schemes with a type variable in result position (which can
+# take further arrows), and `fun`s with other than two arguments, which are
+# no arrow.
+_INDEX_TYPES = [
+    _S0,
+    fun(_S0, _S0),
+    fun(_S0, fun(_S0, _S0)),
+    fun(_S0, fun(_S0, fun(_S0, _S0))),
+    fun(_S1, fun(_S0, _S1)),
+    fun(_S0, _S1),
+    fun(TCon("List.list", (_S0,)), _S0),
+    TCon("fun", (_S0,)),
+    TCon("fun", (_S0, _S0, _S0)),
+    fun(TCon("fun", (_S0,)), _S0),
+    fun(_S0, TCon("fun", (_S0, _S1, _S1))),
+    fun(_A, _B),
+    fun(_A, _A),
+    fun(_A, fun(_A, _A)),
+    fun(TCon("List.list", (_A,)), _A),
+    fun(_S0, _A),
+    _A,
+]
+
+
+def _index_pool(rng):
+    """Up to 12 symbols over `_INDEX_TYPES` in random order; a type picked
+    twice is one object, as the signature loaders give it."""
+    return [
+        SignatureEntry(f"I.c{i}", rng.choice(_INDEX_TYPES), None)
+        for i in range(rng.randint(0, 12))
+    ]
+
+
+def _absorbing_templates():
+    """Templates whose holes take `a0 ⇒ a1`, so a ternary symbol fits with
+    a1 := S ⇒ S ⇒ S, and a constant hole next to an applied one."""
+    bool_t = TCon("HOL.bool")
+    s, t = _S0, _S1
+    x, y = Free("x", s), Free("y", t)
+
+    def eq(ty, lhs, rhs):
+        return App(App(Const("HOL.eq", fun(ty, fun(ty, bool_t))), lhs), rhs)
+
+    f, g = Const("T.f", fun(s, t)), Const("T.g", fun(s, t))
+    c = Const("T.c", t)
+    return [
+        abstract(eq(t, App(f, x), y)),
+        abstract(eq(t, App(f, x), App(g, x))),
+        abstract(eq(t, App(f, x), c)),
+        abstract(eq(s, App(Const("T.h", fun(t, s)), App(f, x)), x)),
+    ]
+
+
+def _index_cases(lemma_distrib_left):
+    """`_drift_cases`, and the absorbing and random templates over random
+    `_index_pool`s."""
+    cases = _drift_cases(lemma_distrib_left)
+    rng = random.Random(28)
+    templates = _absorbing_templates() + [tpl for tpl, _ in cases[::4]]
+    for tpl in templates:
+        for _ in range(4):
+            cases.append((tpl, _index_pool(rng)))
+    return cases
+
+
+def _indexed(tpl, pool, budget):
+    """The search's solutions within `budget`, as `unindexed_solutions` gives
+    them, and its `capped` and `timed_out`."""
+    search = instantiation._Search(tpl, pool, budget)
+    got = [
+        (leaf.subst, tuple(name for _, name in pairs))
+        for leaf, pairs in search.leaves(budget.max_results)
+    ]
+    return got, search.capped, search.timed_out
+
+
+def _is_arrow(ty):
+    return isinstance(ty, TCon) and ty.name == "fun" and len(ty.args) == 2
+
+
+def _type_nodes(ty):
+    yield ty
+    if isinstance(ty, TCon):
+        for a in ty.args:
+            yield from _type_nodes(a)
+
+
+def _shapes_met(tpl, subst):
+    """Whether a hole `v ⇒ w` had its result variable w bound to an arrow
+    in this solution, and whether a hole's type holds a `fun` that is no
+    arrow."""
+    absorbed = any(
+        _is_arrow(ty) and isinstance(ty.args[1], TVar) and _is_arrow(resolve(subst, ty.args[1]))
+        for ty in tpl.hole_types.values()
+    )
+    odd = any(
+        node.name == "fun" and not _is_arrow(node)
+        for ty in tpl.hole_types.values()
+        for node in _type_nodes(resolve(subst, ty))
+        if isinstance(node, TCon)
+    )
+    return absorbed, odd
+
+
+class TestIndexDriftOracle:
+    """The search tries at each node only what the `Candidates` table lists
+    for the hole's skeleton.  Its solutions, their leaf substitutions (fresh
+    names included), their order, `capped` and `timed_out` are those of
+    `oracles.unindexed_solutions`, which tries every candidate at every
+    node."""
+
+    def test_random_templates_at_every_cap(self, lemma_distrib_left):
+        solutions = capped = absorbed = odd = poly = 0
+        for tpl, pool in _index_cases(lemma_distrib_left):
+            for distinct in (False, True):
+                expected = unindexed_solutions(tpl, pool, distinct)
+                n = len(expected)
+                for cap in sorted(c for c in {1, 2, n - 1, n, n + 1} if c > 0):
+                    budget = Budget(max_results=cap, distinct_holes=distinct)
+                    got = _indexed(tpl, pool, budget)
+                    assert got == (expected[:cap], n > cap, False)
+                    capped += got[1]
+                budget = Budget(max_results=10**9, distinct_holes=distinct)
+                assert _indexed(tpl, Candidates(pool), budget) == (expected, False, False)
+                solutions += n
+                schemes = {e.name: e.type for e in pool}
+                for subst, chosen in expected:
+                    a, o = _shapes_met(tpl, subst)
+                    absorbed += a
+                    odd += o
+                    poly += any(type_vars(schemes[name]) for name in chosen)
+        assert solutions > 3000 and capped > 200
+        assert absorbed > 20 and odd > 20 and poly > 500
+
+    def test_expiring_deadline_gives_a_prefix(self, lemma_distrib_left, monkeypatch):
+        """With a clock that moves 1/k of the timeout per reading, the search
+        stops at the deadline with a prefix of every solution, and says so."""
+        outcomes = set()
+        for tpl, pool in _index_cases(lemma_distrib_left)[::5]:
+            for distinct in (False, True):
+                expected = unindexed_solutions(tpl, pool, distinct)
+                for k in (1, 2, 5, 13, 40):
+                    monkeypatch.setattr(instantiation, "time", _Clock(1.0 / k))
+                    got, capped, timed_out = _indexed(tpl, pool, Budget(1000, 10**9, distinct))
+                    monkeypatch.undo()
+                    assert got == expected[: len(got)] and not capped
+                    assert timed_out or got == expected
+                    outcomes.add((bool(got), len(got) < len(expected), timed_out))
+        assert {(False, True, True), (True, True, True), (True, False, False)} <= outcomes
+
+    def test_the_deadline_interrupts_one_node(self, monkeypatch):
+        """50 candidates fit the only hole.  The clock is read once when the
+        search starts and once before each candidate it tries, so a deadline
+        k steps after the start lets that one node try k of them.  The steps
+        are powers of two, so the clock's sums are exact."""
+        x = Free("x", _S0)
+        eq = Const("HOL.eq", fun(_S0, fun(_S0, TCon("HOL.bool"))))
+        tpl = abstract(App(App(eq, App(Const("T.u", fun(_S0, _S0)), x)), x))
+        assert tpl.hole_count == 1
+        pool = [SignatureEntry(f"T.u{i}", fun(_S0, _S0), None) for i in range(50)]
+        for k in (1, 2, 8, 32):
+            monkeypatch.setattr(instantiation, "time", _Clock(1.0 / k))
+            res = instantiate(tpl, pool, Budget(1000, 10**9))
+            monkeypatch.undo()
+            assert res.timed_out and not res.capped
+            assert [c.assignment.as_dict()[1] for c in res.conjectures] == [
+                e.name for e in pool[:k]
+            ]
+
+
+class TestCandidates:
+    def test_iterates_as_its_entries(self, candidate_symbols):
+        pool = POLY_SYMBOLS + OCTO_SYMBOLS + candidate_symbols
+        assert list(Candidates(pool)) == pool
+        assert list(Candidates(iter(pool))) == pool
+        assert list(Candidates([])) == []
+
+    def test_repeated_names_raise(self):
+        for pool in ([OCTO_SYMBOLS[0], OCTO_SYMBOLS[0]], OCTO_SYMBOLS + POLY_SYMBOLS[:1] * 2):
+            with pytest.raises(DuplicateCandidates) as exc:
+                Candidates(pool)
+            assert isinstance(exc.value, ValueError)
+            assert str(exc.value) == "candidate names must be unique"
+
+    def test_a_shared_table_answers_as_a_list(self, lemma_distrib_left, monkeypatch):
+        """One table serves searches over several templates: each gives what
+        the plain list gives, and a hole skeleton met before is looked up,
+        not worked out again, so the table checks each skeleton it meets
+        against each of its monomorphic groups once."""
+        fits = []
+        real = instantiation._fits
+
+        def counted(hole, mono):
+            fits.append(hole)
+            return real(hole, mono)
+
+        monkeypatch.setattr(instantiation, "_fits", counted)
+        pool = _index_pool(random.Random(5)) + _sorted_candidates(2, 2)
+        templates = _absorbing_templates() + [abstract(lemma_distrib_left)]
+        table = Candidates(pool)
+        through_table = []
+        for tpl in templates + templates:
+            for distinct in (False, True):
+                budget = Budget(max_results=10**9, distinct_holes=distinct)
+                expected = _rendered(instantiate(tpl, pool, budget))
+                before = len(fits)
+                assert _rendered(instantiate(tpl, table, budget)) == expected
+                assert _texts(instantiate_texts(tpl, table, budget)) == expected
+                assert feasible(tpl, table, distinct) == bool(expected[0])
+                through_table.append(len(fits) - before)
+        # The second round meets no skeleton the first did not.
+        half = len(through_table) // 2
+        assert sum(through_table[:half]) > 0 and sum(through_table[half:]) == 0
+        assert sum(through_table) == len(table.memo) * len(table.groups)
+
+    def test_threads_share_one_table(self, lemma_distrib_left):
+        """Threads that search through one table, switching as often as the
+        interpreter allows, get the serial results; a skeleton two of them
+        miss at once is stored twice, as equal lists."""
+        pool = _index_pool(random.Random(8)) + _sorted_candidates(3, 2)
+        templates = _absorbing_templates() + [abstract(lemma_distrib_left)]
+        expected = [_rendered(instantiate(tpl, pool)) for tpl in templates]
+        table = Candidates(pool)
+        n = len(templates)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as ex:
+                got = list(
+                    ex.map(
+                        lambda i: _rendered(instantiate(templates[i % n], table)), range(8 * n)
+                    )
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [expected[i % n] for i in range(8 * n)]

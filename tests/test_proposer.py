@@ -318,6 +318,19 @@ class TestFeasibilityMemo:
         assert propose_retrieval(req, idx).canonicals() == got.canonicals()
         assert len(calls) == len(idx.counts)
 
+    def test_one_table_per_request(self, monkeypatch, table_builds):
+        """A request's feasibility searches share one `Candidates` table,
+        and a request that the memo answers builds one too, so repeated
+        names are refused either way."""
+        idx = build_index(build_train_datapoints())
+        _, heldout = build_synthetic_corpus()
+        req = ProposalRequest(symbols=heldout[0].symbols, k=len(idx.counts))
+        calls = _count_feasible(monkeypatch)
+        for _ in range(2):
+            propose_retrieval(req, idx)
+        assert len(calls) == len(idx.counts) > 1
+        assert table_builds == [tuple(c.name for c in req.symbols)] * 2
+
     def test_add_after_a_proposal_joins_the_ranking(self, octo_templates):
         idx = build_index(_datapoints([(octo_templates["assoc"].canonical, 3)]))
         req = ProposalRequest(symbols=OCTO_SYMBOLS, k=1)
