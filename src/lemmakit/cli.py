@@ -16,7 +16,7 @@ from json.encoder import encode_basestring
 from . import corpus as corpus_mod
 from . import evaluation as eval_mod
 from . import quickspec as qs
-from .instantiation import Budget, Candidates, instantiate, instantiate_texts
+from .instantiation import Budget, instantiate, instantiate_texts
 from .proposer import (
     HttpProposerConfig,
     ProposalRequest,
@@ -43,17 +43,14 @@ def _per_record(fn, records, path: str) -> list:
 
 
 def _budget(args) -> Budget:
-    return Budget(
-        timeout_millis=args.timeout_ms,
-        max_results=args.max_results,
-        distinct_holes=getattr(args, "distinct_holes", False),
-    )
+    """The budget of `_add_budget_flags`' flags."""
+    return Budget(args.timeout_ms, args.max_results, args.distinct_holes)
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--timeout-ms", type=int, default=60_000,
+    p.add_argument("--timeout-ms", type=int, default=Budget.timeout_millis,
                    help="instantiation timeout per template (milliseconds)")
-    p.add_argument("--max-results", type=int, default=1000,
+    p.add_argument("--max-results", type=int, default=Budget.max_results,
                    help="conjecture cap per template")
     p.add_argument("--distinct-holes", action="store_true",
                    help="forbid two holes sharing a symbol")
@@ -165,15 +162,14 @@ def cmd_conjecture(args) -> int:
     symbols = corpus_mod.load_signature(args.symbols)
     prop = _make_proposer(args.proposer, args.index, args.templates, _whitelist(args))
     budget = _budget(args)
-    req = ProposalRequest(symbols=tuple(symbols), mode=args.mode, k=args.k,
+    req = ProposalRequest(symbols=symbols, mode=args.mode, k=args.k,
                           distinct_holes=budget.distinct_holes)
     proposals = prop(req)
-    candidates = Candidates(symbols)
     all_conjectures = []
     capped = False
     timed_out = False
     for p in proposals.proposals:
-        res = instantiate(p.template, candidates, budget)
+        res = instantiate(p.template, req.symbols, budget)
         capped = capped or res.capped
         timed_out = timed_out or res.timed_out
         for c in res.conjectures:
@@ -317,7 +313,7 @@ def cmd_instantiate(args) -> int:
 def cmd_propose(args) -> int:
     symbols = corpus_mod.load_signature(args.symbols)
     prop = _make_proposer(args.proposer, args.index, args.templates, _whitelist(args))
-    req = ProposalRequest(symbols=tuple(symbols), mode=args.mode, k=args.k)
+    req = ProposalRequest(symbols=symbols, mode=args.mode, k=args.k)
     result = prop(req)
     lines = [
         corpus_mod.json_line(

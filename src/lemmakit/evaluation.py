@@ -133,24 +133,22 @@ def _evaluate(
     task: EvalTask,
     proposer,
     budget: Budget,
-    candidates: Candidates | list[SignatureEntry],
+    candidates: Candidates,
     memo: dict[str, _Instances],
+    gold_key: tuple,
 ) -> TaskResult:
     """One task's row: template exact match compares canonical strings, and
     lemma success holds when a conjecture of a proposed template has the gold
-    term's `alpha_key`.
+    term's `alpha_key`, `gold_key`.
 
     Tasks that share one symbol list instantiate a template alike, so they
-    share its `candidates` and a `memo` from template canonical string to
-    `_Instances`.  A search that timed out is not stored, nor is an error, so
-    only the deterministic answer is reused and every task that an error hits
-    is marked.
+    share its `candidates` table, which their requests carry, and a `memo`
+    from template canonical string to `_Instances`.  A search that timed out
+    is not stored, nor is an error, so only the deterministic answer is
+    reused and every task that an error hits is marked.
     """
     result = TaskResult(id=task.record.id, theory=task.record.theory)
-    req = ProposalRequest(
-        symbols=task.record.symbols, mode=task.mode, k=task.k,
-        distinct_holes=budget.distinct_holes,
-    )
+    req = ProposalRequest(candidates, task.mode, task.k, budget.distinct_holes)
     try:
         proposals: ProposalSet = proposer(req)
     except LemmakitError as e:
@@ -158,7 +156,6 @@ def _evaluate(
         return result
 
     gold_canonical = task.gold_template.canonical
-    gold_key = alpha_key(task.record.term)
     for tpl in proposals.templates():
         result.proposed_templates.append(tpl.canonical)
         if tpl.canonical == gold_canonical:
@@ -188,7 +185,7 @@ class _Instances:
 def _instantiate_through(
     memo: dict[str, _Instances],
     tpl: Template,
-    candidates: Candidates | list[SignatureEntry],
+    candidates: Candidates,
     budget: Budget | None,
 ) -> _Instances:
     """`instantiate(tpl, candidates, budget)` as `_Instances`, answered from
@@ -215,15 +212,17 @@ def evaluate_suite(
     """Evaluate every task; the report does not depend on `workers`.
 
     `proposer` is a callable ProposalRequest -> ProposalSet.  A failure of
-    the proposer or of `instantiate` (any LemmakitError, transport errors and
-    repeated symbol names included) marks that task errored, never the suite.
+    the proposer or of `instantiate` (any LemmakitError, transport errors
+    included) marks that task errored, never the suite.
 
     Tasks are grouped by their record's symbol list, in order, since the
     candidate order decides which conjectures a cap keeps.  Each group
-    instantiates a template once for all its tasks (one memo for the
-    group, see `_evaluate`), though the proposer is still asked once per
-    task, and all its searches share one `Candidates` table.  Workers run
-    whole groups.
+    builds one `Candidates` table, which its requests carry and all its
+    searches read, and instantiates a template once for all its tasks (one
+    memo, see `_evaluate`); the proposer is still asked once per task.  A
+    list that repeats a name forms no table: its tasks are errored with
+    `DuplicateCandidates`' message, the proposer is not asked for them, and
+    their gold templates count as misses.  Workers run whole groups.
 
     With `with_instantiation_rate`, the report's `instantiation_rate` is the
     share of all tasks whose gold template, instantiated with the record's
@@ -244,18 +243,17 @@ def evaluate_suite(
     budget = budget or Budget()
 
     def run(group: list[int]) -> tuple[list[TaskResult], int]:
-        symbols = tasks[group[0]].record.symbols
         try:
-            candidates = Candidates(symbols)
-        except DuplicateCandidates:
-            # Every search over the list raises it, so each task that
-            # searches is marked, as one searching alone would be.
-            candidates = list(symbols)
+            candidates = Candidates(tasks[group[0]].record.symbols)
+        except DuplicateCandidates as e:
+            records = [tasks[i].record for i in group]
+            return [TaskResult(r.id, r.theory, error=str(e)) for r in records], 0
         memo: dict[str, _Instances] = {}
-        rows = [_evaluate(tasks[i], proposer, budget, candidates, memo) for i in group]
+        keyed = [(tasks[i], alpha_key(tasks[i].record.term)) for i in group]
+        rows = [_evaluate(t, proposer, budget, candidates, memo, key) for t, key in keyed]
         if not with_instantiation_rate:
             return rows, 0
-        return rows, sum(_gold_hit(tasks[i], budget, candidates, memo) for i in group)
+        return rows, sum(_gold_hit(t, budget, candidates, memo, key) for t, key in keyed)
 
     if workers == 1:
         runs = [run(g) for g in groups]
@@ -285,17 +283,18 @@ def _symbol_groups(tasks: list[EvalTask]) -> list[list[int]]:
 def _gold_hit(
     task: EvalTask,
     budget: Budget | None,
-    candidates: Candidates | list[SignatureEntry],
+    candidates: Candidates,
     memo: dict[str, _Instances],
+    gold_key: tuple,
 ) -> bool:
     """Whether the task's gold template, instantiated with the record's own
-    symbols (`candidates`) through `memo`, gives the gold lemma; an error is
-    a miss."""
+    symbols (`candidates`) through `memo`, gives the gold lemma, whose
+    `alpha_key` is `gold_key`; an error is a miss."""
     try:
         inst = _instantiate_through(memo, task.gold_template, candidates, budget)
     except LemmakitError:
         return False
-    return alpha_key(task.record.term) in inst.keys
+    return gold_key in inst.keys
 
 
 def combine_reports(reports: list[EvalReport]) -> EvalReport:

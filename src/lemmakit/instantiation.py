@@ -11,13 +11,14 @@ candidates that share one such type object are unified once per search node;
 the signature loaders in `corpus` hand equal types back as one object.
 
 A node tries only the candidates that can fit its hole: term indexing, with
-types as the terms.  A `Candidates` table, built once per symbol list and
-shared by every search over it, groups the monomorphic schemes by skeleton
-(the heads along the arrow spine, a type variable a wildcard).  The search
-walks the hole's type under the node's substitution to its skeleton, and the
-table lists, once per skeleton, the candidates to try there in list order:
-those whose skeleton is compatible, and every polymorphic one, whose renaming
-uses up fresh names whether it unifies or not.  That is a superset of the
+types as the terms.  A `Candidates` table, built once per symbol list where
+the list is read and carried (in a `ProposalRequest` too) to every search
+over it, groups the monomorphic schemes by skeleton (the heads along the
+arrow spine, a type variable a wildcard).  The search walks the hole's type
+under the node's substitution to its skeleton, and the table lists, once
+per skeleton, the candidates to try there in list order: those whose
+skeleton is compatible, and every polymorphic one, whose renaming uses up
+fresh names whether it unifies or not.  That is a superset of the
 candidates that unify, so the solutions, their order and their fresh names
 are those of trying every candidate.
 Retained logical constants are re-constrained against `terms.base_scheme` so
@@ -112,6 +113,9 @@ class Candidates:
 
     def __iter__(self):
         return iter(self.entries)
+
+    def __len__(self):
+        return len(self.entries)
 
     def fitting(self, key: tuple) -> list[tuple[SignatureEntry, list[str]]]:
         """The (entry, its type variables) pairs to try at a hole whose

@@ -29,7 +29,7 @@ from .corpus import (
 )
 from .instantiation import Candidates, feasible
 from .templates import NonCanonical, Template, Whitelist, parse_template
-from .terms import LemmakitError, SignatureEntry, TermSyntaxError, TypeExpr
+from .terms import LemmakitError, TermSyntaxError, TypeExpr
 
 ENV_LLM_URL = "LEMMAKIT_LLM_URL"
 ENV_LLM_TOKEN = "LEMMAKIT_LLM_TOKEN"
@@ -47,7 +47,7 @@ class TransportError(LemmakitError):
 
 @dataclass(frozen=True)
 class ProposalRequest:
-    symbols: tuple[SignatureEntry, ...]
+    symbols: Candidates  # every search's table; a list or tuple becomes one
     mode: str = "types+defs"
     k: int = 5
     distinct_holes: bool = False  # the instantiation budget's, for feasibility
@@ -55,6 +55,8 @@ class ProposalRequest:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if not isinstance(self.symbols, Candidates):
+            object.__setattr__(self, "symbols", Candidates(self.symbols))
 
 
 @dataclass(frozen=True)
@@ -170,24 +172,21 @@ def propose_retrieval(req: ProposalRequest, idx: TemplateIndex) -> ProposalSet:
     change the answer: without distinct holes the candidates' names, order
     and repeats do not decide whether an assignment exists.  With distinct
     holes, how many candidates share a type does, so nothing is memoized.
+    Every search reads the request's table, `req.symbols`.
     """
-    # The request's searches share one table.  Building it rejects repeated
-    # names, so an answer from the memo does too; an empty index searches
-    # nothing and builds none.
-    candidates = Candidates(req.symbols) if idx.counts else ()
-    types = frozenset(c.type for c in candidates)
+    types = frozenset(c.type for c in req.symbols)
     total = idx.total or 1
     proposals = []
     for tpl, count in idx.ranked():
         if len(proposals) == req.k:
             break
         if req.distinct_holes:
-            ok = feasible(tpl, candidates, distinct_holes=True)
+            ok = feasible(tpl, req.symbols, distinct_holes=True)
         else:
             key = (tpl.canonical, types)
             ok = idx._feasible.get(key)
             if ok is None:
-                ok = idx._feasible[key] = feasible(tpl, candidates)
+                ok = idx._feasible[key] = feasible(tpl, req.symbols)
         if ok:
             proposals.append(
                 Proposal(template=tpl, score=count / total, source="retrieval")

@@ -39,6 +39,8 @@ from lemmakit.terms import (
     render_type,
 )
 
+from synthetic import build_synthetic_corpus, build_train_datapoints
+
 OCTO = TCon("Octonions.octo")
 BINOP = fun(OCTO, fun(OCTO, OCTO))
 INT = TCon("int")
@@ -241,6 +243,71 @@ class TestConjecture:
     def test_retrieval_needs_index(self, octo_symbols_file, capsys):
         assert main(["conjecture", octo_symbols_file]) == 1
         assert "--index" in capsys.readouterr().err
+
+
+class TestOneTablePerSymbolList:
+    """Each command builds one `Candidates` table per symbol list it reads;
+    the proposer's request and the instantiations share it."""
+
+    OCTO_NAMES = ("Octonions.octo_plus", "Octonions.octo_times")
+
+    @pytest.fixture
+    def octo_index_file(self, tmp_path, lemma_distrib_left, lemma_assoc_plus):
+        path = tmp_path / "index.jsonl"
+        path.write_text("".join(
+            json.dumps({"template": abstract(lemma).canonical, "count": 1}) + "\n"
+            for lemma in (lemma_distrib_left, lemma_assoc_plus)
+        ))
+        return str(path)
+
+    @pytest.fixture(scope="class")
+    def synthetic(self, tmp_path_factory):
+        """The held-out synthetic corpus, a retrieval index of the training
+        corpus, and the name tuples of the corpus's symbol lists."""
+        d = tmp_path_factory.mktemp("synthetic")
+        _, heldout = build_synthetic_corpus()
+        save_records(d / "corpus.jsonl", heldout)
+        build_index(build_train_datapoints()).save(d / "index.jsonl")
+        lists = dict.fromkeys(r.symbols for r in heldout)
+        names = sorted(tuple(c.name for c in symbols) for symbols in lists)
+        assert len(names) == 31
+        return str(d / "corpus.jsonl"), str(d / "index.jsonl"), names
+
+    def test_conjecture_with_retrieval(
+        self, octo_symbols_file, octo_index_file, table_builds, capsys
+    ):
+        argv = ["conjecture", octo_symbols_file, "--index", octo_index_file]
+        assert main(argv) == 0
+        assert "templates=2 " in capsys.readouterr().err
+        assert table_builds == [self.OCTO_NAMES]
+
+    def test_propose(self, octo_symbols_file, octo_index_file, table_builds, capsys):
+        assert main(["propose", octo_symbols_file, "--index", octo_index_file]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert table_builds == [self.OCTO_NAMES]
+
+    def test_instantiate(self, octo_symbols_file, lemma_distrib_left, table_builds):
+        argv = ["instantiate", octo_symbols_file,
+                "--template", abstract(lemma_distrib_left).canonical]
+        assert main(argv) == 0
+        assert table_builds == [self.OCTO_NAMES]
+
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    def test_eval(self, synthetic, table_builds, tmp_path, workers):
+        corpus, index, names = synthetic
+        argv = ["eval", corpus, "--index", index, "--instantiation-rate",
+                "--workers", workers, "--report", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        assert sorted(table_builds) == names
+        table_builds.clear()
+        assert main(argv + ["--also-proposer", "retrieval", "--also-index", index]) == 0
+        assert sorted(table_builds) == sorted(names * 2)
+
+    def test_budget_flag_defaults_are_the_budget_defaults(self):
+        parser = cli.build_parser()
+        for argv in (["conjecture", "s.json"], ["eval", "c.jsonl"],
+                     ["instantiate", "s.json", "--template", "(hole 0 (tv \"a\"))"]):
+            assert cli._budget(parser.parse_args(argv)) == Budget()
 
 
 def _many_theory_corpus(tmp_path, n_theories=10):

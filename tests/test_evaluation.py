@@ -36,6 +36,7 @@ from lemmakit.proposer import (
     TemplateIndex,
     TransportError,
     build_index,
+    propose_fixed,
     propose_http,
     propose_retrieval,
 )
@@ -345,8 +346,8 @@ class TestOneInstantiationPerSymbolList:
         ]
 
     def test_one_table_per_symbol_list(self, retrieval, table_builds):
-        """A group's searches, its gold templates' included, share one
-        `Candidates` table; retrieval builds one more per request."""
+        """A group's searches, its gold templates' and its retrieval
+        requests' included, share one `Candidates` table."""
         tasks = _interleaved_heldout_tasks()
         lists = list(dict.fromkeys(t.record.symbols for t in tasks))
         names = [tuple(c.name for c in symbols) for symbols in lists]
@@ -357,7 +358,7 @@ class TestOneInstantiationPerSymbolList:
             assert sorted(table_builds) == sorted(names) and len(names) == 31
         table_builds.clear()
         evaluate_suite(tasks, retrieval, with_instantiation_rate=True)
-        assert len(table_builds) == len(names) + len(tasks)
+        assert sorted(table_builds) == sorted(names)
 
     def test_worker_count_does_not_change_multi_group_report(self, retrieval):
         tasks = _interleaved_heldout_tasks()
@@ -416,13 +417,65 @@ class TestOneInstantiationPerSymbolList:
         ] + [four_tasks[2]]
         calls = _count_instantiate(monkeypatch)
         report = evaluate_suite(tasks, distrib_only_proposer(tasks))
-        assert len(calls) == 3
+        # Only the associativity group searches: the other forms no table.
+        assert calls == [(tasks[0].gold_template.canonical, ("Octonions.octo_plus",))]
         assert {r.id: r.error for r in report.per_task} == {
             "Dist.l0": "candidate names must be unique",
             "Dist.l1": "candidate names must be unique",
             "Assoc.l0": None,
         }
         assert report.errored_tasks == 2
+
+    @pytest.mark.parametrize("kind", ["retrieval", "fixed", "http", "empty"])
+    def test_repeated_name_group_is_errored_unasked(self, kind, retrieval, stub_server):
+        """A group whose list repeats a name forms no table: each of its
+        tasks is errored with one message, its proposer is never asked, and
+        its gold templates count as misses.  The other groups' rows are
+        those of a suite without that group."""
+        tasks = _interleaved_heldout_tasks()
+        once = tasks[0].record.symbols
+        twice = once + once[:1]
+        tasks = [
+            dataclasses.replace(t, record=dataclasses.replace(t.record, symbols=twice))
+            if t.record.symbols == once else t
+            for t in tasks
+        ]
+        rest = [t for t in tasks if t.record.symbols != twice]
+        assert 1 < len(tasks) - len(rest) < len(rest)
+        golds = [t.gold_template for t in rest[:8]]
+        stub_server.completions = [tpl.canonical for tpl in golds]
+        config = HttpProposerConfig(url=stub_server.url)
+        proposer = {
+            "retrieval": retrieval,
+            "fixed": lambda req: propose_fixed(req, golds),
+            "http": lambda req: propose_http(req, config),
+            "empty": lambda req: ProposalSet(),
+        }[kind]
+        asked = []
+
+        def counted(req):
+            asked.append(tuple(c.name for c in req.symbols))
+            return proposer(req)
+
+        full = evaluate_suite(tasks, counted, with_instantiation_rate=True)
+        assert len(asked) == len(rest)
+        without = evaluate_suite(rest, counted, with_instantiation_rate=True)
+        ids = {t.record.id for t in rest}
+        errored = [r for r in full.per_task if r.id not in ids]
+        assert errored and all(
+            r.to_dict()
+            == TaskResult(r.id, r.theory, error="candidate names must be unique").to_dict()
+            for r in errored
+        )
+        assert [r.to_dict() for r in full.per_task if r.id in ids] == [
+            r.to_dict() for r in without.per_task
+        ]
+        assert full.errored_tasks == len(errored) and without.errored_tasks == 0
+        hits = round(without.instantiation_rate * len(rest))
+        assert hits > 0
+        assert full.instantiation_rate == hits / len(tasks)
+        if kind == "http":
+            assert len(stub_server.requests_seen) == 2 * len(rest)
 
 
 class TestInstantiationRate:

@@ -319,17 +319,43 @@ class TestFeasibilityMemo:
         assert len(calls) == len(idx.counts)
 
     def test_one_table_per_request(self, monkeypatch, table_builds):
-        """A request's feasibility searches share one `Candidates` table,
-        and a request that the memo answers builds one too, so repeated
-        names are refused either way."""
+        """The request builds its `Candidates` table, and every feasibility
+        search of every proposal for it reads that one; retrieval builds
+        none."""
         idx = build_index(build_train_datapoints())
         _, heldout = build_synthetic_corpus()
         req = ProposalRequest(symbols=heldout[0].symbols, k=len(idx.counts))
-        calls = _count_feasible(monkeypatch)
+        assert table_builds == [tuple(c.name for c in heldout[0].symbols)]
+        tables = []
+        real = proposer_mod.feasible
+
+        def recorded(tpl, candidates, *args):
+            tables.append(candidates)
+            return real(tpl, candidates, *args)
+
+        monkeypatch.setattr(proposer_mod, "feasible", recorded)
         for _ in range(2):
             propose_retrieval(req, idx)
-        assert len(calls) == len(idx.counts) > 1
-        assert table_builds == [tuple(c.name for c in req.symbols)] * 2
+        assert len(tables) == len(idx.counts) > 1
+        assert all(t is req.symbols for t in tables)
+        assert len(table_builds) == 1
+
+    def test_request_holds_one_table(self, table_builds):
+        """A list or tuple becomes a `Candidates` table, a table is kept as
+        it is, and repeated names are refused when the request is made, so
+        no proposer, not even one over an empty index, is asked."""
+        table = instantiation.Candidates(OCTO_SYMBOLS)
+        assert ProposalRequest(symbols=table).symbols is table
+        for symbols in (OCTO_SYMBOLS, list(OCTO_SYMBOLS)):
+            req = ProposalRequest(symbols=symbols)
+            assert isinstance(req.symbols, instantiation.Candidates)
+            assert list(req.symbols) == list(OCTO_SYMBOLS)
+            assert len(req.symbols) == len(OCTO_SYMBOLS)
+        assert len(table_builds) == 3
+        with pytest.raises(instantiation.DuplicateCandidates):
+            ProposalRequest(symbols=OCTO_SYMBOLS * 2)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            ProposalRequest(symbols=OCTO_SYMBOLS * 2, k=0)
 
     def test_add_after_a_proposal_joins_the_ranking(self, octo_templates):
         idx = build_index(_datapoints([(octo_templates["assoc"].canonical, 3)]))
