@@ -18,7 +18,6 @@ from .evaluation import (
 )
 from .instantiation import (
     Budget,
-    Candidates,
     Conjecture,
     InstantiationResult,
     instantiate,
@@ -48,7 +47,6 @@ from .terms import (
 
 __all__ = [
     "Budget",
-    "Candidates",
     "Conjecture",
     "EvalReport",
     "EvalTask",

@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 
 from .templates import Whitelist, abstract, default_whitelist
 from .terms import (
+    DuplicateSymbols,
     LemmakitError,
     Signature,
     SignatureEntry,
@@ -352,16 +353,17 @@ def save_records(path, records) -> None:
     write_jsonl(path, (record_to_dict(r) for r in records))
 
 
-def load_signature(path) -> list[SignatureEntry]:
-    """The symbols of a signature file: a JSON array of symbol objects, or a
-    quickspec signature file, whose "symbols" list holds them.
+def load_signature(path) -> Signature:
+    """The symbols of a signature file, as one `Signature`: a JSON array of
+    symbol objects, or a quickspec signature file, whose "symbols" list
+    holds them.
 
     A file of any other shape raises LemmakitError naming the file, the
-    index and the field, and so does a name given twice.  The index is an
-    "entry" of an array, and a "symbol" of a quickspec file, as the quickspec
-    loader names it.  Each distinct type text is parsed once, and equal types
-    come back as one shared object, so `instantiate` unifies each of them
-    once per search node.
+    index and the field, and a name given twice raises `DuplicateSymbols`
+    naming the file.  The index is an "entry" of an array, and a "symbol"
+    of a quickspec file, as the quickspec loader names it.  Each distinct
+    type text is parsed once, and equal types come back as one shared
+    object, so `instantiate` unifies each of them once per search node.
     """
     data = load_json(path)
     where = f"{path}: entry"
@@ -369,7 +371,7 @@ def load_signature(path) -> list[SignatureEntry]:
         data, where = data["symbols"], f"{path}: symbol"
     elif not isinstance(data, list):
         raise LemmakitError(f"{path}: expected a JSON array of symbol objects or a 'symbols' list")
-    symbols = read_symbols(data, where)
-    if len({s.name for s in symbols}) != len(symbols):
-        raise LemmakitError(f"{path}: duplicate symbol names")
-    return symbols
+    try:
+        return Signature(read_symbols(data, where))
+    except DuplicateSymbols as e:
+        raise DuplicateSymbols(f"{path}: {e}") from None

@@ -15,11 +15,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .corpus import CorpusRecord
-from .instantiation import Budget, Candidates, Conjecture, DuplicateCandidates, instantiate
+from .instantiation import Budget, Conjecture, instantiate
 from .proposer import ProposalRequest, ProposalSet
 from .quickspec import InterpretedSignature, NotTestable, find_counterexample
 from .templates import Template, Whitelist, abstract
-from .terms import LemmakitError, SignatureEntry, Term, alpha_key
+from .terms import DuplicateSymbols, LemmakitError, Signature, SignatureEntry, Term, alpha_key
 
 CATEGORY_GOLD = "gold"
 CATEGORY_FALSE = "false_by_testing"
@@ -133,7 +133,7 @@ def _evaluate(
     task: EvalTask,
     proposer,
     budget: Budget,
-    candidates: Candidates,
+    candidates: Signature,
     memo: dict[str, _Instances],
     gold_key: tuple,
 ) -> TaskResult:
@@ -185,7 +185,7 @@ class _Instances:
 def _instantiate_through(
     memo: dict[str, _Instances],
     tpl: Template,
-    candidates: Candidates,
+    candidates: Signature,
     budget: Budget | None,
 ) -> _Instances:
     """`instantiate(tpl, candidates, budget)` as `_Instances`, answered from
@@ -217,11 +217,11 @@ def evaluate_suite(
 
     Tasks are grouped by their record's symbol list, in order, since the
     candidate order decides which conjectures a cap keeps.  Each group
-    builds one `Candidates` table, which its requests carry and all its
+    builds one `Signature` table, which its requests carry and all its
     searches read, and instantiates a template once for all its tasks (one
     memo, see `_evaluate`); the proposer is still asked once per task.  A
     list that repeats a name forms no table: its tasks are errored with
-    `DuplicateCandidates`' message, the proposer is not asked for them, and
+    `DuplicateSymbols`' message, the proposer is not asked for them, and
     their gold templates count as misses.  Workers run whole groups.
 
     With `with_instantiation_rate`, the report's `instantiation_rate` is the
@@ -244,8 +244,8 @@ def evaluate_suite(
 
     def run(group: list[int]) -> tuple[list[TaskResult], int]:
         try:
-            candidates = Candidates(tasks[group[0]].record.symbols)
-        except DuplicateCandidates as e:
+            candidates = Signature(tasks[group[0]].record.symbols)
+        except DuplicateSymbols as e:
             records = [tasks[i].record for i in group]
             return [TaskResult(r.id, r.theory, error=str(e)) for r in records], 0
         memo: dict[str, _Instances] = {}
@@ -283,7 +283,7 @@ def _symbol_groups(tasks: list[EvalTask]) -> list[list[int]]:
 def _gold_hit(
     task: EvalTask,
     budget: Budget | None,
-    candidates: Candidates,
+    candidates: Signature,
     memo: dict[str, _Instances],
     gold_key: tuple,
 ) -> bool:
@@ -361,7 +361,7 @@ def categorize(
     unknown (this build has no prover to separate "provable" from "open").
     A conjecture is the gold lemma when it has the gold's `alpha_key`.
     The conjectures of `instantiate(tpl, interp.symbols)` need no second
-    description of their symbols: both read the same `SignatureEntry`s.
+    description of their symbols: both read the same `Signature`.
     """
     gold_key = alpha_key(gold)
     labels: list[str] = []

@@ -11,12 +11,12 @@ candidates that share one such type object are unified once per search node;
 the signature loaders in `corpus` hand equal types back as one object.
 
 A node tries only the candidates that can fit its hole: term indexing, with
-types as the terms.  A `Candidates` table, built once per symbol list where
-the list is read and carried (in a `ProposalRequest` too) to every search
-over it, groups the monomorphic schemes by skeleton (the heads along the
-arrow spine, a type variable a wildcard).  The search walks the hole's type
-under the node's substitution to its skeleton, and the table lists, once
-per skeleton, the candidates to try there in list order: those whose
+types as the terms.  The symbol list is a `terms.Signature`, the one table
+built where the list is read and carried (in a `ProposalRequest` too) to
+every search over it.  It groups the monomorphic schemes by skeleton (the
+heads along the arrow spine, a type variable a wildcard), and
+`Signature.fitting` lists, once per skeleton of the hole's type under the
+node's substitution, the candidates to try there in list order: those whose
 skeleton is compatible, and every polymorphic one, whose renaming uses up
 fresh names whether it unifies or not.  That is a superset of the
 candidates that unify, so the solutions, their order and their fresh names
@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 
 from .templates import Template
 from .terms import (
-    FUN,
     Abs,
     App,
     Const,
@@ -54,8 +53,8 @@ from .terms import (
     FreshNames,
     Hole,
     LemmakitError,
+    Signature,
     SignatureEntry,
-    TCon,
     Term,
     TypeExpr,
     TypeSubstitution,
@@ -65,98 +64,12 @@ from .terms import (
     render_type,
     resolve,
     subterms,
-    type_vars,
     unify_into,
-    walk,
 )
 
 
 class InvalidTemplate(LemmakitError):
     pass
-
-
-class DuplicateCandidates(LemmakitError, ValueError):
-    """Two candidates share a name, so an assignment could not say which one
-    fills a hole."""
-
-    def __init__(self):
-        super().__init__("candidate names must be unique")
-
-
-class Candidates:
-    """A symbol list as every search over it reads it, built once and shared
-    by those searches.  Iterating it gives its entries, in order.
-
-    It checks that no two entries share a name, finds each scheme's type
-    variables once, and groups the monomorphic entries by `_skeleton` key.
-    `fitting` lists, for the skeleton of a hole's type, the entries a search
-    must try there, in list order: every polymorphic one, since each renaming
-    uses up fresh names whether it unifies or not, and the monomorphic ones
-    whose key `_fits` it.  Those are a superset of the entries that unify,
-    so `unify_into` stays the test.  The lists are memoized by key; two
-    threads that miss at once store equal lists.
-    """
-
-    def __init__(self, entries):
-        self.entries = list(entries)
-        if len({c.name for c in self.entries}) != len(self.entries):
-            raise DuplicateCandidates()
-        self.pool = [(c, type_vars(c.type)) for c in self.entries]
-        self.poly: list[int] = []
-        self.groups: dict[tuple, list[int]] = {}
-        for i, (c, tvars) in enumerate(self.pool):
-            if tvars:
-                self.poly.append(i)
-            else:
-                self.groups.setdefault(_skeleton({}, c.type), []).append(i)
-        self.memo: dict[tuple, list[tuple[SignatureEntry, list[str]]]] = {}
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def fitting(self, key: tuple) -> list[tuple[SignatureEntry, list[str]]]:
-        """The (entry, its type variables) pairs to try at a hole whose
-        skeleton is `key`, in list order."""
-        got = self.memo.get(key)
-        if got is None:
-            keep = self.poly + [
-                i for k, group in self.groups.items() if _fits(key, k) for i in group
-            ]
-            keep.sort()
-            got = self.memo[key] = [self.pool[i] for i in keep]
-        return got
-
-
-def _skeleton(subst: TypeSubstitution, ty: TypeExpr) -> tuple:
-    """The key a type is indexed by, under `subst`: the head of each argument
-    along its arrow spine, then the head of its result, where the head of a
-    constructor is its name and that of a variable is None."""
-    heads = []
-    ty = walk(subst, ty)
-    while ty.__class__ is TCon and ty.name == FUN and len(ty.args) == 2:
-        arg = walk(subst, ty.args[0])
-        heads.append(arg.name if arg.__class__ is TCon else None)
-        ty = walk(subst, ty.args[1])
-    heads.append(ty.name if ty.__class__ is TCon else None)
-    return tuple(heads)
-
-
-def _fits(hole: tuple, mono: tuple) -> bool:
-    """Whether a monomorphic type with skeleton `mono` may unify with a hole
-    type with skeleton `hole`: at each place both have, the hole's head is a
-    variable or the same name.  A hole whose spine ends first fits only if
-    its result is a variable, which can take the further arrows; a
-    monomorphic result never can."""
-    n = len(hole)
-    if n > len(mono):
-        return False
-    for h, m in zip(hole, mono):
-        if h is not None and h != m:
-            return False
-    return n == len(mono) or hole[-1] is None
 
 
 @dataclass(frozen=True)
@@ -178,9 +91,6 @@ class Assignment:
 
     mapping: tuple[tuple[int, str], ...]
 
-    def as_dict(self) -> dict[int, str]:
-        return dict(self.mapping)
-
 
 @dataclass(frozen=True)
 class Conjecture:
@@ -199,7 +109,7 @@ class InstantiationResult:
 
 def instantiate(
     tpl: Template,
-    candidates: Candidates | list[SignatureEntry],
+    candidates: Signature | list[SignatureEntry],
     budget: Budget | None = None,
 ) -> InstantiationResult:
     """Enumerate every well-typed full hole assignment within the budget.
@@ -208,8 +118,8 @@ def instantiate(
     occurrences of one hole receive the same symbol; distinct holes may share
     a symbol unless budget.distinct_holes.  Partial results are returned with
     timed_out set when the deadline fires mid-search.  `candidates` is a
-    `Candidates` table, shared with other searches over the same list, or a
-    list that a table is built from.
+    `Signature`, shared with other searches over the same list, or a list
+    that one is built from.
     """
     if budget is None:
         budget = Budget()
@@ -239,7 +149,7 @@ class InstantiationTexts:
 
 def instantiate_texts(
     tpl: Template,
-    candidates: Candidates | list[SignatureEntry],
+    candidates: Signature | list[SignatureEntry],
     budget: Budget | None = None,
 ) -> InstantiationTexts:
     """`instantiate`'s conjectures as (assignment, `render_term` of the term)
@@ -367,17 +277,17 @@ class _Leaf:
 
 class _Search:
     """The backtracking search of `tpl`'s holes over `candidates` (a
-    `Candidates` table, or a list it builds one from) under `budget`'s
+    `Signature`, or a list it builds one from) under `budget`'s
     deadline and `distinct_holes`.  It is an object, not a recursive nested
     function, because such a function holds itself through its closure cell:
     every call would leave a reference cycle for the garbage collector."""
 
     def __init__(
-        self, tpl: Template, candidates: Candidates | list[SignatureEntry], budget: Budget
+        self, tpl: Template, candidates: Signature | list[SignatureEntry], budget: Budget
     ):
         if not isinstance(tpl, Template):
             raise InvalidTemplate(f"expected a Template, got {type(tpl).__name__}")
-        self.table = candidates if isinstance(candidates, Candidates) else Candidates(candidates)
+        self.table = candidates if isinstance(candidates, Signature) else Signature(candidates)
         self.deadline = time.monotonic() + budget.timeout_millis / 1000.0
         self.root, used, self.hole_order, self.varying = _plan(tpl)
         self.fresh = FreshNames("?f")
@@ -435,7 +345,7 @@ class _Search:
         # substitution (None on a clash).  Nothing mutates a substitution once
         # it is built; the next node copies before it unifies.
         by_type: dict[int, TypeSubstitution | None] = {}
-        for cand, tvars in self.table.fitting(_skeleton(subst, hole_ty)):
+        for cand, tvars in self.table.fitting(subst, hole_ty):
             if time.monotonic() > deadline:
                 self.timed_out = True
                 return
@@ -493,7 +403,7 @@ FEASIBLE_TIMEOUT_MILLIS = 1000
 
 
 def feasible(
-    tpl: Template, candidates: Candidates | list[SignatureEntry], distinct_holes: bool = False
+    tpl: Template, candidates: Signature | list[SignatureEntry], distinct_holes: bool = False
 ) -> bool:
     """True iff at least one well-typed full assignment exists within
     FEASIBLE_TIMEOUT_MILLIS; with `distinct_holes`, one in which no two holes

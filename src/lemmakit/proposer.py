@@ -27,9 +27,9 @@ from .corpus import (
     read_jsonl,
     write_jsonl,
 )
-from .instantiation import Candidates, feasible
+from .instantiation import feasible
 from .templates import NonCanonical, Template, Whitelist, parse_template
-from .terms import LemmakitError, TermSyntaxError, TypeExpr
+from .terms import LemmakitError, Signature, TermSyntaxError, TypeExpr
 
 ENV_LLM_URL = "LEMMAKIT_LLM_URL"
 ENV_LLM_TOKEN = "LEMMAKIT_LLM_TOKEN"
@@ -47,7 +47,7 @@ class TransportError(LemmakitError):
 
 @dataclass(frozen=True)
 class ProposalRequest:
-    symbols: Candidates  # every search's table; a list or tuple becomes one
+    symbols: Signature  # every search's table; a list or tuple becomes one
     mode: str = "types+defs"
     k: int = 5
     distinct_holes: bool = False  # the instantiation budget's, for feasibility
@@ -55,8 +55,8 @@ class ProposalRequest:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not isinstance(self.symbols, Candidates):
-            object.__setattr__(self, "symbols", Candidates(self.symbols))
+        if not isinstance(self.symbols, Signature):
+            object.__setattr__(self, "symbols", Signature(self.symbols))
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,6 @@ class ProposalSet:
 
     def templates(self) -> list[Template]:
         return [p.template for p in self.proposals]
-
-    def canonicals(self) -> list[str]:
-        return [p.template.canonical for p in self.proposals]
 
 
 class TemplateIndex:

@@ -27,8 +27,9 @@ calls, and the partition groups terms by column object.
 
 Value domains are deliberately small and closed (integers mod M, bounded
 ranges, booleans, short integer lists) so everything is executable and
-reproducible from a seed.  A signature's symbols are the `SignatureEntry`s
-that instantiation reads, with their functions kept beside them by name.
+reproducible from a seed.  A signature's symbols are one `terms.Signature`,
+the table that instantiation reads, with their functions kept beside them
+by name.
 """
 
 from __future__ import annotations
@@ -42,8 +43,10 @@ from .templates import BOOL
 from .terms import (
     App,
     Const,
+    DuplicateSymbols,
     Free,
     LemmakitError,
+    Signature,
     SignatureEntry,
     TCon,
     Term,
@@ -119,7 +122,7 @@ class InterpretedSignature:
     logical constant of `_LOGIC` to (argument sorts, result sort, function).
     A logical constant works at any sort, so its sorts are None.  A symbol
     named like one or with no function, or a negative `vars_per_sort`, raises
-    ValueError."""
+    ValueError; so does a repeated name, as `Signature`'s DuplicateSymbols."""
 
     def __init__(self, sorts: list[Sort], symbols: list[SignatureEntry], functions: dict,
                  vars_per_sort: int = 3, infix: dict[str, str] | None = None):
@@ -128,15 +131,13 @@ class InterpretedSignature:
             if s.name in self.sorts:
                 raise ValueError(f"duplicate sort {s.name!r}")
             self.sorts[s.name] = s
-        self.symbols = list(symbols)
-        if len({s.name for s in symbols}) != len(symbols):
-            raise ValueError("duplicate symbol names")
+        self.symbols = Signature(symbols)
         if vars_per_sort < 0:
             raise ValueError("vars_per_sort must be at least 0")
         self.vars_per_sort = vars_per_sort
         self.infix = dict(infix or {})
         self.meanings: dict[str, tuple[tuple, str | None, object]] = dict(_LOGIC_MEANINGS)
-        for sym in symbols:
+        for sym in self.symbols:
             if sym.name in _LOGIC_MEANINGS:
                 raise ValueError(f"symbol {sym.name!r} shadows a logical constant")
             if sym.name not in functions:
@@ -866,6 +867,8 @@ def load_interpreted_signature(path) -> InterpretedSignature:
         vars_per_sort = _at_least(data, "vars_per_sort", 0, str(path))
     try:
         sig = InterpretedSignature(sorts, symbols, functions, vars_per_sort, infix)
+    except DuplicateSymbols as e:
+        raise DuplicateSymbols(f"{path}: {e}") from None
     except ValueError as e:
         raise LemmakitError(f"{path}: {e}") from e
     for i, (d, sym) in enumerate(zip(data["symbols"], symbols)):

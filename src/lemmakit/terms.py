@@ -5,6 +5,10 @@ function arrow encoded as the binary constructor "fun".  Terms use de Bruijn
 indices for bound variables; binder names are kept only for rendering.
 Constants, free variables and holes carry a full type annotation per
 occurrence, so polymorphic constants may appear at several types in one term.
+
+A symbol list is one `Signature`: the only class that holds one, and the
+only check that no name repeats.  `typecheck` looks its schemes up by name,
+and instantiation's search asks it which entries can fit a hole's type.
 """
 
 from __future__ import annotations
@@ -65,6 +69,11 @@ class Clash(UnificationError):
 class OccursCheck(UnificationError):
     def __init__(self, var: str, ty: "TypeExpr"):
         super().__init__(f"occurs check: {var!r} in {render_type(ty)}")
+
+
+class DuplicateSymbols(LemmakitError, ValueError):
+    """Two entries of one symbol list share a name, so a lookup, or an
+    assignment of a symbol to a hole, could not say which one it means."""
 
 
 # ---------------------------------------------------------------------------
@@ -258,93 +267,6 @@ def strip_spine(t: Term) -> tuple[Term, list[Term]]:
         t = t.fn
     args.reverse()
     return t, args
-
-
-# ---------------------------------------------------------------------------
-# Signatures
-
-
-@dataclass(frozen=True)
-class SignatureEntry:
-    name: str
-    type: TypeExpr
-    definition: str | None = None
-
-
-class Signature:
-    """An ordered collection of uniquely-named symbols with type schemes."""
-
-    def __init__(self, entries=()):
-        self._entries: list[SignatureEntry] = []
-        self._by_name: dict[str, SignatureEntry] = {}
-        for e in entries:
-            self.add(e)
-
-    def add(self, entry: SignatureEntry) -> None:
-        if entry.name in self._by_name:
-            raise ValueError(f"duplicate signature entry {entry.name!r}")
-        self._entries.append(entry)
-        self._by_name[entry.name] = entry
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def __getitem__(self, name: str) -> SignatureEntry:
-        return self._by_name[name]
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def base_signature() -> Signature:
-    """Type schemes for the built-in logical constants.
-
-    These are always in scope when typechecking lemma statements and are used
-    to re-concretize retained constants during template instantiation.  Each
-    call builds a fresh Signature, so a caller may extend what it gets.
-    """
-    bool_t = TCon("HOL.bool")
-    prop = TCon("Pure.prop")
-    a, b = TVar("a"), TVar("b")
-    aset = TCon("Set.set", (a,))
-    return Signature(
-        [
-            SignatureEntry("HOL.eq", fun(a, fun(a, bool_t))),
-            SignatureEntry("HOL.Not", fun(bool_t, bool_t)),
-            SignatureEntry("HOL.conj", fun(bool_t, fun(bool_t, bool_t))),
-            SignatureEntry("HOL.disj", fun(bool_t, fun(bool_t, bool_t))),
-            SignatureEntry("HOL.implies", fun(bool_t, fun(bool_t, bool_t))),
-            SignatureEntry("HOL.All", fun(fun(a, bool_t), bool_t)),
-            SignatureEntry("HOL.Ex", fun(fun(a, bool_t), bool_t)),
-            SignatureEntry("HOL.True", bool_t),
-            SignatureEntry("HOL.False", bool_t),
-            SignatureEntry("Pure.imp", fun(prop, fun(prop, prop))),
-            SignatureEntry("Pure.eq", fun(a, fun(a, prop))),
-            SignatureEntry("Pure.all", fun(fun(a, prop), prop)),
-            SignatureEntry("Orderings.ord_class.less", fun(a, fun(a, bool_t))),
-            SignatureEntry("Orderings.ord_class.less_eq", fun(a, fun(a, bool_t))),
-            SignatureEntry("Set.member", fun(a, fun(aset, bool_t))),
-            SignatureEntry("Set.Ball", fun(aset, fun(fun(a, bool_t), bool_t))),
-            SignatureEntry("Set.Bex", fun(aset, fun(fun(a, bool_t), bool_t))),
-            SignatureEntry(
-                "Product_Type.Pair",
-                fun(a, fun(b, TCon("Product_Type.prod", (a, b)))),
-            ),
-        ]
-    )
-
-
-# Only read, never handed out: typecheck and instantiate consult it on
-# every call through base_scheme.
-_BASE_SCHEMES = {e.name: e.type for e in base_signature()}
-
-
-def base_scheme(name: str) -> TypeExpr | None:
-    """The built-in type scheme of a logical constant, or None."""
-    return _BASE_SCHEMES.get(name)
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +705,162 @@ class FreshNames:
         if not tvars:
             return scheme
         return apply_type_subst({v: self.var() for v in tvars}, scheme)
+
+
+# ---------------------------------------------------------------------------
+# Signatures
+
+
+@dataclass(frozen=True)
+class SignatureEntry:
+    name: str
+    type: TypeExpr
+    definition: str | None = None
+
+
+class Signature:
+    """An ordered list of uniquely named symbols: the one form a symbol list
+    takes, from where it is read to every typecheck and search over it.  It
+    is immutable.  Iterating it gives its entries in order, and two are equal
+    when their entries are, in order.
+
+    It is also the type index that instantiation's search reads.  It finds
+    each scheme's type variables once, and groups the monomorphic entries by
+    `_skeleton` key.  `fitting` lists, for a hole's type, the entries a
+    search must try there, in list order: every polymorphic one, since each
+    renaming uses up fresh names whether it unifies or not, and the
+    monomorphic ones whose key `_fits` the hole's.  Those are a superset of
+    the entries that unify, so `unify_into` stays the test.  The lists are
+    memoized by key; two threads that miss at once store equal lists.
+    """
+
+    def __init__(self, entries=()):
+        self._entries = tuple(entries)
+        self._by_name = {e.name: e for e in self._entries}
+        if len(self._by_name) != len(self._entries):
+            raise DuplicateSymbols("duplicate symbol names")
+        self._pool = [(e, type_vars(e.type)) for e in self._entries]
+        self._poly: list[int] = []
+        self._groups: dict[tuple, list[int]] = {}
+        for i, (e, tvars) in enumerate(self._pool):
+            if tvars:
+                self._poly.append(i)
+            else:
+                self._groups.setdefault(_skeleton({}, e.type), []).append(i)
+        self._memo: dict[tuple, list[tuple[SignatureEntry, list[str]]]] = {}
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._by_name
+
+    def __getitem__(self, name: str) -> SignatureEntry:
+        return self._by_name[name]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not Signature:
+            return NotImplemented
+        return self._entries == other._entries
+
+    def __hash__(self):
+        return hash(self._entries)
+
+    def __repr__(self):
+        return f"Signature({list(self._entries)!r})"
+
+    def fitting(self, subst: TypeSubstitution, ty: TypeExpr) -> list[tuple]:
+        """The (entry, its type variables) pairs to try at a hole of type
+        `ty` under `subst`, in list order."""
+        key = _skeleton(subst, ty)
+        got = self._memo.get(key)
+        if got is None:
+            keep = self._poly + [
+                i for k, group in self._groups.items() if _fits(key, k) for i in group
+            ]
+            keep.sort()
+            got = self._memo[key] = [self._pool[i] for i in keep]
+        return got
+
+
+def _skeleton(subst: TypeSubstitution, ty: TypeExpr) -> tuple:
+    """The key a type is indexed by, under `subst`: the head of each argument
+    along its arrow spine, then the head of its result, where the head of a
+    constructor is its name and that of a variable is None."""
+    heads = []
+    ty = walk(subst, ty)
+    while ty.__class__ is TCon and ty.name == FUN and len(ty.args) == 2:
+        arg = walk(subst, ty.args[0])
+        heads.append(arg.name if arg.__class__ is TCon else None)
+        ty = walk(subst, ty.args[1])
+    heads.append(ty.name if ty.__class__ is TCon else None)
+    return tuple(heads)
+
+
+def _fits(hole: tuple, mono: tuple) -> bool:
+    """Whether a monomorphic type with skeleton `mono` may unify with a hole
+    type with skeleton `hole`: at each place both have, the hole's head is a
+    variable or the same name.  A hole whose spine ends first fits only if
+    its result is a variable, which can take the further arrows; a
+    monomorphic result never can."""
+    n = len(hole)
+    if n > len(mono):
+        return False
+    for h, m in zip(hole, mono):
+        if h is not None and h != m:
+            return False
+    return n == len(mono) or hole[-1] is None
+
+
+def base_signature() -> Signature:
+    """Type schemes for the built-in logical constants.
+
+    These are always in scope when typechecking lemma statements and are used
+    to re-concretize retained constants during template instantiation.  Each
+    call builds a fresh Signature.
+    """
+    bool_t = TCon("HOL.bool")
+    prop = TCon("Pure.prop")
+    a, b = TVar("a"), TVar("b")
+    aset = TCon("Set.set", (a,))
+    return Signature(
+        [
+            SignatureEntry("HOL.eq", fun(a, fun(a, bool_t))),
+            SignatureEntry("HOL.Not", fun(bool_t, bool_t)),
+            SignatureEntry("HOL.conj", fun(bool_t, fun(bool_t, bool_t))),
+            SignatureEntry("HOL.disj", fun(bool_t, fun(bool_t, bool_t))),
+            SignatureEntry("HOL.implies", fun(bool_t, fun(bool_t, bool_t))),
+            SignatureEntry("HOL.All", fun(fun(a, bool_t), bool_t)),
+            SignatureEntry("HOL.Ex", fun(fun(a, bool_t), bool_t)),
+            SignatureEntry("HOL.True", bool_t),
+            SignatureEntry("HOL.False", bool_t),
+            SignatureEntry("Pure.imp", fun(prop, fun(prop, prop))),
+            SignatureEntry("Pure.eq", fun(a, fun(a, prop))),
+            SignatureEntry("Pure.all", fun(fun(a, prop), prop)),
+            SignatureEntry("Orderings.ord_class.less", fun(a, fun(a, bool_t))),
+            SignatureEntry("Orderings.ord_class.less_eq", fun(a, fun(a, bool_t))),
+            SignatureEntry("Set.member", fun(a, fun(aset, bool_t))),
+            SignatureEntry("Set.Ball", fun(aset, fun(fun(a, bool_t), bool_t))),
+            SignatureEntry("Set.Bex", fun(aset, fun(fun(a, bool_t), bool_t))),
+            SignatureEntry(
+                "Product_Type.Pair",
+                fun(a, fun(b, TCon("Product_Type.prod", (a, b)))),
+            ),
+        ]
+    )
+
+
+# Only read, never handed out: typecheck and instantiate consult it on
+# every call through base_scheme.
+_BASE_SCHEMES = {e.name: e.type for e in base_signature()}
+
+
+def base_scheme(name: str) -> TypeExpr | None:
+    """The built-in type scheme of a logical constant, or None."""
+    return _BASE_SCHEMES.get(name)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lemmakit.instantiation import Candidates
 from lemmakit.terms import (
     Abs,
     App,
@@ -26,16 +25,16 @@ from lemmakit.terms import (
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """The symbol lists, as name tuples, of the `Candidates` tables built
+    """The symbol lists, as name tuples, of the `Signature` tables built
     while the test runs, in order."""
     built = []
-    real = Candidates.__init__
+    real = Signature.__init__
 
-    def init(self, entries):
+    def init(self, entries=()):
         real(self, entries)
         built.append(tuple(c.name for c in self))
 
-    monkeypatch.setattr(Candidates, "__init__", init)
+    monkeypatch.setattr(Signature, "__init__", init)
     return built
 
 

@@ -97,7 +97,7 @@ def test_1_octonion_candidate_instantiation(lemma_assoc_plus, candidate_symbols)
 
     assert elapsed < 1.0
     assert not res.timed_out and not res.capped
-    fillers = sorted(c.assignment.as_dict()[1] for c in res.conjectures)
+    fillers = sorted(dict(c.assignment.mapping)[1] for c in res.conjectures)
     assert fillers == [
         "Groups.minus",
         "Groups.plus",

@@ -17,15 +17,22 @@ from lemmakit.corpus import (
     make_record,
     save_records,
 )
-from lemmakit.evaluation import CATEGORY_FALSE, CATEGORY_GOLD, categorize
+from lemmakit.evaluation import (
+    CATEGORY_FALSE,
+    CATEGORY_GOLD,
+    categorize,
+    evaluate_suite,
+    make_task,
+)
 from lemmakit.instantiation import Budget, instantiate
-from lemmakit.proposer import build_index, decode_completions
-from lemmakit.quickspec import load_interpreted_signature
+from lemmakit.proposer import ProposalRequest, ProposalSet, build_index, decode_completions
+from lemmakit.quickspec import InterpretedSignature, IntModSort, load_interpreted_signature
 from lemmakit.templates import BOOL, abstract, load_whitelist, parse_template
 from lemmakit.terms import (
     MAX_DEPTH,
     App,
     Const,
+    DuplicateSymbols,
     Free,
     Hole,
     Signature,
@@ -233,7 +240,7 @@ class TestConjecture:
     def test_one_table_for_every_template(
         self, octo_symbols_file, octo_templates_file, table_builds, capsys
     ):
-        """The k templates' searches share one `Candidates` table."""
+        """The k templates' searches share one `Signature` table."""
         argv = ["conjecture", octo_symbols_file, "--proposer", "fixed",
                 "--templates", octo_templates_file]
         assert main(argv) == 0
@@ -246,7 +253,7 @@ class TestConjecture:
 
 
 class TestOneTablePerSymbolList:
-    """Each command builds one `Candidates` table per symbol list it reads;
+    """Each command builds one `Signature` table per symbol list it reads;
     the proposer's request and the instantiations share it."""
 
     OCTO_NAMES = ("Octonions.octo_plus", "Octonions.octo_times")
@@ -291,6 +298,13 @@ class TestOneTablePerSymbolList:
                 "--template", abstract(lemma_distrib_left).canonical]
         assert main(argv) == 0
         assert table_builds == [self.OCTO_NAMES]
+
+    def test_quickspec(self, tmp_path, table_builds, capsys):
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(QS_SIG))
+        assert main(["quickspec", str(path), "--max-size", "3"]) == 0
+        assert "emitted=" in capsys.readouterr().err
+        assert table_builds == [("plus", "zero")]
 
     @pytest.mark.parametrize("workers", ["1", "4"])
     def test_eval(self, synthetic, table_builds, tmp_path, workers):
@@ -462,7 +476,7 @@ class TestEval:
             assert report["aggregates"]["lemma_success_rate"] == 2 / 3
             assert report["aggregates"]["instantiation_rate"] == 2 / 3
             errors = {r["id"]: r["error"] for r in report["per_task"]}
-            assert errors["Octonions.d1"] == "candidate names must be unique"
+            assert errors["Octonions.d1"] == "duplicate symbol names"
 
     def test_workers_do_not_change_report(
         self, octo_corpus, octo_templates_file, tmp_path
@@ -690,7 +704,8 @@ class TestWhitelistRoundTrip:
         record = load_records(files["corpus"])[0]
         canonical = abstract(record.term, w).canonical
         raw = json.dumps({"completions": [canonical]}).encode()
-        assert decode_completions(raw, "http://stub", w).canonicals() == [canonical]
+        got = decode_completions(raw, "http://stub", w)
+        assert [p.template.canonical for p in got.proposals] == [canonical]
         assert decode_completions(raw, "http://stub").parse_failures == 1
 
 
@@ -1400,6 +1415,68 @@ class TestRepeatedSymbolNames:
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: duplicate symbol names\n"
         assert captured.out == ""
+
+    READERS = [
+        "Signature", "load_signature", "load_interpreted_signature",
+        "InterpretedSignature", "ProposalRequest", "instantiate", "evaluate_suite",
+        "cli-conjecture", "cli-instantiate", "cli-propose", "cli-quickspec",
+    ]
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_one_message_through_one_class(
+        self, tmp_path, capsys, monkeypatch, octo_templates_file, lemma_assoc_plus, reader
+    ):
+        """Every reader of a symbol list refuses a repeated name with the
+        message of one `DuplicateSymbols`, made where the `Signature` is
+        built; a reader of a file puts the file's name before it."""
+        made = []
+        real = DuplicateSymbols.__init__
+
+        def init(self, *args):
+            real(self, *args)
+            made.append(str(self))
+
+        monkeypatch.setattr(DuplicateSymbols, "__init__", init)
+        zero = QS_SIG["symbols"][1]
+        path = tmp_path / "sig.json"
+        path.write_text(json.dumps(dict(QS_SIG, symbols=[zero, zero])))
+        twice = [SignatureEntry("zero", INT), SignatureEntry("zero", INT)]
+        record = build_synthetic_corpus()[1][0]
+        record = dataclasses.replace(record, symbols=record.symbols * 2)
+        shows_path = reader.startswith(("load_", "cli-"))
+        message = f"{path}: duplicate symbol names" if shows_path else "duplicate symbol names"
+        library = {
+            "Signature": lambda: Signature(twice),
+            "load_signature": lambda: load_signature(path),
+            "load_interpreted_signature": lambda: load_interpreted_signature(path),
+            "InterpretedSignature": lambda: InterpretedSignature(
+                [IntModSort("int", 5)], twice, {"zero": 0}
+            ),
+            "ProposalRequest": lambda: ProposalRequest(symbols=twice),
+            "instantiate": lambda: instantiate(abstract(lemma_assoc_plus), twice),
+        }
+        if reader in library:
+            with pytest.raises(DuplicateSymbols) as exc:
+                library[reader]()
+            shown = str(exc.value)
+        elif reader == "evaluate_suite":
+            report = evaluate_suite([make_task(record)], lambda req: ProposalSet())
+            [row] = report.per_task
+            shown = row.error
+        else:
+            command = reader[len("cli-"):]
+            rest = {
+                "instantiate": ["--template", abstract(lemma_assoc_plus).canonical],
+                "conjecture": ["--proposer", "fixed", "--templates", octo_templates_file],
+                "propose": ["--proposer", "fixed", "--templates", octo_templates_file],
+                "quickspec": ["--max-size", "2"],
+            }[command]
+            assert main([command, str(path), *rest]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+            shown = captured.err[len("error: "):-1]
+        assert shown == message
+        assert made and made[-1] == message
 
 
 class TestBadSymbolMessage:

@@ -250,7 +250,7 @@ class TestLoadSignature:
             [{"name": "f", "type": '(tc "int")', "def": None},
              {"name": "g", "type": '(tv "a")', "def": "g x = x"}]
         ))
-        assert load_signature(path) == [
+        assert list(load_signature(path)) == [
             SignatureEntry("f", TCon("int"), None),
             SignatureEntry("g", TVar("a"), "g x = x"),
         ]
@@ -307,7 +307,7 @@ class TestSharedTypes:
     def test_load_signature_shares_equal_types(self, tmp_path):
         path = tmp_path / "sig.json"
         path.write_text(json.dumps(_SHARED_TYPES))
-        _assert_shared(load_signature(path))
+        _assert_shared(list(load_signature(path)))
 
     def test_records_share_equal_symbol_types(self, tmp_path):
         d = {"id": "r", "theory": "T", "name": "n", "term": '(free "x" (tc "int"))',

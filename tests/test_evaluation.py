@@ -248,7 +248,7 @@ class TestEvaluateSuite:
         assert report.errored_tasks == 1
         assert {r.id: r.error for r in report.per_task} == {
             "Dist.l0": None,
-            "Dist.l1": "candidate names must be unique",
+            "Dist.l1": "duplicate symbol names",
             "Assoc.l0": None,
         }
         assert report.lemma_success_rate == 1 / 3  # Dist.l0 only
@@ -347,7 +347,7 @@ class TestOneInstantiationPerSymbolList:
 
     def test_one_table_per_symbol_list(self, retrieval, table_builds):
         """A group's searches, its gold templates' and its retrieval
-        requests' included, share one `Candidates` table."""
+        requests' included, share one `Signature` table."""
         tasks = _interleaved_heldout_tasks()
         lists = list(dict.fromkeys(t.record.symbols for t in tasks))
         names = [tuple(c.name for c in symbols) for symbols in lists]
@@ -420,8 +420,8 @@ class TestOneInstantiationPerSymbolList:
         # Only the associativity group searches: the other forms no table.
         assert calls == [(tasks[0].gold_template.canonical, ("Octonions.octo_plus",))]
         assert {r.id: r.error for r in report.per_task} == {
-            "Dist.l0": "candidate names must be unique",
-            "Dist.l1": "candidate names must be unique",
+            "Dist.l0": "duplicate symbol names",
+            "Dist.l1": "duplicate symbol names",
             "Assoc.l0": None,
         }
         assert report.errored_tasks == 2
@@ -464,7 +464,7 @@ class TestOneInstantiationPerSymbolList:
         errored = [r for r in full.per_task if r.id not in ids]
         assert errored and all(
             r.to_dict()
-            == TaskResult(r.id, r.theory, error="candidate names must be unique").to_dict()
+            == TaskResult(r.id, r.theory, error="duplicate symbol names").to_dict()
             for r in errored
         )
         assert [r.to_dict() for r in full.per_task if r.id in ids] == [

@@ -8,11 +8,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from lemmakit import instantiation
+from lemmakit import instantiation, terms
 from lemmakit.instantiation import (
     Budget,
-    Candidates,
-    DuplicateCandidates,
     InvalidTemplate,
     feasible,
     instantiate,
@@ -24,10 +22,12 @@ from lemmakit.terms import (
     App,
     Bound,
     Const,
+    DuplicateSymbols,
     Free,
     FreshNames,
     Hole,
     LemmakitError,
+    Signature,
     SignatureEntry,
     TCon,
     TVar,
@@ -63,7 +63,7 @@ class TestInstantiate:
     def test_assoc_with_candidate_set(self, lemma_assoc_plus, candidate_symbols):
         tpl = abstract(lemma_assoc_plus)
         res = instantiate(tpl, candidate_symbols)
-        fillers = sorted(c.assignment.as_dict()[1] for c in res.conjectures)
+        fillers = sorted(dict(c.assignment.mapping)[1] for c in res.conjectures)
         assert fillers == [
             "Groups.minus",
             "Groups.plus",
@@ -92,7 +92,7 @@ class TestInstantiate:
     def test_distrib_both_holes_range(self, lemma_distrib_left):
         tpl = abstract(lemma_distrib_left)
         res = instantiate(tpl, OCTO_SYMBOLS)
-        assignments = [c.assignment.as_dict() for c in res.conjectures]
+        assignments = [dict(c.assignment.mapping) for c in res.conjectures]
         assert len(assignments) == 4
         assert {frozenset(a.items()) for a in assignments} == {
             frozenset({(1, n1), (2, n2)})
@@ -103,7 +103,7 @@ class TestInstantiate:
     def test_distinct_holes_flag(self, lemma_distrib_left):
         tpl = abstract(lemma_distrib_left)
         res = instantiate(tpl, OCTO_SYMBOLS, Budget(distinct_holes=True))
-        assignments = [c.assignment.as_dict() for c in res.conjectures]
+        assignments = [dict(c.assignment.mapping) for c in res.conjectures]
         assert len(assignments) == 2
         for a in assignments:
             assert a[1] != a[2]
@@ -114,7 +114,7 @@ class TestInstantiate:
         r2 = instantiate(tpl, OCTO_SYMBOLS)
         assert [c.term for c in r1.conjectures] == [c.term for c in r2.conjectures]
         # lexicographic in candidate positions: hole 1 varies slowest
-        names = [c.assignment.as_dict() for c in r1.conjectures]
+        names = [dict(c.assignment.mapping) for c in r1.conjectures]
         assert names[0][1] == "Octonions.octo_plus"
         assert names[0][2] == "Octonions.octo_plus"
         assert names[1][1] == "Octonions.octo_plus"
@@ -197,8 +197,8 @@ class TestInstantiate:
             instantiate(tpl, dup)
         with pytest.raises(LemmakitError) as exc:
             instantiate(tpl, dup)
-        assert isinstance(exc.value, DuplicateCandidates)
-        assert str(exc.value) == "candidate names must be unique"
+        assert isinstance(exc.value, DuplicateSymbols)
+        assert str(exc.value) == "duplicate symbol names"
 
 
 def _big_template():
@@ -239,8 +239,8 @@ class TestFeasible:
 
 class TestBaseSignature:
     def test_mutating_a_returned_copy_changes_nothing_later(self):
-        """instantiate and typecheck share one base signature; what
-        base_signature() hands out must not be it."""
+        """instantiate and typecheck share one base signature; a signature
+        built from what base_signature() hands out must not change it."""
         from lemmakit.templates import Whitelist, default_whitelist
         from lemmakit.terms import App, Const, Signature, UnknownConstant, render_term
 
@@ -255,7 +255,8 @@ class TestBaseSignature:
         before = [render_term(x.term) for x in instantiate(tpl, on_t).conjectures]
         assert len(before) == 1
 
-        base_signature().add(SignatureEntry("X.c", s, None))
+        extended = Signature([*base_signature(), SignatureEntry("X.c", s, None)])
+        assert "X.c" in extended and len(extended) == len(base_signature()) + 1
 
         # Had X.c : S reached instantiate's base, a0 would be S and g : T -> T
         # would no longer fit.
@@ -368,7 +369,7 @@ class TestSharedConstruction:
         # Fresh names in the output: Poly.pick in both holes leaves a0 to a
         # renamed scheme variable.
         first = instantiate(abstract(lemma_distrib_left), mixed).conjectures[0]
-        assert first.assignment.as_dict() == {1: "Poly.pick", 2: "Poly.pick"}
+        assert dict(first.assignment.mapping) == {1: "Poly.pick", 2: "Poly.pick"}
         assert "?f" in render_term(first.term)
 
     def test_synthetic_templates_match_per_node_reference(self):
@@ -444,7 +445,6 @@ class TestSharedConstruction:
             return real_unify(*args)
 
         monkeypatch.setattr(terms, "type_vars", scan)
-        monkeypatch.setattr(instantiation, "type_vars", scan)
         monkeypatch.setattr(instantiation, "unify_into", unify)
         pool = POLY_SYMBOLS + OCTO_SYMBOLS + candidate_symbols
         for n, root_scans in ((2, base_consts), (len(pool), 0)):
@@ -641,7 +641,7 @@ class TestUnifyOncePerType:
             expected = _instantiate_per_node(tpl, pool, distinct=True)
             assert [c.term for c in res.conjectures] == expected
             for c in res.conjectures:
-                assert len(set(c.assignment.as_dict().values())) == 2
+                assert len(set(dict(c.assignment.mapping).values())) == 2
             sizes.append(len(expected))
         assert sizes[0] == 3 * self.B * (self.B - 1) < sizes[1] == sizes[2]
 
@@ -1169,7 +1169,7 @@ def _shapes_met(tpl, subst):
 
 
 class TestIndexDriftOracle:
-    """The search tries at each node only what the `Candidates` table lists
+    """The search tries at each node only what the `Signature` table lists
     for the hole's skeleton.  Its solutions, their leaf substitutions (fresh
     names included), their order, `capped` and `timed_out` are those of
     `oracles.unindexed_solutions`, which tries every candidate at every
@@ -1187,7 +1187,7 @@ class TestIndexDriftOracle:
                     assert got == (expected[:cap], n > cap, False)
                     capped += got[1]
                 budget = Budget(max_results=10**9, distinct_holes=distinct)
-                assert _indexed(tpl, Candidates(pool), budget) == (expected, False, False)
+                assert _indexed(tpl, Signature(pool), budget) == (expected, False, False)
                 solutions += n
                 schemes = {e.name: e.type for e in pool}
                 for subst, chosen in expected:
@@ -1229,7 +1229,7 @@ class TestIndexDriftOracle:
             res = instantiate(tpl, pool, Budget(1000, 10**9))
             monkeypatch.undo()
             assert res.timed_out and not res.capped
-            assert [c.assignment.as_dict()[1] for c in res.conjectures] == [
+            assert [dict(c.assignment.mapping)[1] for c in res.conjectures] == [
                 e.name for e in pool[:k]
             ]
 
@@ -1237,16 +1237,16 @@ class TestIndexDriftOracle:
 class TestCandidates:
     def test_iterates_as_its_entries(self, candidate_symbols):
         pool = POLY_SYMBOLS + OCTO_SYMBOLS + candidate_symbols
-        assert list(Candidates(pool)) == pool
-        assert list(Candidates(iter(pool))) == pool
-        assert list(Candidates([])) == []
+        assert list(Signature(pool)) == pool
+        assert list(Signature(iter(pool))) == pool
+        assert list(Signature([])) == []
 
     def test_repeated_names_raise(self):
         for pool in ([OCTO_SYMBOLS[0], OCTO_SYMBOLS[0]], OCTO_SYMBOLS + POLY_SYMBOLS[:1] * 2):
-            with pytest.raises(DuplicateCandidates) as exc:
-                Candidates(pool)
+            with pytest.raises(DuplicateSymbols) as exc:
+                Signature(pool)
             assert isinstance(exc.value, ValueError)
-            assert str(exc.value) == "candidate names must be unique"
+            assert str(exc.value) == "duplicate symbol names"
 
     def test_a_shared_table_answers_as_a_list(self, lemma_distrib_left, monkeypatch):
         """One table serves searches over several templates: each gives what
@@ -1254,16 +1254,16 @@ class TestCandidates:
         not worked out again, so the table checks each skeleton it meets
         against each of its monomorphic groups once."""
         fits = []
-        real = instantiation._fits
+        real = terms._fits
 
         def counted(hole, mono):
             fits.append(hole)
             return real(hole, mono)
 
-        monkeypatch.setattr(instantiation, "_fits", counted)
+        monkeypatch.setattr(terms, "_fits", counted)
         pool = _index_pool(random.Random(5)) + _sorted_candidates(2, 2)
         templates = _absorbing_templates() + [abstract(lemma_distrib_left)]
-        table = Candidates(pool)
+        table = Signature(pool)
         through_table = []
         for tpl in templates + templates:
             for distinct in (False, True):
@@ -1277,7 +1277,7 @@ class TestCandidates:
         # The second round meets no skeleton the first did not.
         half = len(through_table) // 2
         assert sum(through_table[:half]) > 0 and sum(through_table[half:]) == 0
-        assert sum(through_table) == len(table.memo) * len(table.groups)
+        assert sum(through_table) == len(table._memo) * len(table._groups)
 
     def test_threads_share_one_table(self, lemma_distrib_left):
         """Threads that search through one table, switching as often as the
@@ -1286,7 +1286,7 @@ class TestCandidates:
         pool = _index_pool(random.Random(8)) + _sorted_candidates(3, 2)
         templates = _absorbing_templates() + [abstract(lemma_distrib_left)]
         expected = [_rendered(instantiate(tpl, pool)) for tpl in templates]
-        table = Candidates(pool)
+        table = Signature(pool)
         n = len(templates)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -25,8 +25,10 @@ from lemmakit.templates import abstract
 from lemmakit.terms import (
     App,
     Const,
+    DuplicateSymbols,
     Free,
     LemmakitError,
+    Signature,
     SignatureEntry,
     TCon,
     TVar,
@@ -154,7 +156,7 @@ class TestRetrieval:
             _datapoints([(t.canonical, 1) for t in octo_templates.values()])
         )
         got = propose_retrieval(ProposalRequest(symbols=OCTO_SYMBOLS), idx)
-        assert sorted(got.canonicals()) == sorted(
+        assert sorted(p.template.canonical for p in got.proposals) == sorted(
             t.canonical for t in octo_templates.values()
         )
 
@@ -178,7 +180,7 @@ class TestRetrieval:
         got = propose_retrieval(
             ProposalRequest(symbols=OCTO_SYMBOLS, k=1), idx
         )
-        assert got.canonicals() == [octo_templates["distrib"].canonical]
+        assert [p.template.canonical for p in got.proposals] == [octo_templates["distrib"].canonical]
         assert got.proposals[0].score == pytest.approx(5 / 8)
 
     def test_scores_descending(self, octo_templates):
@@ -315,15 +317,19 @@ class TestFeasibilityMemo:
         assert 0 < len(got.proposals) < len(idx.counts)
         assert _ranking(got) == _ranking_without_memo(req, idx)
         assert sorted(calls) == sorted(idx.counts)
-        assert propose_retrieval(req, idx).canonicals() == got.canonicals()
+        again = propose_retrieval(req, idx)
+        assert [p.template.canonical for p in again.proposals] == [
+            p.template.canonical for p in got.proposals
+        ]
         assert len(calls) == len(idx.counts)
 
     def test_one_table_per_request(self, monkeypatch, table_builds):
-        """The request builds its `Candidates` table, and every feasibility
+        """The request builds its `Signature` table, and every feasibility
         search of every proposal for it reads that one; retrieval builds
         none."""
         idx = build_index(build_train_datapoints())
         _, heldout = build_synthetic_corpus()
+        table_builds.clear()  # the corpus builder's signatures
         req = ProposalRequest(symbols=heldout[0].symbols, k=len(idx.counts))
         assert table_builds == [tuple(c.name for c in heldout[0].symbols)]
         tables = []
@@ -341,26 +347,41 @@ class TestFeasibilityMemo:
         assert len(table_builds) == 1
 
     def test_request_holds_one_table(self, table_builds):
-        """A list or tuple becomes a `Candidates` table, a table is kept as
+        """A list or tuple becomes a `Signature` table, a table is kept as
         it is, and repeated names are refused when the request is made, so
         no proposer, not even one over an empty index, is asked."""
-        table = instantiation.Candidates(OCTO_SYMBOLS)
+        table = Signature(OCTO_SYMBOLS)
         assert ProposalRequest(symbols=table).symbols is table
         for symbols in (OCTO_SYMBOLS, list(OCTO_SYMBOLS)):
             req = ProposalRequest(symbols=symbols)
-            assert isinstance(req.symbols, instantiation.Candidates)
+            assert isinstance(req.symbols, Signature)
             assert list(req.symbols) == list(OCTO_SYMBOLS)
             assert len(req.symbols) == len(OCTO_SYMBOLS)
         assert len(table_builds) == 3
-        with pytest.raises(instantiation.DuplicateCandidates):
+        with pytest.raises(DuplicateSymbols):
             ProposalRequest(symbols=OCTO_SYMBOLS * 2)
         with pytest.raises(ValueError, match="k must be >= 1"):
             ProposalRequest(symbols=OCTO_SYMBOLS * 2, k=0)
 
+    def test_request_prints_and_compares_its_symbols(self):
+        """A request shows its symbols and compares by value: two requests
+        over equal lists are equal, whatever the lists' container, and a
+        change of order or of one entry tells them apart."""
+        a = ProposalRequest(symbols=OCTO_SYMBOLS, k=3)
+        b = ProposalRequest(symbols=list(OCTO_SYMBOLS), k=3)
+        assert a == b and hash(a) == hash(b) and a.symbols is not b.symbols
+        assert repr(a) == repr(b)
+        assert f"symbols=Signature({list(OCTO_SYMBOLS)!r})" in repr(a)
+        assert repr(Signature()) == "Signature([])"
+        assert a != ProposalRequest(symbols=OCTO_SYMBOLS[::-1], k=3)
+        assert a != ProposalRequest(symbols=OCTO_SYMBOLS[:-1], k=3)
+        assert a != ProposalRequest(symbols=OCTO_SYMBOLS, k=4)
+        assert Signature(OCTO_SYMBOLS) != list(OCTO_SYMBOLS)
+
     def test_add_after_a_proposal_joins_the_ranking(self, octo_templates):
         idx = build_index(_datapoints([(octo_templates["assoc"].canonical, 3)]))
         req = ProposalRequest(symbols=OCTO_SYMBOLS, k=1)
-        assert propose_retrieval(req, idx).canonicals() == [
+        assert [p.template.canonical for p in propose_retrieval(req, idx).proposals] == [
             octo_templates["assoc"].canonical
         ]
         idx.add(octo_templates["distrib"].canonical, 5)
@@ -380,9 +401,12 @@ class TestFeasibilityMemo:
         for order in ((fits, misfits), (misfits, fits)):
             idx = build_index(_datapoints([(tpl.canonical, 1)]))
             got = [
-                propose_retrieval(
-                    ProposalRequest(symbols=(SignatureEntry("u", ty, None),)), idx
-                ).canonicals()
+                [
+                    p.template.canonical
+                    for p in propose_retrieval(
+                        ProposalRequest(symbols=(SignatureEntry("u", ty, None),)), idx
+                    ).proposals
+                ]
                 for ty in order
             ]
             assert got == [[tpl.canonical] if ty == fits else [] for ty in order]
@@ -414,7 +438,7 @@ class TestHttp:
             ProposalRequest(symbols=OCTO_SYMBOLS),
             HttpProposerConfig(url=stub_server.url),
         )
-        assert got.canonicals() == [octo_templates["assoc"].canonical]
+        assert [p.template.canonical for p in got.proposals] == [octo_templates["assoc"].canonical]
         assert got.parse_failures == 0
 
     def test_invalid_completion_counted(self, stub_server, octo_templates):
@@ -435,7 +459,7 @@ class TestHttp:
             ProposalRequest(symbols=OCTO_SYMBOLS),
             HttpProposerConfig(url=stub_server.url),
         )
-        assert got.canonicals() == [octo_templates["assoc"].canonical]
+        assert [p.template.canonical for p in got.proposals] == [octo_templates["assoc"].canonical]
         assert got.parse_failures == 1
 
     def test_duplicates_removed(self, stub_server, octo_templates):
@@ -468,7 +492,7 @@ class TestHttp:
             ProposalRequest(symbols=OCTO_SYMBOLS),
             HttpProposerConfig(url=source.url, token="sekrit"),
         )
-        assert got.canonicals() == [octo_templates["assoc"].canonical]
+        assert [p.template.canonical for p in got.proposals] == [octo_templates["assoc"].canonical]
         assert source.requests_seen[0]["auth"] == "Bearer sekrit"
         assert [r["auth"] for r in target.requests_seen] == [None]
 
@@ -533,7 +557,7 @@ class TestHttp:
             ProposalRequest(symbols=OCTO_SYMBOLS),
             HttpProposerConfig(url=stub_server.url),
         )
-        assert got.canonicals() == [octo_templates["assoc"].canonical]
+        assert [p.template.canonical for p in got.proposals] == [octo_templates["assoc"].canonical]
         assert got.parse_failures == 1
 
     def test_non_200_success_raises_transport(self, stub_server):
@@ -619,7 +643,7 @@ class TestFixed:
         got = propose_fixed(
             ProposalRequest(symbols=OCTO_SYMBOLS, k=2), load_templates_file(path)
         )
-        assert got.canonicals() == [t.canonical for t in ordered[:2]]
+        assert [p.template.canonical for p in got.proposals] == [t.canonical for t in ordered[:2]]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
