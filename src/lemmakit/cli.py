@@ -262,9 +262,9 @@ def cmd_quickspec(args) -> int:
     # The gold laws are checked before the run, so a bad file writes nothing.
     if args.gold:
         golds = qs.gold_equations(corpus_mod.load_lines(args.gold, parse_term))
-    terms = qs.enumerate_terms(sig, args.max_size)
-    classes = qs.test_partition(terms, sig, args.tests, args.seed)
-    laws = qs.emit_laws(classes)
+    universe = qs.enumerate_terms(sig, args.max_size)
+    classes = qs.test_partition(universe, sig, args.tests, args.seed)
+    laws = qs.emit_laws(universe, classes)
     laws = qs.reverify_laws(laws, sig, args.tests, args.seed)
     lines = [qs.pretty_law(law, sig) for law in laws]
     fh = _out(args)

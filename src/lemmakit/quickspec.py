@@ -3,27 +3,31 @@ signature, testing-based equivalence classes, law emission pruned by
 congruence closure, and the counterexample tester used for categorizing
 conjectures.
 
+The universe is one hash-consed node table, `Universe`, that every stage
+reads: `enumerate_terms` fills it and builds no term, `test_partition`
+returns classes of nodes, and `emit_laws` prunes over the same nodes.  Terms
+are built only to render and order the candidate laws.
+
 Laws are pruned as in QuickSpec (Claessen, Smallbone & Hughes, 2010).  The
 candidates equate each class member to the class's smallest member, and are
 taken smallest first; within a size, those with more distinct variables
 first, then those naming their variables in ascending reading order (see
 `candidate_laws`).  A candidate is dropped when the laws kept before it make
-its sides congruent over the enumerated universe: a union-find over the
-universe's hash-consed term nodes, joined by every instance of a kept law
-inside the universe and closed under congruence.  Laws are matched and
-instantiated on those nodes alone, through an index keyed by sort and head.
-A kept law may still follow from earlier ones through terms larger than the
-universe, a known artifact of this pruning.
+its sides congruent over the universe: a union-find over its nodes (an
+e-graph), joined by every instance of a kept law inside the universe and
+closed under congruence.  Laws are matched and instantiated on the nodes
+alone, through an index keyed by sort and head.  A kept law may still
+follow from earlier ones through terms larger than the universe, a known
+artifact of this pruning.
 
-One evaluator, `evaluate_columns`, serves partitioning, re-verification and
-counterexample search: it maps each term to its column of values over a list
-of valuations.  It resolves every head with one lookup in one table, the
-signature's `meanings`: each symbol and each logical constant (equality and
-the connectives) maps to its argument sorts, result sort and function, and a
-name not in it has no interpretation.  Equal columns of one sort are one
+One evaluator serves partitioning, re-verification and counterexample
+search: it maps each node to its column of values over a list of
+valuations.  It resolves every head in the signature's `meanings`: each
+symbol and each logical constant (equality and the connectives) maps to its
+argument sorts, result sort and function.  Equal columns of one sort are one
 interned object, and a symbol is applied once per tuple of argument columns,
-so a term whose arguments fall in classes already seen costs no symbol
-calls, and the partition groups terms by column object.
+so a node whose arguments fall in classes already seen costs no symbol
+calls, and the partition groups nodes by column object.
 
 Value domains are deliberately small and closed (integers mod M, bounded
 ranges, booleans, short integer lists) so everything is executable and
@@ -37,10 +41,12 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .corpus import check_fields, load_json, read_symbols
 from .templates import BOOL
 from .terms import (
+    MAX_DEPTH,
     App,
     Const,
     DuplicateSymbols,
@@ -180,47 +186,116 @@ class Law:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
+# The universe: one node table
 
 
-def enumerate_terms(sig: InterpretedSignature, max_size: int) -> list[Term]:
-    """All well-typed fully-applied terms of size <= max_size, smallest first.
+class Universe:
+    """A hash-consed table of first-order term nodes, numbered from 0.
+    Structurally equal terms share one node, and a node's arguments come
+    before it.  Per node: `head` (a symbol's name, None for a variable),
+    `args` (argument nodes), `sort` (a variable's type name, else its head's
+    result sort), `size` (atoms: symbols and variables) and `vars` (variable
+    names in first-occurrence order).  `members` are the universe's terms as
+    nodes, and `len` counts them.  `term(n)` builds a node's term when asked,
+    and `ids` maps the `id` of each term held, given or built, to its node.
 
-    Size counts atoms (head symbols and variables).  Within one size the
-    order is deterministic: sorts in declaration order, then variables,
-    nullary symbols, and composite spines in symbol/argument order.
+    `Universe(terms)` holds terms written by hand, as members in input order;
+    `term` gives back the first one given for a node.  A term whose head is
+    not a variable or a constant, or a variable applied to arguments, raises
+    NotTestable.
     """
+
+    def __init__(self, terms: list[Term] | tuple = ()):
+        self.head: list[str | None] = []
+        self.args: list[tuple[int, ...]] = []
+        self.sort: list[str] = []
+        self.size: list[int] = []
+        self.vars: list[tuple[str, ...]] = []
+        self.members: list[int] = []
+        self.ids: dict[int, int] = {}
+        self._atom: list[Term] = []  # the head's Free or Const
+        self._nodes: dict[object, int] = {}  # leaf, or (head name, arg nodes)
+        self._terms: dict[int, Term] = {}  # node -> its term, once built or given
+        for t in terms:
+            self.members.append(self._add_term(t))
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def add(self, atom: Term, args: tuple[int, ...], sort: str) -> int:
+        """The node of `atom` (a Free or Const) applied to the nodes `args`."""
+        key = (atom.name, args) if args else atom
+        n = self._nodes.get(key)
+        if n is None:
+            n = self._nodes[key] = len(self.head)
+            names = (atom.name,) if isinstance(atom, Free) else ()
+            for a in args:
+                names += tuple(x for x in self.vars[a] if x not in names)
+            self.head.append(None if isinstance(atom, Free) else atom.name)
+            self.args.append(args)
+            self.sort.append(sort)
+            self.size.append(1 + sum(self.size[a] for a in args))
+            self.vars.append(names)
+            self._atom.append(atom)
+        return n
+
+    def _add_term(self, t: Term) -> int:
+        n = self.ids.get(id(t))
+        if n is None:
+            head, args = strip_spine(t)
+            if not isinstance(head, (Free, Const)):
+                raise NotTestable(f"untestable head node {type(head).__name__}")
+            if args and isinstance(head, Free):
+                raise NotTestable(f"variable {head.name!r} applied to arguments")
+            ty = head.type if isinstance(head, Free) else _arrow_parts(head.type)[-1]
+            n = self.add(head, tuple(self._add_term(a) for a in args), ty.name)
+            if n not in self._terms:
+                self._terms[n], self.ids[id(t)] = t, n
+        return n
+
+    def term(self, n: int) -> Term:
+        t = self._terms.get(n)
+        if t is None:
+            t = self._atom[n]
+            for a in self.args[n]:
+                t = App(t, self.term(a))
+            self._terms[n], self.ids[id(t)] = t, n
+        return t
+
+
+def enumerate_terms(sig: InterpretedSignature, max_size: int) -> Universe:
+    """The universe of all well-typed fully-applied terms of size <= max_size,
+    smallest first, filled per (sort, size) from the pools of smaller nodes.
+    Within one size: sorts in declaration order, then variables, nullary
+    symbols, and composite spines in symbol/argument order.  A size-n term
+    nests n - 1 applications deep, so max_size is at most MAX_DEPTH, the
+    depth the package's recursive walks are sized for."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    by_sort_size: dict[tuple[str, int], list[Term]] = {}
+    if max_size > MAX_DEPTH:
+        raise ValueError(f"max_size must be at most {MAX_DEPTH}")
+    universe = Universe()
+    pools: dict[tuple[str, int], list[int]] = {}
     variables = sig.variables()
+    heads = {sym.name: Const(sym.name, sym.type) for sym in sig.symbols}
 
     for sort in sig.sorts:
         atoms: list[Term] = [v for v in variables if v.type.name == sort]
-        for sym in sig.symbols:
-            if sig.meanings[sym.name][:2] == ((), sort):
-                atoms.append(Const(sym.name, sym.type))
-        by_sort_size[(sort, 1)] = atoms
+        atoms += [heads[s] for s in heads if sig.meanings[s][:2] == ((), sort)]
+        pools[(sort, 1)] = [universe.add(a, (), sort) for a in atoms]
 
     for size in range(2, max_size + 1):
         for sort in sig.sorts:
-            terms: list[Term] = []
-            for sym in sig.symbols:
-                args, res, _ = sig.meanings[sym.name]
+            pool = pools[(sort, size)] = []
+            for name, head in heads.items():
+                args, res, _ = sig.meanings[name]
                 if not args or res != sort:
                     continue
                 for sizes in _compositions(size - 1, len(args)):
-                    pools = [
-                        by_sort_size.get((a, s), []) for a, s in zip(args, sizes)
-                    ]
-                    _product_apply(Const(sym.name, sym.type), pools, terms)
-            by_sort_size[(sort, size)] = terms
-
-    out: list[Term] = []
-    for size in range(1, max_size + 1):
-        for sort in sig.sorts:
-            out.extend(by_sort_size.get((sort, size), []))
-    return out
+                    arg_pools = [pools[(a, s)] for a, s in zip(args, sizes)]
+                    pool += [universe.add(head, t, sort) for t in product(*arg_pools)]
+    universe.members = list(range(len(universe.head)))
+    return universe
 
 
 def _compositions(total: int, parts: int):
@@ -231,15 +306,6 @@ def _compositions(total: int, parts: int):
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _product_apply(head: Term, pools: list[list[Term]], out: list[Term]) -> None:
-    """Append head applied to each tuple of the pools' product, in order.  A
-    partial application is built once and shared by all its extensions."""
-    partials = [head]
-    for pool in pools:
-        partials = [App(p, arg) for p in partials for arg in pool]
-    out.extend(partials)
 
 
 # ---------------------------------------------------------------------------
@@ -264,75 +330,60 @@ _LOGIC_MEANINGS = {
 
 def evaluate_columns(
     terms: list[Term], sig: InterpretedSignature, valuations: list[dict[str, object]]
-) -> dict[int, list]:
-    """Value columns of testable terms over a list of valuations.
+) -> list[list]:
+    """Each term's column of values, one per valuation in order, evaluated
+    as one `Universe(terms)`: a term that is not first-order raises
+    NotTestable before any term is evaluated."""
+    universe = Universe(terms)
+    cols = _columns(universe, sig, valuations)
+    return [cols[n] for n in universe.members]
 
-    Maps `id(t)` of every term and of every spine argument below it to the
-    list of its values, one per valuation in order.  Columns are shared
-    objects and must not be mutated: equal columns of one sort are interned
-    to one list, so two terms get the same column object exactly when they
-    have the same sort and equal values.  The sort is a variable's type name
-    or a symbol's result sort; the generic logical constants (equality,
-    connectives), which work at any sort, share one sort of their own.
-    Interning is per sort because an int column [1, 0] equals a bool column
-    [True, False].
 
-    Each term is evaluated once per object, and each symbol once per tuple of
-    argument column objects: symbols are assumed pure, so a term whose
-    arguments have columns already seen reuses the symbol's column and makes
-    no symbol calls.  Values must be hashable; an unhashable one raises
-    NotTestable naming its variable or symbol.
+def _columns(
+    universe: Universe, sig: InterpretedSignature, valuations: list[dict[str, object]]
+) -> list[list]:
+    """The column of each node, in node order.  Columns are shared and must
+    not be mutated: equal columns of one sort are interned to one list, so
+    two nodes share a column object exactly when they have the same sort and
+    equal values.  Interning is per sort (a variable's type name, a symbol's
+    result sort, or one sort of their own for the generic logical constants)
+    because an int column [1, 0] equals a bool column [True, False].
+
+    Symbols are assumed pure and applied once per tuple of argument column
+    objects, so a node whose argument columns were seen before costs no
+    symbol calls.  An unhashable value raises NotTestable naming its
+    variable or symbol.
     """
-    cols: dict[int, list] = {}
+    cols: list[list] = []
     interned: dict[tuple, list] = {}  # (sort, values) -> column
     applied: dict[tuple, list] = {}  # (head name, *argument column ids) -> column
-    for t in terms:
-        _column(t, sig, valuations, cols, interned, applied)
-    return cols
-
-
-def _column(
-    t: Term,
-    sig: InterpretedSignature,
-    valuations: list[dict],
-    cols: dict[int, list],
-    interned: dict[tuple, list],
-    applied: dict[tuple, list],
-) -> list:
-    col = cols.get(id(t))
-    if col is not None:
-        return col
-    head, args = strip_spine(t)
-    if isinstance(head, Free):
-        if args:
-            raise NotTestable(f"variable {head.name!r} applied to arguments")
-        try:
-            col = [val[head.name] for val in valuations]
-        except KeyError:
-            raise NotTestable(f"no value for variable {head.name!r}") from None
-        col = _intern(col, head.type.name, interned, f"variable {head.name!r}")
-    elif isinstance(head, Const):
-        arg_cols = [_column(a, sig, valuations, cols, interned, applied) for a in args]
-        key = (head.name, *map(id, arg_cols))
-        col = applied.get(key)
-        if col is None:
-            meaning = sig.meanings.get(head.name)
-            if meaning is None:
-                raise NotTestable(f"symbol {head.name!r} has no interpretation")
-            arg_sorts, sort, fn = meaning
-            if len(arg_sorts) != len(args):
-                raise NotTestable(f"symbol {head.name!r} applied to {len(args)} arguments")
+    for name, args, sort, names in zip(universe.head, universe.args, universe.sort, universe.vars):
+        if name is None:
             try:
-                col = list(map(fn, *arg_cols)) if args else [fn] * len(valuations)
-            except (ArithmeticError, ValueError) as e:
-                raise NotTestable(
-                    f"symbol {head.name!r} raised {type(e).__name__}: {e}"
-                ) from None
-            col = applied[key] = _intern(col, sort, interned, f"symbol {head.name!r}")
-    else:
-        raise NotTestable(f"untestable head node {type(head).__name__}")
-    cols[id(t)] = col
-    return col
+                col = [val[names[0]] for val in valuations]
+            except KeyError:
+                raise NotTestable(f"no value for variable {names[0]!r}") from None
+            col = _intern(col, sort, interned, f"variable {names[0]!r}")
+        else:
+            arg_cols = [cols[a] for a in args]
+            key = (name, *map(id, arg_cols))
+            col = applied.get(key)
+            if col is None:
+                meaning = sig.meanings.get(name)
+                if meaning is None:
+                    raise NotTestable(f"symbol {name!r} has no interpretation")
+                arg_sorts, res, fn = meaning
+                if len(arg_sorts) != len(args):
+                    raise NotTestable(f"symbol {name!r} applied to {len(args)} arguments")
+                try:
+                    col = list(map(fn, *arg_cols)) if args else [fn] * len(valuations)
+                except (ArithmeticError, ValueError) as e:
+                    raise NotTestable(
+                        f"symbol {name!r} raised {type(e).__name__}: {e}"
+                    ) from None
+                col = applied[key] = _intern(col, res, interned, f"symbol {name!r}")
+        cols.append(col)
+    return cols
 
 
 def _intern(col: list, sort: str | None, interned: dict[tuple, list], what: str) -> list:
@@ -366,21 +417,18 @@ def make_valuations(
 
 
 def test_partition(
-    terms: list[Term], sig: InterpretedSignature, num_tests: int, seed: int
-) -> list[list[Term]]:
-    """Group terms by their sort and value vectors over seeded random
-    valuations, i.e. by their interned `evaluate_columns` column.
-
-    Classes are returned in order of first member appearance; members keep
-    their input order.
-    """
+    universe: Universe, sig: InterpretedSignature, num_tests: int, seed: int
+) -> list[list[int]]:
+    """The universe's members grouped by their sort and values over seeded
+    random valuations, i.e. by interned column (`_columns`): lists of nodes,
+    in order of first member, members in the universe's order."""
     if num_tests < 1:
         raise ValueError("num_tests must be >= 1")
     valuations = make_valuations(sig, sig.variables(), num_tests, seed)
-    cols = evaluate_columns(terms, sig, valuations)
-    classes: dict[int, list[Term]] = {}
-    for t in terms:
-        classes.setdefault(id(cols[id(t)]), []).append(t)
+    cols = _columns(universe, sig, valuations)
+    classes: dict[int, list[int]] = {}
+    for n in universe.members:
+        classes.setdefault(id(cols[n]), []).append(n)
     return list(classes.values())
 
 
@@ -388,7 +436,7 @@ def test_partition(
 # Law emission with congruence pruning
 
 
-def candidate_laws(classes: list[list[Term]]) -> list[Law]:
+def candidate_laws(universe: Universe, classes: list[list[int]]) -> list[Law]:
     """Each member of a class with two or more members equated to the class's
     smallest member (by size, then rendered text), in the order `emit_laws`
     considers them.
@@ -400,100 +448,50 @@ def candidate_laws(classes: list[list[Term]]) -> list[Law]:
     first; then smaller lhs first; then by rendered lhs and rhs.  Of the
     renamings of one law, this keeps the form that names its variables in
     reading order, e.g. x1 + (x2 + x3) = (x1 + x2) + x3.  Variables compare
-    by name, shorter names first, so x9 comes before x10.  Each term is sized
-    and rendered once, and all members are rendered through one memo, so a
-    type or leaf node that many members share is rendered once.
+    by name, shorter names first, so x9 comes before x10.  Sizes and
+    variables are read off the table; only these classes' members are built
+    as terms, and rendered through one memo.
     """
-    shapes: dict[int, tuple[int, tuple[str, ...]]] = {}
+    size, variables = universe.size, universe.vars
     keyed = []
     classes = [cls for cls in classes if len(cls) >= 2]
-    texts = iter(render_terms([t for cls in classes for t in cls]))
+    texts = iter(render_terms([universe.term(n) for cls in classes for n in cls]))
     for cls in classes:
-        members = sorted(
-            ((*_shape(t, shapes), next(texts), t) for t in cls),
-            key=lambda m: (m[0], m[2]),
-        )
-        rep_size, rep_vars, rep_text, rep = members[0]
-        for size, names, text, member in members[1:]:
-            rep_first = rep_vars + tuple(n for n in names if n not in rep_vars)
-            lhs_first = names + tuple(n for n in rep_vars if n not in names)
-            key = (
-                size + rep_size,
-                -len(rep_first),
-                not _ascending(rep_first),
-                not _ascending(lhs_first),
-                size,
-                text,
-                rep_text,
-            )
-            keyed.append((key, Law(lhs=member, rhs=rep, size=size + rep_size)))
+        members = sorted(((size[n], next(texts), n) for n in cls), key=lambda m: m[:2])
+        rep_size, rep_text, rep = members[0]
+        rep_vars = variables[rep]
+        for n_size, text, n in members[1:]:
+            names = variables[n]
+            rep_first = rep_vars + tuple(x for x in names if x not in rep_vars)
+            lhs_first = names + tuple(x for x in rep_vars if x not in names)
+            key = (n_size + rep_size, -len(rep_first), not _ascending(rep_first),
+                   not _ascending(lhs_first), n_size, text, rep_text)
+            keyed.append((key, n, rep))
     keyed.sort(key=lambda k: k[0])
-    return [law for _, law in keyed]
+    term = universe.term
+    return [Law(lhs=term(n), rhs=term(rep), size=key[0]) for key, n, rep in keyed]
 
 
 def _ascending(names: tuple[str, ...]) -> bool:
     return list(names) == sorted(names, key=lambda n: (len(n), n))
 
 
-def _shape(t: Term, memo: dict) -> tuple[int, tuple[str, ...]]:
-    """(t's size, t's variable names in first-occurrence order), memoized
-    by object identity."""
-    got = memo.get(id(t))
-    if got is None:
-        if isinstance(t, Free):
-            got = (1, (t.name,))
-        else:
-            size, names = 1, ()
-            for a in strip_spine(t)[1]:
-                a_size, a_names = _shape(a, memo)
-                size += a_size
-                names += tuple(n for n in a_names if n not in names)
-            got = (size, names)
-        memo[id(t)] = got
-    return got
-
-
 class _Congruence:
-    """Union-find over a universe of first-order terms, closed under
-    congruence: f(a1..an) and f(b1..bn) join when every ai joins bi.
+    """Union-find over a universe's nodes, closed under congruence:
+    f(a1..an) and f(b1..bn) join when every ai joins bi.  A variable's head
+    is None, so no symbol, whatever its name, matches it."""
 
-    Terms are hash-consed to node ids (keyed by object identity first, then
-    by head and argument ids), so structurally equal terms share a node.  A
-    variable's head is None, so no symbol, whatever its name, matches it.
-    """
-
-    def __init__(self) -> None:
-        self.ids: dict[int, int] = {}  # id(term object) -> node
-        self.nodes: dict[object, int] = {}  # leaf, or (head name, arg nodes)
-        self.head: list[str | None] = []  # None for a variable
-        self.args: list[tuple[int, ...]] = []
-        self.sort: list[str] = []
-        self.parent: list[int] = []
-        self.uses: list[list[int]] = []  # root -> nodes with an argument in it
+    def __init__(self, universe: Universe) -> None:
+        self.head, self.args = universe.head, universe.args
+        self.parent = list(range(len(self.head)))
+        # root -> nodes with an argument in it
+        self.uses: list[list[int]] = [[] for _ in self.head]
         self.table: dict[tuple, int] = {}  # (head, arg roots) -> node
-
-    def add(self, t: Term) -> int:
-        n = self.ids.get(id(t))
-        if n is not None:
-            return n
-        head, args = strip_spine(t)
-        arg_nodes = tuple(self.add(a) for a in args)
-        key = (head.name, arg_nodes) if args else head
-        n = self.nodes.get(key)
-        if n is None:
-            n = self.nodes[key] = len(self.parent)
-            sort = _arrow_parts(head.type)[-1]
-            self.head.append(None if isinstance(head, Free) else head.name)
-            self.args.append(arg_nodes)
-            self.sort.append(sort.name)
-            self.parent.append(n)
-            self.uses.append([])
+        for n, (head, args) in enumerate(zip(self.head, self.args)):
             if args:
-                self.table[key] = n
-                for a in set(arg_nodes):
+                self.table[(head, args)] = n
+                for a in set(args):
                     self.uses[a].append(n)
-        self.ids[id(t)] = n
-        return n
 
     def find(self, n: int) -> int:
         parent = self.parent
@@ -552,36 +550,33 @@ class _Congruence:
             self.uses[a] = []
 
 
-def emit_laws(classes: list[list[Term]]) -> list[Law]:
+def emit_laws(universe: Universe, classes: list[list[int]]) -> list[Law]:
     """The `candidate_laws` of the classes that do not follow by congruence
-    closure from the laws kept before them.
+    closure from the laws kept before them, over the universe's nodes.
 
-    The universe is every class member: first-order terms with constant or
-    variable heads, as `test_partition` returns them, hash-consed to graph
-    nodes; pruning reads only the nodes.  A candidate whose sides are
-    already congruent is dropped.  A kept law l = r joins, for each
-    orientation and each universe node u of its sort and head (any head if l
-    is a variable) matching l with substitution s, u to the node congruent
-    to s(r), when there is one; the closure then merges every pair of
-    applications whose arguments have become congruent.  A kept law may
-    still follow from earlier ones, through terms larger than the universe.
+    A candidate whose sides are already congruent is dropped.  A kept law
+    l = r joins, for each orientation and each class member u of its sort
+    and head (any head if l is a variable) matching l with substitution s, u
+    to the node congruent to s(r), when there is one; the closure then
+    merges every pair of applications whose arguments have become
+    congruent.  A kept law may still follow from earlier ones, through terms
+    larger than the universe.
     """
-    cc = _Congruence()
+    cc = _Congruence(universe)
     index: dict[tuple[str, str | None], list[int]] = {}  # (sort, head) -> nodes
     for cls in classes:
-        for t in cls:
-            n = cc.add(t)
-            for head in {None, cc.head[n]}:  # None: every node of the sort
-                index.setdefault((cc.sort[n], head), []).append(n)
+        for n in cls:
+            for head in {None, universe.head[n]}:  # None: every node of the sort
+                index.setdefault((universe.sort[n], head), []).append(n)
     kept: list[Law] = []
-    for law in candidate_laws(classes):
-        lhs, rhs = cc.add(law.lhs), cc.add(law.rhs)
+    for law in candidate_laws(universe, classes):
+        lhs, rhs = universe.ids[id(law.lhs)], universe.ids[id(law.rhs)]
         if cc.find(lhs) == cc.find(rhs):
             continue
         kept.append(law)
         pairs = []
         for pattern, other in ((lhs, rhs), (rhs, lhs)):
-            for u in index.get((cc.sort[pattern], cc.head[pattern]), ()):
+            for u in index.get((universe.sort[pattern], universe.head[pattern]), ()):
                 subst: dict[int, int] = {}
                 if cc.match(pattern, u, subst):
                     n = cc.instance(other, subst)
@@ -645,7 +640,7 @@ def _counterexample(
         valuations = memo[variables] = make_valuations(
             interp, list(variables), num_tests, seed
         )
-    column = evaluate_columns([equation], interp, valuations)[id(equation)]
+    column = evaluate_columns([equation], interp, valuations)[0]
     for val, result in zip(valuations, column):
         if result is False:
             return dict(val)

@@ -315,9 +315,9 @@ def _list_signature():
 def test_7_quickspec_list_laws_and_precision():
     sig = _list_signature()
     start = time.monotonic()
-    terms = enumerate_terms(sig, 7)
-    classes = partition_by_testing(terms, sig, 400, seed=0)
-    laws = emit_laws(classes)
+    universe = enumerate_terms(sig, 7)
+    classes = partition_by_testing(universe, sig, 400, seed=0)
+    laws = emit_laws(universe, classes)
     reverified = reverify_laws(laws, sig, 400, seed=0)
     elapsed = time.monotonic() - start
 

@@ -832,6 +832,27 @@ class TestQuickspec:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: symbol 'pow' raised ")
 
+    def test_deep_max_size_exits_1_without_traceback(self, tmp_path):
+        """A size-n term nests n - 1 applications deep, so a size beyond the
+        depth the recursive walks are sized for is an input error, not a
+        RecursionError from rendering the laws' candidates."""
+        sig_path = tmp_path / "sig.json"
+        sig_path.write_text(json.dumps({
+            "sorts": [{"name": "list", "max_len": 3, "elem_mod": 3}],
+            "symbols": [{"name": "rev", "type": render_type(fun(LIST, LIST)),
+                         "builtin": "list_rev"}],
+            "vars_per_sort": 1,
+        }))
+        proc = _run_cli("quickspec", str(sig_path), "--max-size", "1000", "--tests", "20")
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: max_size must be at most {MAX_DEPTH}\n"
+        proc = _run_cli("quickspec", str(sig_path), "--max-size", str(MAX_DEPTH),
+                        "--tests", "20")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "rev (rev x1) = x1\n", "emitted=1 laws\n"
+        )
+
     @pytest.mark.parametrize(
         "gold, message",
         [
@@ -1008,6 +1029,10 @@ class TestErrorExits:
             pytest.param(
                 ["quickspec", "{sig}", "--max-size", "0"], "max_size must be >= 1",
                 id="max-size-0",
+            ),
+            pytest.param(
+                ["quickspec", "{sig}", "--max-size", "401"], "max_size must be at most 400",
+                id="max-size-401",
             ),
             pytest.param(
                 ["quickspec", "{sig}", "--tests", "0"], "num_tests must be >= 1",

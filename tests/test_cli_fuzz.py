@@ -24,6 +24,7 @@ from lemmakit.corpus import make_record, save_records
 from lemmakit.proposer import ProposalSet, TransportError, decode_completions
 from lemmakit.templates import BOOL, abstract
 from lemmakit.terms import App, Const, Free, TCon, TVar, fun, render_type
+from strategies import quickspec_signatures
 
 INT = TCon("int")
 _A = TVar("a")
@@ -227,29 +228,6 @@ def test_fuzzed_file_arguments_exit_cleanly(valid_files, tmp_path_factory, call,
     assert "Traceback" not in err
 
 
-# Each builtin's argument kinds, then its result kind.
-_BUILTIN_KINDS = {
-    **dict.fromkeys(["int_add", "int_sub", "int_mul", "int_pow"], ("int", "int", "int")),
-    "int_le": ("int", "int", "bool"),
-    **dict.fromkeys(["bool_and", "bool_or", "bool_implies"], ("bool", "bool", "bool")),
-    "bool_not": ("bool", "bool"),
-    "list_append": ("list", "list", "list"),
-    "list_rev": ("list", "list"),
-    "list_len": ("list", "int"),
-    "totient": ("int", "int"),
-}
-_LOGIC_NAMES = ["HOL.eq", "HOL.Not", "HOL.conj", "HOL.disj", "HOL.implies", "HOL.True",
-                "HOL.False"]
-
-# A sort declaration without its name, and its kind.
-_sort_decls = st.one_of(
-    st.builds(lambda m: ({"mod": m}, "int"), st.integers(1, 50)),
-    st.builds(lambda lo, hi: ({"min": min(lo, hi), "max": max(lo, hi)}, "int"),
-              st.integers(-5, 9), st.integers(-5, 9)),
-    st.just(({"kind": "bool"}, "bool")),
-    st.builds(lambda n, m: ({"max_len": n, "elem_mod": m}, "list"),
-              st.integers(0, 3), st.integers(1, 50)),
-)
 # Sort declarations with no value to sample: a modulus below 1, a range
 # whose max is below its min (0 when missing), an element modulus below 1, a
 # negative length bound.
@@ -260,47 +238,12 @@ _bad_sort_decls = st.one_of(
     st.builds(lambda n, m: {"max_len": n, "elem_mod": m}, st.integers(0, 3), st.integers(-5, 0)),
     st.builds(lambda n: {"max_len": n}, st.integers(-5, -1)),
 )
-# Values of each kind, in and out of every sort's range.
-_values = {
-    "int": st.integers(-6, 52),
-    "bool": st.booleans(),
-    "list": st.lists(st.integers(-2, 52), max_size=4),
-}
-
-
-@st.composite
-def _signatures(draw):
-    """A well-formed quickspec signature: up to 3 sorts of every kind, and up
-    to 6 symbols, each a builtin at its kinds or a value of some sort,
-    sometimes named like a logical constant."""
-    sorts, names_of = [], {}
-    for i in range(draw(st.integers(1, 3))):
-        decl, kind = draw(_sort_decls)
-        sorts.append({"name": f"s{i}", **decl})
-        names_of.setdefault(kind, []).append(f"s{i}")
-    symbols = []
-    for i in range(draw(st.integers(1, 6))):
-        name = draw(st.sampled_from(_LOGIC_NAMES)) if draw(st.integers(0, 9)) == 0 else f"f{i}"
-        builtin = draw(st.sampled_from(sorted(_BUILTIN_KINDS)))
-        kinds = _BUILTIN_KINDS[builtin]
-        if all(k in names_of for k in kinds):
-            profile = [TCon(draw(st.sampled_from(names_of[k]))) for k in kinds]
-            *args, ty = profile
-            for arg in reversed(args):
-                ty = fun(arg, ty)
-            symbols.append({"name": name, "type": render_type(ty), "builtin": builtin})
-        else:
-            kind = draw(st.sampled_from(sorted(names_of)))
-            sort = TCon(draw(st.sampled_from(names_of[kind])))
-            symbols.append({"name": name, "type": render_type(sort),
-                            "value": draw(_values[kind])})
-    return {"sorts": sorts, "symbols": symbols}
 
 
 @seed(20261020)
 @settings(max_examples=200, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(signature=_signatures())
+@given(signature=quickspec_signatures())
 def test_fuzzed_signatures_exit_cleanly(tmp_path, signature):
     """quickspec, and instantiate over the same file's symbols."""
     path = tmp_path / "signature.json"
@@ -315,7 +258,7 @@ def test_fuzzed_signatures_exit_cleanly(tmp_path, signature):
 @seed(20261021)
 @settings(max_examples=100, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-@given(signature=_signatures(), bad=_bad_sort_decls, data=st.data())
+@given(signature=quickspec_signatures(), bad=_bad_sort_decls, data=st.data())
 def test_fuzzed_bad_sorts_are_named(tmp_path, signature, bad, data):
     """A well-formed signature with one sort made empty exits 1 naming the
     file, that sort and its field."""

@@ -3,8 +3,11 @@ import copy
 import itertools
 import json
 import random
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from lemmakit import quickspec
 from lemmakit.cli import main
@@ -16,6 +19,7 @@ from lemmakit.quickspec import (
     InterpretedSignature,
     Law,
     NotTestable,
+    Universe,
     baseline_precision,
     candidate_laws,
     emit_laws,
@@ -56,13 +60,19 @@ from oracles import (
     partition_oracle,
     term_size,
 )
+from strategies import quickspec_signatures
 
 INT = TCon("int")
 
 
 def value_at(t, sig, valuation):
     """The value of a testable term under one valuation, by `evaluate_columns`."""
-    return evaluate_columns([t], sig, [valuation])[id(t)][0]
+    return evaluate_columns([t], sig, [valuation])[0][0]
+
+
+def terms_of(universe):
+    """The terms of a universe's members, in order."""
+    return [universe.term(n) for n in universe.members]
 
 
 PLUS = SignatureEntry("plus", fun(INT, fun(INT, INT)))
@@ -110,7 +120,7 @@ def _wrong_arities(name):
 class TestEnumerate:
     def test_size_one(self):
         sig = int_mod_sig([PLUS, ZERO])
-        got = enumerate_terms(sig, 1)
+        got = terms_of(enumerate_terms(sig, 1))
         assert [str(t) for t in got] == [
             str(Free("x1", INT)),
             str(Free("x2", INT)),
@@ -119,8 +129,8 @@ class TestEnumerate:
 
     def test_size_three_adds_all_sums(self):
         sig = int_mod_sig([PLUS, ZERO])
-        small = set(map(str, enumerate_terms(sig, 1)))
-        bigger = enumerate_terms(sig, 3)
+        small = set(map(str, terms_of(enumerate_terms(sig, 1))))
+        bigger = terms_of(enumerate_terms(sig, 3))
         atoms = [Free("x1", INT), Free("x2", INT), Const("zero", ZERO.type)]
         expected_new = {
             str(App(App(Const("plus", PLUS.type), a), b))
@@ -138,7 +148,7 @@ class TestEnumerate:
     def test_exhaustive_and_duplicate_free(self):
         sig = int_mod_sig([PLUS, ZERO])
         for max_size in range(1, 5):
-            got = enumerate_terms(sig, max_size)
+            got = terms_of(enumerate_terms(sig, max_size))
             rendered = [str(t) for t in got]
             assert len(rendered) == len(set(rendered))
             oracle = _enumerate_oracle(sig, max_size)
@@ -146,7 +156,7 @@ class TestEnumerate:
 
     def test_sizes_ordered(self):
         sig = int_mod_sig([PLUS, ZERO])
-        sizes = [term_size(t) for t in enumerate_terms(sig, 4)]
+        sizes = [term_size(t) for t in terms_of(enumerate_terms(sig, 4))]
         assert sizes == sorted(sizes)
 
 
@@ -176,48 +186,51 @@ class TestPartition:
         x1, x2 = Free("x1", INT), Free("x2", INT)
         p = Const("plus", PLUS.type)
         t1, t2 = App(App(p, x1), x2), App(App(p, x2), x1)
-        classes = partition_by_testing([t1, t2], sig, 100, 0)
+        classes = partition_by_testing(Universe([t1, t2]), sig, 100, 0)
         assert len(classes) == 1
 
     def test_identity_merges_and_distinct_split(self):
         sig = int_mod_sig([PLUS, ZERO])
         x1, x2 = Free("x1", INT), Free("x2", INT)
         p, z = Const("plus", PLUS.type), Const("zero", ZERO.type)
-        classes = partition_by_testing([App(App(p, x1), z), x1, x2], sig, 100, 0)
+        universe = Universe([App(App(p, x1), z), x1, x2])
+        classes = partition_by_testing(universe, sig, 100, 0)
         assert len(classes) == 2
-        assert classes[0] == [App(App(p, x1), z), x1]
+        assert [universe.term(n) for n in classes[0]] == [App(App(p, x1), z), x1]
 
     def test_refinement_under_more_tests(self):
         sig = int_mod_sig([PLUS, ZERO])
-        terms = enumerate_terms(sig, 4)
-        coarse = partition_by_testing(terms, sig, 10, seed=3)
-        fine = partition_by_testing(terms, sig, 400, seed=3)
+        universe = enumerate_terms(sig, 4)
+        coarse = partition_by_testing(universe, sig, 10, seed=3)
+        fine = partition_by_testing(universe, sig, 400, seed=3)
         coarse_of = {}
         for i, cls in enumerate(coarse):
-            for t in cls:
-                coarse_of[id(t)] = i
+            for n in cls:
+                coarse_of[n] = i
         for cls in fine:
-            assert len({coarse_of[id(t)] for t in cls}) == 1
+            assert len({coarse_of[n] for n in cls}) == 1
 
     def test_deterministic(self):
         sig = int_mod_sig([PLUS, ZERO])
-        terms = enumerate_terms(sig, 4)
-        a = partition_by_testing(terms, sig, 50, seed=9)
-        b = partition_by_testing(terms, sig, 50, seed=9)
-        assert [[str(t) for t in c] for c in a] == [[str(t) for t in c] for c in b]
+        universe = enumerate_terms(sig, 4)
+        a = partition_by_testing(universe, sig, 50, seed=9)
+        b = partition_by_testing(universe, sig, 50, seed=9)
+        shown = lambda classes: [[str(universe.term(n)) for n in c] for c in classes]
+        assert shown(a) == shown(b)
 
     def test_unshared_copies_partition_alike(self):
         # Enumerated terms share their subterm objects; separately copied
-        # terms share none, so every subterm is evaluated from scratch.
+        # terms share none, so every subterm is hash-consed from scratch.
         sig = int_mod_sig([PLUS, ZERO])
-        terms = enumerate_terms(sig, 5)
-        copies = [copy.deepcopy(t) for t in terms]
+        universe = enumerate_terms(sig, 5)
+        terms = terms_of(universe)
+        copies = Universe([copy.deepcopy(t) for t in terms])
         node_ids = lambda ts: {id(s) for t in ts for s in subterms(t)}
-        assert not node_ids(terms) & node_ids(copies)
-        shared = partition_by_testing(terms, sig, 60, seed=4)
+        assert not node_ids(terms) & node_ids(terms_of(copies))
+        shared = partition_by_testing(universe, sig, 60, seed=4)
         unshared = partition_by_testing(copies, sig, 60, seed=4)
-        assert [[str(t) for t in c] for c in unshared] == [
-            [str(t) for t in c] for c in shared
+        assert [[str(copies.term(n)) for n in c] for c in unshared] == [
+            [str(universe.term(n)) for n in c] for c in shared
         ]
 
 
@@ -263,18 +276,22 @@ class TestEvaluator:
             find_counterexample(App(eq, Free("x1", INT)), sig, 10, 0)
 
     @pytest.mark.parametrize(
-        "term",
+        "term, message",
         [
-            _eq(Free("x1", TVar("int")), Free("x1", TVar("int"))),
-            _eq(App(Free("f", fun(INT, INT)), Free("x1", INT)), Free("x1", INT)),
-            _eq(Free("f", fun(INT, INT)), Free("f", fun(INT, INT))),
-            _eq(
+            (_eq(Free("x1", TVar("int")), Free("x1", TVar("int"))),
+             "variable 'x1' has no samplable sort"),
+            (_eq(App(Free("f", fun(INT, INT)), Free("x1", INT)), Free("x1", INT)),
+             "variable 'f' has no samplable sort"),
+            (_eq(Free("f", fun(INT, INT)), Free("f", fun(INT, INT))),
+             "variable 'f' has no samplable sort"),
+            (_eq(
                 App(Abs("y", INT, App(App(Const("plus", PLUS.type), Bound(0)), Hole(1, INT))),
                     Free("x1", INT)),
                 Free("x1", INT),
-            ),
+            ), "untestable head node Abs"),
             *(
-                _eq(_apply(Const(name, HOL_BOOL), [Free("x1", INT)] * n), Free("x1", INT))
+                (_eq(_apply(Const(name, HOL_BOOL), [Free("x1", INT)] * n), Free("x1", INT)),
+                 f"symbol '{name}' applied to {n} arguments")
                 for name in LOGIC_NAMES
                 for n in _wrong_arities(name)
             ),
@@ -287,11 +304,11 @@ class TestEvaluator:
             *(f"{name}-{n}-args" for name in LOGIC_NAMES for n in _wrong_arities(name)),
         ],
     )
-    def test_find_counterexample_refuses_what_it_cannot_test(self, term):
+    def test_find_counterexample_refuses_what_it_cannot_test(self, term, message):
         sig = int_mod_sig([PLUS, ZERO])
-        with pytest.raises(NotTestable):
+        with pytest.raises(NotTestable, match=f"^{re.escape(message)}$"):
             find_counterexample(term, sig, 10, 0)
-        with pytest.raises(NotTestable):
+        with pytest.raises(NotTestable, match=f"^{re.escape(message)}$"):
             reverify_laws([Law(lhs=term, rhs=term, size=2)], sig, 10, 0)
 
     def test_symbol_that_raises_is_not_testable(self):
@@ -326,18 +343,18 @@ class TestEvaluator:
         x1, x2 = Free("x1", INT), Free("x2", INT)
         t = App(App(Const("plus", PLUS.type), x1), x2)
         vals = [{"x1": a, "x2": b} for a, b in itertools.product(range(5), repeat=2)]
-        cols = evaluate_columns([t], sig, vals)
-        assert cols[id(t)] == [(v["x1"] + v["x2"]) % 5 for v in vals]
-        assert cols[id(x1)] == [v["x1"] for v in vals]
-        assert [value_at(t, sig, v) for v in vals] == cols[id(t)]
+        cols = evaluate_columns([t, x1], sig, vals)
+        assert cols[0] == [(v["x1"] + v["x2"]) % 5 for v in vals]
+        assert cols[1] == [v["x1"] for v in vals]
+        assert [value_at(t, sig, v) for v in vals] == cols[0]
 
 
 class TestEmitLaws:
     def _laws(self, max_size=5):
         sig = int_mod_sig([PLUS, ZERO])
-        terms = enumerate_terms(sig, max_size)
-        classes = partition_by_testing(terms, sig, 400, 0)
-        return sig, emit_laws(classes)
+        universe = enumerate_terms(sig, max_size)
+        classes = partition_by_testing(universe, sig, 400, 0)
+        return sig, emit_laws(universe, classes)
 
     def test_identity_and_commutativity_found(self):
         sig, laws = self._laws()
@@ -355,12 +372,13 @@ class TestEmitLaws:
         assert reverify_laws(laws, sig, 400, 0) == laws
 
     def test_empty_classes(self):
-        assert emit_laws([]) == []
+        assert emit_laws(Universe(), []) == []
 
     def test_reverify_draws_valuations_once_per_variable_set(self, monkeypatch):
         # Two tests per class merge many unequal terms, so some laws fail.
         sig = int_mod_sig([PLUS, ZERO, TIMES], vars_per_sort=3)
-        laws = candidate_laws(partition_by_testing(enumerate_terms(sig, 5), sig, 2, 1))
+        universe = enumerate_terms(sig, 5)
+        laws = candidate_laws(universe, partition_by_testing(universe, sig, 2, 1))
         want = [
             l for l in laws
             if find_counterexample(law_to_equation(l), sig, 200, 7) is None
@@ -462,6 +480,26 @@ CONGRUENCE_CASES = {
 }
 
 
+def assert_emitted_exactly_when_not_implied(nodes, classes, laws):
+    """`laws` are the candidates of `classes` that the laws before them do
+    not make congruent over the universe, by `congruence_oracle`."""
+    universe = [nodes.term(n) for cls in classes for n in cls]
+    index = {t: i for i, t in enumerate(universe)}
+    kept = 0
+    comp = congruence_oracle(universe, [])
+    for law in candidate_laws(nodes, classes):
+        implied = comp[index[law.lhs]] == comp[index[law.rhs]]
+        if kept < len(laws) and law == laws[kept]:
+            assert not implied, f"emitted law {kept} follows from earlier ones"
+            kept += 1
+            comp = congruence_oracle(
+                universe, [(l.lhs, l.rhs) for l in laws[:kept]]
+            )
+        else:
+            assert implied, "a dropped candidate does not follow"
+    assert kept == len(laws)  # the laws are a subsequence of the candidates
+
+
 class TestCongruencePruning:
     """emit_laws against a naive saturation oracle: a law is emitted exactly
     when the laws emitted before it do not make its sides congruent over the
@@ -471,42 +509,32 @@ class TestCongruencePruning:
     def _run(case, seed=0):
         make_sig, size, tests = CONGRUENCE_CASES[case]
         sig = make_sig()
-        classes = partition_by_testing(enumerate_terms(sig, size), sig, tests, seed)
-        return sig, classes, emit_laws(classes)
+        universe = enumerate_terms(sig, size)
+        classes = partition_by_testing(universe, sig, tests, seed)
+        return sig, universe, classes, emit_laws(universe, classes)
 
     @pytest.mark.parametrize("case", sorted(CONGRUENCE_CASES))
     def test_emitted_exactly_when_not_implied(self, case):
-        _, classes, laws = self._run(case)
-        universe = [t for cls in classes for t in cls]
-        index = {t: i for i, t in enumerate(universe)}
-        candidates = candidate_laws(classes)
-        assert laws and len(laws) < len(candidates)
-        kept = 0
-        comp = congruence_oracle(universe, [])
-        for law in candidates:
-            implied = comp[index[law.lhs]] == comp[index[law.rhs]]
-            if kept < len(laws) and law == laws[kept]:
-                assert not implied, f"emitted law {kept} follows from earlier ones"
-                kept += 1
-                comp = congruence_oracle(
-                    universe, [(l.lhs, l.rhs) for l in laws[:kept]]
-                )
-            else:
-                assert implied, "a dropped candidate does not follow"
-        assert kept == len(laws)  # the laws are a subsequence of the candidates
+        _, nodes, classes, laws = self._run(case)
+        assert laws and len(laws) < len(candidate_laws(nodes, classes))
+        assert_emitted_exactly_when_not_implied(nodes, classes, laws)
 
     @pytest.mark.parametrize("case", ["intmod-4", "list-5"])
     def test_deterministic_for_a_seed(self, case):
-        sig, classes, laws = self._run(case, seed=5)
-        again = self._run(case, seed=5)[2]
-        copies = emit_laws([[copy.deepcopy(t) for t in cls] for cls in classes])
+        sig, universe, classes, laws = self._run(case, seed=5)
+        again = self._run(case, seed=5)[3]
+        copied = Universe([copy.deepcopy(universe.term(n)) for cls in classes for n in cls])
+        members = iter(copied.members)
+        copies = emit_laws(copied, [[next(members) for _ in cls] for cls in classes])
         shown = lambda ls: [pretty_law(l, sig) for l in ls]
         assert shown(again) == shown(laws) == shown(copies)
 
     def test_candidates_equate_members_to_smallest(self):
         sig = int_mod_sig([PLUS, ZERO])
-        classes = partition_by_testing(enumerate_terms(sig, 5), sig, 400, 0)
-        got = candidate_laws(classes)
+        universe = enumerate_terms(sig, 5)
+        node_classes = partition_by_testing(universe, sig, 400, 0)
+        got = candidate_laws(universe, node_classes)
+        classes = [[universe.term(n) for n in c] for c in node_classes]
         assert len(got) == sum(len(c) - 1 for c in classes)
         smallest = lambda cls: min(cls, key=lambda t: (term_size(t), render_term(t)))
         rep_of = {id(t): smallest(cls) for cls in classes for t in cls}
@@ -520,7 +548,7 @@ class TestCongruencePruning:
         # Within one size: more distinct variables first, then variables in
         # ascending first-occurrence order, read from the rhs (the class's
         # smallest member) first, then from the lhs first.
-        _, classes, _ = self._run(case)
+        _, universe, classes, _ = self._run(case)
 
         def names(*sides):
             out = []
@@ -535,18 +563,19 @@ class TestCongruencePruning:
             return (law.size, -len(rhs_first), rhs_first != sorted(rhs_first),
                     lhs_first != sorted(lhs_first))
 
-        keys = [order(l) for l in candidate_laws(classes)]
+        keys = [order(l) for l in candidate_laws(universe, classes)]
         assert keys == sorted(keys)
 
     def test_general_law_kept_in_reading_order(self):
         sig = int_mod_sig([PLUS, ZERO], vars_per_sort=3)
-        classes = partition_by_testing(enumerate_terms(sig, 5), sig, 400, 0)
-        laws = [pretty_law(l, sig) for l in emit_laws(classes)]
+        universe = enumerate_terms(sig, 5)
+        classes = partition_by_testing(universe, sig, 400, 0)
+        laws = [pretty_law(l, sig) for l in emit_laws(universe, classes)]
         assert "x1 + (x2 + x3) = (x1 + x2) + x3" in laws
         assert "x2 + x1 = x1 + x2" in laws
 
     def test_list_laws_and_gold_forms(self):
-        sig, _, laws = self._run("list-5")
+        sig, _, _, laws = self._run("list-5")
         shown = [pretty_law(l, sig) for l in laws]
         for law in (
             "rev (rev x1) = x1",
@@ -605,12 +634,15 @@ class TestPartitionOracle:
     def test_classes_and_order_match_oracle(self, case):
         make_sig, size, tests = PARTITION_CASES[case]
         sig = make_sig()
-        terms = enumerate_terms(sig, size)
-        got = partition_by_testing(terms, sig, tests, 7)
+        universe = enumerate_terms(sig, size)
+        terms = terms_of(universe)
+        got = partition_by_testing(universe, sig, tests, 7)
         want = partition_oracle(
             terms, sig, make_valuations(sig, sig.variables(), tests, 7)
         )
-        assert [[id(t) for t in c] for c in got] == [[id(t) for t in c] for c in want]
+        assert [[id(universe.term(n)) for n in c] for c in got] == [
+            [id(t) for t in c] for c in want
+        ]
 
     @pytest.mark.parametrize("case", sorted(PARTITION_CASES))
     def test_columns_equal_naive_values(self, case):
@@ -619,11 +651,13 @@ class TestPartitionOracle:
         # sorts); values must match in type as well as in equality.
         make_sig, size, tests = PARTITION_CASES[case]
         sig = make_sig()
-        terms = enumerate_terms(sig, size)
+        universe = enumerate_terms(sig, size)
+        terms = terms_of(universe)
         vals = make_valuations(sig, sig.variables(), min(tests, 20), 7)
         firsts = [
-            (t, cls[0]) for cls in partition_by_testing(terms, sig, len(vals), 7)
-            for t in cls
+            (universe.term(n), universe.term(cls[0]))
+            for cls in partition_by_testing(universe, sig, len(vals), 7)
+            for n in cls
         ]
         equations = [
             law_to_equation(Law(a, b, 0)) for a, b in firsts + list(zip(terms, terms[1:]))
@@ -631,9 +665,116 @@ class TestPartitionOracle:
         fns = naive_functions(sig)
         cols = evaluate_columns(terms + equations, sig, vals)
         typed = lambda values: [(type(v), v) for v in values]
-        for t in terms + equations:
-            assert typed(cols[id(t)]) == typed(naive_value(t, fns, v) for v in vals)
-            assert typed(cols[id(t)]) == typed(value_at(t, sig, v) for v in vals)
+        for t, col in zip(terms + equations, cols, strict=True):
+            assert typed(col) == typed(naive_value(t, fns, v) for v in vals)
+            assert typed(col) == typed(value_at(t, sig, v) for v in vals)
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(signature=quickspec_signatures(), tests=st.integers(1, 30))
+def test_random_signatures_agree_with_oracles(tmp_path, signature, tests):
+    """test_partition against `partition_oracle`, and emit_laws against
+    `congruence_oracle`, on the fuzz test's random signatures at size 3.  A
+    signature that the loader rejects, or whose universe is not testable, is
+    skipped."""
+    path = tmp_path / "signature.json"
+    path.write_text(json.dumps(signature))
+    try:
+        sig = load_interpreted_signature(path)
+        universe = enumerate_terms(sig, 3)
+        classes = partition_by_testing(universe, sig, tests, 7)
+    except LemmakitError:  # NotTestable included
+        return
+    want = partition_oracle(
+        terms_of(universe), sig, make_valuations(sig, sig.variables(), tests, 7)
+    )
+    assert [[id(universe.term(n)) for n in c] for c in classes] == [
+        [id(t) for t in c] for c in want
+    ]
+    assert_emitted_exactly_when_not_implied(universe, classes, emit_laws(universe, classes))
+
+
+class TestUniverse:
+    def test_hand_written_terms_share_nodes(self):
+        x1, x2 = Free("x1", INT), Free("x2", INT)
+        p, z = Const("plus", PLUS.type), Const("zero", ZERO.type)
+        t = App(App(p, x1), z)
+        universe = Universe([t, x2, copy.deepcopy(t), x1])
+        n = universe.members[0]
+        assert len(universe) == 4 and universe.members[2] == n
+        assert len(set(universe.members)) == 3
+        assert universe.term(n) is t and universe.term(universe.members[3]) is x1
+        assert (universe.head[n], universe.sort[n], universe.size[n], universe.vars[n]) == (
+            "plus", "int", 3, ("x1",)
+        )
+        assert [universe.term(a) for a in universe.args[n]] == [x1, z]
+        assert universe.ids[id(t)] == n
+        # A variable and a nullary symbol of one name are two nodes.
+        assert len(set(Universe([Free("x1", INT), Const("x1", INT)]).members)) == 2
+
+    @pytest.mark.parametrize("case", sorted(PARTITION_CASES))
+    def test_fields_equal_the_terms(self, case):
+        make_sig, size, _ = PARTITION_CASES[case]
+        universe = enumerate_terms(make_sig(), size)
+        assert universe.members == list(range(len(universe.head)))
+        for n in universe.members:
+            t = universe.term(n)
+            head, args = strip_spine(t)
+            sort = head.type
+            for _ in args:
+                sort = sort.args[1]
+            names = []
+            for s in subterms(t):
+                if isinstance(s, Free) and s.name not in names:
+                    names.append(s.name)
+            assert universe.head[n] == (None if isinstance(head, Free) else head.name)
+            assert [universe.term(a) for a in universe.args[n]] == args
+            assert (universe.sort[n], universe.size[n]) == (sort.name, term_size(t))
+            assert universe.vars[n] == tuple(names)
+            assert all(a < n for a in universe.args[n])
+
+    def test_stages_build_terms_only_for_candidates(self, monkeypatch):
+        """enumerate_terms and test_partition construct no App; emit_laws
+        builds the members of classes with two or more members, which its
+        laws are made of, and nothing else."""
+        built = []
+        real = quickspec.App
+
+        def counted(fn, arg):
+            built.append(real(fn, arg))
+            return built[-1]
+
+        monkeypatch.setattr(quickspec, "App", counted)
+        sig = list_sig()
+        universe = enumerate_terms(sig, 6)
+        classes = partition_by_testing(universe, sig, 400, 3)
+        assert (len(universe), len(classes), len(built)) == (1288, 315, 0)
+        laws = emit_laws(universe, classes)
+        members = {n for cls in classes if len(cls) >= 2 for n in cls}
+        needed = {
+            id(s) for n in members for s in subterms(universe.term(n)) if isinstance(s, App)
+        }
+        assert {id(t) for t in built} == needed and len(built) == len(needed)
+        assert 0 < len(members) < len(universe)
+        assert len(laws) == 11
+        for law in laws:
+            assert {universe.ids[id(law.lhs)], universe.ids[id(law.rhs)]} <= members
+
+    def test_a_term_that_is_not_first_order_is_refused_before_evaluation(self):
+        # The structural check of every term comes before any evaluation, so
+        # the second term's head is named, not the first term's symbol.
+        sig = int_mod_sig([PLUS, ZERO])
+        x1 = Free("x1", INT)
+        unknown = App(Const("nosuch", fun(INT, INT)), x1)
+        binder = App(Abs("y", INT, Bound(0)), x1)
+        with pytest.raises(NotTestable, match="^symbol 'nosuch' has no interpretation$"):
+            evaluate_columns([unknown], sig, [{"x1": 0}])
+        with pytest.raises(NotTestable, match="^untestable head node Abs$"):
+            evaluate_columns([unknown, binder], sig, [{"x1": 0}])
+        with pytest.raises(NotTestable, match="^variable 'f' applied to arguments$"):
+            Universe([App(Free("f", fun(INT, INT)), x1)])
 
 
 def _counted(sig, calls):
@@ -659,9 +800,10 @@ class TestColumnSharing:
     def test_symbol_applied_once_per_tuple_of_argument_classes(self):
         calls = collections.Counter()
         sig = _counted(list_sig(), calls)
-        terms = enumerate_terms(sig, 6)
-        classes = partition_by_testing(terms, sig, 400, 3)
-        class_of = {id(t): i for i, cls in enumerate(classes) for t in cls}
+        universe = enumerate_terms(sig, 6)
+        terms = terms_of(universe)
+        classes = partition_by_testing(universe, sig, 400, 3)
+        class_of = {id(universe.term(n)): i for i, cls in enumerate(classes) for n in cls}
         applications, distinct = 0, set()
         for t in terms:
             head, args = strip_spine(t)
@@ -674,13 +816,15 @@ class TestColumnSharing:
 
     def test_class_members_share_one_column(self):
         sig = list_sig()
-        terms = enumerate_terms(sig, 4)
-        cols = evaluate_columns(terms, sig, make_valuations(sig, sig.variables(), 5, 1))
-        classes = partition_by_testing(terms, sig, 5, 1)
+        universe = enumerate_terms(sig, 4)
+        terms = terms_of(universe)
+        columns = evaluate_columns(terms, sig, make_valuations(sig, sig.variables(), 5, 1))
+        cols = dict(zip(universe.members, columns, strict=True))
+        classes = partition_by_testing(universe, sig, 5, 1)
         assert len(classes) < len(terms)
         for cls in classes:
-            assert len({id(cols[id(t)]) for t in cls}) == 1
-        assert len({id(cols[id(cls[0])]) for cls in classes}) == len(classes)
+            assert len({id(cols[n]) for n in cls}) == 1
+        assert len({id(cols[cls[0]]) for cls in classes}) == len(classes)
 
     def test_equal_columns_of_two_sorts_stay_apart(self):
         sig = values_sig()
@@ -689,12 +833,13 @@ class TestColumnSharing:
         three = App(App(plus, one), App(App(plus, one), one))
         terms = [one, tt, three, ff]
         cols = evaluate_columns(terms, sig, make_valuations(sig, [], 4, 0))
-        for i, b in ((one, tt), (three, ff)):
-            assert cols[id(i)] == cols[id(b)] and cols[id(i)] is not cols[id(b)]
-            assert {type(v) for v in cols[id(i)]} == {int}
-            assert {type(v) for v in cols[id(b)]} == {bool}
-        classes = partition_by_testing(terms, sig, 4, 0)
-        assert [[id(t) for t in c] for c in classes] == [[id(t)] for t in terms]
+        for i, b in ((0, 1), (2, 3)):
+            assert cols[i] == cols[b] and cols[i] is not cols[b]
+            assert {type(v) for v in cols[i]} == {int}
+            assert {type(v) for v in cols[b]} == {bool}
+        universe = Universe(terms)
+        classes = partition_by_testing(universe, sig, 4, 0)
+        assert [[id(universe.term(n)) for n in c] for c in classes] == [[id(t)] for t in terms]
 
     def test_unhashable_values_are_not_testable(self):
         sig = InterpretedSignature(
@@ -893,7 +1038,7 @@ class TestInterpretedSignature:
             int_mod_sig([PLUS, ZERO], vars_per_sort=n)
         sig = int_mod_sig([PLUS, ZERO], vars_per_sort=0)
         assert sig.variables() == []
-        assert [render_term(t) for t in enumerate_terms(sig, 1)] == [
+        assert [render_term(t) for t in terms_of(enumerate_terms(sig, 1))] == [
             render_term(Const("zero", INT))
         ]
 
@@ -1108,9 +1253,10 @@ class TestIntBuiltinModulus:
         path = tmp_path / "sig.json"
         path.write_text(json.dumps({"sorts": sorts, "symbols": symbols}))
         sig = load_interpreted_signature(path)
-        classes = partition_by_testing(enumerate_terms(sig, 3), sig, 400, 0)
+        universe = enumerate_terms(sig, 3)
+        classes = partition_by_testing(universe, sig, 400, 0)
         # Reduced mod 5, six + x4 and one + x4 agree on every test.
-        shown = [pretty_law(law, sig) for law in emit_laws(classes)]
+        shown = [pretty_law(law, sig) for law in emit_laws(universe, classes)]
         assert shown == ["x5 + x4 = x4 + x5"]
 
     def test_len_and_totient_reduce_on_a_mod_sort(self, tmp_path):
@@ -1128,10 +1274,10 @@ class TestIntBuiltinModulus:
         sig = load_interpreted_signature(path)
         assert sig.meanings["len"][2]((1, 2, 3, 4)) == 1
         assert sig.meanings["phi"][2](5) == 1
-        terms = enumerate_terms(sig, 4)
+        terms = terms_of(enumerate_terms(sig, 4))
         valuations = make_valuations(sig, sig.variables(), 400, 0)
         cols = evaluate_columns(terms, sig, valuations)
-        shown = {pretty_interp_term(t, sig): cols[id(t)] for t in terms}
+        shown = {pretty_interp_term(t, sig): col for t, col in zip(terms, cols, strict=True)}
         for text in ("len x4", "len x5", "len x6", "phi x1", "zero + (len x4)"):
             assert set(shown[text]) <= {0, 1, 2}, text
         # Both sides of the emitted law `zero + x1 = x1`, at x1 = len x4.

@@ -938,12 +938,12 @@ class TestNoReferenceCycles:
 
     @pytest.fixture(scope="class")
     def quickspec_stages(self):
-        """The list signature's terms up to size 5, their classes over 50
+        """The list signature's universe up to size 5, its classes over 50
         tests, and the laws the classes give."""
         sig = _list_signature()
-        terms = enumerate_terms(sig, 5)
-        classes = partition_by_testing(terms, sig, 50, 0)
-        return sig, terms, classes, emit_laws(classes)
+        universe = enumerate_terms(sig, 5)
+        classes = partition_by_testing(universe, sig, 50, 0)
+        return sig, universe, classes, emit_laws(universe, classes)
 
     @pytest.mark.parametrize(
         "name",
@@ -978,7 +978,7 @@ class TestNoReferenceCycles:
         consts = [SignatureEntry("Octonions.octo_zero", OCTO, None)]
         assert not feasible(tpl, consts)
         sig = _list_signature()
-        qs_sig, qs_terms, classes, laws = quickspec_stages
+        qs_sig, universe, classes, laws = quickspec_stages
         assert len(laws) > 3
         sig_path = tmp_path / "signature.json"
         sig_path.write_text(json.dumps(_LIST_SIGNATURE_JSON))
@@ -1003,9 +1003,9 @@ class TestNoReferenceCycles:
             "parse_template": lambda: parse_template(tpl.canonical),
             "pretty_term": lambda: pretty_term(t),
             "load_interpreted_signature": lambda: load_interpreted_signature(sig_path),
-            "test_partition": lambda: partition_by_testing(qs_terms, qs_sig, 50, 0),
-            "candidate_laws": lambda: candidate_laws(classes),
-            "emit_laws": lambda: emit_laws(classes),
+            "test_partition": lambda: partition_by_testing(universe, qs_sig, 50, 0),
+            "candidate_laws": lambda: candidate_laws(universe, classes),
+            "emit_laws": lambda: emit_laws(universe, classes),
             "reverify_laws": lambda: reverify_laws(laws, qs_sig, 50, 0),
             "dedupe": lambda: dedupe(conjectures + conjectures[::-1]),
             "evaluate_suite": lambda: evaluate_suite(tasks, fixed),
