@@ -101,39 +101,45 @@ def _conjecture_lines(conjectures, proposer: bool = False):
     together, through one memo."""
     texts = render_terms([c.term for c in conjectures])
     return _lines(
-        ((c.assignment, c.source_proposer, c.template_canonical, text)
+        ((c.assignment, c.source_proposer, c.template_canonical, (text,), "")
          for c, text in zip(conjectures, texts)),
         proposer,
     )
 
 
+class _Memo(dict):
+    """A dict that fills in the value of a missing key as `fn(key)`."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _lines(rows, proposer: bool = False):
     """The output line of each (assignment, proposer name, template
-    canonical, term text) row, as `corpus.json_line` gives the conjecture's
+    canonical, term pieces, head) row, whose term text is
+    `head.join(pieces)`, as `corpus.json_line` gives the conjecture's
     object: `assignment` (hole index -> symbol, keys in string order),
     `proposer` when asked for, `template` and `term`.
 
-    Lines are built from parts and yielded one by one, so that a caller can
-    write each before the next is built.  Each term text is escaped once;
-    every other string (symbol and proposer names, template canonicals) is
-    escaped once per call.
+    Lines are yielded one by one, so that a caller can write each before the
+    next is built.  Each string, pieces tuple and (hole index, symbol) pair
+    is JSON-escaped once per call: as `encode_basestring` maps each character
+    on its own, a term is one join.  Pair texts sort as their keys (`"` < 0).
     """
-    quoted: dict[str, str] = {}
-
-    def quote(text: str) -> str:
-        got = quoted.get(text)
-        if got is None:
-            got = quoted[text] = encode_basestring(text)
-        return got
-
-    for assignment, source, template, text in rows:
-        holes = sorted((str(i), n) for i, n in assignment.mapping)
-        parts = ", ".join(f'"{i}": {quote(n)}' for i, n in holes)
-        src = f'"proposer": {quote(source)}, ' if proposer else ""
+    quoted = _Memo(lambda text: encode_basestring(text)[1:-1])
+    pairs = _Memo(lambda pair: f'"{pair[0]}": "{quoted[pair[1]]}"')
+    escaped = _Memo(lambda pieces: [encode_basestring(p)[1:-1] for p in pieces])
+    for assignment, source, template, pieces, head in rows:
+        keys = sorted([pairs[pair] for pair in assignment.mapping])
+        src = f'"proposer": "{quoted[source]}", ' if proposer else ""
         yield (
-            f'{{"assignment": {{{parts}}}, {src}'
-            f'"template": {quote(template)}, '
-            f'"term": {encode_basestring(text)}}}'
+            f'{{"assignment": {{{", ".join(keys)}}}, {src}'
+            f'"template": "{quoted[template]}", '
+            f'"term": "{quoted[head].join(escaped[pieces])}"}}'
         )
 
 
@@ -300,8 +306,7 @@ def cmd_instantiate(args) -> int:
             )
     symbols = corpus_mod.load_signature(args.symbols)
     res = instantiate_texts(tpl, symbols, _budget(args))
-    rows = ((a, "", tpl.canonical, text) for a, text in res.texts)
-    _write_lines(_out(args), _lines(rows))
+    _write_lines(_out(args), _lines((a, "", tpl.canonical, p, h) for a, p, h in res.texts))
     print(
         f"conjectures={len(res.texts)} capped={res.capped} "
         f"timed_out={res.timed_out}",

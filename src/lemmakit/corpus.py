@@ -283,13 +283,27 @@ def datapoint_from_dict(d: dict) -> Datapoint:
     return Datapoint(**{key: d[key] for key in _DATAPOINT_FIELDS})
 
 
-def parse_json(text: str, where: str, what: str = "JSON"):
+def parse_json(text: str, where: str, what: str = "JSON", lone_surrogates: bool = False):
     """json.loads(text).  Text that is not JSON (an integer longer than
     `int` converts included), or JSON nested too deeply for the decoder,
     raises LemmakitError prefixed by `where`; `what` names the kind of input
-    in the message."""
+    in the message.  So does a string holding a lone surrogate, which no
+    UTF-8 output can hold, unless `lone_surrogates`."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
+        # Each backslash of valid JSON starts an escape: blank each `\\`, and `\u` starts one.
+        escapes = "" if lone_surrogates or "\\u" not in text else text.replace("\\\\", "  ")
+        i = escapes.find("\\u")
+        while i >= 0:
+            code = int(escapes[i + 2 : i + 6], 16)
+            if 0xD800 <= code < 0xDC00 and escapes[i + 6 : i + 8] == "\\u" and (
+                0xDC00 <= int(escapes[i + 8 : i + 12], 16) < 0xE000
+            ):
+                i += 6  # a pair: go on after its second half
+            elif 0xD800 <= code < 0xE000:
+                raise json.JSONDecodeError(f"lone surrogate {text[i:i + 6]} in a string", text, i)
+            i = escapes.find("\\u", i + 2)
+        return value
     except ValueError as e:  # JSONDecodeError, or an integer too long
         raise LemmakitError(f"{where}: malformed {what}: {e}") from e
     except RecursionError:

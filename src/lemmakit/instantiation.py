@@ -35,8 +35,8 @@ the conjectures of one leaf differ only in the last hole's symbol, however
 the leaves interleave.  So `instantiate` builds each conjecture's term from
 subtrees without that hole and one constant per symbol, shared in the leaf,
 and `instantiate_texts`, which the `instantiate` command prints from, builds
-no term: each leaf renders the template's text parts once, cut at the last
-hole, and each conjecture's text is one join of those pieces.
+no term and joins no text: each leaf renders the template's text parts once,
+cut at the last hole, into pieces its conjectures share with their heads.
 """
 
 from __future__ import annotations
@@ -140,9 +140,10 @@ def instantiate(
 @dataclass
 class InstantiationTexts:
     """Each conjecture's assignment and s-expression text, as `instantiate`
-    would give them, and its flags."""
+    would give them, and its flags.  A text is given as (pieces, head), its
+    leaf's tuple and its last symbol's head, and reads `head.join(pieces)`."""
 
-    texts: list[tuple[Assignment, str]] = field(default_factory=list)
+    texts: list[tuple[Assignment, tuple[str, ...], str]] = field(default_factory=list)
     timed_out: bool = False
     capped: bool = False
 
@@ -152,13 +153,13 @@ def instantiate_texts(
     candidates: Signature | list[SignatureEntry],
     budget: Budget | None = None,
 ) -> InstantiationTexts:
-    """`instantiate`'s conjectures as (assignment, `render_term` of the term)
-    pairs, in its order and with its flags, without building their terms.
+    """`instantiate`'s conjectures as (assignment, pieces, head) triples, in
+    its order and with its flags, where `head.join(pieces)` is `render_term`
+    of the term; no term is built and no text joined.
 
-    Each leaf joins the template's text parts once, cut at the last hole;
-    each conjecture is one join of those pieces around its last symbol's
-    head, `(const "name" `: the first part of that symbol's constant, worked
-    out once per candidate.
+    Each leaf joins the template's text parts once, cut at the last hole,
+    into its pieces; a head is a last symbol's `(const "name" `, the first
+    part of its constant, worked out once per candidate.
     """
     if budget is None:
         budget = Budget()
@@ -170,7 +171,7 @@ def instantiate_texts(
         if leaf.pieces is None:
             leaf.pieces = leaf.split(parts, heads, dict(pairs))
         head = heads[pairs[-1][1]] if pairs else ""
-        result.texts.append((Assignment(mapping=pairs), head.join(leaf.pieces)))
+        result.texts.append((Assignment(mapping=pairs), leaf.pieces, head))
     result.timed_out, result.capped = search.timed_out, search.capped
     return result
 
@@ -221,7 +222,7 @@ class _Leaf:
         self.varying = varying
         self.resolved: dict[int, TypeExpr] = {}
         self.built: dict = {}
-        self.pieces: list[str] | None = None
+        self.pieces: tuple[str, ...] | None = None
 
     def fill(self, ty: TypeExpr) -> TypeExpr:
         got = self.resolved.get(id(ty))
@@ -248,7 +249,7 @@ class _Leaf:
             got = self.built[name] = Const(name, self.fill(node.type))
         return got
 
-    def split(self, parts: list, heads: dict[str, str], mapping: dict[int, str]) -> list[str]:
+    def split(self, parts: list, heads: dict[str, str], mapping: dict[int, str]) -> tuple:
         """The text of this leaf's conjectures, from `parts` (the template
         body's `render_parts`), cut where the last hole's symbol is named:
         joined around that symbol's head in `heads`, the pieces give the
@@ -272,7 +273,7 @@ class _Leaf:
             else:
                 run += (heads[mapping[part.index]], text, ")")
         pieces.append("".join(run))
-        return pieces
+        return tuple(pieces)
 
 
 class _Search:
@@ -339,6 +340,7 @@ class _Search:
             return
         hole_ty = self.hole_types[self.hole_order[pos]]
         distinct, deadline, fresh = self.distinct, self.deadline, self.fresh
+        last = pos + 1 == len(self.hole_order)  # its loop yields the solutions itself
         # A scheme without type variables is its own renaming, so candidates
         # that share its type object extend `subst` alike: each such object is
         # unified once per node, and those candidates share the one extended
@@ -364,7 +366,10 @@ class _Search:
                     by_type[key] = attempt
             if attempt is None:
                 continue
-            yield from self.solutions(pos + 1, attempt, chosen + (cand.name,))
+            if last:
+                yield attempt, chosen + (cand.name,)
+            else:
+                yield from self.solutions(pos + 1, attempt, chosen + (cand.name,))
             if self.timed_out:
                 return
 

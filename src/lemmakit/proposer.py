@@ -257,13 +257,13 @@ def decode_completions(raw: bytes, source: str, w: Whitelist | None = None) -> P
     against the whitelist `w`, the default one when None.
 
     The body is read as UTF-8, an invalid byte becoming U+FFFD, so it spoils
-    only the completion that holds it.  Completions failing template
-    validation are dropped and counted; completion order is the ranking.  A
-    body of any shape other than {"completions": [str, ...]} raises
-    TransportError.
+    only the completion that holds it, as a lone surrogate escape does.
+    Completions failing template validation are dropped and counted;
+    completion order is the ranking.  A body of any shape other than
+    {"completions": [str, ...]} raises TransportError.
     """
     try:
-        body = parse_json(raw.decode("utf-8", errors="replace"), source)
+        body = parse_json(raw.decode("utf-8", errors="replace"), source, lone_surrogates=True)
     except LemmakitError as e:
         raise TransportError(f"malformed response body: {e}") from e
     if not isinstance(body, dict):
@@ -280,8 +280,9 @@ def decode_completions(raw: bytes, source: str, w: Whitelist | None = None) -> P
                 f"malformed response body: completion {i} must be a string"
             )
         try:
+            text.encode("utf-8")  # refuses a lone surrogate, which no output can hold
             templates.append(parse_template(text.strip(), w))
-        except LemmakitError:
+        except (LemmakitError, UnicodeEncodeError):
             failures += 1
     return ProposalSet(_ranked(templates, "http"), failures)
 

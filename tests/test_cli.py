@@ -24,7 +24,7 @@ from lemmakit.evaluation import (
     evaluate_suite,
     make_task,
 )
-from lemmakit.instantiation import Budget, instantiate
+from lemmakit.instantiation import Budget, instantiate, instantiate_texts
 from lemmakit.proposer import ProposalRequest, ProposalSet, build_index, decode_completions
 from lemmakit.quickspec import InterpretedSignature, IntModSort, load_interpreted_signature
 from lemmakit.templates import BOOL, abstract, load_whitelist, parse_template
@@ -1104,6 +1104,51 @@ class TestDeepJson:
         assert "nested too deeply" in proc.stderr
 
 
+
+class TestLoneSurrogates:
+    """A string holding a lone surrogate, which no UTF-8 output can hold, is
+    an input error in a JSON file: exit 1 naming the file and the place,
+    before any output.  In an HTTP reply it spoils only its completion."""
+
+    @pytest.mark.parametrize("command", ["instantiate", "conjecture"])
+    def test_exits_1_writing_nothing(
+        self, tmp_path, capsys, command, octo_templates_file, lemma_distrib_left
+    ):
+        entries = [
+            SignatureEntry("Octonions.octo_plus", BINOP, None),
+            SignatureEntry("Octonions.octo_times", BINOP, None),
+            SignatureEntry("bad" + chr(0xD800), BINOP, None),
+        ]
+        symbols = _write_signature(tmp_path / "symbols.json", entries)
+        at = (tmp_path / "symbols.json").read_text().index("\\ud800")
+        out = tmp_path / "out.jsonl"
+        argv = [command, symbols, "-o", str(out)] + {
+            "instantiate": ["--template", abstract(lemma_distrib_left).canonical],
+            "conjecture": ["--proposer", "fixed", "--templates", octo_templates_file],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "",
+            f"error: {symbols}: malformed JSON: lone surrogate \\ud800 in a string: "
+            f"line 1 column {at + 1} (char {at})\n",
+        )
+        assert not out.exists()
+        entries[-1] = SignatureEntry("bad", BINOP, None)
+        _write_signature(tmp_path / "symbols.json", entries)
+        assert main(argv) == 0
+        assert out.read_text(encoding="utf-8").count("\n") > 4
+
+    def test_http_completion_dropped_and_counted(self, lemma_distrib_left):
+        canonical = abstract(lemma_distrib_left).canonical
+        bad = canonical.replace('"HOL.eq"', f'"HOL.eq{chr(0xD800)}"')
+        # It is a template; only the surrogate drops it.
+        assert parse_template(bad).canonical == bad != canonical
+        raw = json.dumps({"completions": [bad, canonical], "x" + chr(0xDC00): 1}).encode()
+        got = decode_completions(raw, "http://stub")
+        assert [p.template.canonical for p in got.proposals] == [canonical]
+        assert got.parse_failures == 1
+
+
 class TestInstantiate:
     def test_template_flag(
         self, octo_symbols_file, capsys, lemma_distrib_left
@@ -1269,6 +1314,42 @@ class TestConjectureLines:
             monkeypatch.undo()
             assert out.read_bytes() == expected.encode("utf-8")
 
+    def test_instantiate_escapes_each_leaf_once(self, tmp_path, monkeypatch, lemma_distrib_left):
+        """`lemmakit instantiate` JSON-escapes each name, the template and
+        each piece of each leaf once, not each conjecture's text: the
+        conjectures of a leaf share its pieces tuple."""
+        sorts = [TCon(f"S{k}") for k in range(3)]
+        pool = [
+            SignatureEntry(f"{_ODD_NAMES[i]}{k}", fun(s, fun(s, s)), None)
+            for k, s in enumerate(sorts) for i in range(6)
+        ]
+        symbols = _write_signature(tmp_path / "sorts.json", pool)
+        tpl = abstract(lemma_distrib_left)
+        calls = []
+        real = cli.encode_basestring
+
+        def counted(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(cli, "encode_basestring", counted)
+        out = tmp_path / "out.jsonl"
+        assert main(["instantiate", symbols, "--template", tpl.canonical, "-o", str(out)]) == 0
+        monkeypatch.undo()
+        # One leaf per first symbol, each cut where the last hole occurs.
+        leaves, pieces = len(pool), 1 + tpl.canonical.count("(hole 2 ")
+        assert out.read_text(encoding="utf-8").count("\n") == len(pool) * 6
+        # A name is escaped in the assignment and as its constant's head.
+        assert len(calls) <= 2 * len(pool) + 1 + leaves * pieces < len(pool) * 6
+        texts = instantiate_texts(tpl, load_signature(symbols)).texts
+        assert len({id(p) for _, p, _ in texts}) == leaves
+        assert {len(p) for _, p, _ in texts} == {pieces}
+        expected = [
+            json_line({"assignment": {str(i): n for i, n in a.mapping},
+                       "template": tpl.canonical, "term": head.join(p)})
+            for a, p, head in texts
+        ]
+        assert out.read_text(encoding="utf-8") == "".join(line + "\n" for line in expected)
 
 class TestPropose:
     def test_fixed(self, octo_symbols_file, octo_templates_file, capsys,

@@ -16,6 +16,7 @@ from lemmakit.corpus import (
     load_signature,
     make_datapoint,
     make_record,
+    parse_json,
     read_jsonl,
     record_from_dict,
     record_to_dict,
@@ -374,3 +375,83 @@ class TestLoadLines:
         with pytest.raises(LemmakitError) as exc:
             load_lines(path, parse_type)
         assert str(exc.value).startswith(f"{path}:3: ")
+
+
+
+def _holds_surrogate(value) -> bool:
+    """Whether a decoded JSON value holds a string (a key included) with a
+    surrogate code point, which only a lone surrogate escape gives."""
+    if isinstance(value, str):
+        return any("\ud800" <= ch <= "\udfff" for ch in value)
+    if isinstance(value, dict):
+        return any(map(_holds_surrogate, value)) or any(map(_holds_surrogate, value.values()))
+    return isinstance(value, list) and any(map(_holds_surrogate, value))
+
+
+def _esc(*codes: int) -> str:
+    """The JSON escapes of the UTF-16 code units `codes`."""
+    return "".join(f"\\u{c:04x}" for c in codes)
+
+
+_HIGH, _LOW = _esc(0xD800), _esc(0xDC00)
+# What a JSON string is drawn from: surrogate halves in both cases, a pair,
+# backslashes before a `u`, other escapes, and plain characters.
+_STRING_TOKENS = [
+    _HIGH, "\\u" + "DBFF", _LOW, "\\u" + "DFFF", _esc(0xD83D, 0xDE00), _esc(0xE9), _esc(0x41),
+    _esc(0xE000), r"\\", r"\\u", r"\"", r"\n", "u", "d800", "a", "é",
+]
+
+
+class TestLoneSurrogates:
+    """A string holding a lone surrogate is an input error wherever JSON is
+    read, named by its place in the text: no UTF-8 output can hold it."""
+
+    @pytest.mark.parametrize(
+        "text, escape, where",
+        [
+            (f'"{_HIGH}"', _HIGH, "line 1 column 2 (char 1)"),
+            (f'"{_LOW}"', _LOW, "line 1 column 2 (char 1)"),
+            ('"\\uD800' + _esc(0x41) + '"', "\\uD800", "line 1 column 2 (char 1)"),
+            (f'["{_HIGH}{_HIGH}{_LOW}"]', _HIGH, "line 1 column 3 (char 2)"),
+            (f'["ok",\n {{"k\\\\{_esc(0xDBFF)}": 1}}]', _esc(0xDBFF), "line 2 column 7 (char 13)"),
+            (f'["{_esc(0xD83D, 0xDE00)}",\n "{_LOW}{_HIGH}"]', _LOW, "line 2 column 3 (char 19)"),
+        ],
+    )
+    def test_refused_naming_the_place(self, text, escape, where):
+        with pytest.raises(LemmakitError) as exc:
+            parse_json(text, "f.json")
+        assert str(exc.value) == (
+            f"f.json: malformed JSON: lone surrogate {escape} in a string: {where}"
+        )
+        assert parse_json(text, "f.json", lone_surrogates=True) == json.loads(text)
+
+    def test_refused_exactly_when_json_decodes_one(self):
+        """Against the decoded value, over random strings of escapes, as
+        array items and object keys."""
+        rng = random.Random(33)
+        refused = 0
+        for _ in range(3000):
+            items = [
+                '"' + "".join(rng.choices(_STRING_TOKENS, k=rng.randint(0, 5))) + '"'
+                for _ in range(rng.randint(1, 3))
+            ]
+            text = f"[{items[0]}, {{{items[-1]}: [{', '.join(items)}]}}]"
+            value = json.loads(text)
+            try:
+                assert parse_json(text, "f.json") == value
+            except LemmakitError:
+                refused += 1
+                assert _holds_surrogate(value)
+            else:
+                assert not _holds_surrogate(value)
+        assert 500 < refused < 2500
+
+    def test_a_jsonl_line_is_named(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(f'{{"ok": "{_esc(0xD83D, 0xDE00)}"}}\n\n{{"id": "a{_esc(0xDFFF)}"}}\n')
+        with pytest.raises(LemmakitError) as exc:
+            read_jsonl(path)
+        assert str(exc.value) == (
+            f"{path}:3: malformed JSON line: lone surrogate {_esc(0xDFFF)} in a string: "
+            "line 1 column 10 (char 9)"
+        )

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 import sys
@@ -9,6 +10,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from lemmakit import instantiation, terms
+from lemmakit.cli import main
+from lemmakit.corpus import json_line
 from lemmakit.instantiation import (
     Budget,
     InvalidTemplate,
@@ -38,6 +41,7 @@ from lemmakit.terms import (
     fun,
     render_term,
     render_terms,
+    render_type,
     resolve,
     subterms,
     type_vars,
@@ -1004,7 +1008,9 @@ def _rendered(res):
 
 
 def _texts(res):
-    return res.texts, res.capped, res.timed_out
+    """An `instantiate_texts` result with each conjecture's text joined from
+    its pieces, as `_rendered` gives it."""
+    return [(a, head.join(pieces)) for a, pieces, head in res.texts], res.capped, res.timed_out
 
 
 class TestTextsDriftOracle:
@@ -1059,6 +1065,66 @@ class TestTextsDriftOracle:
                     budget = Budget(max_results=cap)
                     expected = _rendered(instantiate(tpl, pool, budget))
                     assert _texts(instantiate_texts(tpl, pool, budget)) == expected
+
+
+class TestInstantiateCommandDrift:
+    """`lemmakit instantiate` writes, for each conjecture of `instantiate`,
+    `json_line` of its object, byte for byte, over the drift cases."""
+
+    def _check(self, tmp_path, tpl, pool, budget):
+        """The command's output equals the lines of `instantiate`'s
+        conjectures; it is returned."""
+        res = instantiate(tpl, pool, budget)
+        expected = "".join(
+            json_line({
+                "assignment": {str(i): n for i, n in c.assignment.mapping},
+                "template": c.template_canonical,
+                "term": render_term(c.term),
+            }) + "\n"
+            for c in res.conjectures
+        )
+        out = tmp_path / "out.jsonl"
+        argv = ["instantiate", str(tmp_path / "symbols.json"), "--template", tpl.canonical,
+                "--max-results", str(budget.max_results), "-o", str(out)]
+        assert main(argv + ["--distinct-holes"] * budget.distinct_holes) == 0
+        assert out.read_text(encoding="utf-8") == expected
+        return expected
+
+    def _write(self, tmp_path, pool):
+        symbols = [{"name": e.name, "type": render_type(e.type), "def": None} for e in pool]
+        (tmp_path / "symbols.json").write_text(json.dumps(symbols))
+
+    def test_every_cap_and_distinct_holes(self, tmp_path, lemma_distrib_left, capsys):
+        output = []
+        for tpl, pool in _drift_cases(lemma_distrib_left):
+            # Every third name also holds a tab and a newline.
+            pool = [
+                SignatureEntry(f"{e.name}\t\n" if i % 3 == 0 else e.name, e.type, e.definition)
+                for i, e in enumerate(pool)
+            ]
+            self._write(tmp_path, pool)
+            for distinct in (False, True):
+                n = len(instantiate(tpl, pool, Budget(distinct_holes=distinct)).conjectures)
+                for cap in sorted(c for c in {1, n - 1, n} if c > 0):
+                    budget = Budget(max_results=cap, distinct_holes=distinct)
+                    output.append(self._check(tmp_path, tpl, pool, budget))
+        text = "".join(output)
+        assert text.count("\n") > 2000
+        # Binders, fresh type variables, escaped and non-ASCII names.
+        for mark in ("(abs ", "?f", '\\\\\\"', "\\\\\\\\", "\\t\\n", "日本", "\u2028"):
+            assert mark in text
+        capsys.readouterr()
+
+    def test_zero_holes(self, tmp_path, lemma_assoc_plus, capsys):
+        x = Free("v", _A)
+        eq = Const("HOL.eq", fun(_A, fun(_A, TCon("HOL.bool"))))
+        tpl = abstract(App(App(eq, x), x))
+        assert tpl.hole_count == 0
+        for pool in ([], OCTO_SYMBOLS):
+            self._write(tmp_path, pool)
+            for cap in (1, 5):
+                assert self._check(tmp_path, tpl, pool, Budget(max_results=cap)).count("\n") == 1
+        capsys.readouterr()
 
 
 _S0, _S1 = _SORTS[0], _SORTS[1]
